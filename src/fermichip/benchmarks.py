@@ -325,10 +325,7 @@ def scaling_rows():
     dev_n = 0.0
     for kind, model in models.items():
         v = [evaporation.effective_volume(model, t) for t in temps]
-        if model.kind == "box":
-            slope = float(np.polyfit(np.log(temps), np.log(v), 1)[0])
-        else:
-            slope = float(np.polyfit(np.log(temps), np.log(v), 1)[0])
+        slope = float(np.polyfit(np.log(temps), np.log(v), 1)[0])
         dev_v = max(dev_v, abs(slope - evaporation.power_law_exponent(model)))
         depths = np.geomspace(C.K_B * 1e-4, C.K_B * 1e-2, 9)
         n = [

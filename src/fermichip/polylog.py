@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Chebyshev
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import expit, rgamma
+from scipy.special import expit, rgamma, zeta
 
 __all__ = [
     "fermi_fn",
@@ -149,9 +149,9 @@ def bose_fn(n: float, z) -> float | np.ndarray:
     """Li_n(z) for 0 < z <= 1 (z = 1 needs n > 1; the condensed branch z > 1
     is out of domain).
 
-    Direct series below z = 1/2 (tail < 1e-12 by construction); arbitrary
-    precision evaluation above, where naive summation cannot reach the
-    requested tail bound.
+    Direct series below z = 1/2 (tail < 1e-12 by construction); Li_n(1) =
+    zeta(n) at z = 1; arbitrary precision evaluation in between, where naive
+    summation cannot reach the requested tail bound.
     """
     n = _check_order(n)
     z = np.asarray(z, dtype=float)
@@ -167,7 +167,9 @@ def bose_fn(n: float, z) -> float | np.ndarray:
     low = w <= SERIES_CUT
     if low.any():
         out[low] = _bose_series(n, w[low])
-    rest = ~low
+    unit = w == 1.0
+    out[unit] = zeta(n)
+    rest = ~low & ~unit
     if rest.any():
         import mpmath
 

@@ -1,10 +1,18 @@
 """Magnetostatics of chip wire traps.
 
-Finite straight segments (Biot-Savart) plus uniform bias fields.  On top of
-the field model: location of the trap minimum, bottom field B0, harmonic
-frequencies per spin state from a finite-difference Hessian, trap depth from
-an escape-ray search, and a least-squares Ioffe-Pritchard parameterization
-(B0, B', B'') used by the RF-dressing module.
+Finite straight segments (Biot-Savart) plus uniform bias fields.  Every field
+class has one protocol: `field(r, guard=...)` returns B with shape (..., 3),
+`jacobian(r)` returns the exact dB_i/dr_j with shape (..., 3, 3) (closed form
+for a segment, analytic for the Ioffe-Pritchard field), and `gravity`,
+`min_line_distance` and `beyond_chip` describe what else the searches need.
+
+On top of the field model: location of the trap minimum (damped Newton on the
+exact gradient J^T B of |B|^2 / 2), bottom field B0, harmonic frequencies per
+spin state, trap depth from an escape-ray search, and a least-squares
+Ioffe-Pritchard parameterization (B0, B', B'') used by the RF-dressing module.
+Gradients of |B| are exact, J^T B / |B|.  Each Hessian takes J^T J exactly and
+the field's own second derivatives from one central difference of the exact
+J, with one step derived from the field, 1e-4 |B| / ||J||_2.
 
 Positions are in metres, fields in tesla, currents in ampere.
 """
@@ -45,6 +53,8 @@ __all__ = [
 ]
 
 SINGULARITY_GUARD = 1e-6  # m, minimum approach to a segment axis
+_CLAMP = 0.25 * SINGULARITY_GUARD
+_HESSIAN_STEP = 1e-4  # central-difference step, in units of |B| / ||J||_2
 
 
 class SingularityError(ValueError):
@@ -83,7 +93,9 @@ class WireSegment:
         object.__setattr__(self, "a", tuple(a))
         object.__setattr__(self, "b", tuple(b))
 
-    def field(self, r: np.ndarray) -> np.ndarray:
+    def _terms(self, r):
+        """Unit axis u, pa = r - a, pb = r - b, their axial parts, the radial
+        vector rho, and the clamped rho^2, |pa| and |pb|."""
         r = np.asarray(r, dtype=float)
         a = np.asarray(self.a)
         b = np.asarray(self.b)
@@ -97,11 +109,40 @@ class WireSegment:
         # Clamp the radial distance at a sub-guard floor: keeps |B| a huge but
         # finite repulsive wall on the axis instead of overflowing (guarded
         # evaluations raise before ever getting this close).
-        rho2 = np.maximum(np.sum(rho_vec**2, axis=-1), (0.25 * SINGULARITY_GUARD) ** 2)
-        na = np.maximum(np.linalg.norm(pa, axis=-1), 0.25 * SINGULARITY_GUARD)
-        nb = np.maximum(np.linalg.norm(pb, axis=-1), 0.25 * SINGULARITY_GUARD)
+        rho2 = np.maximum(np.sum(rho_vec**2, axis=-1), _CLAMP**2)
+        na = np.maximum(np.linalg.norm(pa, axis=-1), _CLAMP)
+        nb = np.maximum(np.linalg.norm(pb, axis=-1), _CLAMP)
+        return u, pa, pb, pa_u, pb_u, rho_vec, rho2, na, nb
+
+    def field(self, r: np.ndarray) -> np.ndarray:
+        u, _, _, pa_u, pb_u, rho_vec, rho2, na, nb = self._terms(r)
         factor = MU_0 * self.current / (4.0 * np.pi) * (pa_u / na - pb_u / nb) / rho2
         return factor[..., None] * np.cross(np.broadcast_to(u, rho_vec.shape), rho_vec)
+
+    def jacobian(self, r: np.ndarray) -> np.ndarray:
+        """dB_i/dr_j of B = factor (u x rho), shape (..., 3, 3).
+
+        factor = k (pa.u/|pa| - pb.u/|pb|) / rho^2; a clamped quantity has zero
+        derivative, as in field().
+        """
+        u, pa, pb, pa_u, pb_u, rho_vec, rho2, na, nb = self._terms(r)
+        k = MU_0 * self.current / (4.0 * np.pi)
+        g = pa_u / na - pb_u / nb
+        # grad(p.u / |p|) = u / |p| - (p.u) p / |p|^3
+        grad_g = (
+            u * (1.0 / na - 1.0 / nb)[..., None]
+            - np.where(na > _CLAMP, pa_u / na**3, 0.0)[..., None] * pa
+            + np.where(nb > _CLAMP, pb_u / nb**3, 0.0)[..., None] * pb
+        )
+        grad_rho2 = 2.0 * (rho2 > _CLAMP**2)[..., None] * rho_vec
+        factor = k * g / rho2
+        grad_factor = k * (grad_g / rho2[..., None] - (g / rho2**2)[..., None] * grad_rho2)
+        direction = np.cross(np.broadcast_to(u, rho_vec.shape), rho_vec)
+        # d(u x rho)/dr = [u x], the cross-product matrix of u (u x u = 0)
+        return (
+            direction[..., :, None] * grad_factor[..., None, :]
+            + factor[..., None, None] * np.cross(np.eye(3), u)
+        )
 
     def line_distance(self, r: np.ndarray) -> np.ndarray:
         """Distance from r to the infinite axis through the segment."""
@@ -145,6 +186,14 @@ class FieldModel:
             out += seg.field(r)
         return out
 
+    def jacobian(self, r) -> np.ndarray:
+        """dB_i/dr_j, shape (..., 3, 3): the sum over segments (the bias is uniform)."""
+        r = np.asarray(r, dtype=float)
+        out = np.zeros(r.shape + (3,))
+        for seg in self.segments:
+            out += seg.jacobian(r)
+        return out
+
     def min_line_distance(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if not self.segments:
@@ -173,7 +222,21 @@ class FieldModel:
 
 
 @dataclass
-class AnalyticIPField:
+class WireFreeField:
+    """Base of fields without wires: optional gravity, no wire axis to keep
+    away from and no chip surface to truncate escape rays."""
+
+    gravity: tuple[float, float, float] | None = field(default=None, kw_only=True)
+
+    def min_line_distance(self, r) -> np.ndarray:
+        return np.full(np.shape(r)[:-1], np.inf)
+
+    def beyond_chip(self, r) -> np.ndarray:
+        return np.zeros(np.shape(r)[:-1], dtype=bool)
+
+
+@dataclass
+class AnalyticIPField(WireFreeField):
     """Quadratic Ioffe-Pritchard field, Maxwell-consistent, longitudinal axis = local y.
 
     B_x = B' x - (B''/2) x y,  B_z = -B' z - (B''/2) y z,
@@ -186,14 +249,15 @@ class AnalyticIPField:
     b_double_prime: float = 0.0
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     axes: np.ndarray | None = None
-    gravity: tuple[float, float, float] | None = None
-    chip_plane: None = None
 
-    def field(self, r, guard: float = 0.0) -> np.ndarray:
+    def _local(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float) - np.asarray(self.center, dtype=float)
         if self.axes is not None:
             r = r @ np.asarray(self.axes, dtype=float)
-        x, y, z = r[..., 0], r[..., 1], r[..., 2]
+        return r
+
+    def field(self, r, guard: float = 0.0) -> np.ndarray:
+        x, y, z = np.moveaxis(self._local(r), -1, 0)
         bp, bpp = self.b_prime, self.b_double_prime
         bx = bp * x - 0.5 * bpp * x * y
         bz = -bp * z - 0.5 * bpp * y * z
@@ -203,91 +267,80 @@ class AnalyticIPField:
             out = out @ np.asarray(self.axes, dtype=float).T
         return out
 
-    def min_line_distance(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.full(r.shape[:-1], np.inf)
-
-    def beyond_chip(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.zeros(r.shape[:-1], dtype=bool)
+    def jacobian(self, r) -> np.ndarray:
+        """dB_i/dr_j = A J_local A^T, shape (..., 3, 3), with A = axes."""
+        x, y, z = np.moveaxis(self._local(r), -1, 0)
+        bp, c = self.b_prime, 0.5 * self.b_double_prime
+        zero = np.zeros_like(x)
+        out = np.stack(
+            [
+                np.stack([bp - c * y, -c * x, zero], axis=-1),
+                np.stack([-c * x, 2.0 * c * y, -c * z], axis=-1),
+                np.stack([zero, -c * z, -bp - c * y], axis=-1),
+            ],
+            axis=-2,
+        )
+        if self.axes is not None:
+            axes = np.asarray(self.axes, dtype=float)
+            out = axes @ out @ axes.T
+        return out
 
 
 @dataclass
-class CallableField:
-    """Adapter giving any r -> B callable the field-model interface."""
+class CallableField(WireFreeField):
+    """Adapter giving an r -> B callable and its r -> dB/dr callable
+    (shape (..., 3, 3), dB_i/dr_j) the field protocol."""
 
     fn: object
-    gravity: tuple[float, float, float] | None = None
-    chip_plane: None = None
+    jac: object
 
     def field(self, r, guard: float = 0.0) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(r, dtype=float)), dtype=float)
 
-    def min_line_distance(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.full(r.shape[:-1], np.inf)
-
-    def beyond_chip(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.zeros(r.shape[:-1], dtype=bool)
+    def jacobian(self, r) -> np.ndarray:
+        return np.asarray(self.jac(np.asarray(r, dtype=float)), dtype=float)
 
 
 def potential(model, state: SpinState, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
     """Zeeman potential m_F g_F mu_B |B(r)|, plus gravity if the model carries it."""
     r = np.asarray(r, dtype=float)
-    try:
-        b = model.field(r, guard=guard)
-    except TypeError:
-        b = model.field(r)
-    u = magnetic_moment(state) * np.linalg.norm(b, axis=-1)
-    g = getattr(model, "gravity", None)
-    if g is not None:
-        u = u - state.species.mass * (r @ np.asarray(g, dtype=float))
+    u = magnetic_moment(state) * np.linalg.norm(model.field(r, guard=guard), axis=-1)
+    if model.gravity is not None:
+        u = u - state.species.mass * (r @ np.asarray(model.gravity, dtype=float))
     return u
 
 
-def _field_norm(model, r) -> float:
-    r = np.asarray(r, dtype=float)
-    try:
-        b = model.field(r, guard=0.0)
-    except TypeError:
-        b = model.field(r)
-    return float(np.linalg.norm(b))
+def _square_hessian(model, r0, b, jac, h: float) -> np.ndarray:
+    """Hessian of |B|^2 / 2 at r0, J^T J + sum_i B_i grad^2 B_i.
+
+    The second term is one central difference of the exact J^T B over
+    r0 +- h along each axis (one batch), with B held at its value b at r0.
+    Differencing J rather than the gradient of |B| keeps the truncation error
+    on the length over which the field itself changes, not the much shorter
+    one over which |B| bends near a field minimum.
+    """
+    d = model.jacobian(r0 + h * np.concatenate([np.eye(3), -np.eye(3)]))
+    t = np.einsum("i,kij->kj", b, d[:3] - d[3:]) / (2.0 * h)
+    return jac.T @ jac + 0.5 * (t + t.T)
 
 
-def _grad_richardson(f, x0: np.ndarray, h: float) -> np.ndarray:
-    def grad(hh):
-        g = np.empty(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = hh
-            g[i] = (f(x0 + e) - f(x0 - e)) / (2.0 * hh)
-        return g
-
-    return (4.0 * grad(h / 2.0) - grad(h)) / 3.0
+def _step(b, jac, field_scale: float = 0.0) -> float:
+    """Hessian step _HESSIAN_STEP * |B| / ||J||_2; at a trap minimum
+    |B| / ||J||_2 is the Ioffe-Pritchard length B0/B'.  `field_scale`
+    stands in for |B| where the field is weaker."""
+    j_norm = float(np.linalg.norm(jac, 2))
+    if j_norm == 0.0:
+        raise NotATrapError("the field is uniform here, so |B| has no curvature")
+    return _HESSIAN_STEP * max(float(np.linalg.norm(b)), field_scale) / j_norm
 
 
-def _hessian_fd(f, x0: np.ndarray, h: float, richardson: bool = True) -> np.ndarray:
-    def hess(hh):
-        f0 = f(x0)
-        out = np.empty((3, 3))
-        steps = [np.array([hh if k == i else 0.0 for k in range(3)]) for i in range(3)]
-        for i in range(3):
-            out[i, i] = (f(x0 + steps[i]) - 2.0 * f0 + f(x0 - steps[i])) / hh**2
-        for i in range(3):
-            for j in range(i + 1, 3):
-                val = (
-                    f(x0 + steps[i] + steps[j])
-                    - f(x0 + steps[i] - steps[j])
-                    - f(x0 - steps[i] + steps[j])
-                    + f(x0 - steps[i] - steps[j])
-                ) / (4.0 * hh**2)
-                out[i, j] = out[j, i] = val
-        return out
-
-    if not richardson:
-        return hess(h)
-    return (4.0 * hess(h / 2.0) - hess(h)) / 3.0
+def _norm_hessian(model, r0, b, jac) -> np.ndarray:
+    """Hessian of |B| at r0 from the field b and Jacobian jac there."""
+    b0 = float(np.linalg.norm(b))
+    if b0 == 0.0:
+        raise NotATrapError(f"the field vanishes at {r0}, where |B| has no Hessian")
+    grad = jac.T @ b / b0
+    return (_square_hessian(model, r0, b, jac, _step(b, jac)) - np.outer(grad, grad)) / b0
 
 
 @dataclass(frozen=True)
@@ -298,90 +351,73 @@ class TrapMinimum:
     grad_norm: float          # |grad |B|| at the returned point, T/m
 
 
+def _newton(model, x, zero_field_tol: float):
+    """Damped Newton iteration on |B|^2 / 2 from x; returns the last point
+    with B, J and the exact gradient J^T B there."""
+
+    def evaluate(r):
+        b = model.field(r, guard=0.0)
+        jac = model.jacobian(r)
+        return b, jac, jac.T @ b
+
+    b, jac, g = evaluate(x)
+    previous = np.inf
+    for _ in range(100):
+        # this Hessian only sets the Newton rate, so a zero-field point may
+        # take the zero-field tolerance as its field scale
+        h = _step(b, jac, zero_field_tol)
+        lam, vec = np.linalg.eigh(_square_hessian(model, x, b, jac, h))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = vec @ ((vec.T @ g) / np.abs(lam))
+        length = float(np.linalg.norm(step))
+        # within h of the minimum Newton converges quadratically, so a step
+        # shorter than h that does not halve the one before is round-off
+        if not 0.0 < length < np.inf or 0.5 * previous < length < h:
+            break
+        scale = 1.0
+        while True:
+            bt, jt, gt = evaluate(x - scale * step)
+            if bt @ bt <= b @ b or np.linalg.norm(gt) < np.linalg.norm(g):
+                break
+            scale *= 0.5
+            if scale * length < h:
+                return x, b, jac, g  # nothing better at least h away
+        x, b, jac, g = x - scale * step, bt, jt, gt
+        previous = scale * length
+    return x, b, jac, g
+
+
 def find_minimum(
     model,
     seed,
     grad_tol: float = 1e-10,
     zero_field_tol: float = 1e-9,
-    newton_step: float = 1e-7,
 ) -> TrapMinimum:
     """Locate a local minimum of |B| near `seed`.
 
-    Deterministic for a fixed seed: strictly descending gradient steps on
-    |B|^2 followed by damped Newton polish (|B|^2 stays smooth through
-    zero-field minima).  Raises ConvergenceError if the |grad |B|| criterion
-    cannot be met and SaddlePointError if the Hessian at the critical point
-    is indefinite.
+    Deterministic damped Newton iteration on the exact gradient J^T B of
+    |B|^2 / 2, which stays smooth through zero-field minima.  The Hessian's
+    eigenvalues are taken in absolute value, so every step points downhill in
+    |B|^2; a trial step is accepted when |B|^2 does not rise or
+    |grad |B|^2| falls, else halved down to the Hessian step h.  The
+    iteration ends when a step shorter than h no longer halves the one
+    before (the round-off floor).  Raises ConvergenceError if
+    |grad |B|| > grad_tol there, SaddlePointError if the Hessian of |B| is
+    indefinite and NotATrapError if the field is uniform.
     """
-    seed = np.asarray(seed, dtype=float)
-
-    def phi(r):
-        try:
-            b = model.field(r, guard=0.0)
-        except TypeError:
-            b = model.field(r)
-        return float(b @ b)
-
-    # Strictly descending gradient stage keeps the search inside the seed's
-    # basin (chip traps can have deeper field zeros elsewhere).
-    x = seed.copy()
-    h = newton_step
-    step_len = 1e-6
-    fx = phi(x)
-    for _ in range(400):
-        g = _grad_richardson(phi, x, h)
-        gn = np.linalg.norm(g)
-        if gn == 0.0:
-            break
-        direction = -g / gn
-        while step_len > 1e-13:
-            trial = x + step_len * direction
-            ft = phi(trial)
-            if ft < fx:
-                x, fx = trial, ft
-                step_len *= 1.4
-                break
-            step_len *= 0.5
-        else:
-            break
-
-    # Damped Newton polish on grad phi.
-    for _ in range(80):
-        g = _grad_richardson(phi, x, h)
-        hess = _hessian_fd(phi, x, h)
-        try:
-            step = np.linalg.solve(hess, g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        scale = 1.0
-        moved = False
-        for _ in range(30):
-            trial = x - scale * step
-            if phi(trial) <= fx + 1e-18:
-                x = trial
-                fx = phi(x)
-                moved = True
-                break
-            scale *= 0.5
-        if not moved or np.linalg.norm(scale * step) < 1e-14:
-            break
-
-    b0 = _field_norm(model, x)
+    x, b, jac, g = _newton(model, np.array(seed, dtype=float), zero_field_tol)
+    b0 = float(np.linalg.norm(b))
     zero = b0 < zero_field_tol
     if zero:
         grad_norm = float("nan")
     else:
-        gb = _grad_richardson(lambda r: _field_norm(model, r), x, h / 10.0)
-        grad_norm = float(np.linalg.norm(gb))
+        grad_norm = float(np.linalg.norm(g)) / b0
         if grad_norm > grad_tol:
             raise ConvergenceError(
                 f"|grad |B|| = {grad_norm:.3e} T/m exceeds tolerance {grad_tol:.1e}; "
                 f"bracket state: position {x}, B0 = {b0:.6e} T"
             )
-        hb = _hessian_fd(lambda r: _field_norm(model, r), x, h)
-        eigs = np.linalg.eigvalsh(hb)
+        eigs = np.linalg.eigvalsh(_norm_hessian(model, x, b, jac))
         scale = max(abs(eigs).max(), 1e-30)
         if eigs.min() < -1e-6 * scale:
             raise SaddlePointError(
@@ -396,88 +432,16 @@ class TrapFrequencies:
     axes: np.ndarray    # columns are the corresponding principal directions
 
 
-def _hessian_step(model, r0: np.ndarray) -> float:
-    # Base step h = max(1e-8 m, 1e-4 * B0/B'), with B' estimated from the
-    # transverse curvature of |B|^2 (H = 2 B'^2 there).
-    b0 = _field_norm(model, r0)
-
-    def phi(r):
-        b = model.field(r)
-        return float(b @ b)
-
-    h_probe = _hessian_fd(phi, r0, 1e-7, richardson=False)
-    lam = np.linalg.eigvalsh(h_probe)
-    b_prime = math.sqrt(max(lam.max(), 0.0) / 2.0)
-    if b_prime <= 0 or b0 <= 0:
-        return 1e-8
-    return min(max(1e-8, 1e-4 * b0 / b_prime), 1e-5)
-
-
-def _hessian_fd_directional(f, x0, axes, steps, richardson=True):
-    """Central-difference Hessian expressed in an orthonormal direction basis,
-    with an independent step per direction (soft axes need much larger steps
-    than stiff ones to stay above the cancellation noise floor)."""
-
-    def hess(scale):
-        f0 = f(x0)
-        out = np.empty((3, 3))
-        vecs = [axes[:, i] * steps[i] * scale for i in range(3)]
-        for i in range(3):
-            out[i, i] = (f(x0 + vecs[i]) - 2.0 * f0 + f(x0 - vecs[i])) / (steps[i] * scale) ** 2
-        for i in range(3):
-            for j in range(i + 1, 3):
-                val = (
-                    f(x0 + vecs[i] + vecs[j])
-                    - f(x0 + vecs[i] - vecs[j])
-                    - f(x0 - vecs[i] + vecs[j])
-                    + f(x0 - vecs[i] - vecs[j])
-                ) / (4.0 * steps[i] * steps[j] * scale**2)
-                out[i, j] = out[j, i] = val
-        return out
-
-    g = hess(1.0)
-    if richardson:
-        g = (4.0 * hess(0.5) - g) / 3.0
-    return axes @ g @ axes.T
-
-
-def trap_frequencies(model, state: SpinState, r0, step: float | None = None) -> TrapFrequencies:
+def trap_frequencies(model, state: SpinState, r0) -> TrapFrequencies:
     """Harmonic frequencies sqrt(eigenvalues(Hessian U)/M) at the minimum r0.
 
-    Central finite differences with one level of Richardson extrapolation.
-    A probe pass at the base step finds the principal axes and curvature
-    scales of |B|; the Hessian of the potential is then recomputed with a
-    per-axis step balancing truncation against roundoff.  Raises
-    NotATrapError on a non-positive eigenvalue.
+    Gravity is linear in r, so the Hessian of U is the magnetic moment times
+    the Hessian of |B|, built from the exact J and one central difference of
+    it.  Raises NotATrapError on a non-positive eigenvalue.
     """
     r0 = np.asarray(r0, dtype=float)
-    h0 = step if step is not None else _hessian_step(model, r0)
-
-    def phi(r):
-        try:
-            b = model.field(r, guard=0.0)
-        except TypeError:
-            b = model.field(r)
-        return float(b @ b)
-
-    def u(r):
-        return float(potential(model, state, r, guard=0.0))
-
-    b0 = _field_norm(model, r0)
-    h_phi = _hessian_fd(phi, r0, h0)
-    lam_phi, axes = np.linalg.eigh(h_phi)
-    # curvature of |B| along axis i is lam_phi_i / (2 B0); optimal step ~
-    # eps^(1/6) sqrt(field scale / curvature)
-    steps = np.empty(3)
-    for i in range(3):
-        if lam_phi[i] > 0 and b0 > 0:
-            steps[i] = 2.2e-3 * 2.0 * b0 / math.sqrt(lam_phi[i])
-        else:
-            steps[i] = h0
-    steps = np.clip(steps, 1e-9, 1e-4)
-
-    hess = _hessian_fd_directional(u, r0, axes, steps)
-    lam, vec = np.linalg.eigh(hess)
+    hess = _norm_hessian(model, r0, model.field(r0, guard=0.0), model.jacobian(r0))
+    lam, vec = np.linalg.eigh(magnetic_moment(state) * hess)
     if lam.min() <= 0:
         raise NotATrapError(f"potential Hessian eigenvalues {lam} include a non-positive value")
     omega = np.sqrt(lam / state.species.mass)
@@ -516,16 +480,7 @@ def _ray_barrier(model, state, r0, direction, u0, ray_length, samples):
     dist = model.min_line_distance(pts)
     ok = dist >= SINGULARITY_GUARD
     if ok.any():
-        safe_pts = pts[ok]
-        try:
-            bfield = model.field(safe_pts, guard=0.0)
-        except TypeError:
-            bfield = model.field(safe_pts)
-        uu = magnetic_moment(state) * np.linalg.norm(bfield, axis=-1)
-        g = getattr(model, "gravity", None)
-        if g is not None:
-            uu = uu - state.species.mass * (safe_pts @ np.asarray(g, dtype=float))
-        u[ok] = uu
+        u[ok] = potential(model, state, pts[ok], guard=0.0)
     finite = np.isfinite(u)
     if not finite.any():
         return np.inf, False
@@ -634,20 +589,17 @@ def ip_fit(model, r0, residual_threshold: float = 0.01) -> IPTrapParams:
     residual_threshold * B0.
     """
     r0 = np.asarray(r0, dtype=float)
-    b0 = _field_norm(model, r0)
-
-    def phi(r):
-        b = model.field(r)
-        return float(b @ b)
-
-    hess = _hessian_fd(phi, r0, max(1e-8, 1e-5 * max(b0, 1e-6)), richardson=False)
-    lam, vec = np.linalg.eigh(hess)
+    b = model.field(r0, guard=0.0)
+    jac = model.jacobian(r0)
+    b0 = float(np.linalg.norm(b))
+    # at the minimum J has the eigenvalues (-B', 0, B'), so ||J||_2 = B'
+    bp_est = float(np.linalg.norm(jac, 2))
+    if b0 == 0 or bp_est < 1e-6:
+        return IPTrapParams(b0, 0.0, 0.0, r0, np.eye(3), 0.0, transverse_trapping=False)
+    _, vec = np.linalg.eigh(_norm_hessian(model, r0, b, jac))
     # soft (longitudinal) axis first eigenvalue; transverse are the two stiff ones
     soft_axis = vec[:, 0]
     trans_axes = [vec[:, 1], vec[:, 2]]
-    bp_est = math.sqrt(max(lam[1:].mean(), 0.0) / 2.0)
-    if bp_est * max(b0, 1e-12) == 0 or bp_est < 1e-6:
-        return IPTrapParams(b0, 0.0, 0.0, r0, vec, 0.0, transverse_trapping=False)
 
     window = 0.2 * b0 / bp_est
     s = np.linspace(-window, window, 41)

@@ -151,6 +151,12 @@ def test_bose_at_unit_fugacity():
     assert pl.bose_fn(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, 2.5, 3.0, 4.0])
+def test_bose_at_unit_fugacity_vs_mpmath(n):
+    assert pl.bose_fn(n, 1.0) == pytest.approx(float(mpmath.polylog(n, 1.0)), rel=2e-16)
+    assert pl.bose_fn(n, np.array([0.75, 1.0]))[1] == pl.bose_fn(n, 1.0)
+
+
 def test_bose_small_z():
     assert pl.bose_fn(2.0, 1e-10) == pytest.approx(1e-10, rel=1e-8)
 

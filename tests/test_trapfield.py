@@ -39,6 +39,40 @@ def benchmark_ip(b0_gauss=1.214, f_perp=1230.0, f_axial=13.7):
     return tf.AnalyticIPField(b0, b_prime, b_pp)
 
 
+def counting(base):
+    """Subclass of a field class that counts its field and Jacobian evaluations."""
+
+    class Counting(base):
+        evaluations = 0
+
+        def field(self, r, **kwargs):
+            self.evaluations += 1
+            return super().field(r, **kwargs)
+
+        def jacobian(self, r):
+            self.evaluations += 1
+            return super().jacobian(r)
+
+    return Counting
+
+
+def central_jacobian(model, pt, h):
+    """dB_i/dr_j by central differences of the field."""
+    jac = np.empty((3, 3))
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        jac[:, j] = (model.field(pt + e) - model.field(pt - e)) / (2 * h)
+    return jac
+
+
+def assert_div_and_curl_free(jac):
+    for jj in jac.reshape(-1, 3, 3):
+        scale = np.linalg.norm(jj, 2)
+        assert abs(np.trace(jj)) < 1e-12 * scale
+        assert np.abs(jj - jj.T).max() < 1e-12 * scale
+
+
 # -- Biot-Savart --------------------------------------------------------------------
 
 def test_infinite_wire_field():
@@ -81,15 +115,42 @@ def test_maxwell_free_space(z_trap):
     h = 1e-7
     for _ in range(5):
         pt = seed + rng.uniform(-50e-6, 50e-6, 3)
-        jac = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            jac[:, j] = (model.field(pt + e) - model.field(pt - e)) / (2 * h)
+        jac = central_jacobian(model, pt, h)
         scale = np.abs(jac).max()
         assert abs(np.trace(jac)) / scale < 1e-6
         curl = [jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]]
         assert np.linalg.norm(curl) / scale < 1e-6
+
+
+@pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
+def test_jacobian_matches_central_difference(name):
+    model, seed = tf.load_geometry(geometry_path(name))
+    pts = seed + np.random.default_rng(12).uniform(-50e-6, 50e-6, (5, 3))
+    jac = model.jacobian(pts)
+    assert jac.shape == (5, 3, 3)
+    assert_div_and_curl_free(jac)
+    for pt, exact in zip(pts, jac):
+        gap = [
+            np.linalg.norm(central_jacobian(model, pt, h) - exact) / np.linalg.norm(exact)
+            for h in (5e-8, 2.5e-8)
+        ]
+        assert gap[0] < 1e-6
+        # the O(h^2) truncation error of the difference, not a mismatch, is what remains
+        assert gap[0] / gap[1] == pytest.approx(4.0, rel=0.1)
+
+
+def test_analytic_ip_jacobian_rotated_axes():
+    ip = benchmark_ip()
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    rotated = tf.AnalyticIPField(ip.b0, ip.b_prime, ip.b_double_prime, (1e-4, -2e-4, 3e-4), q)
+    pts = np.array(rotated.center) + np.random.default_rng(4).uniform(-20e-6, 20e-6, (5, 3))
+    jac = rotated.jacobian(pts)
+    assert jac.shape == (5, 3, 3)
+    assert_div_and_curl_free(jac)
+    for pt, exact in zip(pts, jac):
+        # the field is quadratic, so the central difference is exact up to rounding
+        fd = central_jacobian(rotated, pt, 1e-7)
+        assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) < 1e-6
 
 
 # -- minima --------------------------------------------------------------------------
@@ -130,6 +191,11 @@ def test_zero_minimum_flagged():
     assert m.b0 < 1e-9
 
 
+def test_uniform_field_not_a_trap():
+    with pytest.raises(tf.NotATrapError):
+        tf.find_minimum(tf.FieldModel(bias=(0.0, 2.0 * C.GAUSS, 0.0)), np.zeros(3))
+
+
 def test_axial_bias_raises_b0(split_trap):
     model, seed = split_trap
     m0 = tf.find_minimum(model, seed)
@@ -143,6 +209,47 @@ def test_axial_bias_raises_b0(split_trap):
     )
     m1 = tf.find_minimum(shifted, m0.position)
     assert m1.b0 - m0.b0 == pytest.approx(delta, rel=1e-3)
+
+
+def test_find_minimum_perturbed_split_traps(split_trap):
+    # the exact gradient leaves |grad |B|| far below grad_tol at perturbed minima
+    model, seed = split_trap
+    rng = np.random.default_rng(7)
+    variants = [
+        tf.FieldModel(
+            segments=[tf.WireSegment(s.a, s.b, 0.98 * s.current) for s in model.segments],
+            bias=model.bias,
+            chip_plane=model.chip_plane,
+        )
+    ] + [
+        tf.FieldModel(
+            segments=model.segments,
+            bias=tuple(np.asarray(model.bias) * rng.uniform(0.95, 1.05, 3)),
+            chip_plane=model.chip_plane,
+        )
+        for _ in range(40)
+    ]
+    for variant in variants:
+        assert tf.find_minimum(variant, seed).grad_norm < 1e-10
+
+
+def test_find_minimum_from_soft_axis_offsets(z_trap, z_minimum):
+    # a seed off the minimum along the soft axis costs a few Newton steps
+    model, seed = z_trap
+    ip = tf.ip_fit(model, z_minimum.position)
+    soft = ip.axes[:, 2]
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    m = tf.find_minimum(counted, seed + 2e-6 * soft)
+    assert np.linalg.norm(m.position - z_minimum.position) < 1e-9
+    assert counted.evaluations <= 200
+
+    axes = np.column_stack([ip.axes[:, 0], ip.axes[:, 2], ip.axes[:, 1]])  # local y is soft
+    analytic = counting(tf.AnalyticIPField)(
+        ip.b0, ip.b_prime, ip.b_double_prime, tuple(ip.center), axes
+    )
+    m = tf.find_minimum(analytic, ip.center + 2e-6 * soft)
+    assert np.linalg.norm(m.position - ip.center) < 1e-9
+    assert analytic.evaluations <= 200
 
 
 # -- frequencies -----------------------------------------------------------------------
@@ -251,7 +358,15 @@ def test_depth_excludes_unbounded_rays(k92):
         by = b0 * (1.0 + bump * u * u * np.exp(-(u * u)))
         return np.stack([b_prime * x, by, -b_prime * z], axis=-1)
 
-    model = tf.CallableField(field)
+    def jacobian(r):
+        u = r[..., 1] / length
+        out = np.zeros(r.shape + (3,))
+        out[..., 0, 0] = b_prime
+        out[..., 1, 1] = b0 * bump * 2.0 * u * (1.0 - u * u) * np.exp(-(u * u)) / length
+        out[..., 2, 2] = -b_prime
+        return out
+
+    model = tf.CallableField(field, jacobian)
     report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3)
     expected = C.magnetic_moment(k92) * b0 * bump * math.exp(-1.0)
     assert report.depth == pytest.approx(expected, rel=0.01)
@@ -307,8 +422,13 @@ def test_ip_fit_warns_on_poor_profile():
         bx = b_prime * x * (1.0 + (x / scale) ** 2)
         return np.stack([bx, np.full_like(bx, b0), np.zeros_like(bx)], axis=-1)
 
+    def jacobian(r):
+        out = np.zeros(r.shape + (3,))
+        out[..., 0, 0] = b_prime * (1.0 + 3.0 * (r[..., 0] / scale) ** 2)
+        return out
+
     with pytest.warns(tf.PoorFitWarning):
-        tf.ip_fit(tf.CallableField(field), np.zeros(3))
+        tf.ip_fit(tf.CallableField(field, jacobian), np.zeros(3))
 
 
 # -- geometry files ----------------------------------------------------------------------
