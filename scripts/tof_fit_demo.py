@@ -26,11 +26,8 @@ def main():
           f"{'T_app/T':>8} {'curve':>7}")
     for t_red, pitch_um in ((0.1, 8), (0.2, 10), (0.35, 11), (0.6, 13), (1.0, 16), (2.0, 25)):
         gas = thermo.TrappedGasState.from_reduced_temperature(k92, trap, 4e4, t_red)
-        clean = imagefit.synthesize_tof_image(gas, t_expand, (64, 64), pitch_um * 1e-6, 0.0)
-        img = imagefit.synthesize_tof_image(
-            gas, t_expand, (64, 64), pitch_um * 1e-6,
-            0.02 * float(clean.values.max()), seed=11,
-        )
+        clean = imagefit.synthesize_tof_image(gas, t_expand, (64, 64), pitch_um * 1e-6)
+        img = imagefit.add_noise(clean, 0.02 * float(clean.values.max()), seed=11)
         gauss = imagefit.fit_gaussian(img)
         fd = imagefit.fit_fermi_dirac(img)
         t_app = imagefit.apparent_temperature(img, trap, k92.species.mass, t_expand)

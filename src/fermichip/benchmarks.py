@@ -287,9 +287,8 @@ def fit_rows():
                               (2.0, (0.95, 1.3), "c9-chi2-boltzmann")):
         gas = thermo.TrappedGasState.from_reduced_temperature(k92, trap, 4e4, t_red)
         pitch = 8e-6 if t_red < 1 else 25e-6
-        clean = imagefit.synthesize_tof_image(gas, 10e-3, (64, 64), pitch, 0.0)
-        peak = float(clean.values.max())
-        img = imagefit.synthesize_tof_image(gas, 10e-3, (64, 64), pitch, 0.02 * peak, seed=7)
+        clean = imagefit.synthesize_tof_image(gas, 10e-3, (64, 64), pitch)
+        img = imagefit.add_noise(clean, 0.02 * float(clean.values.max()), seed=7)
         ratio = imagefit.fit_gaussian(img).reduced_chi2 / imagefit.fit_fermi_dirac(img).reduced_chi2
         rows.append(_row(name, f"chi2_gauss/chi2_FD at T/T_F = {t_red}, 2% noise", ratio,
                          f"{band[0]} to {band[1]}", band[0] <= ratio <= band[1]))

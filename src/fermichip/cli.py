@@ -218,11 +218,9 @@ def cmd_tof(args) -> int:
     )
     pitch = args.pitch_um * 1e-6
     t = args.time_ms * 1e-3
-    noise = 0.0
+    img = imagefit.synthesize_tof_image(gas, t, (args.ny, args.nx), pitch)
     if args.noise_frac > 0:
-        clean = imagefit.synthesize_tof_image(gas, t, (args.ny, args.nx), pitch, 0.0)
-        noise = args.noise_frac * float(clean.values.max())
-    img = imagefit.synthesize_tof_image(gas, t, (args.ny, args.nx), pitch, noise, args.seed)
+        img = imagefit.add_noise(img, args.noise_frac * float(img.values.max()), args.seed)
     img.save(args.out)
     if args.csv:
         xx, yy = img.coordinates()

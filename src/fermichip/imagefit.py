@@ -9,7 +9,7 @@ center-dip residual while the Fermi-Dirac fit does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -24,6 +24,7 @@ __all__ = [
     "FitResult",
     "FitError",
     "synthesize_tof_image",
+    "add_noise",
     "fit_gaussian",
     "fit_fermi_dirac",
     "apparent_temperature",
@@ -77,19 +78,27 @@ def synthesize_tof_image(
     noise_rms: float = 0.0,
     seed: int = 0,
 ) -> TofImage:
-    """Forward-model image: Fermi column density plus white Gaussian noise.
+    """Forward-model image: Fermi column density plus white Gaussian noise
+    (see add_noise).
 
     Deterministic for a fixed seed.
     """
     ny, nx = shape
-    img = TofImage(np.zeros((ny, nx)), pitch, noise_rms, t, gas)
+    img = TofImage(np.zeros((ny, nx)), pitch, 0.0, t, gas)
     xx, yy = img.coordinates()
-    clean = column_density_fermi(gas, t, xx, yy)
+    img.values = column_density_fermi(gas, t, xx, yy)
+    return add_noise(img, noise_rms, seed)
+
+
+def add_noise(img: TofImage, noise_rms: float, seed: int = 0) -> TofImage:
+    """Copy of img plus white Gaussian noise of rms noise_rms (none unless
+    noise_rms > 0) from a generator seeded with `seed`: the noise that
+    synthesize_tof_image adds."""
+    values = img.values
     if noise_rms > 0:
         rng = np.random.default_rng(seed)
-        clean = clean + rng.normal(0.0, noise_rms, size=clean.shape)
-    img.values = clean
-    return img
+        values = values + rng.normal(0.0, noise_rms, size=values.shape)
+    return replace(img, values=values, noise_rms=noise_rms)
 
 
 @dataclass

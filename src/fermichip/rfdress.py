@@ -97,7 +97,11 @@ class RFField:
 def detuning_and_rabi(model, rf: RFField, state: SpinState, r):
     """Local (delta, Omega) in J at position(s) r, shaped (..., 3)."""
     r = np.asarray(r, dtype=float)
-    b_vec = model.field(r)
+    return _detuning_and_rabi(model.field(r), rf, state, r)
+
+
+def _detuning_and_rabi(b_vec, rf: RFField, state: SpinState, r):
+    """(delta, Omega) at the points r where the static field is b_vec."""
     b_dc = np.linalg.norm(b_vec, axis=-1)
     if np.any(b_dc <= 0):
         raise ValueError("static field vanishes at a requested point")
@@ -193,9 +197,10 @@ def dressed_potential(
     axis = axis / np.linalg.norm(axis)
     s = np.linspace(-half_range, half_range, npoints)
     pts = center[None, :] + s[:, None] * axis[None, :]
-    delta, rabi = detuning_and_rabi(model, rf, state, pts)
+    b_vec = model.field(pts)
+    delta, rabi = _detuning_and_rabi(b_vec, rf, state, pts)
 
-    b_dc_min = float(np.min(np.linalg.norm(model.field(pts), axis=-1)))
+    b_dc_min = float(np.min(np.linalg.norm(b_vec, axis=-1)))
     amp = float(np.max(rf.amplitude_at(pts)))
     if amp >= b_dc_min:
         raise RWAViolationError(

@@ -5,6 +5,8 @@ class has one protocol: `field(r, guard=...)` returns B with shape (..., 3),
 `jacobian(r)` returns the exact dB_i/dr_j with shape (..., 3, 3) (closed form
 for a segment, analytic for the Ioffe-Pritchard field), and `gravity`,
 `min_line_distance` and `beyond_chip` describe what else the searches need.
+The wire field is elementwise arithmetic on the x, y, z components, so a
+point's field does not depend on the batch it is evaluated in.
 
 On top of the field model: location of the trap minimum (damped Newton on the
 exact gradient J^T B of |B|^2 / 2), bottom field B0, harmonic frequencies per
@@ -57,6 +59,11 @@ _CLAMP = 0.25 * SINGULARITY_GUARD
 _HESSIAN_STEP = 1e-4  # central-difference step, in units of |B| / ||J||_2
 
 
+def _coordinates(r: np.ndarray) -> np.ndarray:
+    """x, y, z of the points r (..., 3) as the rows of a contiguous (3, N) array."""
+    return np.array(r.reshape(-1, 3).T)
+
+
 class SingularityError(ValueError):
     """Field requested within the singularity guard of a wire axis."""
 
@@ -88,21 +95,22 @@ class WireSegment:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if np.linalg.norm(b - a) <= 0:
+        length = np.linalg.norm(b - a)
+        if length <= 0:
             raise ValueError("segment endpoints coincide")
         object.__setattr__(self, "a", tuple(a))
         object.__setattr__(self, "b", tuple(b))
+        # unit axis and Biot-Savart prefactor mu0 I / 4 pi, fixed per segment
+        object.__setattr__(self, "_u", tuple((b - a) / length))
+        object.__setattr__(self, "_k", MU_0 * self.current / (4.0 * np.pi))
 
     def _terms(self, r):
         """Unit axis u, pa = r - a, pb = r - b, their axial parts, the radial
         vector rho, and the clamped rho^2, |pa| and |pb|."""
         r = np.asarray(r, dtype=float)
-        a = np.asarray(self.a)
-        b = np.asarray(self.b)
-        u = b - a
-        u = u / np.linalg.norm(u)
-        pa = r - a
-        pb = r - b
+        u = np.asarray(self._u)
+        pa = r - np.asarray(self.a)
+        pb = r - np.asarray(self.b)
         pa_u = pa @ u
         pb_u = pb @ u
         rho_vec = pa - pa_u[..., None] * u
@@ -114,10 +122,43 @@ class WireSegment:
         nb = np.maximum(np.linalg.norm(pb, axis=-1), _CLAMP)
         return u, pa, pb, pa_u, pb_u, rho_vec, rho2, na, nb
 
+    def _axis_terms(self, x, y, z):
+        """pa = r - a, its axial part pa.u, the radial vector rho and the
+        unclamped rho^2 at the points with coordinate arrays x, y, z."""
+        ax, ay, az = self.a
+        ux, uy, uz = self._u
+        pax, pay, paz = x - ax, y - ay, z - az
+        pa_u = pax * ux + pay * uy + paz * uz
+        rx, ry, rz = pax - pa_u * ux, pay - pa_u * uy, paz - pa_u * uz
+        return (pax, pay, paz), pa_u, (rx, ry, rz), rx * rx + ry * ry + rz * rz
+
+    def _field_components(self, x, y, z):
+        """B_x, B_y, B_z = factor (u x rho) and the unclamped rho^2 at the
+        points with coordinate arrays x, y, z.
+
+        Elementwise arithmetic on the components only (no matmul, whose
+        rounding depends on the batch), so a point's field is the same
+        whatever else is evaluated with it; clamped as in _terms.
+        """
+        (pax, pay, paz), pa_u, (rx, ry, rz), rho2 = self._axis_terms(x, y, z)
+        bx, by, bz = self.b
+        ux, uy, uz = self._u
+        pbx, pby, pbz = x - bx, y - by, z - bz
+        pb_u = pbx * ux + pby * uy + pbz * uz
+        na = np.maximum(np.sqrt(pax * pax + pay * pay + paz * paz), _CLAMP)
+        nb = np.maximum(np.sqrt(pbx * pbx + pby * pby + pbz * pbz), _CLAMP)
+        factor = self._k * (pa_u / na - pb_u / nb) / np.maximum(rho2, _CLAMP**2)
+        return (
+            factor * (uy * rz - uz * ry),
+            factor * (uz * rx - ux * rz),
+            factor * (ux * ry - uy * rx),
+            rho2,
+        )
+
     def field(self, r: np.ndarray) -> np.ndarray:
-        u, _, _, pa_u, pb_u, rho_vec, rho2, na, nb = self._terms(r)
-        factor = MU_0 * self.current / (4.0 * np.pi) * (pa_u / na - pb_u / nb) / rho2
-        return factor[..., None] * np.cross(np.broadcast_to(u, rho_vec.shape), rho_vec)
+        r = np.asarray(r, dtype=float)
+        bx, by, bz, _ = self._field_components(*_coordinates(r))
+        return np.stack([bx, by, bz], axis=-1).reshape(r.shape)
 
     def jacobian(self, r: np.ndarray) -> np.ndarray:
         """dB_i/dr_j of B = factor (u x rho), shape (..., 3, 3).
@@ -126,7 +167,7 @@ class WireSegment:
         derivative, as in field().
         """
         u, pa, pb, pa_u, pb_u, rho_vec, rho2, na, nb = self._terms(r)
-        k = MU_0 * self.current / (4.0 * np.pi)
+        k = self._k
         g = pa_u / na - pb_u / nb
         # grad(p.u / |p|) = u / |p| - (p.u) p / |p|^3
         grad_g = (
@@ -143,16 +184,6 @@ class WireSegment:
             direction[..., :, None] * grad_factor[..., None, :]
             + factor[..., None, None] * np.cross(np.eye(3), u)
         )
-
-    def line_distance(self, r: np.ndarray) -> np.ndarray:
-        """Distance from r to the infinite axis through the segment."""
-        r = np.asarray(r, dtype=float)
-        a = np.asarray(self.a)
-        u = np.asarray(self.b) - a
-        u = u / np.linalg.norm(u)
-        pa = r - a
-        rho_vec = pa - (pa @ u)[..., None] * u
-        return np.linalg.norm(rho_vec, axis=-1)
 
     def translated(self, offset) -> "WireSegment":
         off = np.asarray(offset, dtype=float)
@@ -175,16 +206,26 @@ class FieldModel:
 
     def field(self, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if guard > 0 and self.segments:
-            d = self.min_line_distance(r)
-            if np.any(d < guard):
-                raise SingularityError(
-                    f"field evaluated within {guard*1e6:.3g} um of a wire axis"
-                )
-        out = np.broadcast_to(np.asarray(self.bias, dtype=float), r.shape).copy()
+        b, dist = self._field_and_distance(r)
+        if guard > 0 and np.any(dist < guard):
+            raise SingularityError(
+                f"field evaluated within {guard*1e6:.3g} um of a wire axis"
+            )
+        return b
+
+    def _field_and_distance(self, r):
+        """B at r and the distance from each point to the nearest segment
+        axis, in one pass over the segments."""
+        x, y, z = _coordinates(r)
+        bx, by, bz = (np.full(x.shape, c) for c in self.bias)
+        rho2 = np.full(x.shape, np.inf)
         for seg in self.segments:
-            out += seg.field(r)
-        return out
+            dbx, dby, dbz, seg_rho2 = seg._field_components(x, y, z)
+            bx += dbx
+            by += dby
+            bz += dbz
+            np.minimum(rho2, seg_rho2, out=rho2)
+        return np.stack([bx, by, bz], axis=-1).reshape(r.shape), np.sqrt(rho2).reshape(r.shape[:-1])
 
     def jacobian(self, r) -> np.ndarray:
         """dB_i/dr_j, shape (..., 3, 3): the sum over segments (the bias is uniform)."""
@@ -196,9 +237,11 @@ class FieldModel:
 
     def min_line_distance(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if not self.segments:
-            return np.full(r.shape[:-1], np.inf)
-        return np.min([seg.line_distance(r) for seg in self.segments], axis=0)
+        x, y, z = _coordinates(r)
+        rho2 = np.full(x.shape, np.inf)
+        for seg in self.segments:
+            np.minimum(rho2, seg._axis_terms(x, y, z)[3], out=rho2)
+        return np.sqrt(rho2).reshape(r.shape[:-1])
 
     def beyond_chip(self, r) -> np.ndarray:
         if self.chip_plane is None:
@@ -469,18 +512,9 @@ class TrapDepthReport:
     excluded_directions: list         # rays still rising at truncation
 
 
-def _ray_barrier(model, state, r0, direction, u0, ray_length, samples):
-    s = np.geomspace(1e-7, ray_length, samples)
-    pts = r0[None, :] + s[:, None] * direction[None, :]
-    keep = ~model.beyond_chip(pts)
-    pts = pts[keep]
-    if len(pts) < 8:
-        return None  # immediately truncated; no escape information this way
-    u = np.full(len(pts), np.inf)
-    dist = model.min_line_distance(pts)
-    ok = dist >= SINGULARITY_GUARD
-    if ok.any():
-        u[ok] = potential(model, state, pts[ok], guard=0.0)
+def _barrier(u, u0):
+    """(barrier, still rising at truncation) of the potential u along one ray;
+    u is inf where the ray passes within the singularity guard of a wire."""
     finite = np.isfinite(u)
     if not finite.any():
         return np.inf, False
@@ -492,6 +526,19 @@ def _ray_barrier(model, state, r0, direction, u0, ray_length, samples):
     tail_rise = u[-1] - u[i80]
     still_rising = (np.argmax(u) >= len(u) - 2) and tail_rise > 0.05 * max(u_max - u0, 1e-300)
     return barrier, still_rising
+
+
+def _ray_barriers(model, state, r0, directions, u0, s):
+    """_barrier along each ray r0 + s d, or None for a ray the chip plane
+    truncates within 8 samples; the rays share one field evaluation."""
+    pts = r0 + s[None, :, None] * directions[:, None, :]
+    keep = ~model.beyond_chip(pts)
+    keep[keep.sum(axis=1) < 8] = False  # truncated at once: no escape information this way
+    flat = pts[keep]
+    u = potential(model, state, flat, guard=0.0)
+    u = np.where(model.min_line_distance(flat) >= SINGULARITY_GUARD, u, np.inf)
+    rays = np.split(u, np.cumsum(keep.sum(axis=1))[:-1])
+    return [_barrier(ray, u0) if len(ray) else None for ray in rays]
 
 
 def trap_depth(
@@ -506,7 +553,8 @@ def trap_depth(
 
     26-direction grid plus angular refinement around the weakest ray.  Rays whose
     potential is still rising at truncation have no barrier inside the search
-    range and are excluded (reported in the result).
+    range and are excluded (reported in the result).  The rays of the grid, and
+    of each refinement fan, are evaluated as one batch of points.
     """
     r0 = np.asarray(r0, dtype=float)
     if ray_length is None:
@@ -519,12 +567,12 @@ def trap_depth(
             ray_length = max(5e-3, 10.0 * far)
         else:
             ray_length = 5e-3
+    s = np.geomspace(1e-7, ray_length, samples)
     u0 = float(potential(model, state, r0, guard=0.0))
 
     excluded = []
     best = (np.inf, None)
-    for d in _RAY_DIRECTIONS:
-        res = _ray_barrier(model, state, r0, d, u0, ray_length, samples)
+    for d, res in zip(_RAY_DIRECTIONS, _ray_barriers(model, state, r0, _RAY_DIRECTIONS, u0, s)):
         if res is None:
             continue
         barrier, rising = res
@@ -546,16 +594,18 @@ def trap_depth(
             t1 = np.cross(d, [0.0, 1.0, 0.0])
         t1 /= np.linalg.norm(t1)
         t2 = np.cross(d, t1)
+        fan = []
         for a in np.linspace(-width, width, 7):
             for b in np.linspace(-width, width, 7):
                 dd = d + a * t1 + b * t2
                 dd /= np.linalg.norm(dd)
-                res = _ray_barrier(model, state, r0, dd, u0, ray_length, samples)
-                if res is None:
-                    continue
-                barrier, rising = res
-                if not rising and barrier < best[0]:
-                    best = (barrier, dd)
+                fan.append(dd)
+        for dd, res in zip(fan, _ray_barriers(model, state, r0, np.array(fan), u0, s)):
+            if res is None:
+                continue
+            barrier, rising = res
+            if not rising and barrier < best[0]:
+                best = (barrier, dd)
         d = best[1]
         width /= 3.0
 
@@ -603,12 +653,13 @@ def ip_fit(model, r0, residual_threshold: float = 0.01) -> IPTrapParams:
 
     window = 0.2 * b0 / bp_est
     s = np.linspace(-window, window, 41)
+    # |B| along the two transverse axes and the soft axis, in one batch
+    pts = r0 + s[None, :, None] * np.array([*trans_axes, soft_axis])[:, None, :]
+    profiles = np.linalg.norm(model.field(pts.reshape(-1, 3)), axis=-1).reshape(3, len(s))
     resid_sq = []
     bp_fits = []
     b0_fits = []
-    for axis in trans_axes:
-        pts = r0[None, :] + s[:, None] * axis[None, :]
-        bmag = np.linalg.norm(model.field(pts), axis=-1)
+    for bmag in profiles[:2]:
         coeff = np.polyfit(s**2, bmag**2, 1)
         bp2, b02 = coeff[0], coeff[1]
         model_b = np.sqrt(np.maximum(b02 + bp2 * s**2, 0.0))
@@ -622,9 +673,7 @@ def ip_fit(model, r0, residual_threshold: float = 0.01) -> IPTrapParams:
             PoorFitWarning,
         )
 
-    pts = r0[None, :] + s[:, None] * soft_axis[None, :]
-    bmag = np.linalg.norm(model.field(pts), axis=-1)
-    bpp = 2.0 * np.polyfit(s**2, bmag, 1)[0]
+    bpp = 2.0 * np.polyfit(s**2, profiles[2], 1)[0]
 
     axes = np.column_stack([trans_axes[0], trans_axes[1], soft_axis])
     return IPTrapParams(

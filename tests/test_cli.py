@@ -103,6 +103,18 @@ def test_trap_report(tmp_path):
     assert freqs[1] == pytest.approx(1230.0, rel=0.02)
 
 
+@pytest.mark.parametrize("geometry", ["toronto-z-trap", "toronto-split-trap"])
+@pytest.mark.parametrize("species", ["K40", "Rb87"])
+def test_trap_report_deterministic(tmp_path, geometry, species):
+    # the batched depth search gives byte-identical reports run to run
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        assert run(["trap", "--geometry", geometry, "--species", species, "--out", out]) == 0
+    doc = json.loads(a.read_text())
+    assert doc["depth_j"] > 0 and doc["depth_mk"] > 0 and len(doc["escape_direction"]) == 3
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_trap_unknown_geometry(tmp_path):
     assert run(["trap", "--geometry", "no-such-trap"]) == cli.EXIT_CONFIG
 

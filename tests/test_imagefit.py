@@ -40,6 +40,10 @@ def test_synthesized_image_deterministic(gas_factory):
     c = imf.synthesize_tof_image(gas, 10e-3, (32, 32), 8e-6, 1e9, seed=43)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+    # the noise is the one add_noise draws for the same seed
+    clean = imf.synthesize_tof_image(gas, 10e-3, (32, 32), 8e-6)
+    noisy = imf.add_noise(clean, 1e9, seed=42)
+    assert np.array_equal(noisy.values, a.values) and noisy.noise_rms == a.noise_rms == 1e9
 
 
 def test_synthesized_peak_matches_closed_form(gas_factory):

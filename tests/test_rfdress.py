@@ -101,6 +101,20 @@ def test_zero_rabi_limit_kinked_at_resonance(rb22):
     assert scan.delta.max() > 0 > scan.delta.min()
 
 
+def test_dressed_potential_one_field_call(rb22):
+    class Counting(tf.AnalyticIPField):
+        calls = 0
+
+        def field(self, r, **kwargs):
+            self.calls += 1
+            return super().field(r, **kwargs)
+
+    ip = benchmark_ip()
+    model = Counting(ip.b0, ip.b_prime, ip.b_double_prime)
+    rf.dressed_potential(model, rf_field(860.0), rb22, np.zeros(3), (1, 0, 0), 10e-6, 512)
+    assert model.calls == 1
+
+
 def test_rb_double_well_and_k_single_well(k92, rb22):
     model = benchmark_ip()
     ramp_on = 2 * math.pi * 800e3

@@ -107,6 +107,33 @@ def test_singularity_guard():
     model = tf.FieldModel(segments=[tf.WireSegment((0, 0, 0), (0, 1e-2, 0), 1.0)])
     with pytest.raises(tf.SingularityError):
         model.field(np.array([5e-7, 5e-3, 0.0]))
+    # one point inside the guard fails the whole batch
+    pts = np.array([[1e-3, 5e-3, 0.0], [5e-7, 5e-3, 0.0], [1e-9, 5e-3, 0.0], [0.0, 5e-3, 0.0]])
+    with pytest.raises(tf.SingularityError):
+        model.field(pts)
+    # unguarded, the radial distance is clamped at a quarter guard, so |B|
+    # stays finite up to and on the axis
+    b = np.linalg.norm(model.field(pts, guard=0.0), axis=-1)
+    wall = C.MU_0 / (2 * math.pi * 0.25 * tf.SINGULARITY_GUARD)  # 1 A at the clamp radius
+    assert np.all(np.isfinite(b))
+    assert b.max() <= wall * (1 + 1e-6)
+    assert b[1] == pytest.approx(wall / 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
+def test_field_independent_of_batch(name):
+    # a point's field and axis distance are the same alone as in a batch,
+    # from 0.1 um to 10 cm off the seed, the range the escape rays cover
+    model, seed = tf.load_geometry(geometry_path(name))
+    rng = np.random.default_rng(5)
+    direction = rng.normal(size=(2000, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    radius = np.exp(rng.uniform(np.log(1e-7), np.log(1e-1), 2000))
+    pts = seed + radius[:, None] * direction
+    batch = model.field(pts, guard=0.0)
+    assert np.array_equal(batch, [model.field(p, guard=0.0) for p in pts])
+    dist = model.min_line_distance(pts)
+    assert np.array_equal(dist, [model.min_line_distance(p) for p in pts])
 
 
 def test_maxwell_free_space(z_trap):
@@ -328,6 +355,29 @@ def test_depth_science_trap(z_trap, z_minimum, k92):
     assert report.temperature_equiv * 1e3 == pytest.approx(1.05, abs=0.15)
 
 
+@pytest.mark.parametrize("rounds", [0, 1, 2])
+def test_depth_one_field_call_per_round(z_trap, z_minimum, k92, rounds):
+    # U(r0), the 26-ray grid, then one call per 49-ray refinement fan
+    model, _ = z_trap
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    tf.trap_depth(counted, k92, z_minimum.position, refine_rounds=rounds)
+    assert counted.evaluations <= 2 + rounds
+
+
+@pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
+def test_depth_is_barrier_along_escape_direction(name, k92):
+    # the batched search reports exactly the barrier of its escape ray alone
+    model, seed = tf.load_geometry(geometry_path(name))
+    r0 = tf.find_minimum(model, seed).position
+    report = tf.trap_depth(model, k92, r0, ray_length=0.5)
+    s = np.geomspace(1e-7, 0.5, 500)
+    pts = r0 + s[:, None] * report.escape_direction
+    pts = pts[~model.beyond_chip(pts)]
+    assert model.min_line_distance(pts).min() >= tf.SINGULARITY_GUARD
+    u = tf.potential(model, k92, pts, guard=0.0)
+    assert report.depth == float(np.max(u)) - float(tf.potential(model, k92, r0, guard=0.0))
+
+
 def test_depth_single_wire_with_bias(rb22):
     # escape over the transverse-bias saddle: depth ~ mu_B x 20 G ~ k_B x 1.3 mK
     current = 2.0
@@ -385,6 +435,14 @@ def test_ip_fit_recovers_synthetic_parameters():
     assert fit.b_double_prime == pytest.approx(ip.b_double_prime, rel=1e-2)
     assert fit.transverse_trapping
     assert fit.residual_rms < 1e-4 * ip.b0
+
+
+def test_ip_fit_profiles_in_one_field_call(z_trap, z_minimum):
+    # B and J at r0, one batched J for the Hessian, one batch for the three profiles
+    model, _ = z_trap
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    tf.ip_fit(counted, z_minimum.position)
+    assert counted.evaluations == 4
 
 
 def test_ip_fit_frequency_inversion():
