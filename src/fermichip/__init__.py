@@ -1,16 +1,29 @@
 """Degenerate Fermi gases in atom-chip microtraps: thermodynamics, density and
 time-of-flight profiles, wire-trap magnetostatics, RF-dressed potentials,
-evaporation design rules and profile fitting."""
+evaporation design rules and profile fitting.
+
+Submodules load on first access (`fermichip.thermo`, `from fermichip import
+trapfield`), so a command that needs only the wire-trap code never imports
+scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    constants,
-    density,
-    evaporation,
-    imagefit,
-    polylog,
-    rfdress,
-    thermo,
-    trapfield,
+_SUBMODULES = (
+    "constants",
+    "density",
+    "evaporation",
+    "imagefit",
+    "polylog",
+    "rfdress",
+    "thermo",
+    "trapfield",
 )
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

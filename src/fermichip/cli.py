@@ -1,9 +1,13 @@
 """Command-line front end: batch computation, scans and benchmark regression.
 
 Exit codes: 0 success, 1 benchmark-table failure (paper-check), 2 bad
-configuration or arguments, 3 numerical failure.  JSON artifacts are written
-deterministically (sorted keys, floats at 17 significant digits) so identical
-configurations produce byte-identical output.
+configuration or arguments, 3 numerical failure: any `constants.NumericalError`
+(quadrature, fugacity, field, dressing and fit failures) or a singular matrix.
+JSON artifacts are written deterministically (sorted keys, floats at 17
+significant digits) so identical configurations produce byte-identical output.
+
+Every command is a fresh process, so this module imports only argparse, numpy
+and `constants` at the top; each `cmd_*` imports the modules it uses.
 """
 
 from __future__ import annotations
@@ -14,34 +18,21 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from jsonschema import ValidationError
 
 from . import constants as C
-from . import density, evaporation, imagefit, rfdress, thermo, trapfield
-from .benchmarks import run_benchmarks
+
+if TYPE_CHECKING:
+    from . import rfdress, thermo
 
 EXIT_OK = 0
 EXIT_BENCH_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (
-    trapfield.ConvergenceError,
-    trapfield.SaddlePointError,
-    trapfield.NotATrapError,
-    trapfield.SingularityError,
-    rfdress.TopologyError,
-    rfdress.RWAViolationError,
-    rfdress.KnifeNotEngagedError,
-    imagefit.FitError,
-    np.linalg.LinAlgError,
-)
 
 
 # -- deterministic JSON ----------------------------------------------------------
@@ -86,10 +77,14 @@ def data_dir() -> Path:
     override = os.environ.get("FERMICHIP_DATA_DIR")
     if override:
         return Path(override)
+    from importlib import resources
+
     return Path(resources.files("fermichip").joinpath("data"))
 
 
 def _resolve_geometry(name_or_path: str):
+    from . import trapfield
+
     p = Path(name_or_path)
     if not p.exists():
         candidate = data_dir() / f"{name_or_path.replace('-', '_')}.json"
@@ -112,6 +107,8 @@ def _state_from_args(args) -> C.SpinState:
 
 
 def _trap_from_args(args) -> thermo.HarmonicTrap:
+    from . import thermo
+
     if args.fbar_hz is not None:
         omega = 2 * math.pi * args.fbar_hz
         return thermo.HarmonicTrap(omega, omega, omega)
@@ -123,6 +120,8 @@ def _trap_from_args(args) -> thermo.HarmonicTrap:
 # -- thermo ----------------------------------------------------------------------
 
 def _scan_row(payload):
+    from . import thermo
+
     species, f_traps, n_atoms, t = payload
     reg = C.builtin_species()
     state = reg.stretched_state(species)
@@ -139,6 +138,8 @@ def _scan_row(payload):
 
 
 def cmd_thermo(args) -> int:
+    from . import thermo
+
     state = _state_from_args(args)
     trap = _trap_from_args(args)
     if args.t_over_tf is not None:
@@ -179,6 +180,8 @@ def cmd_thermo(args) -> int:
             (args.species, tuple(trap.omegas), args.n_atoms, float(t)) for t in t_values
         ]
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_scan_row, payloads))
         else:
@@ -194,6 +197,8 @@ def cmd_thermo(args) -> int:
 # -- density / tof ----------------------------------------------------------------
 
 def cmd_density(args) -> int:
+    from . import density, thermo
+
     state = _state_from_args(args)
     trap = _trap_from_args(args)
     gas = thermo.TrappedGasState.from_reduced_temperature(
@@ -211,6 +216,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_tof(args) -> int:
+    from . import imagefit, thermo
+
     state = _state_from_args(args)
     trap = _trap_from_args(args)
     gas = thermo.TrappedGasState.from_reduced_temperature(
@@ -235,6 +242,8 @@ def cmd_tof(args) -> int:
 # -- trap -------------------------------------------------------------------------
 
 def cmd_trap(args) -> int:
+    from . import trapfield
+
     model, seed = _resolve_geometry(args.geometry)
     if args.seed_um:
         seed = np.asarray([float(v) for v in args.seed_um.split(",")]) * 1e-6
@@ -285,6 +294,8 @@ DRESS_PRESETS = {
 
 
 def _dress_scan_report(scan: rfdress.DressedPotentialScan):
+    from . import rfdress
+
     try:
         wells = rfdress.characterize_wells(scan)
         report = {
@@ -302,6 +313,8 @@ def _dress_scan_report(scan: rfdress.DressedPotentialScan):
 
 
 def cmd_dress(args) -> int:
+    from . import rfdress, trapfield
+
     if args.preset:
         cfg = DRESS_PRESETS[args.preset]
         geometry, rf_khz = cfg["geometry"], cfg["rf_khz"]
@@ -362,6 +375,8 @@ def cmd_dress(args) -> int:
 # -- evap -------------------------------------------------------------------------
 
 def _evap_preset(name: str, rho0: float | None):
+    from . import evaporation
+
     reg = C.builtin_species()
     rb = reg["Rb87"]
     k40 = reg["K40"]
@@ -428,6 +443,8 @@ def cmd_evap(args) -> int:
 # -- fit --------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
+    from . import imagefit
+
     img = imagefit.TofImage.load(args.image, noise_rms=args.noise_rms)
     results = {}
     if args.model in ("gauss", "both"):
@@ -456,7 +473,9 @@ def cmd_fit(args) -> int:
 # -- paper-check --------------------------------------------------------------------
 
 def cmd_paper_check(args) -> int:
-    rows = run_benchmarks()
+    from . import benchmarks
+
+    rows = benchmarks.run_benchmarks()
     width = max(len(r.name) for r in rows)
     n_fail = 0
     for r in rows:
@@ -488,27 +507,39 @@ def cmd_paper_check(args) -> int:
 
 # -- run (config file) ---------------------------------------------------------------
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["command"],
-    "properties": {
-        "command": {
-            "enum": ["thermo", "density", "tof", "trap", "dress", "evap", "fit", "paper-check"]
-        },
-        "params": {
-            "type": "object",
-            "additionalProperties": {"type": ["string", "number", "boolean"]},
-        },
-    },
-}
+CONFIG_COMMANDS = ("thermo", "density", "tof", "trap", "dress", "evap", "fit", "paper-check")
+
+
+def check_config(doc) -> None:
+    """Raise ValueError unless doc is {"command": ..., "params": {...}}.
+
+    `command` is required and one of CONFIG_COMMANDS; the optional `params`
+    maps flag names to strings, numbers or booleans; no other key is allowed.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - {"command", "params"})
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}; allowed: command, params")
+    if "command" not in doc:
+        raise ValueError("config has no 'command'")
+    if doc["command"] not in CONFIG_COMMANDS:
+        raise ValueError(
+            f"config command {doc['command']!r} is not one of {list(CONFIG_COMMANDS)}"
+        )
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"config 'params' must be an object, not {type(params).__name__}")
+    for key, value in params.items():
+        if not isinstance(value, (str, int, float)):  # bool is an int
+            raise ValueError(
+                f"config param {key!r} must be a string, number or boolean, not {value!r}"
+            )
 
 
 def cmd_run(args) -> int:
-    import jsonschema
-
     doc = json.loads(Path(args.config).read_text())
-    jsonschema.validate(doc, CONFIG_SCHEMA)
+    check_config(doc)
     argv = [doc["command"]]
     for key, value in doc.get("params", {}).items():
         flag = "--" + key.replace("_", "-")
@@ -636,10 +667,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (C.NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, FileNotFoundError, ValidationError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

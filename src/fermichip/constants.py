@@ -51,6 +51,19 @@ KHZ = 1e3                # Hz
 MHZ = 1e6                # Hz
 
 
+class NumericalError(RuntimeError):
+    """A solver, quadrature, fit or field evaluation failed on valid input.
+
+    Every module's solver errors derive from this class, so a caller (the CLI's
+    exit code 3) can catch them all without importing the modules that raise them.
+    """
+
+
+def thermal_wavelength(mass: float, temperature: float) -> float:
+    """Thermal de Broglie wavelength sqrt(2 pi hbar^2 / (M k_B T))."""
+    return math.sqrt(2.0 * math.pi * HBAR * HBAR / (mass * K_B * temperature))
+
+
 def _as_fraction(x) -> Fraction:
     """Coerce int, string ("9/2") or exactly-representable float to Fraction."""
     if isinstance(x, Fraction):

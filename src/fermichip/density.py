@@ -274,6 +274,14 @@ def read_raster(path) -> tuple[np.ndarray, float]:
         header = fh.read(32)
         if header[:6] != RASTER_MAGIC:
             raise ValueError(f"not a raster file (bad magic {header[:6]!r})")
+        if len(header) != 32:
+            raise ValueError(f"truncated raster header: expected 32 bytes, found {len(header)}")
         ny, nx, pitch = struct.unpack(">IId", header[8:24])
-        data = np.frombuffer(fh.read(ny * nx * 8), dtype=">f8").reshape(ny, nx)
+        block = fh.read(ny * nx * 8)
+        if len(block) != ny * nx * 8:
+            raise ValueError(
+                f"truncated raster data: {ny}x{nx} float64 needs {ny * nx * 8} bytes, "
+                f"found {len(block)}"
+            )
+        data = np.frombuffer(block, dtype=">f8").reshape(ny, nx)
     return data.astype(float), pitch

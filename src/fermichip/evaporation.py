@@ -15,8 +15,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .constants import HBAR, K_B, AtomSpecies
-from .thermo import thermal_wavelength
+from .constants import HBAR, K_B, AtomSpecies, thermal_wavelength
 
 __all__ = [
     "EffectiveVolumeModel",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .constants import K_B
+from .constants import K_B, NumericalError
 from .density import column_density_fermi, read_raster, write_raster
 from .polylog import fermi_fn
 from .thermo import HarmonicTrap, TrappedGasState, reduced_temperature_from_fugacity
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-class FitError(RuntimeError):
+class FitError(NumericalError):
     """Nonlinear fit failed to converge; diagnostics in the message."""
 
 

@@ -24,6 +24,8 @@ from numpy.polynomial import Chebyshev
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import expit, rgamma, zeta
 
+from .constants import NumericalError
+
 __all__ = [
     "fermi_fn",
     "bose_fn",
@@ -54,7 +56,7 @@ _ETA_EVEN = {
 }
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
 
 

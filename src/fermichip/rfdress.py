@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import HBAR, K_B, MU_B, SpinState
+from .constants import HBAR, K_B, MU_B, NumericalError, SpinState
 
 __all__ = [
     "RFField",
@@ -47,15 +47,15 @@ class RWAWarning(UserWarning):
     """RF amplitude large enough that the rotating-wave form is suspect."""
 
 
-class RWAViolationError(ValueError):
+class RWAViolationError(NumericalError, ValueError):
     """RF amplitude comparable to the static field; RWA form invalid."""
 
 
-class KnifeNotEngagedError(ValueError):
+class KnifeNotEngagedError(NumericalError, ValueError):
     """RF frequency below the trap bottom: no depth limit for this species."""
 
 
-class TopologyError(RuntimeError):
+class TopologyError(NumericalError):
     """Extremum counts inconsistent with a single- or double-well potential."""
 
 

@@ -21,10 +21,11 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
 
-from .constants import HBAR, K_B, SpinState
+from .constants import HBAR, K_B, NumericalError, SpinState, thermal_wavelength
 from .polylog import bose_fn, fermi_fn
 
 __all__ = [
+    "FugacityError",
     "HarmonicTrap",
     "TrappedGasState",
     "occupation",
@@ -45,6 +46,10 @@ __all__ = [
 
 # T/T_F at which Z = 1, i.e. (6 f_3(1))^(-1/3); used to pick root brackets.
 _T_AT_UNIT_FUGACITY = 0.569667
+
+
+class FugacityError(NumericalError):
+    """The root find for the fugacity at a reduced temperature failed."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def fugacity_from_reduced_temperature(t: float) -> float:
     try:
         ln_z = brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     except (ValueError, RuntimeError) as exc:
-        raise RuntimeError(
+        raise FugacityError(
             f"fugacity root find failed for t={t} on ln Z bracket [{lo}, {hi}]: {exc}"
         )
     return math.exp(ln_z)
@@ -203,11 +208,6 @@ class TrappedGasState:
     def from_reduced_temperature(cls, state, trap, n_atoms, t_over_tf):
         e_f = fermi_energy(n_atoms, trap)
         return cls(state, trap, n_atoms, t_over_tf * e_f / K_B)
-
-
-def thermal_wavelength(mass: float, temperature: float) -> float:
-    """Thermal de Broglie wavelength sqrt(2 pi hbar^2 / (M k_B T))."""
-    return math.sqrt(2.0 * math.pi * HBAR * HBAR / (mass * K_B * temperature))
 
 
 def total_energy(gas: TrappedGasState) -> float:

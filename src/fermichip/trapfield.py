@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import GAUSS, K_B, MICROMETER, MU_0, SpinState, magnetic_moment
+from .constants import GAUSS, K_B, MICROMETER, MU_0, NumericalError, SpinState, magnetic_moment
 
 __all__ = [
     "WireSegment",
@@ -64,19 +64,19 @@ def _coordinates(r: np.ndarray) -> np.ndarray:
     return np.array(r.reshape(-1, 3).T)
 
 
-class SingularityError(ValueError):
+class SingularityError(NumericalError, ValueError):
     """Field requested within the singularity guard of a wire axis."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError):
     """Minimum search did not converge to the requested gradient norm."""
 
 
-class SaddlePointError(RuntimeError):
+class SaddlePointError(NumericalError):
     """Search converged to a critical point that is not a minimum of |B|."""
 
 
-class NotATrapError(RuntimeError):
+class NotATrapError(NumericalError):
     """Potential Hessian has a non-positive eigenvalue at the minimum."""
 
 

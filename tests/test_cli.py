@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fermichip import cli
+from fermichip import benchmarks, cli, polylog, thermo
 from fermichip.benchmarks import CheckRow
 from fermichip.density import read_raster
 
@@ -49,6 +49,37 @@ def test_thermo_scan_csv(tmp_path):
     assert len(lines) == 6
 
 
+THERMO_ARGS = ["thermo", "--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "315",
+               "--t-over-tf", "0.2"]
+
+
+def _fail_quadrature(n, z):
+    # f_4 is first used after the fugacity solve, so the error reaches main unwrapped
+    if n == 4.0:
+        raise polylog.QuadratureError(f"fermi_fn quadrature did not converge (n={n})")
+    return polylog.fermi_fn(n, z)
+
+
+def _fail_brentq(*args, **kwargs):
+    raise RuntimeError("Failed to converge after 200 iterations")
+
+
+@pytest.mark.parametrize(
+    "attr,failure,message",
+    [
+        ("fermi_fn", _fail_quadrature, "fermi_fn quadrature did not converge (n=4.0)"),
+        ("brentq", _fail_brentq, "fugacity root find failed"),
+    ],
+    ids=["quadrature", "fugacity"],
+)
+def test_thermo_solver_failure_exits_3(tmp_path, capsys, monkeypatch, attr, failure, message):
+    monkeypatch.setattr(thermo, attr, failure)
+    assert run(THERMO_ARGS + ["--out", tmp_path / "r.json"]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_thermo_missing_trap_is_config_error(tmp_path):
     code = run(["thermo", "--species", "K40", "--n-atoms", "4e4", "--t-over-tf", "0.2"])
     assert code == cli.EXIT_CONFIG
@@ -88,6 +119,24 @@ def test_tof_raster_and_fit_roundtrip(tmp_path):
     doc = json.loads(fit_out.read_text())
     assert doc["fermi-dirac"]["params"]["N"] == pytest.approx(4e4, rel=0.05)
     assert doc["chi2_ratio_gauss_over_fd"] > 1.5
+
+
+@pytest.mark.parametrize(
+    "keep,message",
+    [(12, "expected 32 bytes, found 12"), (32 + 100, "needs 18432 bytes, found 100")],
+    ids=["header", "data"],
+)
+def test_fit_truncated_raster_is_config_error(tmp_path, capsys, keep, message):
+    img = tmp_path / "img.raster"
+    code = run(
+        ["tof", "--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "315",
+         "--t-over-tf", "0.2", "--nx", "48", "--ny", "48", "--out", img]
+    )
+    assert code == 0
+    img.write_bytes(img.read_bytes()[:keep])
+    assert run(["fit", "--image", img]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: truncated raster") and message in err
 
 
 # -- trap / dress ---------------------------------------------------------------------------
@@ -169,16 +218,30 @@ def test_run_config(tmp_path):
     assert json.loads(out.read_text())["n_max"] < 1.0
 
 
-def test_run_config_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps([{"command": "evap"}]),
+        json.dumps({"params": {"preset": "ioffe-c"}}),
+        json.dumps({"command": "evap", "params": {"preset": "ioffe-c"}, "x": 1}),
+        json.dumps({"command": "explode"}),
+        json.dumps({"command": "run", "params": {"config": "cfg.json"}}),
+        json.dumps({"command": "evap", "params": ["--preset", "ioffe-c"]}),
+        json.dumps({"command": "evap", "params": {"preset": "ioffe-c", "rho0": None}}),
+        json.dumps({"command": "evap", "params": {"preset": {"name": "ioffe-c"}}}),
+        '{"command": "evap", "params": {',
+    ],
+    ids=["list", "no-command", "unknown-key", "unknown-command", "run-command",
+         "params-list", "null-param", "nested-param", "invalid-json"],
+)
+def test_run_config_validation(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "evap", "params": {"preset": "ioffe-c"}, "x": 1}))
+    cfg.write_text(text)
     assert run(["run", "--config", cfg]) == cli.EXIT_CONFIG
-
-
-def test_run_config_rejects_unknown_command(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "explode"}))
-    assert run(["run", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert sum(line.startswith("configuration error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_exits_2():
@@ -201,7 +264,7 @@ def test_paper_check_table(tmp_path, capsys, monkeypatch):
     # one failing row turns the whole table into a benchmark failure
     real_rows = [CheckRow(**r) for r in rows]
     bad = CheckRow("injected-fail", "always fails", "1", "0 +/- 0", False)
-    monkeypatch.setattr(cli, "run_benchmarks", lambda: real_rows + [bad])
+    monkeypatch.setattr(benchmarks, "run_benchmarks", lambda: real_rows + [bad])
     code = run(["paper-check", "--out", out])
     assert code == cli.EXIT_BENCH_FAIL
     assert any(
