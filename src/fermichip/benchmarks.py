@@ -86,18 +86,11 @@ def energy_rows():
 # -- criterion 3: chemical potential approximations ---------------------------
 
 def mu_approx_rows():
-    def exact(t):
-        z = thermo.fugacity_from_reduced_temperature(t)
-        return t * math.log(z)
-
-    dev_low = max(
-        abs(thermo.chemical_potential_approx(t, "low") / exact(t) - 1.0)
-        for t in (0.05, 0.1, 0.2)
-    )
-    dev_high = max(
-        abs(thermo.chemical_potential_approx(t, "high") / exact(t) - 1.0)
-        for t in (2.0, 3.0, 5.0, 10.0)
-    )
+    t = np.array([0.05, 0.1, 0.2, 2.0, 3.0, 5.0, 10.0])
+    exact = t * np.log(thermo.fugacity_from_reduced_temperature(t))
+    dev = [abs(thermo.chemical_potential_approx(ti, "low" if ti < 1.0 else "high") / ei - 1.0)
+           for ti, ei in zip(t, exact)]
+    dev_low, dev_high = max(dev[:3]), max(dev[3:])
     return [
         _row("c3-mu-low", "max rel. dev. of low-T mu form, t <= 0.2", dev_low,
              "<= 0.01", dev_low <= 0.01),
@@ -293,9 +286,9 @@ def fit_rows():
         rows.append(_row(name, f"chi2_gauss/chi2_FD at T/T_F = {t_red}, 2% noise", ratio,
                          f"{band[0]} to {band[1]}", band[0] <= ratio <= band[1]))
 
-    dev_low = imagefit.apparent_temperature_curve(0.5) - 1.0
-    dev_high = imagefit.apparent_temperature_curve(1.5) - 1.0
-    grid = [imagefit.apparent_temperature_curve(t) for t in np.linspace(0.05, 3.0, 12)]
+    curve = imagefit.apparent_temperature_curve(np.r_[0.5, 1.5, np.linspace(0.05, 3.0, 12)])
+    dev_low, dev_high = curve[:2] - 1.0
+    grid = curve[2:]
     monotone = all(a > b for a, b in zip(grid, grid[1:]))
     rows.append(_row("c9-apparent-t-low", "T_app/T - 1 at T/T_F = 0.5 (monotone below)",
                      dev_low, "> 0.05", dev_low > 0.05 and monotone))

@@ -119,24 +119,6 @@ def _trap_from_args(args) -> thermo.HarmonicTrap:
 
 # -- thermo ----------------------------------------------------------------------
 
-def _scan_row(payload):
-    from . import thermo
-
-    species, f_traps, n_atoms, t = payload
-    reg = C.builtin_species()
-    state = reg.stretched_state(species)
-    trap = thermo.HarmonicTrap(*f_traps)
-    gas = thermo.TrappedGasState.from_reduced_temperature(state, trap, n_atoms, t)
-    z = gas.fugacity
-    return (
-        t,
-        z,
-        gas.chemical_potential / gas.fermi_energy,
-        thermo.energy_per_particle(gas) / gas.fermi_energy,
-        thermo.degeneracy_parameter(z),
-    )
-
-
 def cmd_thermo(args) -> int:
     from . import thermo
 
@@ -175,22 +157,11 @@ def cmd_thermo(args) -> int:
     else:
         print(_json_fmt(report))
     if args.scan_out:
-        t_values = np.geomspace(args.scan_min, args.scan_max, args.scan_points)
-        payloads = [
-            (args.species, tuple(trap.omegas), args.n_atoms, float(t)) for t in t_values
-        ]
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+        def gas_at(t):
+            return thermo.TrappedGasState.from_reduced_temperature(state, trap, args.n_atoms, t)
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_scan_row, payloads))
-        else:
-            rows = [_scan_row(p) for p in payloads]
-        with open(args.scan_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["T_over_TF", "Z", "mu_over_EF", "E_per_N_over_EF", "n0_lambda3"])
-            for row in rows:
-                writer.writerow([f"{v:.17g}" for v in row])
+        t_values = np.geomspace(args.scan_min, args.scan_max, args.scan_points)
+        thermo.write_thermo_scan_csv(args.scan_out, gas_at, t_values)
     return EXIT_OK
 
 
@@ -537,18 +508,29 @@ def check_config(doc) -> None:
             )
 
 
+class _ConfigArgumentParser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def cmd_run(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    check_config(doc)
-    argv = [doc["command"]]
-    for key, value in doc.get("params", {}).items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
-    return main(argv)
+    try:
+        doc = json.loads(Path(args.config).read_text())
+        check_config(doc)
+        argv = [doc["command"]]
+        for key, value in doc.get("params", {}).items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(value, bool):
+                if value:
+                    argv.append(flag)
+            else:
+                argv.extend([flag, str(value)])
+        run_args = build_parser(_ConfigArgumentParser).parse_args(argv)
+    except ValueError as exc:
+        raise ValueError(f"config {args.config}: {exc}") from None
+    return run_args.fn(run_args)
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -567,8 +549,8 @@ def _add_trap(p):
     p.add_argument("--fz-hz", type=float, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    ap = parser_class(
         prog="fermichip",
         description="Ideal Fermi gases in atom-chip microtraps: thermodynamics, "
         "fields, dressed potentials, evaporation rules and profile fits.",
@@ -586,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-min", type=float, default=0.05)
     p.add_argument("--scan-max", type=float, default=5.0)
     p.add_argument("--scan-points", type=int, default=25)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_thermo)
 
     p = sub.add_parser("density", help="in-trap density profile along an axis (CSV)")

@@ -265,11 +265,11 @@ def apparent_temperature(
     return r * r * mass / ((omega**-2.0 + t * t) * K_B)
 
 
-def apparent_temperature_curve(t_over_tf: float) -> float:
+def apparent_temperature_curve(t_over_tf) -> float | np.ndarray:
     """Universal ideal-gas ratio T_apparent/T from second-moment matching.
 
-    Equals f_4(Z)/f_3(Z) at the fugacity of the given reduced temperature:
-    1 in the Boltzmann limit, rising to T_F/(4T) as T -> 0.
+    Equals f_4(Z)/f_3(Z) at the fugacity of the given reduced temperature (a
+    scalar or an array): 1 in the Boltzmann limit, rising to T_F/(4T) as T -> 0.
     """
     from .thermo import fugacity_from_reduced_temperature
 

@@ -67,11 +67,19 @@ def _check_order(n: float) -> float:
     return n
 
 
+def _power_series(coeff: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j coeff[j-1] w^j by Horner's rule, smallest terms first: elementwise,
+    so a value does not depend on the batch (a BLAS product's rounding does)."""
+    acc = 0.0
+    for c in coeff[::-1]:
+        acc = acc * w + c
+    return acc * w
+
+
 def _fermi_series(n: float, w: np.ndarray) -> np.ndarray:
     # Alternating series sum_j (-1)^(j+1) w^j / j^n, w <= 1/2.
     j = np.arange(1, _SERIES_TERMS + 1, dtype=float)
-    coeff = (-1.0) ** (j + 1) / j**n
-    return np.power.outer(w, j) @ coeff
+    return _power_series((-1.0) ** (j + 1) / j**n, w)
 
 
 def _fermi_quad(n: float, x: float) -> float:
@@ -144,7 +152,7 @@ def fermi_fn(n: float, z) -> float | np.ndarray:
 
 def _bose_series(n: float, w: np.ndarray) -> np.ndarray:
     j = np.arange(1, _SERIES_TERMS + 1, dtype=float)
-    return np.power.outer(w, j) @ (1.0 / j**n)
+    return _power_series(1.0 / j**n, w)
 
 
 def bose_fn(n: float, z) -> float | np.ndarray:

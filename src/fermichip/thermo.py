@@ -6,6 +6,8 @@ g(eps) = eps^2 / (2 (hbar wbar)^3):
     N = (beta hbar wbar)^-3 f_3(Z),      E = 3 k_B T (beta hbar wbar)^-3 f_4(Z),
     E_F = hbar wbar (6 N)^(1/3),         6 f_3(Z) = (beta E_F)^3.
 
+The last relation is inverted for Z by Newton's method in ln Z, bracketed,
+with the exact slope d ln f_3 / d ln Z = f_2/f_3, on a scalar or an array.
 Includes a brute-force discrete-sum oracle over oscillator levels for
 finite-size cross-checks.
 """
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .constants import HBAR, K_B, NumericalError, SpinState, thermal_wavelength
@@ -44,8 +45,8 @@ __all__ = [
     "write_thermo_scan_csv",
 ]
 
-# T/T_F at which Z = 1, i.e. (6 f_3(1))^(-1/3); used to pick root brackets.
-_T_AT_UNIT_FUGACITY = 0.569667
+_NEWTON_MAXITER = 100
+_NEWTON_YTOL = 1e-8
 
 
 class FugacityError(NumericalError):
@@ -104,38 +105,55 @@ def atom_number_from_fermi_energy(e_fermi: float, trap: HarmonicTrap) -> float:
     return (e_fermi / (HBAR * trap.omega_bar)) ** 3 / 6.0
 
 
-def fugacity_from_reduced_temperature(t: float) -> float:
+def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
     """Solve 6 f_3(Z) = t^-3 for the fugacity Z at reduced temperature t = T/T_F.
 
-    Bracketed root find in ln Z, relative tolerance better than 1e-10;
-    monotone decreasing in t.
+    Scalars or arrays, like fermi_fn; monotone decreasing in t.  Each point is
+    iterated on its own, so an array gives the same bits as per-element calls.
     """
-    if not t > 0:
+    t = np.asarray(t, dtype=float)
+    ts = t.ravel()
+    if not np.all(ts > 0.0):
         raise ValueError("reduced temperature must be positive")
-    target = t**-3
-
-    def g(ln_z):
-        return 6.0 * fermi_fn(3.0, math.exp(ln_z)) - target
-
-    # g is monotone increasing in ln Z; pick the side of Z = 1 by its sign there
-    if g(0.0) >= 0.0:
-        lo, hi = math.log(1e-300), 0.0
-    else:
-        # ln Z stays below 1/t; cap the bracket so exp() cannot overflow
-        hi = min(3.0 / t + 1.0, 708.0)
-        if 1.0 / t > 700.0:
-            raise ValueError(
-                f"t = {t} too deep in the degenerate regime: the fugacity "
-                "overflows double precision (need t > ~0.0015)"
-            )
-        lo = 0.0
-    try:
-        ln_z = brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    except (ValueError, RuntimeError) as exc:
-        raise FugacityError(
-            f"fugacity root find failed for t={t} on ln Z bracket [{lo}, {hi}]: {exc}"
+    if np.any(1.0 / ts > 700.0):
+        raise ValueError(
+            f"t = {ts.min()} too deep in the degenerate regime: the fugacity "
+            "overflows double precision (need t > ~0.0015)"
         )
-    return math.exp(ln_z)
+    # h(y) = ln f_3(e^y) - ln(t^-3/6) increases with y = ln Z: its sign at Z = 1
+    # picks the side; f_3(e^y) > y^3/6 keeps ln Z below 1/t, capped for exp()
+    classical = 6.0 * fermi_fn(3.0, 1.0) >= ts**-3
+    lo = np.where(classical, math.log(1e-300), 0.0)
+    hi = np.where(classical, 0.0, np.minimum(3.0 / ts + 1.0, 708.0))
+    ln_target = -3.0 * np.log(ts) - math.log(6.0)
+    y = np.clip(ln_target, lo, hi)  # the classical limit f_3(z) = z
+    todo = np.arange(ts.size)
+    for _ in range(_NEWTON_MAXITER):
+        z = np.exp(y[todo])
+        f3 = fermi_fn(3.0, z)
+        h = np.log(f3) - ln_target[todo]
+        step = -h * f3 / fermi_fn(2.0, z)  # h' = f_2/f_3, as d f_n / d ln z = f_(n-1)
+        if not np.all(np.isfinite(step)):
+            todo = todo[~np.isfinite(step)]
+            break
+        lo[todo] = np.where(h < 0.0, y[todo], lo[todo])
+        hi[todo] = np.where(h > 0.0, y[todo], hi[todo])
+        # convergence is quadratic: a step this small leaves an error of its
+        # square, below round-off, so it is taken even onto a bracket end
+        done = np.abs(step) <= _NEWTON_YTOL * np.maximum(1.0, np.abs(y[todo]))
+        new = y[todo] + step
+        bisect = ~done & ((new < lo[todo]) | (new > hi[todo]))
+        new[bisect] = 0.5 * (lo[todo] + hi[todo])[bisect]
+        y[todo] = new
+        todo = todo[~done]
+        if todo.size == 0:
+            z = np.exp(y).reshape(t.shape)
+            return z if t.ndim else float(z)
+    k = todo[0]
+    raise FugacityError(
+        f"fugacity root find failed for t={ts[k]} on ln Z bracket [{lo[k]}, {hi[k]}] "
+        f"at ln Z = {y[k]}"
+    )
 
 
 def reduced_temperature_from_fugacity(z: float) -> float:
@@ -314,23 +332,20 @@ def discrete_sum_oracle(
 
 
 def write_thermo_scan_csv(path, gas_factory, t_values) -> None:
-    """Emit a degeneracy scan as CSV.
+    """Emit a degeneracy scan as CSV, from one fugacity solve and one call per
+    Fermi function for all rows.
 
     gas_factory(t) must return a TrappedGasState at reduced temperature t.
     Columns: T_over_TF, Z, mu_over_EF, E_per_N_over_EF, n0_lambda3.
     """
+    t_values = np.asarray(t_values, dtype=float)
+    gases = [gas_factory(t) for t in t_values]
+    temp = np.array([gas.temperature for gas in gases])
+    e_f = np.array([gas.fermi_energy for gas in gases])
+    z = fugacity_from_reduced_temperature(np.array([gas.t_reduced for gas in gases]))
+    e_per_n = 3.0 * K_B * temp * fermi_fn(4.0, z) / fermi_fn(3.0, z)
+    columns = [t_values, z, K_B * temp * np.log(z) / e_f, e_per_n / e_f, degeneracy_parameter(z)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["T_over_TF", "Z", "mu_over_EF", "E_per_N_over_EF", "n0_lambda3"])
-        for t in t_values:
-            gas = gas_factory(t)
-            z = gas.fugacity
-            writer.writerow(
-                [
-                    f"{t:.17g}",
-                    f"{z:.17g}",
-                    f"{gas.chemical_potential / gas.fermi_energy:.17g}",
-                    f"{energy_per_particle(gas) / gas.fermi_energy:.17g}",
-                    f"{degeneracy_parameter(z):.17g}",
-                ]
-            )
+        writer.writerows([f"{v:.17g}" for v in row] for row in zip(*columns))

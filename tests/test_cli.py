@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from fermichip import benchmarks, cli, polylog, thermo
+from fermichip import constants as C
 from fermichip.benchmarks import CheckRow
 from fermichip.density import read_raster
 
@@ -48,6 +51,17 @@ def test_thermo_scan_csv(tmp_path):
     assert lines[0] == "T_over_TF,Z,mu_over_EF,E_per_N_over_EF,n0_lambda3"
     assert len(lines) == 6
 
+    # the CLI writes its scan through the library writer
+    k40 = C.builtin_species().stretched_state("K40")
+    trap = thermo.HarmonicTrap.from_frequencies_hz(823, 46, 823)
+    lib = tmp_path / "lib.csv"
+    thermo.write_thermo_scan_csv(
+        lib,
+        lambda t: thermo.TrappedGasState.from_reduced_temperature(k40, trap, 4e4, t),
+        np.geomspace(0.1, 2.0, 5),
+    )
+    assert scan.read_bytes() == lib.read_bytes()
+
 
 THERMO_ARGS = ["thermo", "--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "315",
                "--t-over-tf", "0.2"]
@@ -60,15 +74,17 @@ def _fail_quadrature(n, z):
     return polylog.fermi_fn(n, z)
 
 
-def _fail_brentq(*args, **kwargs):
-    raise RuntimeError("Failed to converge after 200 iterations")
+def _nan_f3(n, z):
+    # a non-finite f_3 fails the fugacity solve
+    value = polylog.fermi_fn(n, z)
+    return value * math.nan if n == 3.0 else value
 
 
 @pytest.mark.parametrize(
     "attr,failure,message",
     [
         ("fermi_fn", _fail_quadrature, "fermi_fn quadrature did not converge (n=4.0)"),
-        ("brentq", _fail_brentq, "fugacity root find failed"),
+        ("fermi_fn", _nan_f3, "fugacity root find failed"),
     ],
     ids=["quadrature", "fugacity"],
 )
@@ -83,6 +99,13 @@ def test_thermo_solver_failure_exits_3(tmp_path, capsys, monkeypatch, attr, fail
 def test_thermo_missing_trap_is_config_error(tmp_path):
     code = run(["thermo", "--species", "K40", "--n-atoms", "4e4", "--t-over-tf", "0.2"])
     assert code == cli.EXIT_CONFIG
+
+
+def test_thermo_scan_too_deep_is_config_error(tmp_path, capsys):
+    code = run(THERMO_ARGS + ["--out", tmp_path / "r.json", "--scan-out", tmp_path / "s.csv",
+                              "--scan-min", "0.001"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 # -- density / tof ------------------------------------------------------------------------
@@ -230,9 +253,12 @@ def test_run_config(tmp_path):
         json.dumps({"command": "evap", "params": {"preset": "ioffe-c", "rho0": None}}),
         json.dumps({"command": "evap", "params": {"preset": {"name": "ioffe-c"}}}),
         '{"command": "evap", "params": {',
+        json.dumps({"command": "evap", "params": {"preset": "ioffe-c", "bogus": 1}}),
+        json.dumps({"command": "dress", "params": {"preset": "k-doublewell", "points": 512.0}}),
     ],
     ids=["list", "no-command", "unknown-key", "unknown-command", "run-command",
-         "params-list", "null-param", "nested-param", "invalid-json"],
+         "params-list", "null-param", "nested-param", "invalid-json", "unknown-param",
+         "mistyped-param"],
 )
 def test_run_config_validation(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -242,6 +268,9 @@ def test_run_config_validation(tmp_path, capsys, text):
     assert err.startswith("configuration error: ")
     assert sum(line.startswith("configuration error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+    assert str(cfg) in err
+    for param in ("bogus", "points"):
+        assert (f'"{param}"' in text) == (f"--{param}" in err)
 
 
 def test_unknown_flag_exits_2():

@@ -75,6 +75,18 @@ def test_vectorized_matches_scalar():
         assert vi == pytest.approx(pl.fermi_fn(2.5, float(zi)), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0])
+def test_array_call_matches_per_element_bits(n):
+    # each value is independent of the rest of the batch, in every regime
+    rng = np.random.default_rng(11)
+    series = rng.uniform(1e-6, pl.SERIES_CUT, 200)
+    mid = np.exp(rng.uniform(math.log(pl.SERIES_CUT), pl.SOMMERFELD_CUT_LOG, 200))
+    sommerfeld = np.exp(rng.uniform(pl.SOMMERFELD_CUT_LOG, 700.0, 200))
+    z = rng.permutation(np.concatenate([series, mid, sommerfeld]))
+    assert np.array_equal(pl.fermi_fn(n, z), [pl.fermi_fn(n, float(zi)) for zi in z])
+    assert np.array_equal(pl.bose_fn(n, series), [pl.bose_fn(n, float(zi)) for zi in series])
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         pl.fermi_fn(0.4, 1.0)

@@ -108,6 +108,20 @@ def test_fugacity_monotone_decreasing():
     zs = [thermo.fugacity_from_reduced_temperature(t) for t in ts]
     assert all(a > b for a, b in zip(zs, zs[1:]))
 
+    # one array call from Z <= 1/2 through the interpolant to ln Z ~ 600
+    t = np.geomspace(0.0016, 100.0, 200)
+    z = thermo.fugacity_from_reduced_temperature(t)
+    assert z[-1] <= 0.5 and math.log(z[0]) > 600.0
+    assert np.array_equal(z, [thermo.fugacity_from_reduced_temperature(float(ti)) for ti in t])
+    assert np.all(np.diff(z) < 0.0)
+    assert np.max(np.abs(np.log(6.0 * fermi_fn(3.0, z) * t**3))) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, 0.001], ids=["zero", "negative", "too-deep"])
+def test_fugacity_rejects_out_of_domain_array(bad):
+    with pytest.raises(ValueError):
+        thermo.fugacity_from_reduced_temperature(np.array([0.5, bad, 2.0]))
+
 
 @pytest.mark.parametrize("t", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0])
 def test_number_round_trip(t, k92, science_trap):
