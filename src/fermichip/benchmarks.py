@@ -342,14 +342,13 @@ def scaling_rows():
 # -- criterion 11: numerical hygiene --------------------------------------------
 
 def numerics_rows():
-    # polylog seams
-    seam = 0.0
-    for n in (0.5, 1.5, 2.0, 3.0, 4.0):
-        lo_series = polylog._fermi_series(n, np.array([polylog.SERIES_CUT]))[0]
-        lo_mid = math.exp(polylog._mid_interpolant(n)(math.log(polylog.SERIES_CUT)))
-        hi_mid = math.exp(polylog._mid_interpolant(n)(polylog.SOMMERFELD_CUT_LOG))
-        hi_som = polylog._fermi_sommerfeld(n, np.array([polylog.SOMMERFELD_CUT_LOG]))[0]
-        seam = max(seam, abs(lo_series / lo_mid - 1.0), abs(hi_mid / hi_som - 1.0))
+    # polylog seams: z = 1 for the integer orders; the ends and piece boundaries
+    # of the 3/2 table; series, interpolant and Sommerfeld for n = 1/2
+    seam = max(
+        abs(below / above - 1.0)
+        for n in (0.5, 1.5, 2.0, 3.0, 4.0)
+        for _, below, above in polylog.seams(n)
+    )
 
     gauss_dev = 0.0
     for n, c in ((1.5, 1.0), (1.0, 5.0), (2.5, 0.3)):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import K_B, NumericalError
 from .density import column_density_fermi, read_raster, write_raster
@@ -152,6 +151,8 @@ def _check_informative(img: TofImage):
 
 
 def _run_fit(img, model_fn, theta0, bounds, n_params):
+    from scipy.optimize import least_squares
+
     xx, yy = img.coordinates()
     data = img.values
     sigma = img.noise_rms if img.noise_rms > 0 else 1.0

@@ -71,3 +71,33 @@ def test_light_commands_skip_heavy_modules(tmp_path, argv):
     code = f"from fermichip import cli\nassert cli.main({argv!r}) == 0"
     loaded = set(_loaded_after(code, tmp_path))
     assert [m for m in HEAVY if m in loaded] == []
+
+
+# the paper's Fermi orders need neither quadrature nor scipy.optimize, and
+# mpmath is a test-only dependency
+NOT_FOR_FERMI_GAS = ["scipy.integrate", "scipy.optimize", "mpmath"]
+
+
+def test_polylog_import_skips_quadrature(tmp_path):
+    loaded = set(_loaded_after("import fermichip.polylog", tmp_path))
+    assert [m for m in NOT_FOR_FERMI_GAS if m in loaded] == []
+
+
+GAS = ["--species", "K40", "--n-atoms", "4e4", "--fx-hz", "823", "--fy-hz", "46",
+       "--fz-hz", "823", "--t-over-tf", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thermo", *GAS, "--out", "report.json", "--scan-out", "scan.csv"],
+        ["density", *GAS, "--axis", "y", "--extent-um", "120", "--out", "profile.csv"],
+        ["tof", *GAS, "--time-ms", "10", "--noise-frac", "0.02", "--out", "img.raster"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_fermi_gas_commands_skip_quadrature_and_solvers(tmp_path, argv):
+    code = f"from fermichip import cli\nassert cli.main({argv!r}) == 0"
+    loaded = set(_loaded_after(code, tmp_path))
+    assert "fermichip.polylog" in loaded
+    assert [m for m in NOT_FOR_FERMI_GAS if m in loaded] == []

@@ -55,17 +55,56 @@ def test_against_high_precision_oracle(n):
         assert pl.fermi_fn(n, z) == pytest.approx(mp_fermi(n, z), rel=3e-9)
 
 
+def mp_fermi_exact(n, z):
+    """f_n(z) by mpmath's polylog at 30 digits, of the float z as given."""
+    with mpmath.workdps(30):
+        return float(mpmath.re(-mpmath.polylog(n, -mpmath.mpf(z))))
+
+
 @pytest.mark.parametrize("n", [0.5, 1.5, 2.0, 3.0, 4.0])
 def test_regime_seams_agree(n):
-    w = pl.SERIES_CUT
-    series = pl._fermi_series(n, np.array([w]))[0]
-    mid_lo = math.exp(pl._mid_interpolant(n)(math.log(w)))
-    assert abs(series / mid_lo - 1.0) < 1e-8
+    found = pl.seams(n)
+    where = [x for x, _, _ in found]
+    if n == 1.5:
+        # both ends of the shipped table and every boundary between its pieces
+        lo, width, coef = pl._FERMI32
+        assert where == pytest.approx(lo + width * np.arange(len(coef) + 1))
+        assert where[-1] == pl.SOMMERFELD_CUT_LOG
+    elif n.is_integer():
+        assert where == [0.0]  # series below z = 1, its reflection above
+    else:
+        assert where == [0.0, pl.SOMMERFELD_CUT_LOG]  # series | interpolant | Sommerfeld
+    for _, below, above in found:
+        assert abs(below / above - 1.0) < 1e-8
 
-    x = pl.SOMMERFELD_CUT_LOG
-    mid_hi = math.exp(pl._mid_interpolant(n)(x))
-    som = pl._fermi_sommerfeld(n, np.array([x]))[0]
-    assert abs(mid_hi / som - 1.0) < 1e-8
+
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0])
+def test_paper_orders_match_mpmath(n):
+    x = np.random.default_rng(int(2 * n)).uniform(-30.0, 80.0, 150)
+    z = np.exp(np.concatenate([x, [-1e-9, 0.0, 1e-9, pl.SOMMERFELD_CUT_LOG]]))
+    got = pl.fermi_fn(n, z)
+    ref = np.array([mp_fermi_exact(n, zi) for zi in z])
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+
+
+def test_shipped_f32_table_matches_mpmath():
+    lo, width, coef = pl._FERMI32
+    x = np.random.default_rng(32).uniform(lo, lo + width * len(coef), 300)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.re(-mpmath.polylog(1.5, -mpmath.exp(xi)))) for xi in x])
+    assert np.max(np.abs(pl._piecewise(pl._FERMI32, x) / ref - 1.0)) <= 5e-16
+
+
+def test_paper_orders_run_no_quadrature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("quadrature or interpolant build on a paper order")
+
+    monkeypatch.setattr(pl, "_fermi_quad", refuse)
+    monkeypatch.setattr(pl, "_mid_interpolant", refuse)
+    z = np.exp(np.random.default_rng(7).uniform(-30.0, 700.0, 500))
+    for n in (1.5, 2.0, 3.0, 4.0):
+        assert np.all(np.isfinite(pl.fermi_fn(n, z)))
+        assert np.isfinite(pl.fermi_fn(n, float(z[0])))
 
 
 def test_vectorized_matches_scalar():
@@ -84,7 +123,9 @@ def test_array_call_matches_per_element_bits(n):
     sommerfeld = np.exp(rng.uniform(pl.SOMMERFELD_CUT_LOG, 700.0, 200))
     z = rng.permutation(np.concatenate([series, mid, sommerfeld]))
     assert np.array_equal(pl.fermi_fn(n, z), [pl.fermi_fn(n, float(zi)) for zi in z])
-    assert np.array_equal(pl.bose_fn(n, series), [pl.bose_fn(n, float(zi)) for zi in series])
+    # bose_fn: duplication formula up to 2^(-1/2), Wood's expansion above, zeta(n) at 1
+    bose = rng.permutation(np.concatenate([series, rng.uniform(0.5, 1.0, 200), [1.0]]))
+    assert np.array_equal(pl.bose_fn(n, bose), [pl.bose_fn(n, float(zi)) for zi in bose])
 
 
 def test_domain_errors():
@@ -179,6 +220,15 @@ def test_bose_series_vs_mpmath_seam():
         assert lo == pytest.approx(float(mpmath.polylog(n, 0.4999)), rel=1e-11)
         mid = pl.bose_fn(n, 0.75)
         assert mid == pytest.approx(float(mpmath.polylog(n, 0.75)), rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
+def test_bose_matches_mpmath_below_unit_fugacity(n):
+    z = np.random.default_rng(int(2 * n)).uniform(0.5, 1.0, 300)
+    z = np.concatenate([z, [0.5, 2.0**-0.5, np.nextafter(2.0**-0.5, 1.0), 1.0 - 2.0**-40]])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.polylog(n, mpmath.mpf(zi))) for zi in z])
+    assert np.max(np.abs(pl.bose_fn(n, z) / ref - 1.0)) <= 1e-15
 
 
 def test_bose_domain_errors():
