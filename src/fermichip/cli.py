@@ -429,6 +429,7 @@ def cmd_fit(args) -> int:
             "chi2": fit.chi2,
             "reduced_chi2": fit.reduced_chi2,
             "flags": fit.flags,
+            "diagnostics": fit.diagnostics,
         }
     if len(results) == 2:
         report["chi2_ratio_gauss_over_fd"] = (

@@ -4,6 +4,11 @@ A Fermi-Dirac column-density envelope nests the Boltzmann Gaussian (it reduces
 to it as Z -> 0), so comparing the two fits' chi-squared statistics provides a
 degeneracy signature: at low T/T_F the Gaussian fit leaves a systematic
 center-dip residual while the Fermi-Dirac fit does not.
+
+Both fits are N s(phi), an atom number times a unit-N shape with closed-form
+derivatives in its nonlinear parameters phi. N is solved in closed form at
+every step (variable projection), so least squares searches phi alone with
+the exact Jacobian of the projected residual.
 """
 
 from __future__ import annotations
@@ -106,146 +111,141 @@ class FitResult:
     params: dict                      # N, r_x, r_y, x0, y0 (+ Z, T_over_TF for FD)
     chi2: float                       # sum of squared noise-scaled residuals
     reduced_chi2: float
-    covariance: np.ndarray | None
+    covariance: np.ndarray | None     # over (N, r_x, r_y, x0, y0[, ln Z]); None if singular
     flags: list[str] = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)   # least_squares nfev, njev, status
 
     def __post_init__(self):
         if self.params.get("N", 1.0) <= 0:
             raise ValueError("fitted atom number must be positive")
 
 
-def _gauss_model(theta, xx, yy):
-    n, rx, ry, x0, y0 = theta
-    return n / (2.0 * np.pi * rx * ry) * np.exp(
-        -0.5 * ((xx - x0) / rx) ** 2 - 0.5 * ((yy - y0) / ry) ** 2
-    )
+def _gauss_shape(phi, xx, yy):
+    """Unit-N Gaussian envelope s and ds/dphi over phi = (r_x, r_y, x0, y0)."""
+    rx, ry, x0, y0 = phi
+    u, v = (xx - x0) / rx, (yy - y0) / ry
+    s = np.exp(-0.5 * u * u - 0.5 * v * v) / (2.0 * np.pi * rx * ry)
+    return s, s * np.stack([(u * u - 1.0) / rx, (v * v - 1.0) / ry, u / rx, v / ry])
 
 
-def _fd_model(theta, xx, yy):
-    n, rx, ry, x0, y0, ln_z = theta
+def _fd_shape(phi, xx, yy):
+    """Unit-N Fermi-Dirac envelope f_2(w) / (2 pi r_x r_y f_3(Z)), w = Z e^(-u^2/2 - v^2/2),
+    and ds/dphi over phi = (r_x, r_y, x0, y0, ln Z), from d f_2(w)/d ln w = f_1(w) =
+    ln(1 + w) and d ln f_3(Z)/d ln Z = f_2(Z)/f_3(Z)."""
+    rx, ry, x0, y0, ln_z = phi
     z = math.exp(ln_z)
-    w = z * np.exp(-0.5 * ((xx - x0) / rx) ** 2 - 0.5 * ((yy - y0) / ry) ** 2)
-    return n / (2.0 * np.pi * rx * ry * fermi_fn(3.0, z)) * fermi_fn(2.0, w)
+    u, v = (xx - x0) / rx, (yy - y0) / ry
+    # far wings underflow to w = 0, where fermi_fn is undefined; f_2(w) = w there
+    w = np.maximum(z * np.exp(-0.5 * u * u - 0.5 * v * v), np.finfo(float).tiny)
+    f3 = fermi_fn(3.0, z)
+    c = 1.0 / (2.0 * np.pi * rx * ry * f3)
+    s, f1 = c * fermi_fn(2.0, w), c * np.log1p(w)
+    return s, np.stack([(f1 * u * u - s) / rx, (f1 * v * v - s) / ry, f1 * u / rx,
+                        f1 * v / ry, f1 - s * (fermi_fn(2.0, z) / f3)])
 
 
-def _initial_moments(img: TofImage):
-    xx, yy = img.coordinates()
-    v = np.clip(img.values, 0.0, None)
-    total = v.sum()
-    if total <= 0:
-        raise FitError("image has no positive signal")
-    n0 = total * img.pitch**2
-    x0 = float((v * xx).sum() / total)
-    y0 = float((v * yy).sum() / total)
-    rx = math.sqrt(max(float((v * (xx - x0) ** 2).sum() / total), img.pitch**2))
-    ry = math.sqrt(max(float((v * (yy - y0) ** 2).sum() / total), img.pitch**2))
-    return n0, rx, ry, x0, y0
+def _projected(shape, phi, xx, yy, data, sigma):
+    """Residual (N* s - d)/sigma at the closed-form N* = <s,d>/<s,s> (Golub and
+    Pereyra 1973) on flat pixel arrays, its exact Jacobian in phi, N*, s and ds/dphi."""
+    s, ds = shape(phi, xx, yy)
+    ss = s @ s
+    n = (s @ data) / ss
+    dn = (ds @ data - 2.0 * n * (ds @ s)) / ss
+    return (n * s - data) / sigma, (n * ds + np.outer(dn, s)).T / sigma, n, s, ds
 
 
-def _check_informative(img: TofImage):
+def _covariance(jac, chi2, dof):
+    """(J^T J)^-1 chi2/dof, or None when J^T J with its columns scaled to unit
+    diagonal is singular or has a condition number above 1/eps."""
+    a = jac.T @ jac
+    d = np.sqrt(np.diag(a))
+    if not np.all(d > 0):
+        return None
+    a /= np.outer(d, d)
+    if not np.linalg.cond(a) < 1.0 / np.finfo(float).eps:
+        return None
+    return np.linalg.inv(a) / np.outer(d, d) * (chi2 / dof)
+
+
+def _start(img: TofImage):
+    """Moment estimates of (r_x, r_y, x0, y0) and their bounds; FitError if uninformative."""
     peak = float(np.max(np.abs(img.values)))
     if peak <= 0:
         raise FitError("empty image")
     if int(np.sum(np.abs(img.values) > 0.02 * peak)) < 100:
         raise FitError("fewer than 100 informative pixels")
+    xx, yy = img.coordinates()
+    v = np.clip(img.values, 0.0, None)
+    total = v.sum()
+    if total <= 0:
+        raise FitError("image has no positive signal")
+    x0 = float((v * xx).sum() / total)
+    y0 = float((v * yy).sum() / total)
+    rx = math.sqrt(max(float((v * (xx - x0) ** 2).sum() / total), img.pitch**2))
+    ry = math.sqrt(max(float((v * (yy - y0) ** 2).sum() / total), img.pitch**2))
+    span = img.pitch * max(img.values.shape)
+    lo = [img.pitch * 0.05, img.pitch * 0.05, x0 - span, y0 - span]
+    return [rx, ry, x0, y0], lo, [span * 10, span * 10, x0 + span, y0 + span]
 
 
-def _run_fit(img, model_fn, theta0, bounds, n_params):
+def _run_fit(img, model, shape, phi0, bounds) -> FitResult:
+    """Fit N shape(phi) with N projected out; covariance over (N, phi)."""
     from scipy.optimize import least_squares
 
-    xx, yy = img.coordinates()
-    data = img.values
+    xx, yy = (c.ravel() for c in img.coordinates())
+    data = img.values.ravel()
     sigma = img.noise_rms if img.noise_rms > 0 else 1.0
+    last = {}
 
-    def residuals(theta):
-        return ((model_fn(theta, xx, yy) - data) / sigma).ravel()
+    def evaluate(phi):
+        # least_squares asks for the residual and the Jacobian at the same phi
+        if "phi" not in last or not np.array_equal(last["phi"], phi):
+            last["phi"], last["out"] = phi.copy(), _projected(shape, phi, xx, yy, data, sigma)
+        return last["out"]
 
     res = least_squares(
-        residuals, theta0, bounds=bounds, method="trf",
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000,
+        lambda phi: evaluate(phi)[0], phi0, jac=lambda phi: evaluate(phi)[1],
+        bounds=bounds, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000,
     )
     if not res.success and res.status <= 0:
         raise FitError(f"fit did not converge: {res.message} (status {res.status})")
-    chi2 = float(2.0 * res.cost)
-    dof = data.size - n_params
-    jac = res.jac
-    try:
-        cov = np.linalg.inv(jac.T @ jac) * chi2 / dof
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jac.T @ jac) * chi2 / dof
-    return res, chi2, chi2 / dof, cov
+    resid, _, n, s, ds = evaluate(res.x)
+    if not n > 0:
+        raise FitError(f"fitted atom number {n:.3g} is not positive")
+    chi2 = float(resid @ resid)
+    dof = data.size - len(phi0) - 1
+    cov = _covariance(np.column_stack([s, n * ds.T]) / sigma, chi2, dof)
+    params = {"N": n, **dict(zip(("r_x", "r_y", "x0", "y0", "ln_z"), res.x))}
+    return FitResult(model, params, chi2, chi2 / dof, cov,
+                     [] if cov is not None else ["covariance_singular"],
+                     {"nfev": res.nfev, "njev": res.njev, "status": res.status})
 
 
 def fit_gaussian(img: TofImage) -> FitResult:
     """Least-squares Boltzmann envelope fit over (N, r_x, r_y, x0, y0)."""
-    _check_informative(img)
-    n0, rx, ry, x0, y0 = _initial_moments(img)
-    span = img.pitch * max(img.values.shape)
-    lo = [n0 * 1e-6, img.pitch * 0.05, img.pitch * 0.05, x0 - span, y0 - span]
-    hi = [n0 * 1e6, span * 10, span * 10, x0 + span, y0 + span]
-    res, chi2, red, cov = _run_fit(img, _gauss_model, [n0, rx, ry, x0, y0], (lo, hi), 5)
-    n, rx, ry, x0, y0 = res.x
-    return FitResult(
-        "gaussian",
-        {"N": n, "r_x": rx, "r_y": ry, "x0": x0, "y0": y0},
-        chi2,
-        red,
-        cov,
-    )
+    phi0, lo, hi = _start(img)
+    return _run_fit(img, "gaussian", _gauss_shape, phi0, (lo, hi))
 
 
 def fit_fermi_dirac(img: TofImage) -> FitResult:
     """Least-squares Fermi-Dirac envelope fit over (N, r_x, r_y, x0, y0, ln Z).
 
-    ln Z parameterization keeps the problem conditioned; three perturbed
-    starts avoid the shallow valley in Z.  The fitted Z is converted to
+    One start, ln Z = 1 at the moment estimates. ln Z is bounded to [-30, 30]:
+    a classical image can run it to -30, where the model is the Gaussian to
+    ~1e-13, and is flagged `z_pinned_at_bound`; `z_poorly_constrained` marks a
+    standard error of ln Z above ln 10, or no covariance. Z is converted to
     T/T_F through the number equation.
     """
-    _check_informative(img)
-    n0, rx, ry, x0, y0 = _initial_moments(img)
-    span = img.pitch * max(img.values.shape)
-    lo = [n0 * 1e-6, img.pitch * 0.05, img.pitch * 0.05, x0 - span, y0 - span, -30.0]
-    hi = [n0 * 1e6, span * 10, span * 10, x0 + span, y0 + span, 30.0]
-    best = None
-    for ln_z0 in (-1.0, 1.0, 4.0):
-        try:
-            out = _run_fit(
-                img, _fd_model, [n0, rx, ry, x0, y0, ln_z0], (lo, hi), 6
-            )
-        except FitError:
-            continue
-        if best is None or out[1] < best[1]:
-            best = out
-        # with a known noise scale, a reduced chi^2 at the noise floor cannot
-        # be improved by further starts
-        if img.noise_rms > 0 and best[2] < 1.2:
-            break
-    if best is None:
-        raise FitError("all Fermi-Dirac starts failed to converge")
-    res, chi2, red, cov = best
-    n, rx, ry, x0, y0, ln_z = res.x
+    phi0, lo, hi = _start(img)
+    fit = _run_fit(img, "fermi-dirac", _fd_shape, phi0 + [1.0], (lo + [-30.0], hi + [30.0]))
+    ln_z = fit.params.pop("ln_z")
     z = math.exp(ln_z)
-    flags = []
-    if abs(ln_z - 30.0) < 1e-6 or abs(ln_z + 30.0) < 1e-6:
-        flags.append("z_pinned_at_bound")
-    if cov is not None and math.sqrt(max(cov[5, 5], 0.0)) > math.log(10.0):
-        flags.append("z_poorly_constrained")
-    return FitResult(
-        "fermi-dirac",
-        {
-            "N": n,
-            "r_x": rx,
-            "r_y": ry,
-            "x0": x0,
-            "y0": y0,
-            "Z": z,
-            "T_over_TF": reduced_temperature_from_fugacity(z),
-        },
-        chi2,
-        red,
-        cov,
-        flags,
-    )
+    fit.params.update(Z=z, T_over_TF=reduced_temperature_from_fugacity(z))
+    if abs(abs(ln_z) - 30.0) < 1e-6:
+        fit.flags.append("z_pinned_at_bound")
+    if fit.covariance is None or math.sqrt(max(fit.covariance[5, 5], 0.0)) > math.log(10.0):
+        fit.flags.append("z_poorly_constrained")
+    return fit
 
 
 def apparent_temperature(

@@ -142,6 +142,8 @@ def test_tof_raster_and_fit_roundtrip(tmp_path):
     doc = json.loads(fit_out.read_text())
     assert doc["fermi-dirac"]["params"]["N"] == pytest.approx(4e4, rel=0.05)
     assert doc["chi2_ratio_gauss_over_fd"] > 1.5
+    for model in ("gaussian", "fermi-dirac"):
+        assert set(doc[model]["diagnostics"]) == {"nfev", "njev", "status"}
 
 
 @pytest.mark.parametrize(
