@@ -2,19 +2,18 @@
 
 Finite straight segments (Biot-Savart) plus uniform bias fields.  Every field
 class has one protocol: `field(r, guard=...)` returns B with shape (..., 3),
-`jacobian(r)` returns the exact dB_i/dr_j with shape (..., 3, 3) (closed form
-for a segment, analytic for the Ioffe-Pritchard field), and `gravity`,
-`min_line_distance` and `beyond_chip` describe what else the searches need.
-The wire field is elementwise arithmetic on the x, y, z components, so a
-point's field does not depend on the batch it is evaluated in.
+`derivatives(r)` returns B, J[..., i, j] = d_j B_i and H[..., i, j, k] =
+d_j d_k B_i, and `gravity`, `min_line_distance` and `beyond_chip` describe
+what else the searches need.  Each field is written once, as elementwise
+arithmetic on the x, y, z components, which `field` runs on arrays and
+`derivatives` on forward-mode jets: the derivatives are exact, and a point's
+B, J and H do not depend on the batch it is evaluated in.
 
 On top of the field model: location of the trap minimum (damped Newton on the
 exact gradient J^T B of |B|^2 / 2), bottom field B0, harmonic frequencies per
-spin state, trap depth from an escape-ray search, and a least-squares
-Ioffe-Pritchard parameterization (B0, B', B'') used by the RF-dressing module.
-Gradients of |B| are exact, J^T B / |B|.  Each Hessian takes J^T J exactly and
-the field's own second derivatives from one central difference of the exact
-J, with one step derived from the field, 1e-4 |B| / ||J||_2.
+spin state from the exact Hessian of |B|, trap depth from an escape-ray
+search, and a least-squares Ioffe-Pritchard parameterization (B0, B', B'')
+used by the RF-dressing module.
 
 Positions are in metres, fields in tesla, currents in ampere.
 """
@@ -55,13 +54,92 @@ __all__ = [
 ]
 
 SINGULARITY_GUARD = 1e-6  # m, minimum approach to a segment axis
+# The unguarded field stays finite, but inside this radius |B| falls linearly
+# to 0 on the axis: a false zero that find_minimum refuses to search near.
 _CLAMP = 0.25 * SINGULARITY_GUARD
-_HESSIAN_STEP = 1e-4  # central-difference step, in units of |B| / ||J||_2
 
 
 def _coordinates(r: np.ndarray) -> np.ndarray:
     """x, y, z of the points r (..., 3) as the rows of a contiguous (3, N) array."""
     return np.array(r.reshape(-1, 3).T)
+
+
+def _sym(a, b):
+    """a b^T + b a^T for gradients a, b of shape (3, N)."""
+    return a[:, None] * b[None, :] + b[:, None] * a[None, :]
+
+
+class _Jet:
+    """Value v (N,), gradient g (3, N) and Hessian h (3, 3, N) in the
+    coordinates of N points, carried through a field kernel's elementwise
+    arithmetic (forward mode; Griewank and Walther, Evaluating Derivatives,
+    SIAM 2008); h is the scalar 0 while affine.  Values are computed as on
+    arrays, so B from jets is bit for bit the B of field()."""
+
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v, g, h=0.0):
+        self.v, self.g, self.h = v, g, h
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
+        return _Jet(self.v + other, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
+        return _Jet(self.v - other, self.g, self.h)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(self.v * other, self.g * other, self.h * other)
+        h = _sym(self.g, other.g)
+        if isinstance(other.h, np.ndarray):  # else other is affine
+            h = h + self.v * other.h
+        if isinstance(self.h, np.ndarray):
+            h = h + other.v * self.h
+        return _Jet(self.v * other.v, self.v * other.g + other.v * self.g, h)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # q = a / b from a = q b, differentiated once and twice
+        q = self.v / other.v
+        g = (self.g - q * other.g) / other.v
+        return _Jet(q, g, (self.h - q * other.h - _sym(g, other.g)) / other.v)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # np.sqrt, the np.maximum clamp, and numpy scalars on the left of a jet
+        if ufunc is np.sqrt:
+            v = np.sqrt(self.v)
+            g = self.g / (2.0 * v)
+            return _Jet(v, g, (self.h - _sym(g, g)) / (2.0 * v))
+        if ufunc is np.maximum:  # a clamped value is constant
+            v, free = np.maximum(self.v, inputs[1]), self.v > inputs[1]
+            return _Jet(v, np.where(free, self.g, 0.0), np.where(free, self.h, 0.0))
+        reflected = {np.add: self.__radd__, np.multiply: self.__rmul__}.get(ufunc)
+        return NotImplemented if reflected is None else reflected(inputs[0])
+
+
+def _derivatives(components, r):
+    """B (..., 3), J (..., 3, 3) and H (..., 3, 3, 3) at the points r from the
+    kernel `components(x, y, z)`, B_x, B_y, B_z first, run on coordinate jets."""
+    r = np.asarray(r, dtype=float)
+    x = _coordinates(r)
+    n = x.shape[1]
+    seeds = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n))
+    b = components(*(_Jet(xi, gi) for xi, gi in zip(x, seeds)))[:3]
+    shape = r.shape[:-1]
+    return (
+        np.stack([c.v for c in b], axis=-1).reshape(r.shape),
+        np.stack([c.g for c in b]).transpose(2, 0, 1).reshape(shape + (3, 3)),
+        np.stack([np.broadcast_to(c.h, (3, 3, n)) for c in b])
+        .transpose(3, 0, 1, 2)
+        .reshape(shape + (3, 3, 3)),
+    )
 
 
 class SingularityError(NumericalError, ValueError):
@@ -104,24 +182,6 @@ class WireSegment:
         object.__setattr__(self, "_u", tuple((b - a) / length))
         object.__setattr__(self, "_k", MU_0 * self.current / (4.0 * np.pi))
 
-    def _terms(self, r):
-        """Unit axis u, pa = r - a, pb = r - b, their axial parts, the radial
-        vector rho, and the clamped rho^2, |pa| and |pb|."""
-        r = np.asarray(r, dtype=float)
-        u = np.asarray(self._u)
-        pa = r - np.asarray(self.a)
-        pb = r - np.asarray(self.b)
-        pa_u = pa @ u
-        pb_u = pb @ u
-        rho_vec = pa - pa_u[..., None] * u
-        # Clamp the radial distance at a sub-guard floor: keeps |B| a huge but
-        # finite repulsive wall on the axis instead of overflowing (guarded
-        # evaluations raise before ever getting this close).
-        rho2 = np.maximum(np.sum(rho_vec**2, axis=-1), _CLAMP**2)
-        na = np.maximum(np.linalg.norm(pa, axis=-1), _CLAMP)
-        nb = np.maximum(np.linalg.norm(pb, axis=-1), _CLAMP)
-        return u, pa, pb, pa_u, pb_u, rho_vec, rho2, na, nb
-
     def _axis_terms(self, x, y, z):
         """pa = r - a, its axial part pa.u, the radial vector rho and the
         unclamped rho^2 at the points with coordinate arrays x, y, z."""
@@ -134,11 +194,11 @@ class WireSegment:
 
     def _field_components(self, x, y, z):
         """B_x, B_y, B_z = factor (u x rho) and the unclamped rho^2 at the
-        points with coordinate arrays x, y, z.
+        points with coordinates x, y, z (arrays or jets).
 
         Elementwise arithmetic on the components only (no matmul, whose
         rounding depends on the batch), so a point's field is the same
-        whatever else is evaluated with it; clamped as in _terms.
+        whatever else is evaluated with it; rho, |pa| and |pb| are clamped.
         """
         (pax, pay, paz), pa_u, (rx, ry, rz), rho2 = self._axis_terms(x, y, z)
         bx, by, bz = self.b
@@ -160,31 +220,6 @@ class WireSegment:
         bx, by, bz, _ = self._field_components(*_coordinates(r))
         return np.stack([bx, by, bz], axis=-1).reshape(r.shape)
 
-    def jacobian(self, r: np.ndarray) -> np.ndarray:
-        """dB_i/dr_j of B = factor (u x rho), shape (..., 3, 3).
-
-        factor = k (pa.u/|pa| - pb.u/|pb|) / rho^2; a clamped quantity has zero
-        derivative, as in field().
-        """
-        u, pa, pb, pa_u, pb_u, rho_vec, rho2, na, nb = self._terms(r)
-        k = self._k
-        g = pa_u / na - pb_u / nb
-        # grad(p.u / |p|) = u / |p| - (p.u) p / |p|^3
-        grad_g = (
-            u * (1.0 / na - 1.0 / nb)[..., None]
-            - np.where(na > _CLAMP, pa_u / na**3, 0.0)[..., None] * pa
-            + np.where(nb > _CLAMP, pb_u / nb**3, 0.0)[..., None] * pb
-        )
-        grad_rho2 = 2.0 * (rho2 > _CLAMP**2)[..., None] * rho_vec
-        factor = k * g / rho2
-        grad_factor = k * (grad_g / rho2[..., None] - (g / rho2**2)[..., None] * grad_rho2)
-        direction = np.cross(np.broadcast_to(u, rho_vec.shape), rho_vec)
-        # d(u x rho)/dr = [u x], the cross-product matrix of u (u x u = 0)
-        return (
-            direction[..., :, None] * grad_factor[..., None, :]
-            + factor[..., None, None] * np.cross(np.eye(3), u)
-        )
-
     def translated(self, offset) -> "WireSegment":
         off = np.asarray(offset, dtype=float)
         return WireSegment(tuple(np.asarray(self.a) + off), tuple(np.asarray(self.b) + off), self.current)
@@ -204,36 +239,29 @@ class FieldModel:
     gravity: tuple[float, float, float] | None = None
     chip_plane: tuple[tuple[float, float, float], float] | None = None
 
+    def _components(self, x, y, z):
+        """B_x, B_y, B_z at the coordinates x, y, z (arrays or jets, to whose
+        shape x * 0.0 lifts the bias) and the squared distances to each axis."""
+        bx, by, bz = (x * 0.0 + c for c in self.bias)
+        rho2 = []
+        for seg in self.segments:
+            dbx, dby, dbz, seg_rho2 = seg._field_components(x, y, z)
+            bx, by, bz = bx + dbx, by + dby, bz + dbz
+            rho2.append(seg_rho2)
+        return bx, by, bz, rho2
+
     def field(self, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        b, dist = self._field_and_distance(r)
-        if guard > 0 and np.any(dist < guard):
+        bx, by, bz, rho2 = self._components(*_coordinates(r))
+        if guard > 0 and any(np.any(np.sqrt(d) < guard) for d in rho2):
             raise SingularityError(
                 f"field evaluated within {guard*1e6:.3g} um of a wire axis"
             )
-        return b
+        return np.stack([bx, by, bz], axis=-1).reshape(r.shape)
 
-    def _field_and_distance(self, r):
-        """B at r and the distance from each point to the nearest segment
-        axis, in one pass over the segments."""
-        x, y, z = _coordinates(r)
-        bx, by, bz = (np.full(x.shape, c) for c in self.bias)
-        rho2 = np.full(x.shape, np.inf)
-        for seg in self.segments:
-            dbx, dby, dbz, seg_rho2 = seg._field_components(x, y, z)
-            bx += dbx
-            by += dby
-            bz += dbz
-            np.minimum(rho2, seg_rho2, out=rho2)
-        return np.stack([bx, by, bz], axis=-1).reshape(r.shape), np.sqrt(rho2).reshape(r.shape[:-1])
-
-    def jacobian(self, r) -> np.ndarray:
-        """dB_i/dr_j, shape (..., 3, 3): the sum over segments (the bias is uniform)."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape + (3,))
-        for seg in self.segments:
-            out += seg.jacobian(r)
-        return out
+    def derivatives(self, r):
+        """B (..., 3), dB_i/dr_j (..., 3, 3) and d_j d_k B_i (..., 3, 3, 3)."""
+        return _derivatives(self._components, r)
 
     def min_line_distance(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -293,55 +321,39 @@ class AnalyticIPField(WireFreeField):
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     axes: np.ndarray | None = None
 
-    def _local(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float) - np.asarray(self.center, dtype=float)
-        if self.axes is not None:
-            r = r @ np.asarray(self.axes, dtype=float)
-        return r
+    def _components(self, x, y, z):
+        """B_x, B_y, B_z at the coordinates x, y, z (arrays or jets): the local
+        coordinates are (r - center) @ axes, and B = axes @ B_local."""
+        a = np.eye(3) if self.axes is None else np.asarray(self.axes, dtype=float)
+        dx, dy, dz = x - self.center[0], y - self.center[1], z - self.center[2]
+        lx, ly, lz = (dx * a[0, j] + dy * a[1, j] + dz * a[2, j] for j in range(3))
+        bp, c = self.b_prime, 0.5 * self.b_double_prime
+        bl = (
+            bp * lx - c * lx * ly,
+            self.b0 + c * (ly * ly - 0.5 * (lx * lx + lz * lz)),
+            -bp * lz - c * ly * lz,
+        )
+        return tuple(bl[0] * a[i, 0] + bl[1] * a[i, 1] + bl[2] * a[i, 2] for i in range(3))
 
     def field(self, r, guard: float = 0.0) -> np.ndarray:
-        x, y, z = np.moveaxis(self._local(r), -1, 0)
-        bp, bpp = self.b_prime, self.b_double_prime
-        bx = bp * x - 0.5 * bpp * x * y
-        bz = -bp * z - 0.5 * bpp * y * z
-        by = self.b0 + 0.5 * bpp * (y**2 - 0.5 * (x**2 + z**2))
-        out = np.stack([bx, by, bz], axis=-1)
-        if self.axes is not None:
-            out = out @ np.asarray(self.axes, dtype=float).T
-        return out
+        r = np.asarray(r, dtype=float)
+        return np.stack(self._components(*_coordinates(r)), axis=-1).reshape(r.shape)
 
-    def jacobian(self, r) -> np.ndarray:
-        """dB_i/dr_j = A J_local A^T, shape (..., 3, 3), with A = axes."""
-        x, y, z = np.moveaxis(self._local(r), -1, 0)
-        bp, c = self.b_prime, 0.5 * self.b_double_prime
-        zero = np.zeros_like(x)
-        out = np.stack(
-            [
-                np.stack([bp - c * y, -c * x, zero], axis=-1),
-                np.stack([-c * x, 2.0 * c * y, -c * z], axis=-1),
-                np.stack([zero, -c * z, -bp - c * y], axis=-1),
-            ],
-            axis=-2,
-        )
-        if self.axes is not None:
-            axes = np.asarray(self.axes, dtype=float)
-            out = axes @ out @ axes.T
-        return out
+    def derivatives(self, r):
+        """B (..., 3), dB_i/dr_j (..., 3, 3) and d_j d_k B_i (..., 3, 3, 3)."""
+        return _derivatives(self._components, r)
 
 
 @dataclass
 class CallableField(WireFreeField):
-    """Adapter giving an r -> B callable and its r -> dB/dr callable
-    (shape (..., 3, 3), dB_i/dr_j) the field protocol."""
+    """Adapter giving the field protocol to an r -> B callable `fn` and an
+    r -> (B, J, H) callable `derivatives`."""
 
     fn: object
-    jac: object
+    derivatives: object
 
     def field(self, r, guard: float = 0.0) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(r, dtype=float)), dtype=float)
-
-    def jacobian(self, r) -> np.ndarray:
-        return np.asarray(self.jac(np.asarray(r, dtype=float)), dtype=float)
 
 
 def potential(model, state: SpinState, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
@@ -353,37 +365,24 @@ def potential(model, state: SpinState, r, guard: float = SINGULARITY_GUARD) -> n
     return u
 
 
-def _square_hessian(model, r0, b, jac, h: float) -> np.ndarray:
-    """Hessian of |B|^2 / 2 at r0, J^T J + sum_i B_i grad^2 B_i.
-
-    The second term is one central difference of the exact J^T B over
-    r0 +- h along each axis (one batch), with B held at its value b at r0.
-    Differencing J rather than the gradient of |B| keeps the truncation error
-    on the length over which the field itself changes, not the much shorter
-    one over which |B| bends near a field minimum.
-    """
-    d = model.jacobian(r0 + h * np.concatenate([np.eye(3), -np.eye(3)]))
-    t = np.einsum("i,kij->kj", b, d[:3] - d[3:]) / (2.0 * h)
-    return jac.T @ jac + 0.5 * (t + t.T)
+def _square_hessian(b, jac, hess) -> np.ndarray:
+    """Hessian of |B|^2 / 2 from B, J and H at one point: J^T J + sum_i B_i H_i."""
+    return jac.T @ jac + np.einsum("i,ijk->jk", b, hess)
 
 
-def _step(b, jac, field_scale: float = 0.0) -> float:
-    """Hessian step _HESSIAN_STEP * |B| / ||J||_2; at a trap minimum
-    |B| / ||J||_2 is the Ioffe-Pritchard length B0/B'.  `field_scale`
-    stands in for |B| where the field is weaker."""
-    j_norm = float(np.linalg.norm(jac, 2))
-    if j_norm == 0.0:
-        raise NotATrapError("the field is uniform here, so |B| has no curvature")
-    return _HESSIAN_STEP * max(float(np.linalg.norm(b)), field_scale) / j_norm
-
-
-def _norm_hessian(model, r0, b, jac) -> np.ndarray:
-    """Hessian of |B| at r0 from the field b and Jacobian jac there."""
+def _norm_hessian(r0, b, jac, hess) -> np.ndarray:
+    """Hessian of |B| at r0 from B, J and H there."""
     b0 = float(np.linalg.norm(b))
     if b0 == 0.0:
         raise NotATrapError(f"the field vanishes at {r0}, where |B| has no Hessian")
     grad = jac.T @ b / b0
-    return (_square_hessian(model, r0, b, jac, _step(b, jac)) - np.outer(grad, grad)) / b0
+    return (_square_hessian(b, jac, hess) - np.outer(grad, grad)) / b0
+
+
+def _check_guard(model, x) -> None:
+    dist = float(model.min_line_distance(x))
+    if dist < SINGULARITY_GUARD:
+        raise SingularityError(f"minimum search at {x} m is {dist*1e6:.3g} um from a wire axis")
 
 
 @dataclass(frozen=True)
@@ -396,38 +395,38 @@ class TrapMinimum:
 
 def _newton(model, x, zero_field_tol: float):
     """Damped Newton iteration on |B|^2 / 2 from x; returns the last point
-    with B, J and the exact gradient J^T B there."""
-
-    def evaluate(r):
-        b = model.field(r, guard=0.0)
-        jac = model.jacobian(r)
-        return b, jac, jac.T @ b
-
-    b, jac, g = evaluate(x)
+    with B, J and H there."""
+    _check_guard(model, x)
+    b, jac, hess = model.derivatives(x)
     previous = np.inf
     for _ in range(100):
-        # this Hessian only sets the Newton rate, so a zero-field point may
-        # take the zero-field tolerance as its field scale
-        h = _step(b, jac, zero_field_tol)
-        lam, vec = np.linalg.eigh(_square_hessian(model, x, b, jac, h))
+        g = jac.T @ b
+        j_norm = float(np.linalg.norm(jac, 2))
+        if j_norm == 0.0:
+            raise NotATrapError("the field is uniform here, so |B| has no curvature")
+        # steps shorter than this are round-off; at a trap minimum |B| / ||J||_2
+        # is the IP length B0/B', and a zero field takes zero_field_tol for |B|
+        round_off = 1e-4 * max(float(np.linalg.norm(b)), zero_field_tol) / j_norm
+        lam, vec = np.linalg.eigh(_square_hessian(b, jac, hess))
         with np.errstate(divide="ignore", invalid="ignore"):
             step = vec @ ((vec.T @ g) / np.abs(lam))
         length = float(np.linalg.norm(step))
-        # within h of the minimum Newton converges quadratically, so a step
-        # shorter than h that does not halve the one before is round-off
-        if not 0.0 < length < np.inf or 0.5 * previous < length < h:
+        # Newton converges quadratically: a short step not halving the last is round-off
+        if not 0.0 < length < np.inf or 0.5 * previous < length < round_off:
             break
         scale = 1.0
         while True:
-            bt, jt, gt = evaluate(x - scale * step)
-            if bt @ bt <= b @ b or np.linalg.norm(gt) < np.linalg.norm(g):
+            bt, jt, ht = model.derivatives(x - scale * step)
+            if bt @ bt <= b @ b or np.linalg.norm(jt.T @ bt) < np.linalg.norm(g):
                 break
             scale *= 0.5
-            if scale * length < h:
-                return x, b, jac, g  # nothing better at least h away
-        x, b, jac, g = x - scale * step, bt, jt, gt
+            if scale * length < round_off:
+                return x, b, jac, hess  # nothing better a round-off length away
+        x = x - scale * step
+        _check_guard(model, x)
+        b, jac, hess = bt, jt, ht
         previous = scale * length
-    return x, b, jac, g
+    return x, b, jac, hess
 
 
 def find_minimum(
@@ -442,25 +441,26 @@ def find_minimum(
     |B|^2 / 2, which stays smooth through zero-field minima.  The Hessian's
     eigenvalues are taken in absolute value, so every step points downhill in
     |B|^2; a trial step is accepted when |B|^2 does not rise or
-    |grad |B|^2| falls, else halved down to the Hessian step h.  The
-    iteration ends when a step shorter than h no longer halves the one
-    before (the round-off floor).  Raises ConvergenceError if
+    |grad |B|^2| falls, else halved down to the round-off length
+    1e-4 |B| / ||J||_2.  The iteration ends when a shorter step no longer
+    halves the one before.  Raises SingularityError if the seed or a step
+    lies within SINGULARITY_GUARD of a wire axis, ConvergenceError if
     |grad |B|| > grad_tol there, SaddlePointError if the Hessian of |B| is
     indefinite and NotATrapError if the field is uniform.
     """
-    x, b, jac, g = _newton(model, np.array(seed, dtype=float), zero_field_tol)
+    x, b, jac, hess = _newton(model, np.array(seed, dtype=float), zero_field_tol)
     b0 = float(np.linalg.norm(b))
     zero = b0 < zero_field_tol
     if zero:
         grad_norm = float("nan")
     else:
-        grad_norm = float(np.linalg.norm(g)) / b0
+        grad_norm = float(np.linalg.norm(jac.T @ b)) / b0
         if grad_norm > grad_tol:
             raise ConvergenceError(
                 f"|grad |B|| = {grad_norm:.3e} T/m exceeds tolerance {grad_tol:.1e}; "
                 f"bracket state: position {x}, B0 = {b0:.6e} T"
             )
-        eigs = np.linalg.eigvalsh(_norm_hessian(model, x, b, jac))
+        eigs = np.linalg.eigvalsh(_norm_hessian(x, b, jac, hess))
         scale = max(abs(eigs).max(), 1e-30)
         if eigs.min() < -1e-6 * scale:
             raise SaddlePointError(
@@ -479,11 +479,11 @@ def trap_frequencies(model, state: SpinState, r0) -> TrapFrequencies:
     """Harmonic frequencies sqrt(eigenvalues(Hessian U)/M) at the minimum r0.
 
     Gravity is linear in r, so the Hessian of U is the magnetic moment times
-    the Hessian of |B|, built from the exact J and one central difference of
-    it.  Raises NotATrapError on a non-positive eigenvalue.
+    the Hessian of |B|, from one evaluation of B, J and H.  Raises
+    NotATrapError on a non-positive eigenvalue.
     """
     r0 = np.asarray(r0, dtype=float)
-    hess = _norm_hessian(model, r0, model.field(r0, guard=0.0), model.jacobian(r0))
+    hess = _norm_hessian(r0, *model.derivatives(r0))
     lam, vec = np.linalg.eigh(magnetic_moment(state) * hess)
     if lam.min() <= 0:
         raise NotATrapError(f"potential Hessian eigenvalues {lam} include a non-positive value")
@@ -639,14 +639,13 @@ def ip_fit(model, r0, residual_threshold: float = 0.01) -> IPTrapParams:
     residual_threshold * B0.
     """
     r0 = np.asarray(r0, dtype=float)
-    b = model.field(r0, guard=0.0)
-    jac = model.jacobian(r0)
+    b, jac, hess = model.derivatives(r0)
     b0 = float(np.linalg.norm(b))
     # at the minimum J has the eigenvalues (-B', 0, B'), so ||J||_2 = B'
     bp_est = float(np.linalg.norm(jac, 2))
     if b0 == 0 or bp_est < 1e-6:
         return IPTrapParams(b0, 0.0, 0.0, r0, np.eye(3), 0.0, transverse_trapping=False)
-    _, vec = np.linalg.eigh(_norm_hessian(model, r0, b, jac))
+    _, vec = np.linalg.eigh(_norm_hessian(r0, b, jac, hess))
     # soft (longitudinal) axis first eigenvalue; transverse are the two stiff ones
     soft_axis = vec[:, 0]
     trans_axes = [vec[:, 1], vec[:, 2]]

@@ -193,6 +193,15 @@ def test_trap_unknown_geometry(tmp_path):
     assert run(["trap", "--geometry", "no-such-trap"]) == cli.EXIT_CONFIG
 
 
+def test_trap_seed_on_wire_axis_exits_3(capsys):
+    # the origin lies on the axis of the z-trap's central wire
+    code = run(["trap", "--geometry", "toronto-z-trap", "--species", "K40", "--seed-um", "0,0,0"])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "from a wire axis" in err
+    assert "Traceback" not in err
+
+
 def test_dress_preset(tmp_path):
     prefix = tmp_path / "dw"
     code = run(["dress", "--preset", "rb-doublewell", "--out-prefix", prefix,

@@ -40,7 +40,7 @@ def benchmark_ip(b0_gauss=1.214, f_perp=1230.0, f_axial=13.7):
 
 
 def counting(base):
-    """Subclass of a field class that counts its field and Jacobian evaluations."""
+    """Subclass of a field class that counts its field and derivative evaluations."""
 
     class Counting(base):
         evaluations = 0
@@ -49,9 +49,9 @@ def counting(base):
             self.evaluations += 1
             return super().field(r, **kwargs)
 
-        def jacobian(self, r):
+        def derivatives(self, r):
             self.evaluations += 1
-            return super().jacobian(r)
+            return super().derivatives(r)
 
     return Counting
 
@@ -64,6 +64,16 @@ def central_jacobian(model, pt, h):
         e[j] = h
         jac[:, j] = (model.field(pt + e) - model.field(pt - e)) / (2 * h)
     return jac
+
+
+def central_hessian(model, pt, h):
+    """d_j d_k B_i by central differences of the exact Jacobian."""
+    hess = np.empty((3, 3, 3))
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        hess[:, :, k] = (model.derivatives(pt + e)[1] - model.derivatives(pt - e)[1]) / (2 * h)
+    return hess
 
 
 def assert_div_and_curl_free(jac):
@@ -134,6 +144,12 @@ def test_field_independent_of_batch(name):
     assert np.array_equal(batch, [model.field(p, guard=0.0) for p in pts])
     dist = model.min_line_distance(pts)
     assert np.array_equal(dist, [model.min_line_distance(p) for p in pts])
+    # so are B, J and H from the jets, and their B is field()'s B
+    b, jac, hess = model.derivatives(pts[:300])
+    assert np.array_equal(b, batch[:300])
+    alone = [model.derivatives(p) for p in pts[:300]]
+    assert np.array_equal(jac, [d[1] for d in alone])
+    assert np.array_equal(hess, [d[2] for d in alone])
 
 
 def test_maxwell_free_space(z_trap):
@@ -153,17 +169,23 @@ def test_maxwell_free_space(z_trap):
 def test_jacobian_matches_central_difference(name):
     model, seed = tf.load_geometry(geometry_path(name))
     pts = seed + np.random.default_rng(12).uniform(-50e-6, 50e-6, (5, 3))
-    jac = model.jacobian(pts)
-    assert jac.shape == (5, 3, 3)
+    _, jac, hess = model.derivatives(pts)
+    assert jac.shape == (5, 3, 3) and hess.shape == (5, 3, 3, 3)
     assert_div_and_curl_free(jac)
-    for pt, exact in zip(pts, jac):
-        gap = [
-            np.linalg.norm(central_jacobian(model, pt, h) - exact) / np.linalg.norm(exact)
-            for h in (5e-8, 2.5e-8)
-        ]
-        assert gap[0] < 1e-6
-        # the O(h^2) truncation error of the difference, not a mismatch, is what remains
-        assert gap[0] / gap[1] == pytest.approx(4.0, rel=0.1)
+    for pt, exact, exact_h in zip(pts, jac, hess):
+        # J against differences of B, and H against differences of the exact J;
+        # H is one order higher, with twice J's truncation error at one step
+        for difference, value, steps in (
+            (central_jacobian, exact, (5e-8, 2.5e-8)),
+            (central_hessian, exact_h, (2.5e-8, 1.25e-8)),
+        ):
+            gap = [
+                np.linalg.norm(difference(model, pt, h) - value) / np.linalg.norm(value)
+                for h in steps
+            ]
+            assert gap[0] < 1e-6
+            # the O(h^2) truncation error of the difference, not a mismatch, is what remains
+            assert gap[0] / gap[1] == pytest.approx(4.0, rel=0.1)
 
 
 def test_analytic_ip_jacobian_rotated_axes():
@@ -171,13 +193,22 @@ def test_analytic_ip_jacobian_rotated_axes():
     q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     rotated = tf.AnalyticIPField(ip.b0, ip.b_prime, ip.b_double_prime, (1e-4, -2e-4, 3e-4), q)
     pts = np.array(rotated.center) + np.random.default_rng(4).uniform(-20e-6, 20e-6, (5, 3))
-    jac = rotated.jacobian(pts)
+    _, jac, hess = rotated.derivatives(pts)
     assert jac.shape == (5, 3, 3)
     assert_div_and_curl_free(jac)
     for pt, exact in zip(pts, jac):
         # the field is quadratic, so the central difference is exact up to rounding
         fd = central_jacobian(rotated, pt, 1e-7)
         assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) < 1e-6
+    # H is constant: the local second derivatives -c, 2c, -c on the diagonal of
+    # B_y and -c at (x, y) of B_x and (y, z) of B_z, c = B''/2, rotated by q
+    c = 0.5 * ip.b_double_prime
+    local = np.zeros((3, 3, 3))
+    local[0, 0, 1] = local[0, 1, 0] = local[2, 1, 2] = local[2, 2, 1] = -c
+    local[1] = np.diag([-c, 2 * c, -c])
+    closed = np.einsum("ia,jb,kc,abc->ijk", q, q, q, local)
+    for h in hess:
+        assert np.abs(h - closed).max() < 1e-12 * np.abs(closed).max()
 
 
 # -- minima --------------------------------------------------------------------------
@@ -199,9 +230,15 @@ def test_find_minimum_split_trap_b0(split_trap):
     assert m.grad_norm < 1e-10
 
 
-def test_find_minimum_science_trap(z_minimum):
+def test_find_minimum_science_trap(z_trap, z_minimum):
     assert z_minimum.b0 / C.GAUSS == pytest.approx(2.6, abs=1e-4)
     assert z_minimum.grad_norm < 1e-10
+    # B, J and H at the shipped seed, then one evaluation per Newton step:
+    # 4 evaluations in all when this was written
+    model, seed = z_trap
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    tf.find_minimum(counted, seed)
+    assert counted.evaluations <= 4
 
 
 def test_zero_minimum_flagged():
@@ -216,6 +253,17 @@ def test_zero_minimum_flagged():
     m = tf.find_minimum(model, np.array([0.0, 1e-5, 0.9 * d]))
     assert m.zero_minimum
     assert m.b0 < 1e-9
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-8, 1e-7])
+def test_find_minimum_refuses_seed_on_wire_axis(z_trap, offset):
+    # inside the clamp radius |B| falls to 0 on the axis, a false field zero
+    # a search would run to; a seed within the guard of an axis is refused
+    model, _ = z_trap
+    seg = model.segments[0]  # runs along x
+    seed = 0.5 * (np.asarray(seg.a) + np.asarray(seg.b)) + np.array([0.0, 0.0, offset])
+    with pytest.raises(tf.SingularityError, match="from a wire axis"):
+        tf.find_minimum(model, seed)
 
 
 def test_uniform_field_not_a_trap():
@@ -296,11 +344,45 @@ def test_frequencies_analytic_ip_against_closed_form(rb22):
 
 def test_frequencies_science_trap(z_trap, z_minimum, k92):
     model, _ = z_trap
-    freqs = tf.trap_frequencies(model, k92, z_minimum.position)
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    freqs = tf.trap_frequencies(counted, k92, z_minimum.position)
+    assert counted.evaluations == 1  # B, J and H at r0
     f = np.sort(freqs.omega) / (2 * math.pi)
     assert f[0] == pytest.approx(46.0, rel=0.05)
     assert f[1] == pytest.approx(823.0, rel=0.02)
     assert f[2] == pytest.approx(823.0, rel=0.02)
+
+
+# from scripts/trap_reference.py: the 40-digit Hanson-Hirshman field of each
+# shipped geometry, minimum by Newton, Hessian by mpmath.diff
+TRAP_REFERENCE = {
+    "toronto_z_trap": (
+        2.6000000655554234483,
+        {
+            "K40": (46.000244886792794248, 817.30063079029609576, 828.7391263403411788),
+            "Rb87": (31.193333116187495495, 554.22163284247192733, 561.97821768063280857),
+        },
+    ),
+    "toronto_split_trap": (
+        1.2139999992473481235,
+        {
+            "K40": (20.203374552643101899, 1810.8196980222319197, 1816.9029673022898767),
+            "Rb87": (13.700157337045885908, 1227.9391597321511719, 1232.0642996211955346),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAP_REFERENCE))
+def test_frequencies_match_reference(name, registry):
+    model, seed = tf.load_geometry(geometry_path(name))
+    m = tf.find_minimum(model, seed)
+    b0_gauss, frequencies = TRAP_REFERENCE[name]
+    assert m.b0 / C.GAUSS == pytest.approx(b0_gauss, rel=1e-14)
+    for species, expected in frequencies.items():
+        state = registry.stretched_state(species)
+        f = np.sort(tf.trap_frequencies(model, state, m.position).omega) / (2 * math.pi)
+        assert f == pytest.approx(expected, rel=1e-12)
 
 
 def test_frequencies_scale_with_current(z_trap, z_minimum, k92):
@@ -408,15 +490,19 @@ def test_depth_excludes_unbounded_rays(k92):
         by = b0 * (1.0 + bump * u * u * np.exp(-(u * u)))
         return np.stack([b_prime * x, by, -b_prime * z], axis=-1)
 
-    def jacobian(r):
+    def derivatives(r):
         u = r[..., 1] / length
-        out = np.zeros(r.shape + (3,))
-        out[..., 0, 0] = b_prime
-        out[..., 1, 1] = b0 * bump * 2.0 * u * (1.0 - u * u) * np.exp(-(u * u)) / length
-        out[..., 2, 2] = -b_prime
-        return out
+        jac = np.zeros(r.shape + (3,))
+        jac[..., 0, 0] = b_prime
+        jac[..., 1, 1] = b0 * bump * 2.0 * u * (1.0 - u * u) * np.exp(-(u * u)) / length
+        jac[..., 2, 2] = -b_prime
+        hess = np.zeros(r.shape + (3, 3))
+        hess[..., 1, 1, 1] = (
+            b0 * bump * 2.0 * (1.0 - 5.0 * u * u + 2.0 * u**4) * np.exp(-(u * u)) / length**2
+        )
+        return field(r), jac, hess
 
-    model = tf.CallableField(field, jacobian)
+    model = tf.CallableField(field, derivatives)
     report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3)
     expected = C.magnetic_moment(k92) * b0 * bump * math.exp(-1.0)
     assert report.depth == pytest.approx(expected, rel=0.01)
@@ -438,11 +524,11 @@ def test_ip_fit_recovers_synthetic_parameters():
 
 
 def test_ip_fit_profiles_in_one_field_call(z_trap, z_minimum):
-    # B and J at r0, one batched J for the Hessian, one batch for the three profiles
+    # B, J and H at r0, then one batch for the three profiles
     model, _ = z_trap
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
     tf.ip_fit(counted, z_minimum.position)
-    assert counted.evaluations == 4
+    assert counted.evaluations == 2
 
 
 def test_ip_fit_frequency_inversion():
@@ -480,13 +566,15 @@ def test_ip_fit_warns_on_poor_profile():
         bx = b_prime * x * (1.0 + (x / scale) ** 2)
         return np.stack([bx, np.full_like(bx, b0), np.zeros_like(bx)], axis=-1)
 
-    def jacobian(r):
-        out = np.zeros(r.shape + (3,))
-        out[..., 0, 0] = b_prime * (1.0 + 3.0 * (r[..., 0] / scale) ** 2)
-        return out
+    def derivatives(r):
+        jac = np.zeros(r.shape + (3,))
+        jac[..., 0, 0] = b_prime * (1.0 + 3.0 * (r[..., 0] / scale) ** 2)
+        hess = np.zeros(r.shape + (3, 3))
+        hess[..., 0, 0, 0] = 6.0 * b_prime * r[..., 0] / scale**2
+        return field(r), jac, hess
 
     with pytest.warns(tf.PoorFitWarning):
-        tf.ip_fit(tf.CallableField(field, jacobian), np.zeros(3))
+        tf.ip_fit(tf.CallableField(field, derivatives), np.zeros(3))
 
 
 # -- geometry files ----------------------------------------------------------------------
