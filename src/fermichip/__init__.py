@@ -3,8 +3,10 @@ time-of-flight profiles, wire-trap magnetostatics, RF-dressed potentials,
 evaporation design rules and profile fitting.
 
 Submodules load on first access (`fermichip.thermo`, `from fermichip import
-trapfield`), so a command that needs only the wire-trap code never imports
-scipy.
+trapfield`), so a command imports only what it uses.  Only `imagefit` (the
+envelope fits, through `scipy.optimize`) needs scipy; the Fermi functions,
+thermodynamics, density profiles, wire traps, RF dressing and evaporation rules
+are numpy and the standard library alone.
 """
 
 import importlib

@@ -343,7 +343,7 @@ def scaling_rows():
 
 def numerics_rows():
     # polylog seams: z = 1 for the integer orders; the ends and piece boundaries
-    # of the 3/2 table; series, interpolant and Sommerfeld for n = 1/2
+    # of the shipped tables for n = 1/2 and 3/2
     seam = max(
         abs(below / above - 1.0)
         for n in (0.5, 1.5, 2.0, 3.0, 4.0)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 benchmark-table failure (paper-check), 2 bad
 configuration or arguments, 3 numerical failure: any `constants.NumericalError`
-(quadrature, fugacity, field, dressing and fit failures) or a singular matrix.
+(fugacity, field, dressing and fit failures) or a singular matrix.
 JSON artifacts are written deterministically (sorted keys, floats at 17
 significant digits) so identical configurations produce byte-identical output.
 

@@ -52,7 +52,7 @@ MHZ = 1e6                # Hz
 
 
 class NumericalError(RuntimeError):
-    """A solver, quadrature, fit or field evaluation failed on valid input.
+    """A solver, fit or field evaluation failed on valid input.
 
     Every module's solver errors derive from this class, so a caller (the CLI's
     exit code 3) can catch them all without importing the modules that raise them.

@@ -75,8 +75,12 @@ class RFField:
     reference_distance: float | None = None
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("RF amplitude must be nonnegative")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"RF amplitude must be nonnegative and finite, got {self.amplitude} T")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(
+                f"RF angular frequency must be positive and finite, got {self.omega} rad/s"
+            )
         p = np.asarray(self.polarization, dtype=float)
         self.polarization = tuple(p / np.linalg.norm(p))
 
@@ -192,6 +196,8 @@ def dressed_potential(
     sweep.  Raises RWAViolationError when B_RF >= B_DC anywhere on the scan
     and warns above 0.3 B_DC.
     """
+    if npoints < 3:
+        raise ValueError(f"the scan needs at least 3 points (--points), got {npoints}")
     center = np.asarray(center, dtype=float)
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)

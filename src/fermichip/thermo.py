@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .constants import HBAR, K_B, NumericalError, SpinState, thermal_wavelength
 from .polylog import bose_fn, fermi_fn
@@ -49,6 +48,13 @@ _NEWTON_MAXITER = 100
 _NEWTON_YTOL = 1e-8
 
 
+def _expit(x):
+    """The logistic function by scipy.special.expit's formula 1 / (1 + exp(-x));
+    where exp(-x) overflows to inf it is 0, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 class FugacityError(NumericalError):
     """The root find for the fugacity at a reduced temperature failed."""
 
@@ -63,8 +69,9 @@ class HarmonicTrap:
     trap_depth: float | None = None  # J, optional
 
     def __post_init__(self):
-        if min(self.omega_x, self.omega_y, self.omega_z) <= 0:
-            raise ValueError("all trap frequencies must be positive")
+        omegas = (self.omega_x, self.omega_y, self.omega_z)
+        if not all(math.isfinite(w) and w > 0 for w in omegas):
+            raise ValueError(f"trap frequencies must be positive and finite, got {omegas} rad/s")
 
     @classmethod
     def from_frequencies_hz(cls, fx, fy, fz, trap_depth=None):
@@ -90,13 +97,17 @@ def occupation(epsilon, mu, temperature):
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     beta = 1.0 / (K_B * temperature)
-    return expit(-beta * (np.asarray(epsilon, dtype=float) - mu))
+    return _expit(-beta * (np.asarray(epsilon, dtype=float) - mu))
+
+
+def _check_atom_number(n_atoms: float) -> None:
+    if not (math.isfinite(n_atoms) and n_atoms >= 1):
+        raise ValueError(f"atom number must be finite and at least 1, got {n_atoms}")
 
 
 def fermi_energy(n_atoms: float, trap: HarmonicTrap) -> float:
     """E_F = hbar wbar (6 N)^(1/3) in J."""
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
+    _check_atom_number(n_atoms)
     return HBAR * trap.omega_bar * (6.0 * n_atoms) ** (1.0 / 3.0)
 
 
@@ -189,10 +200,9 @@ class TrappedGasState:
     temperature: float  # K
 
     def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ValueError("need at least one atom")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        _check_atom_number(self.n_atoms)
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature} K")
 
     @property
     def mass(self) -> float:
@@ -294,7 +304,7 @@ def discrete_sum_oracle(
     zero_point = 0.5 * HBAR * float(omegas.sum()) if include_zero_point else 0.0
 
     e_top = HBAR * float(omegas.min()) * cutoff + zero_point
-    occ_top = float(expit(-beta * (e_top - mu)))
+    occ_top = float(_expit(-beta * (e_top - mu)))
     if occ_top >= 1e-12:
         raise ValueError(
             f"cutoff too small: occupancy at the cutoff shell is {occ_top:.2e} >= 1e-12"
@@ -306,7 +316,7 @@ def discrete_sum_oracle(
         s = np.arange(cutoff + 1, dtype=float)
         degeneracy = 0.5 * (s + 1.0) * (s + 2.0)
         energies = HBAR * omegas[0] * s + zero_point
-        occ = expit(-beta * (energies - mu))
+        occ = _expit(-beta * (energies - mu))
         n_total = float(degeneracy @ occ)
         e_total = float(degeneracy @ (occ * energies))
         return n_total, e_total
@@ -325,7 +335,7 @@ def discrete_sum_oracle(
     e_total = 0.0
     for nx in range(n_max[0] + 1):
         e = e_plane + HBAR * omegas[0] * nx
-        occ = expit(-beta * (e - mu))
+        occ = _expit(-beta * (e - mu))
         n_total += float(occ.sum())
         e_total += float((occ * e).sum())
     return n_total, e_total

@@ -6,6 +6,7 @@ import pytest
 
 from fermichip import benchmarks, cli, polylog, thermo
 from fermichip import constants as C
+from fermichip.constants import NumericalError
 from fermichip.benchmarks import CheckRow
 from fermichip.density import read_raster
 
@@ -68,9 +69,10 @@ THERMO_ARGS = ["thermo", "--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "3
 
 
 def _fail_quadrature(n, z):
-    # f_4 is first used after the fugacity solve, so the error reaches main unwrapped
+    # a NumericalError from a Fermi function; f_4 is first used after the
+    # fugacity solve, so the error reaches main unwrapped
     if n == 4.0:
-        raise polylog.QuadratureError(f"fermi_fn quadrature did not converge (n={n})")
+        raise NumericalError(f"fermi_fn failed (n={n})")
     return polylog.fermi_fn(n, z)
 
 
@@ -83,7 +85,7 @@ def _nan_f3(n, z):
 @pytest.mark.parametrize(
     "attr,failure,message",
     [
-        ("fermi_fn", _fail_quadrature, "fermi_fn quadrature did not converge (n=4.0)"),
+        ("fermi_fn", _fail_quadrature, "fermi_fn failed (n=4.0)"),
         ("fermi_fn", _nan_f3, "fugacity root find failed"),
     ],
     ids=["quadrature", "fugacity"],
@@ -94,6 +96,26 @@ def test_thermo_solver_failure_exits_3(tmp_path, capsys, monkeypatch, attr, fail
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "swap,message",
+    [
+        (("--fbar-hz", "inf"), "trap frequencies"),
+        (("--fbar-hz", "nan"), "trap frequencies"),
+        (("--n-atoms", "inf"), "atom number"),
+        (("--n-atoms", "nan"), "atom number"),
+        (("--t-over-tf", "inf"), "temperature must be positive and finite"),
+    ],
+    ids=["fbar-inf", "fbar-nan", "n-atoms-inf", "n-atoms-nan", "t-inf"],
+)
+def test_thermo_non_finite_input_is_config_error(tmp_path, capsys, swap, message):
+    flag, value = swap
+    argv = list(THERMO_ARGS)
+    argv[argv.index(flag) + 1] = value
+    assert run(argv + ["--out", tmp_path / "r.json"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
 
 
 def test_thermo_missing_trap_is_config_error(tmp_path):
@@ -214,6 +236,24 @@ def test_dress_preset(tmp_path):
     rb_csv = (tmp_path / "dw_rb87.csv").read_text().splitlines()
     assert rb_csv[0] == "position_um,u_eff_khz,delta_khz,rabi_khz"
     assert len(rb_csv) == 2049
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--geometry", "toronto-split-trap", "--rf-khz", "-5"], "RF angular frequency"),
+        (["--geometry", "toronto-split-trap", "--rf-khz", "100", "--amplitude-mg", "nan"],
+         "RF amplitude"),
+        (["--preset", "rb-doublewell", "--points", "0"], "--points"),
+        (["--preset", "rb-doublewell", "--points", "1"], "--points"),
+    ],
+    ids=["negative-rf", "nan-amplitude", "points-0", "points-1"],
+)
+def test_dress_bad_input_is_config_error(tmp_path, capsys, argv, message):
+    code = run(["dress", *argv, "--out-prefix", tmp_path / "dw"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
 
 
 # -- evap -------------------------------------------------------------------------------------

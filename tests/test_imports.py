@@ -1,5 +1,6 @@
 """Import hygiene: a bare package import and the light CLI commands stay off
-scipy, mpmath and the Fermi-function modules, so each fresh process starts fast."""
+scipy, mpmath and the Fermi-function modules, and no command except `fit` and
+`paper-check` loads any scipy module, so each fresh process starts fast."""
 
 import json
 import os
@@ -14,9 +15,6 @@ import fermichip
 SRC = str(Path(fermichip.__file__).resolve().parents[1])
 
 HEAVY = [
-    "scipy.optimize",
-    "scipy.integrate",
-    "scipy.special",
     "jsonschema",
     "mpmath",
     "fermichip.thermo",
@@ -24,6 +22,10 @@ HEAVY = [
     "fermichip.imagefit",
     "fermichip.benchmarks",
 ]
+
+
+def _scipy(loaded) -> list[str]:
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
 def _loaded_after(code: str, cwd) -> list[str]:
@@ -71,16 +73,31 @@ def test_light_commands_skip_heavy_modules(tmp_path, argv):
     code = f"from fermichip import cli\nassert cli.main({argv!r}) == 0"
     loaded = set(_loaded_after(code, tmp_path))
     assert [m for m in HEAVY if m in loaded] == []
-
-
-# the paper's Fermi orders need neither quadrature nor scipy.optimize, and
-# mpmath is a test-only dependency
-NOT_FOR_FERMI_GAS = ["scipy.integrate", "scipy.optimize", "mpmath"]
+    assert _scipy(loaded) == []
 
 
 def test_polylog_import_skips_quadrature(tmp_path):
-    loaded = set(_loaded_after("import fermichip.polylog", tmp_path))
-    assert [m for m in NOT_FOR_FERMI_GAS if m in loaded] == []
+    # the Fermi functions are numpy and `math` alone: every supported order in
+    # each of its regimes, the series (z <= 1), the reflection or the table
+    # (1 < z < e^36) and Sommerfeld (z >= e^36), then the self-tests that
+    # paper-check runs; mpmath is a test-only dependency
+    code = """
+import math
+import numpy as np
+from fermichip import polylog as pl
+z = np.exp([-30.0, -5.0, 0.0, 3.0, 35.9, 36.0, 80.0, 700.0])
+for n in [0.5, 1.5, 2.5, *range(1, 25)]:
+    assert np.all(np.isfinite(pl.fermi_fn(n, z)))
+    assert math.isfinite(pl.fermi_fn(n, 40.0))
+    assert len(pl.seams(n)) >= 1
+for n, c in ((1.5, 1.0), (1.0, 5.0), (2.5, 0.3), (2.0, 1e4)):
+    lhs, rhs = pl.gaussian_reduction_check(n, c)
+    assert abs(lhs / rhs - 1.0) < 1e-12
+assert pl.bose_fn(1.5, np.array([0.3, 0.9, 1.0])).size == 3
+"""
+    loaded = set(_loaded_after(code, tmp_path))
+    assert "fermichip.polylog" in loaded
+    assert _scipy(loaded) == [] and "mpmath" not in loaded
 
 
 GAS = ["--species", "K40", "--n-atoms", "4e4", "--fx-hz", "823", "--fy-hz", "46",
@@ -100,4 +117,4 @@ def test_fermi_gas_commands_skip_quadrature_and_solvers(tmp_path, argv):
     code = f"from fermichip import cli\nassert cli.main({argv!r}) == 0"
     loaded = set(_loaded_after(code, tmp_path))
     assert "fermichip.polylog" in loaded
-    assert [m for m in NOT_FOR_FERMI_GAS if m in loaded] == []
+    assert _scipy(loaded) == [] and "mpmath" not in loaded

@@ -65,20 +65,18 @@ def mp_fermi_exact(n, z):
 def test_regime_seams_agree(n):
     found = pl.seams(n)
     where = [x for x, _, _ in found]
-    if n == 1.5:
-        # both ends of the shipped table and every boundary between its pieces
-        lo, width, coef = pl._FERMI32
-        assert where == pytest.approx(lo + width * np.arange(len(coef) + 1))
-        assert where[-1] == pl.SOMMERFELD_CUT_LOG
-    elif n.is_integer():
+    if n.is_integer():
         assert where == [0.0]  # series below z = 1, its reflection above
     else:
-        assert where == [0.0, pl.SOMMERFELD_CUT_LOG]  # series | interpolant | Sommerfeld
+        # both ends of the shipped table and every boundary between its pieces
+        lo, width, coef = pl._TABLES[n]
+        assert where == pytest.approx(lo + width * np.arange(len(coef) + 1))
+        assert where[0] == 0.0 and where[-1] == pl.SOMMERFELD_CUT_LOG
     for _, below, above in found:
         assert abs(below / above - 1.0) < 1e-8
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("n", [0.5, 1.5, 2.0, 2.5, 3.0, 4.0])
 def test_paper_orders_match_mpmath(n):
     x = np.random.default_rng(int(2 * n)).uniform(-30.0, 80.0, 150)
     z = np.exp(np.concatenate([x, [-1e-9, 0.0, 1e-9, pl.SOMMERFELD_CUT_LOG]]))
@@ -87,24 +85,26 @@ def test_paper_orders_match_mpmath(n):
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
 
 
-def test_shipped_f32_table_matches_mpmath():
-    lo, width, coef = pl._FERMI32
+@pytest.mark.parametrize("n", [0.5, 1.5, 2.5])
+def test_shipped_tables_match_mpmath(n):
+    lo, width, coef = pl._TABLES[n]
     x = np.random.default_rng(32).uniform(lo, lo + width * len(coef), 300)
     with mpmath.workdps(30):
-        ref = np.array([float(mpmath.re(-mpmath.polylog(1.5, -mpmath.exp(xi)))) for xi in x])
-    assert np.max(np.abs(pl._piecewise(pl._FERMI32, x) / ref - 1.0)) <= 5e-16
+        ref = np.array([float(mpmath.re(-mpmath.polylog(n, -mpmath.exp(xi)))) for xi in x])
+    assert np.max(np.abs(pl._piecewise(pl._TABLES[n], x) / ref - 1.0)) <= 5e-16
 
 
 def test_paper_orders_run_no_quadrature(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("quadrature or interpolant build on a paper order")
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature on a paper order")
 
-    monkeypatch.setattr(pl, "_fermi_quad", refuse)
-    monkeypatch.setattr(pl, "_mid_interpolant", refuse)
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    monkeypatch.setattr(mpmath, "polylog", refuse)
     z = np.exp(np.random.default_rng(7).uniform(-30.0, 700.0, 500))
-    for n in (1.5, 2.0, 3.0, 4.0):
+    for n in (0.5, 1.5, 2.0, 2.5, 3.0, 4.0):
         assert np.all(np.isfinite(pl.fermi_fn(n, z)))
         assert np.isfinite(pl.fermi_fn(n, float(z[0])))
+    assert not any(hasattr(pl, name) for name in ("_fermi_quad", "_mid_interpolant"))
 
 
 def test_vectorized_matches_scalar():
@@ -131,6 +131,12 @@ def test_array_call_matches_per_element_bits(n):
 def test_domain_errors():
     with pytest.raises(ValueError):
         pl.fermi_fn(0.4, 1.0)
+    # integers 1-24 and the tabled 1/2, 3/2, 5/2 only
+    for n in (3.5, 25.0, 0.0, 1.25, math.nan):
+        with pytest.raises(ValueError, match="not supported"):
+            pl.fermi_fn(n, 2.0)
+        with pytest.raises(ValueError, match="not supported"):
+            pl.seams(n)
     with pytest.raises(ValueError):
         pl.fermi_fn(2.0, 0.0)
     with pytest.raises(ValueError):
@@ -172,6 +178,29 @@ def test_boltzmann_limit():
     for n in (0.5, 1.5, 3.0):
         assert pl.fermi_fn(n, z) / z == pytest.approx(1.0, rel=1e-7)
         assert pl.bose_fn(n, z) / z == pytest.approx(1.0, rel=1e-7)
+
+
+# -- zeta and eta --------------------------------------------------------------------
+
+def test_zeta_at_wood_arguments_vs_mpmath():
+    # every zeta(n - k) that Wood's expansion of bose_fn uses
+    worst = 0.0
+    for n in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
+        for k in range(pl._WOOD_TERMS):
+            s = n - k
+            if s == 1.0:
+                continue
+            if s < 0.0 and s % 2.0 == 0.0:
+                assert pl._zeta(s) == 0.0  # the trivial zeros, exactly
+            else:
+                worst = max(worst, abs(float(pl._zeta(s) / mpmath.zeta(s)) - 1.0))
+    assert worst <= 2.5e-15
+
+
+def test_sommerfeld_eta_vs_mpmath():
+    for two_k, eta in zip(pl._TWO_K, pl._ETA_EVEN):
+        ref = (1 - mpmath.mpf(2) ** (1 - int(two_k))) * mpmath.zeta(int(two_k))
+        assert abs(float(eta / ref) - 1.0) <= 2.3e-16
 
 
 # -- degenerate limit ----------------------------------------------------------------
@@ -244,7 +273,7 @@ def test_bose_domain_errors():
 
 @pytest.mark.parametrize(
     "n,c",
-    [(1.5, 1.0), (1.0, 5.0), (2.0, 0.01), (3.0, 1e4)],
+    [(1.5, 1.0), (1.0, 5.0), (2.0, 0.01), (2.0, 1e4)],
 )
 def test_gaussian_reduction_identity(n, c):
     lhs, rhs = pl.gaussian_reduction_check(n, c)
