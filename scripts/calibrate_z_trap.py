@@ -9,7 +9,9 @@ Ioffe-Pritchard microtraps reproduce the benchmark observables:
   toronto_split_trap: Rb87 |2,2>     w_x,z = 2pi x 1.23 kHz, w_y = 2pi x 13.7 Hz,
                       B0 = 1.214 G at 80 um from the chip plane
 
-Writes JSON geometry files into src/fermichip/data/.
+Writes JSON geometry files into src/fermichip/data/.  Needs the test extras
+(`pip install -e .[test]`): it solves with `scipy.optimize.least_squares`, which
+the package itself does not depend on.
 """
 
 import math

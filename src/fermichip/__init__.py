@@ -3,10 +3,9 @@ time-of-flight profiles, wire-trap magnetostatics, RF-dressed potentials,
 evaporation design rules and profile fitting.
 
 Submodules load on first access (`fermichip.thermo`, `from fermichip import
-trapfield`), so a command imports only what it uses.  Only `imagefit` (the
-envelope fits, through `scipy.optimize`) needs scipy; the Fermi functions,
-thermodynamics, density profiles, wire traps, RF dressing and evaporation rules
-are numpy and the standard library alone.
+trapfield`), so a command imports only what it uses.  The whole runtime is
+numpy and the standard library: the envelope fits run their own
+Levenberg-Marquardt solver, and no module needs scipy.
 """
 
 import importlib

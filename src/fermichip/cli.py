@@ -70,7 +70,11 @@ def _json_fmt(obj, indent=0):
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(_json_fmt(obj) + "\n")
+    """Write obj as deterministic JSON to path, or print it when path is empty."""
+    if path:
+        Path(path).write_text(_json_fmt(obj) + "\n")
+    else:
+        print(_json_fmt(obj))
 
 
 def data_dir() -> Path:
@@ -152,10 +156,7 @@ def cmd_thermo(args) -> int:
         report["capacity_1d"] = thermo.capacity_1d(trap)
     except ValueError:
         pass
-    if args.out:
-        write_json(args.out, report)
-    else:
-        print(_json_fmt(report))
+    write_json(args.out, report)
     if args.scan_out:
         def gas_at(t):
             return thermo.TrappedGasState.from_reduced_temperature(state, trap, args.n_atoms, t)
@@ -167,14 +168,17 @@ def cmd_thermo(args) -> int:
 
 # -- density / tof ----------------------------------------------------------------
 
-def cmd_density(args) -> int:
-    from . import density, thermo
+def _gas_from_args(args) -> thermo.TrappedGasState:
+    from . import thermo
 
-    state = _state_from_args(args)
-    trap = _trap_from_args(args)
-    gas = thermo.TrappedGasState.from_reduced_temperature(
-        state, trap, args.n_atoms, args.t_over_tf
-    )
+    return thermo.TrappedGasState.from_reduced_temperature(
+        _state_from_args(args), _trap_from_args(args), args.n_atoms, args.t_over_tf)
+
+
+def cmd_density(args) -> int:
+    from . import density
+
+    gas = _gas_from_args(args)
     s = np.linspace(-args.extent_um * 1e-6, args.extent_um * 1e-6, args.points)
     axis = {"x": 0, "y": 1, "z": 2}[args.axis]
     pts = np.zeros((args.points, 3))
@@ -187,13 +191,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_tof(args) -> int:
-    from . import imagefit, thermo
+    from . import imagefit
 
-    state = _state_from_args(args)
-    trap = _trap_from_args(args)
-    gas = thermo.TrappedGasState.from_reduced_temperature(
-        state, trap, args.n_atoms, args.t_over_tf
-    )
+    gas = _gas_from_args(args)
     pitch = args.pitch_um * 1e-6
     t = args.time_ms * 1e-3
     img = imagefit.synthesize_tof_image(gas, t, (args.ny, args.nx), pitch)
@@ -246,10 +246,7 @@ def cmd_trap(args) -> int:
                 "ip_residual_rms_gauss": ip.residual_rms / C.GAUSS,
             }
         )
-    if args.out:
-        write_json(args.out, report)
-    else:
-        print(_json_fmt(report))
+    write_json(args.out, report)
     return EXIT_OK
 
 
@@ -314,31 +311,16 @@ def cmd_dress(args) -> int:
     }
     prefix = Path(args.out_prefix)
     for name in ("Rb87", "K40"):
-        state = reg.stretched_state(name)
         scan = rfdress.dressed_potential(
-            model,
-            rf,
-            state,
-            minimum.position,
-            axis,
-            args.extent_um * 1e-6,
-            args.points,
-            connect_at_omega=2 * math.pi * ramp_khz * 1e3,
-        )
+            model, rf, reg.stretched_state(name), minimum.position, axis, args.extent_um * 1e-6,
+            args.points, connect_at_omega=2 * math.pi * ramp_khz * 1e3)
         report["species"][name] = _dress_scan_report(scan)
         csv_path = prefix.with_name(prefix.name + f"_{name.lower()}.csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["position_um", "u_eff_khz", "delta_khz", "rabi_khz"])
-            for s, u, d, o in zip(scan.positions, scan.u_eff, scan.delta, scan.rabi):
-                writer.writerow(
-                    [
-                        f"{s*1e6:.17g}",
-                        f"{u/C.H_PLANCK/1e3:.17g}",
-                        f"{d/C.H_PLANCK/1e3:.17g}",
-                        f"{o/C.H_PLANCK/1e3:.17g}",
-                    ]
-                )
+            for s, *energies in zip(scan.positions, scan.u_eff, scan.delta, scan.rabi):
+                writer.writerow([f"{s*1e6:.17g}", *(f"{e/C.H_PLANCK/1e3:.17g}" for e in energies)])
     write_json(prefix.with_name(prefix.name + "_report.json"), report)
     return EXIT_OK
 
@@ -404,10 +386,7 @@ def _evap_preset(name: str, rho0: float | None):
 
 def cmd_evap(args) -> int:
     report = _evap_preset(args.preset, args.rho0)
-    if args.out:
-        write_json(args.out, report)
-    else:
-        print(_json_fmt(report))
+    write_json(args.out, report)
     return EXIT_OK
 
 
@@ -435,10 +414,7 @@ def cmd_fit(args) -> int:
         report["chi2_ratio_gauss_over_fd"] = (
             results["gaussian"].reduced_chi2 / results["fermi-dirac"].reduced_chi2
         )
-    if args.out:
-        write_json(args.out, report)
-    else:
-        print(_json_fmt(report))
+    write_json(args.out, report)
     return EXIT_OK
 
 
@@ -460,20 +436,7 @@ def cmd_paper_check(args) -> int:
         print(line)
     print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
     if args.out:
-        write_json(
-            args.out,
-            [
-                {
-                    "name": r.name,
-                    "description": r.description,
-                    "computed": r.computed,
-                    "target": r.target,
-                    "passed": r.passed,
-                    "note": r.note,
-                }
-                for r in rows
-            ],
-        )
+        write_json(args.out, [vars(r) for r in rows])
     return EXIT_OK if n_fail == 0 else EXIT_BENCH_FAIL
 
 

@@ -7,8 +7,8 @@ center-dip residual while the Fermi-Dirac fit does not.
 
 Both fits are N s(phi), an atom number times a unit-N shape with closed-form
 derivatives in its nonlinear parameters phi. N is solved in closed form at
-every step (variable projection), so least squares searches phi alone with
-the exact Jacobian of the projected residual.
+every step (variable projection), so a bounded Levenberg-Marquardt search
+runs over phi alone with the exact Jacobian of the projected residual.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class FitResult:
     reduced_chi2: float
     covariance: np.ndarray | None     # over (N, r_x, r_y, x0, y0[, ln Z]); None if singular
     flags: list[str] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)   # least_squares nfev, njev, status
+    diagnostics: dict = field(default_factory=dict)   # solver nfev and status
 
     def __post_init__(self):
         if self.params.get("N", 1.0) <= 0:
@@ -146,18 +146,19 @@ def _fd_shape(phi, xx, yy):
 
 def _projected(shape, phi, xx, yy, data, sigma):
     """Residual (N* s - d)/sigma at the closed-form N* = <s,d>/<s,s> (Golub and
-    Pereyra 1973) on flat pixel arrays, its exact Jacobian in phi, N*, s and ds/dphi."""
+    Pereyra 1973) on flat pixel arrays, its exact Jacobian in phi, N*, s and ds/dphi.
+    Sums are einsum loops, not BLAS, so the bits do not depend on the thread count."""
     s, ds = shape(phi, xx, yy)
-    ss = s @ s
-    n = (s @ data) / ss
-    dn = (ds @ data - 2.0 * n * (ds @ s)) / ss
+    ss = np.einsum("p,p", s, s)
+    n = np.einsum("p,p", s, data) / ss
+    dn = (np.einsum("kp,p", ds, data) - 2.0 * n * np.einsum("kp,p", ds, s)) / ss
     return (n * s - data) / sigma, (n * ds + np.outer(dn, s)).T / sigma, n, s, ds
 
 
 def _covariance(jac, chi2, dof):
     """(J^T J)^-1 chi2/dof, or None when J^T J with its columns scaled to unit
     diagonal is singular or has a condition number above 1/eps."""
-    a = jac.T @ jac
+    a = np.einsum("pi,pj", jac, jac)
     d = np.sqrt(np.diag(a))
     if not np.all(d > 0):
         return None
@@ -188,37 +189,62 @@ def _start(img: TofImage):
     return [rx, ry, x0, y0], lo, [span * 10, span * 10, x0 + span, y0 + span]
 
 
+_MAX_NFEV = 200   # residual-and-Jacobian evaluations a fit may take
+_TOL = 1e-14     # relative gradient, step and reduction at which a fit stops
+
+
+def _levenberg_marquardt(evaluate, phi, lo, hi):
+    """Minimise |r|^2 over lo <= phi <= hi, where evaluate(phi) = (r, J, ...).
+
+    Marquardt's scaling by the running maximum of diag(J^T J) (More, LNM 630,
+    1978), Nielsen's damping update (Madsen, Nielsen and Tingleff, IMM DTU 2004)
+    and trial points clipped to the box.  Returns phi, evaluate(phi), |r|^2, the
+    evaluation count and the stop: 1 gradient, 2 reduction, 3 step.
+    """
+    out, nfev, accepted = evaluate(phi), 1, True
+    chi2, lam, nu, d2 = np.einsum("p,p", out[0], out[0]), 1e-3, 2.0, 0.0
+    while True:
+        if accepted:
+            a, g = np.einsum("pi,pj", out[1], out[1]), np.einsum("pi,p", out[1], out[0])
+            d2 = np.maximum(d2, np.diag(a))
+            # the gradient, zero where a bound blocks descent, against |J_i| |r|
+            free = ~((phi <= lo) & (g > 0) | (phi >= hi) & (g < 0))
+            if np.all(np.abs(g * free) <= _TOL * np.sqrt(d2 * chi2)):
+                return phi, out, chi2, nfev, 1
+        if nfev == _MAX_NFEV:
+            raise FitError(f"fit did not converge in {nfev} evaluations (chi2 {chi2:.6g})")
+        step = np.clip(phi - np.linalg.solve(a + lam * np.diag(d2), g), lo, hi) - phi
+        pred = -np.einsum("i,i", step, 2.0 * g + np.einsum("ij,j", a, step))
+        trial, nfev = evaluate(phi + step), nfev + 1
+        chi2_trial = np.einsum("p,p", trial[0], trial[0])
+        drop = chi2 - chi2_trial
+        accepted = pred > 0 and drop > 0
+        if accepted:
+            lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * drop / pred - 1.0) ** 3), 2.0
+            phi, out, chi2 = phi + step, trial, chi2_trial
+            if max(drop, pred) <= _TOL * (chi2 + drop):
+                return phi, out, chi2, nfev, 2
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+        if np.einsum("i,i,i", d2, step, step) <= _TOL**2 * np.einsum("i,i,i", d2, phi, phi):
+            return phi, out, chi2, nfev, 3
+
+
 def _run_fit(img, model, shape, phi0, bounds) -> FitResult:
     """Fit N shape(phi) with N projected out; covariance over (N, phi)."""
-    from scipy.optimize import least_squares
-
     xx, yy = (c.ravel() for c in img.coordinates())
     data = img.values.ravel()
     sigma = img.noise_rms if img.noise_rms > 0 else 1.0
-    last = {}
-
-    def evaluate(phi):
-        # least_squares asks for the residual and the Jacobian at the same phi
-        if "phi" not in last or not np.array_equal(last["phi"], phi):
-            last["phi"], last["out"] = phi.copy(), _projected(shape, phi, xx, yy, data, sigma)
-        return last["out"]
-
-    res = least_squares(
-        lambda phi: evaluate(phi)[0], phi0, jac=lambda phi: evaluate(phi)[1],
-        bounds=bounds, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000,
-    )
-    if not res.success and res.status <= 0:
-        raise FitError(f"fit did not converge: {res.message} (status {res.status})")
-    resid, _, n, s, ds = evaluate(res.x)
+    phi, (_, _, n, s, ds), chi2, nfev, status = _levenberg_marquardt(
+        lambda p: _projected(shape, p, xx, yy, data, sigma), np.array(phi0), *map(np.array, bounds))
     if not n > 0:
         raise FitError(f"fitted atom number {n:.3g} is not positive")
-    chi2 = float(resid @ resid)
-    dof = data.size - len(phi0) - 1
+    chi2, dof = float(chi2), data.size - len(phi0) - 1
     cov = _covariance(np.column_stack([s, n * ds.T]) / sigma, chi2, dof)
-    params = {"N": n, **dict(zip(("r_x", "r_y", "x0", "y0", "ln_z"), res.x))}
+    params = {"N": n, **dict(zip(("r_x", "r_y", "x0", "y0", "ln_z"), phi))}
     return FitResult(model, params, chi2, chi2 / dof, cov,
                      [] if cov is not None else ["covariance_singular"],
-                     {"nfev": res.nfev, "njev": res.njev, "status": res.status})
+                     {"nfev": nfev, "status": status})
 
 
 def fit_gaussian(img: TofImage) -> FitResult:

@@ -198,6 +198,12 @@ def dressed_potential(
     """
     if npoints < 3:
         raise ValueError(f"the scan needs at least 3 points (--points), got {npoints}")
+    if not 0 < half_range < math.inf:
+        raise ValueError(f"scan half-range (--extent-um) must be positive and finite, "
+                         f"got {half_range} m")
+    if connect_at_omega is not None and not 0 < connect_at_omega < math.inf:
+        raise ValueError(f"ramp angular frequency (--ramp-khz) must be positive and finite, "
+                         f"got {connect_at_omega} rad/s")
     center = np.asarray(center, dtype=float)
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)

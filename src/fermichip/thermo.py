@@ -124,8 +124,8 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     ts = t.ravel()
-    if not np.all(ts > 0.0):
-        raise ValueError("reduced temperature must be positive")
+    if not np.all((ts > 0.0) & (ts < math.inf)):
+        raise ValueError("reduced temperature must be positive and finite")
     if np.any(1.0 / ts > 700.0):
         raise ValueError(
             f"t = {ts.min()} too deep in the degenerate regime: the fugacity "

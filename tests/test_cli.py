@@ -165,7 +165,18 @@ def test_tof_raster_and_fit_roundtrip(tmp_path):
     assert doc["fermi-dirac"]["params"]["N"] == pytest.approx(4e4, rel=0.05)
     assert doc["chi2_ratio_gauss_over_fd"] > 1.5
     for model in ("gaussian", "fermi-dirac"):
-        assert set(doc[model]["diagnostics"]) == {"nfev", "njev", "status"}
+        assert set(doc[model]["diagnostics"]) == {"nfev", "status"}
+
+
+def test_fit_nonconvergence_is_numerical_error(tmp_path, capsys, monkeypatch):
+    from fermichip import imagefit
+
+    img = tmp_path / "img.raster"
+    assert run(["tof", "--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "315",
+                "--t-over-tf", "0.2", "--nx", "48", "--ny", "48", "--out", img]) == 0
+    monkeypatch.setattr(imagefit, "_MAX_NFEV", 3)
+    assert run(["fit", "--image", img, "--model", "gauss"]) == cli.EXIT_NUMERICAL
+    assert "did not converge in 3 evaluations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -246,8 +257,13 @@ def test_dress_preset(tmp_path):
          "RF amplitude"),
         (["--preset", "rb-doublewell", "--points", "0"], "--points"),
         (["--preset", "rb-doublewell", "--points", "1"], "--points"),
+        (["--preset", "rb-doublewell", "--extent-um", "0"], "--extent-um"),
+        (["--preset", "rb-doublewell", "--extent-um", "-5"], "--extent-um"),
+        (["--geometry", "toronto-split-trap", "--rf-khz", "100", "--ramp-khz", "-5"],
+         "--ramp-khz"),
     ],
-    ids=["negative-rf", "nan-amplitude", "points-0", "points-1"],
+    ids=["negative-rf", "nan-amplitude", "points-0", "points-1", "extent-0", "extent-negative",
+         "negative-ramp"],
 )
 def test_dress_bad_input_is_config_error(tmp_path, capsys, argv, message):
     code = run(["dress", *argv, "--out-prefix", tmp_path / "dw"])

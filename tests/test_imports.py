@@ -1,6 +1,6 @@
 """Import hygiene: a bare package import and the light CLI commands stay off
-scipy, mpmath and the Fermi-function modules, and no command except `fit` and
-`paper-check` loads any scipy module, so each fresh process starts fast."""
+mpmath and the Fermi-function modules, and no command loads any scipy module,
+so each fresh process starts fast."""
 
 import json
 import os
@@ -117,4 +117,16 @@ def test_fermi_gas_commands_skip_quadrature_and_solvers(tmp_path, argv):
     code = f"from fermichip import cli\nassert cli.main({argv!r}) == 0"
     loaded = set(_loaded_after(code, tmp_path))
     assert "fermichip.polylog" in loaded
+    assert _scipy(loaded) == [] and "mpmath" not in loaded
+
+
+def test_fit_commands_load_no_scipy(tmp_path):
+    # the envelope fits run their own Levenberg-Marquardt solver
+    code = f"""from fermichip import cli
+assert cli.main(["tof", *{GAS!r}, "--time-ms", "10", "--nx", "48", "--ny", "48",
+                 "--noise-frac", "0.02", "--out", "img.raster"]) == 0
+assert cli.main(["fit", "--image", "img.raster", "--model", "both", "--out", "fit.json"]) == 0
+assert cli.main(["paper-check", "--out", "table.json"]) == 0"""
+    loaded = set(_loaded_after(code, tmp_path))
+    assert {"fermichip.imagefit", "fermichip.benchmarks"} <= loaded
     assert _scipy(loaded) == [] and "mpmath" not in loaded

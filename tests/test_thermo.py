@@ -123,6 +123,13 @@ def test_fugacity_rejects_out_of_domain_array(bad):
         thermo.fugacity_from_reduced_temperature(np.array([0.5, bad, 2.0]))
 
 
+@pytest.mark.parametrize("t", [math.inf, np.array([0.5, math.inf])], ids=["scalar", "array"])
+def test_fugacity_rejects_infinite_temperature(t):
+    # outside the domain, a configuration error, not a failed root find
+    with pytest.raises(ValueError, match="positive and finite"):
+        thermo.fugacity_from_reduced_temperature(t)
+
+
 @pytest.mark.parametrize("t", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0])
 def test_number_round_trip(t, k92, science_trap):
     n_target = 4e4
