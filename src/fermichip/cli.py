@@ -13,7 +13,6 @@ and `constants` at the top; each `cmd_*` imports the modules it uses.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -202,11 +201,8 @@ def cmd_tof(args) -> int:
     img.save(args.out)
     if args.csv:
         xx, yy = img.coordinates()
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x_m", "y_m", "column_density_m2"])
-            for xi, yi, vi in zip(xx.ravel(), yy.ravel(), img.values.ravel()):
-                writer.writerow([f"{xi:.17g}", f"{yi:.17g}", f"{vi:.17g}"])
+        C.write_csv(args.csv, ["x_m", "y_m", "column_density_m2"],
+                    [xx.ravel(), yy.ravel(), img.values.ravel()])
     return EXIT_OK
 
 
@@ -218,6 +214,8 @@ def cmd_trap(args) -> int:
     model, seed = _resolve_geometry(args.geometry)
     if args.seed_um:
         seed = np.asarray([float(v) for v in args.seed_um.split(",")]) * 1e-6
+        if seed.shape != (3,) or not np.isfinite(seed).all():
+            raise ValueError(f"--seed-um needs 3 finite numbers x,y,z, got {args.seed_um!r}")
     if seed is None:
         raise ValueError("geometry file has no seed; pass --seed-um x,y,z")
     state = _state_from_args(args)
@@ -315,12 +313,10 @@ def cmd_dress(args) -> int:
             model, rf, reg.stretched_state(name), minimum.position, axis, args.extent_um * 1e-6,
             args.points, connect_at_omega=2 * math.pi * ramp_khz * 1e3)
         report["species"][name] = _dress_scan_report(scan)
-        csv_path = prefix.with_name(prefix.name + f"_{name.lower()}.csv")
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["position_um", "u_eff_khz", "delta_khz", "rabi_khz"])
-            for s, *energies in zip(scan.positions, scan.u_eff, scan.delta, scan.rabi):
-                writer.writerow([f"{s*1e6:.17g}", *(f"{e/C.H_PLANCK/1e3:.17g}" for e in energies)])
+        C.write_csv(prefix.with_name(prefix.name + f"_{name.lower()}.csv"),
+                    ["position_um", "u_eff_khz", "delta_khz", "rabi_khz"],
+                    [scan.positions * 1e6,
+                     *(e / C.H_PLANCK / 1e3 for e in (scan.u_eff, scan.delta, scan.rabi))])
     write_json(prefix.with_name(prefix.name + "_report.json"), report)
     return EXIT_OK
 

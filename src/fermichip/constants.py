@@ -1,4 +1,5 @@
-"""Physical constants in SI units and the registry of atomic species and spin states.
+"""Physical constants in SI units, the registry of atomic species and spin
+states, and the CSV writer the modules share.
 
 Everything internal to the package is SI; the unit multipliers below convert
 interface values (gauss, microkelvin, kHz, micrometres) at the boundary.
@@ -8,11 +9,14 @@ evaporation algebra relies on exact ratios like 9/4 and 5/4.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,16 @@ class NumericalError(RuntimeError):
     Every module's solver errors derive from this class, so a caller (the CLI's
     exit code 3) can catch them all without importing the modules that raise them.
     """
+
+
+def write_csv(path, header, columns) -> None:
+    """Write the header row, then row i of each column (to 17 significant
+    digits), so the values read back bit for bit."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") for v in row] for row in rows)
 
 
 def thermal_wavelength(mass: float, temperature: float) -> float:

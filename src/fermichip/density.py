@@ -12,13 +12,12 @@ with r_i^2(t) = (w_i^-2 + t^2) k_B T / M.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, K_B, AtomSpecies
+from .constants import HBAR, K_B, AtomSpecies, write_csv
 from .polylog import fermi_fn
 from .thermo import HarmonicTrap, TrappedGasState
 
@@ -243,17 +242,11 @@ def column_density_boltzmann(
 def write_profile_csv(path, positions, values, header=("position_m", "value")) -> None:
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     values = np.asarray(values, dtype=float).ravel()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if positions.shape[0] == values.size and positions.shape[1] in (1, 2, 3):
-            cols = ["x_m", "y_m", "z_m"][: positions.shape[1]] + [header[-1]]
-            writer.writerow(cols)
-            for pos, val in zip(positions, values):
-                writer.writerow([f"{p:.17g}" for p in pos] + [f"{val:.17g}"])
-        else:
-            writer.writerow(header)
-            for pos, val in zip(positions.ravel(), values):
-                writer.writerow([f"{pos:.17g}", f"{val:.17g}"])
+    if positions.shape[0] == values.size and positions.shape[1] in (1, 2, 3):
+        cols = ["x_m", "y_m", "z_m"][: positions.shape[1]] + [header[-1]]
+        write_csv(path, cols, [*positions.T, values])
+    else:
+        write_csv(path, header, [positions.ravel(), values])
 
 
 def write_raster(path, values: np.ndarray, pitch: float) -> None:

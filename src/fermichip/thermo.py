@@ -14,14 +14,13 @@ finite-size cross-checks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .constants import HBAR, K_B, NumericalError, SpinState, thermal_wavelength
+from .constants import HBAR, K_B, NumericalError, SpinState, thermal_wavelength, write_csv
 from .polylog import bose_fn, fermi_fn
 
 __all__ = [
@@ -355,7 +354,4 @@ def write_thermo_scan_csv(path, gas_factory, t_values) -> None:
     z = fugacity_from_reduced_temperature(np.array([gas.t_reduced for gas in gases]))
     e_per_n = 3.0 * K_B * temp * fermi_fn(4.0, z) / fermi_fn(3.0, z)
     columns = [t_values, z, K_B * temp * np.log(z) / e_f, e_per_n / e_f, degeneracy_parameter(z)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T_over_TF", "Z", "mu_over_EF", "E_per_N_over_EF", "n0_lambda3"])
-        writer.writerows([f"{v:.17g}" for v in row] for row in zip(*columns))
+    write_csv(path, ["T_over_TF", "Z", "mu_over_EF", "E_per_N_over_EF", "n0_lambda3"], columns)

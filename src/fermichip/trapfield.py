@@ -2,12 +2,17 @@
 
 Finite straight segments (Biot-Savart) plus uniform bias fields.  Every field
 class has one protocol: `field(r, guard=...)` returns B with shape (..., 3),
-`derivatives(r)` returns B, J[..., i, j] = d_j B_i and H[..., i, j, k] =
-d_j d_k B_i, and `gravity`, `min_line_distance` and `beyond_chip` describe
-what else the searches need.  Each field is written once, as elementwise
-arithmetic on the x, y, z components, which `field` runs on arrays and
-`derivatives` on forward-mode jets: the derivatives are exact, and a point's
-B, J and H do not depend on the batch it is evaluated in.
+`field_and_distance(r)` returns B together with the distance to the nearest
+wire axis from the same evaluation (inf without wires), `derivatives(r)`
+returns B, J[..., i, j] = d_j B_i and H[..., i, j, k] = d_j d_k B_i, and
+`gravity`, `min_line_distance` and `beyond_chip` describe what else the
+searches need.  Each field is written once, as elementwise arithmetic on the
+x, y, z components, which `field` runs on arrays and `derivatives` on
+forward-mode jets: the derivatives are exact, and a point's B, J and H do not
+depend on the batch it is evaluated in.  A `FieldModel` runs the Biot-Savart
+kernel once for all its segments, their constants as columns against the
+points as rows (arrays in blocks of `_BLOCK` points, jets in one pass), and
+adds the segments to the bias one at a time in their order.
 
 On top of the field model: location of the trap minimum (damped Newton on the
 exact gradient J^T B of |B|^2 / 2), bottom field B0, harmonic frequencies per
@@ -57,11 +62,14 @@ SINGULARITY_GUARD = 1e-6  # m, minimum approach to a segment axis
 # The unguarded field stays finite, but inside this radius |B| falls linearly
 # to 0 on the axis: a false zero that find_minimum refuses to search near.
 _CLAMP = 0.25 * SINGULARITY_GUARD
+# points per pass of a FieldModel's kernel: its (segments, points) temporaries
+# stay small enough for the cache
+_BLOCK = 1024
 
 
 def _coordinates(r: np.ndarray) -> np.ndarray:
-    """x, y, z of the points r (..., 3) as the rows of a contiguous (3, N) array."""
-    return np.array(r.reshape(-1, 3).T)
+    """x, y, z of the points r (..., 3) as (1, N) rows of a contiguous (3, 1, N) array."""
+    return np.array(r.reshape(-1, 3).T[:, None, :])
 
 
 def _sym(a, b):
@@ -93,9 +101,16 @@ class _Jet:
             return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
         return _Jet(self.v - other, self.g, self.h)
 
+    def __getitem__(self, key):
+        # key indexes the leading axis of v, which g and h carry behind
+        # their derivative axes: a FieldModel's segment rows
+        h = self.h[:, :, key] if isinstance(self.h, np.ndarray) else self.h
+        return _Jet(self.v[key], self.g[:, key], h)
+
     def __mul__(self, other):
         if not isinstance(other, _Jet):
-            return _Jet(self.v * other, self.g * other, self.h * other)
+            h = self.h * other if isinstance(self.h, np.ndarray) else self.h
+            return _Jet(self.v * other, self.g * other, h)
         h = _sym(self.g, other.g)
         if isinstance(other.h, np.ndarray):  # else other is affine
             h = h + self.v * other.h
@@ -129,16 +144,47 @@ def _derivatives(components, r):
     kernel `components(x, y, z)`, B_x, B_y, B_z first, run on coordinate jets."""
     r = np.asarray(r, dtype=float)
     x = _coordinates(r)
-    n = x.shape[1]
-    seeds = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n))
+    n = x.shape[-1]
+    seeds = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 1, n))
     b = components(*(_Jet(xi, gi) for xi, gi in zip(x, seeds)))[:3]
     shape = r.shape[:-1]
     return (
-        np.stack([c.v for c in b], axis=-1).reshape(r.shape),
-        np.stack([c.g for c in b]).transpose(2, 0, 1).reshape(shape + (3, 3)),
-        np.stack([np.broadcast_to(c.h, (3, 3, n)) for c in b])
+        np.stack([c.v[0] for c in b], axis=-1).reshape(r.shape),
+        np.stack([c.g[:, 0] for c in b]).transpose(2, 0, 1).reshape(shape + (3, 3)),
+        np.stack([np.broadcast_to(c.h, (3, 3, 1, n))[:, :, 0] for c in b])
         .transpose(3, 0, 1, 2)
         .reshape(shape + (3, 3, 3)),
+    )
+
+
+def _biot_savart(a, b, u, k, x, y, z):
+    """B_x, B_y, B_z and the unclamped squared axis distance rho^2 of straight
+    segments from a to b with unit axis u and prefactor k = mu0 I / 4 pi, at
+    the points with coordinates x, y, z (arrays or jets).
+
+    The segment constants are numbers for one segment or (S, 1) columns for S
+    segments, the coordinates (1, N) rows, so each output has a row per
+    segment.  Elementwise arithmetic on the components only (no matmul, whose
+    rounding depends on the batch), so a point's field is the same whatever
+    else is evaluated with it; rho, |pa| and |pb| are clamped.
+    """
+    ax, ay, az = a
+    bx, by, bz = b
+    ux, uy, uz = u
+    pax, pay, paz = x - ax, y - ay, z - az
+    pa_u = pax * ux + pay * uy + paz * uz
+    rx, ry, rz = pax - pa_u * ux, pay - pa_u * uy, paz - pa_u * uz
+    rho2 = rx * rx + ry * ry + rz * rz
+    pbx, pby, pbz = x - bx, y - by, z - bz
+    pb_u = pbx * ux + pby * uy + pbz * uz
+    na = np.maximum(np.sqrt(pax * pax + pay * pay + paz * paz), _CLAMP)
+    nb = np.maximum(np.sqrt(pbx * pbx + pby * pby + pbz * pbz), _CLAMP)
+    factor = k * (pa_u / na - pb_u / nb) / np.maximum(rho2, _CLAMP**2)
+    return (
+        factor * (uy * rz - uz * ry),
+        factor * (uz * rx - ux * rz),
+        factor * (ux * ry - uy * rx),
+        rho2,
     )
 
 
@@ -182,42 +228,9 @@ class WireSegment:
         object.__setattr__(self, "_u", tuple((b - a) / length))
         object.__setattr__(self, "_k", MU_0 * self.current / (4.0 * np.pi))
 
-    def _axis_terms(self, x, y, z):
-        """pa = r - a, its axial part pa.u, the radial vector rho and the
-        unclamped rho^2 at the points with coordinate arrays x, y, z."""
-        ax, ay, az = self.a
-        ux, uy, uz = self._u
-        pax, pay, paz = x - ax, y - ay, z - az
-        pa_u = pax * ux + pay * uy + paz * uz
-        rx, ry, rz = pax - pa_u * ux, pay - pa_u * uy, paz - pa_u * uz
-        return (pax, pay, paz), pa_u, (rx, ry, rz), rx * rx + ry * ry + rz * rz
-
-    def _field_components(self, x, y, z):
-        """B_x, B_y, B_z = factor (u x rho) and the unclamped rho^2 at the
-        points with coordinates x, y, z (arrays or jets).
-
-        Elementwise arithmetic on the components only (no matmul, whose
-        rounding depends on the batch), so a point's field is the same
-        whatever else is evaluated with it; rho, |pa| and |pb| are clamped.
-        """
-        (pax, pay, paz), pa_u, (rx, ry, rz), rho2 = self._axis_terms(x, y, z)
-        bx, by, bz = self.b
-        ux, uy, uz = self._u
-        pbx, pby, pbz = x - bx, y - by, z - bz
-        pb_u = pbx * ux + pby * uy + pbz * uz
-        na = np.maximum(np.sqrt(pax * pax + pay * pay + paz * paz), _CLAMP)
-        nb = np.maximum(np.sqrt(pbx * pbx + pby * pby + pbz * pbz), _CLAMP)
-        factor = self._k * (pa_u / na - pb_u / nb) / np.maximum(rho2, _CLAMP**2)
-        return (
-            factor * (uy * rz - uz * ry),
-            factor * (uz * rx - ux * rz),
-            factor * (ux * ry - uy * rx),
-            rho2,
-        )
-
     def field(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        bx, by, bz, _ = self._field_components(*_coordinates(r))
+        bx, by, bz, _ = _biot_savart(self.a, self.b, self._u, self._k, *_coordinates(r))
         return np.stack([bx, by, bz], axis=-1).reshape(r.shape)
 
     def translated(self, offset) -> "WireSegment":
@@ -240,36 +253,59 @@ class FieldModel:
     chip_plane: tuple[tuple[float, float, float], float] | None = None
 
     def _components(self, x, y, z):
-        """B_x, B_y, B_z at the coordinates x, y, z (arrays or jets, to whose
-        shape x * 0.0 lifts the bias) and the squared distances to each axis."""
-        bx, by, bz = (x * 0.0 + c for c in self.bias)
-        rho2 = []
-        for seg in self.segments:
-            dbx, dby, dbz, seg_rho2 = seg._field_components(x, y, z)
-            bx, by, bz = bx + dbx, by + dby, bz + dbz
-            rho2.append(seg_rho2)
-        return bx, by, bz, rho2
+        """B_x, B_y, B_z at the coordinates x, y, z ((1, N) rows of arrays or
+        jets, to whose shape x * 0.0 lifts the bias) and the squared distances
+        to each axis, a row per segment (None without segments).
+
+        One kernel pass for all segments; their fields are added to the bias
+        one at a time in their order, as a segment-by-segment sum would."""
+        b = [x * 0.0 + c for c in self.bias]
+        if not self.segments:
+            return (*b, None)
+        columns = (
+            np.array([getattr(seg, name) for seg in self.segments]).T[..., None]
+            for name in ("a", "b", "_u")
+        )
+        k = np.array([[seg._k] for seg in self.segments])
+        *db, rho2 = _biot_savart(*columns, k, x, y, z)
+        for i in range(len(self.segments)):
+            b = [bc + dc[i : i + 1] for bc, dc in zip(b, db)]
+        return (*b, rho2)
+
+    def _field_and_rho2(self, r):
+        """B (..., 3) at the points r and the squared distance (...) to the
+        nearest wire axis, from the kernel run on blocks of _BLOCK points."""
+        r = np.asarray(r, dtype=float)
+        x = _coordinates(r)
+        n = x.shape[-1]
+        b = np.empty((n, 3))
+        rho2 = np.full(n, np.inf)
+        for lo in range(0, n, _BLOCK):
+            *b_blk, rho2_blk = self._components(*x[..., lo : lo + _BLOCK])
+            b[lo : lo + _BLOCK] = np.stack(b_blk, axis=-1)[0]
+            if rho2_blk is not None:
+                rho2[lo : lo + _BLOCK] = rho2_blk.min(axis=0)
+        return b.reshape(r.shape), rho2.reshape(r.shape[:-1])
 
     def field(self, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        bx, by, bz, rho2 = self._components(*_coordinates(r))
-        if guard > 0 and any(np.any(np.sqrt(d) < guard) for d in rho2):
+        b, rho2 = self._field_and_rho2(r)
+        if guard > 0 and np.any(np.sqrt(rho2) < guard):
             raise SingularityError(
                 f"field evaluated within {guard*1e6:.3g} um of a wire axis"
             )
-        return np.stack([bx, by, bz], axis=-1).reshape(r.shape)
+        return b
+
+    def field_and_distance(self, r):
+        """B (..., 3) and the distance (...) to the nearest wire axis, unguarded."""
+        b, rho2 = self._field_and_rho2(r)
+        return b, np.sqrt(rho2)
 
     def derivatives(self, r):
         """B (..., 3), dB_i/dr_j (..., 3, 3) and d_j d_k B_i (..., 3, 3, 3)."""
         return _derivatives(self._components, r)
 
     def min_line_distance(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        x, y, z = _coordinates(r)
-        rho2 = np.full(x.shape, np.inf)
-        for seg in self.segments:
-            np.minimum(rho2, seg._axis_terms(x, y, z)[3], out=rho2)
-        return np.sqrt(rho2).reshape(r.shape[:-1])
+        return np.sqrt(self._field_and_rho2(r)[1])
 
     def beyond_chip(self, r) -> np.ndarray:
         if self.chip_plane is None:
@@ -301,6 +337,9 @@ class WireFreeField:
 
     def min_line_distance(self, r) -> np.ndarray:
         return np.full(np.shape(r)[:-1], np.inf)
+
+    def field_and_distance(self, r):
+        return self.field(r), self.min_line_distance(r)
 
     def beyond_chip(self, r) -> np.ndarray:
         return np.zeros(np.shape(r)[:-1], dtype=bool)
@@ -359,7 +398,12 @@ class CallableField(WireFreeField):
 def potential(model, state: SpinState, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
     """Zeeman potential m_F g_F mu_B |B(r)|, plus gravity if the model carries it."""
     r = np.asarray(r, dtype=float)
-    u = magnetic_moment(state) * np.linalg.norm(model.field(r, guard=guard), axis=-1)
+    return _potential(model, state, r, model.field(r, guard=guard))
+
+
+def _potential(model, state: SpinState, r, b) -> np.ndarray:
+    """potential() at the points r, where the field is b."""
+    u = magnetic_moment(state) * np.linalg.norm(b, axis=-1)
     if model.gravity is not None:
         u = u - state.species.mass * (r @ np.asarray(model.gravity, dtype=float))
     return u
@@ -438,7 +482,8 @@ def find_minimum(
     """Locate a local minimum of |B| near `seed`.
 
     Deterministic damped Newton iteration on the exact gradient J^T B of
-    |B|^2 / 2, which stays smooth through zero-field minima.  The Hessian's
+    |B|^2 / 2, which stays smooth through zero-field minima; the seed must
+    be three finite coordinates (ValueError otherwise).  The Hessian's
     eigenvalues are taken in absolute value, so every step points downhill in
     |B|^2; a trial step is accepted when |B|^2 does not rise or
     |grad |B|^2| falls, else halved down to the round-off length
@@ -448,7 +493,10 @@ def find_minimum(
     |grad |B|| > grad_tol there, SaddlePointError if the Hessian of |B| is
     indefinite and NotATrapError if the field is uniform.
     """
-    x, b, jac, hess = _newton(model, np.array(seed, dtype=float), zero_field_tol)
+    seed = np.array(seed, dtype=float)
+    if seed.shape != (3,) or not np.isfinite(seed).all():
+        raise ValueError(f"the minimum search needs a seed of 3 finite coordinates (m), got {seed}")
+    x, b, jac, hess = _newton(model, seed, zero_field_tol)
     b0 = float(np.linalg.norm(b))
     zero = b0 < zero_field_tol
     if zero:
@@ -535,8 +583,8 @@ def _ray_barriers(model, state, r0, directions, u0, s):
     keep = ~model.beyond_chip(pts)
     keep[keep.sum(axis=1) < 8] = False  # truncated at once: no escape information this way
     flat = pts[keep]
-    u = potential(model, state, flat, guard=0.0)
-    u = np.where(model.min_line_distance(flat) >= SINGULARITY_GUARD, u, np.inf)
+    b, dist = model.field_and_distance(flat)
+    u = np.where(dist >= SINGULARITY_GUARD, _potential(model, state, flat, b), np.inf)
     rays = np.split(u, np.cumsum(keep.sum(axis=1))[:-1])
     return [_barrier(ray, u0) if len(ray) else None for ray in rays]
 

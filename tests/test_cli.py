@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,50 @@ def test_trap_report_deterministic(tmp_path, geometry, species):
     doc = json.loads(a.read_text())
     assert doc["depth_j"] > 0 and doc["depth_mk"] > 0 and len(doc["escape_direction"]) == 3
     assert a.read_bytes() == b.read_bytes()
+
+
+# K40 reports of the shipped geometries to the last digit: a change to how the
+# field is evaluated (batching, segment order, blocks) must not move a bit
+TRAP_REPORTS = {
+    "toronto-z-trap": {
+        "position_um": [1.9606939046164373e-15, -7.868402099726128e-14, 273.8797589957177],
+        "frequencies_hz": [46.000244886792814, 817.300630790296, 828.7391263403409],
+        "depth_j": 1.408261095239575e-26,
+        "escape_direction": [-0.3820196912922497, -0.8768056591166087, 0.2920150537319328],
+        "ip_b0_gauss": 2.599996676391403,
+        "ip_b_prime_t_per_m": 7.055623183132489,
+        "ip_b_double_prime_t_per_m2": 597.8124311594504,
+        "ip_residual_rms_gauss": 0.0007759850565989457,
+    },
+    "toronto-split-trap": {
+        "position_um": [8.071207907194677e-17, -9.830742967465312e-15, 79.99999999733755],
+        "frequencies_hz": [20.203374552643098, 1810.819698022232, 1816.9029673022899],
+        "depth_j": 6.709288041077497e-27,
+        "escape_direction": [-0.4215573027455748, -0.8414188188170962, 0.3380884674790289],
+        "ip_b0_gauss": 1.2139981456927864,
+        "ip_b_prime_t_per_m": 10.626152425762973,
+        "ip_b_double_prime_t_per_m2": 115.30932546722667,
+        "ip_residual_rms_gauss": 0.0003910235109207646,
+    },
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(TRAP_REPORTS))
+def test_trap_report_pinned(tmp_path, geometry):
+    out = tmp_path / "trap.json"
+    assert run(["trap", "--geometry", geometry, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert {k: doc[k] for k in TRAP_REPORTS[geometry]} == TRAP_REPORTS[geometry]
+
+
+@pytest.mark.parametrize("seed", ["0,0,nan", "0,inf,300", "1,2"])
+def test_trap_bad_seed_is_config_error(capsys, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from a search on nan
+        code = run(["trap", "--geometry", "toronto-z-trap", f"--seed-um={seed}"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --seed-um ") and "Traceback" not in err
 
 
 def test_trap_unknown_geometry(tmp_path):

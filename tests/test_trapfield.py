@@ -40,18 +40,28 @@ def benchmark_ip(b0_gauss=1.214, f_perp=1230.0, f_axial=13.7):
 
 
 def counting(base):
-    """Subclass of a field class that counts its field and derivative evaluations."""
+    """Subclass of a field class that counts its field evaluations (field,
+    field_and_distance and derivatives) and, apart, its min_line_distance calls."""
 
     class Counting(base):
         evaluations = 0
+        distance_calls = 0
 
         def field(self, r, **kwargs):
             self.evaluations += 1
             return super().field(r, **kwargs)
 
+        def field_and_distance(self, r):
+            self.evaluations += 1
+            return super().field_and_distance(r)
+
         def derivatives(self, r):
             self.evaluations += 1
             return super().derivatives(r)
+
+        def min_line_distance(self, r):
+            self.distance_calls += 1
+            return super().min_line_distance(r)
 
     return Counting
 
@@ -150,6 +160,37 @@ def test_field_independent_of_batch(name):
     alone = [model.derivatives(p) for p in pts[:300]]
     assert np.array_equal(jac, [d[1] for d in alone])
     assert np.array_equal(hess, [d[2] for d in alone])
+
+
+def test_segments_summed_in_order():
+    # all segments go through the kernel in one pass, yet B is the bias plus
+    # each segment's own field, added in order, ((bias + B_0) + B_1) + ...,
+    # bit for bit; 12 segments, so a pairwise sum over them would show
+    rng = np.random.default_rng(3)
+    segments = [
+        tf.WireSegment(tuple(rng.uniform(-2e-3, 2e-3, 3)), tuple(rng.uniform(-2e-3, 2e-3, 3)),
+                       rng.uniform(-3.0, 3.0))
+        for _ in range(12)
+    ]
+    bias = tuple(rng.uniform(-1e-3, 1e-3, 3))
+    model = tf.FieldModel(segments, bias)
+    pts = rng.uniform(-3e-3, 3e-3, (2500, 3))  # across two block boundaries
+    expected = np.broadcast_to(bias, pts.shape)
+    for seg in segments:
+        expected = expected + seg.field(pts)
+    assert np.array_equal(model.field(pts, guard=0.0), expected)
+    field, dist = model.field_and_distance(pts)
+    assert np.array_equal(field, expected)
+    assert np.array_equal(dist, model.min_line_distance(pts))
+    # B, J and H: the in-order sum of the single-segment models' derivatives
+    b, jac, hess = model.derivatives(pts[:200])
+    expected = [np.broadcast_to(bias, (200, 3)), 0.0, 0.0]
+    for seg in segments:
+        alone = tf.FieldModel([seg]).derivatives(pts[:200])
+        expected = [e + a for e, a in zip(expected, alone)]
+    assert np.array_equal(b, expected[0])
+    assert np.array_equal(jac, expected[1])
+    assert np.array_equal(hess, expected[2])
 
 
 def test_maxwell_free_space(z_trap):
@@ -264,6 +305,12 @@ def test_find_minimum_refuses_seed_on_wire_axis(z_trap, offset):
     seed = 0.5 * (np.asarray(seg.a) + np.asarray(seg.b)) + np.array([0.0, 0.0, offset])
     with pytest.raises(tf.SingularityError, match="from a wire axis"):
         tf.find_minimum(model, seed)
+
+
+@pytest.mark.parametrize("seed", [[0.0, 0.0, np.nan], [0.0, np.inf, 3e-4], [1e-6, 2e-6]])
+def test_find_minimum_rejects_bad_seed(z_trap, seed):
+    with pytest.raises(ValueError, match="seed of 3 finite coordinates"):
+        tf.find_minimum(z_trap[0], seed)
 
 
 def test_uniform_field_not_a_trap():
@@ -444,6 +491,8 @@ def test_depth_one_field_call_per_round(z_trap, z_minimum, k92, rounds):
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
     tf.trap_depth(counted, k92, z_minimum.position, refine_rounds=rounds)
     assert counted.evaluations <= 2 + rounds
+    # each batch's axis distances come from its field evaluation
+    assert counted.distance_calls == 0
 
 
 @pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
