@@ -109,6 +109,14 @@ def _state_from_args(args) -> C.SpinState:
     return reg.stretched_state(args.species)
 
 
+def _require_positive(*flags) -> None:
+    """Raise ValueError naming the first (flag, value) pair whose value is not
+    positive and finite."""
+    for flag, value in flags:
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
+
+
 def _trap_from_args(args) -> thermo.HarmonicTrap:
     from . import thermo
 
@@ -125,6 +133,8 @@ def _trap_from_args(args) -> thermo.HarmonicTrap:
 def cmd_thermo(args) -> int:
     from . import thermo
 
+    _require_positive(("--scan-min", args.scan_min), ("--scan-max", args.scan_max),
+                      ("--scan-points", args.scan_points))
     state = _state_from_args(args)
     trap = _trap_from_args(args)
     if args.t_over_tf is not None:
@@ -177,6 +187,7 @@ def _gas_from_args(args) -> thermo.TrappedGasState:
 def cmd_density(args) -> int:
     from . import density
 
+    _require_positive(("--extent-um", args.extent_um), ("--points", args.points))
     gas = _gas_from_args(args)
     s = np.linspace(-args.extent_um * 1e-6, args.extent_um * 1e-6, args.points)
     axis = {"x": 0, "y": 1, "z": 2}[args.axis]
@@ -192,6 +203,7 @@ def cmd_density(args) -> int:
 def cmd_tof(args) -> int:
     from . import imagefit
 
+    _require_positive(("--nx", args.nx), ("--ny", args.ny))
     gas = _gas_from_args(args)
     pitch = args.pitch_um * 1e-6
     t = args.time_ms * 1e-3
@@ -285,6 +297,8 @@ def cmd_dress(args) -> int:
         cfg = DRESS_PRESETS[args.preset]
         geometry, rf_khz = cfg["geometry"], cfg["rf_khz"]
         ramp_khz, amplitude_mg = cfg["ramp_khz"], cfg["amplitude_mg"]
+    elif args.rf_khz is None:
+        raise ValueError("give --preset, or --rf-khz for --geometry")
     else:
         geometry, rf_khz = args.geometry, args.rf_khz
         ramp_khz, amplitude_mg = args.ramp_khz or args.rf_khz, args.amplitude_mg

@@ -66,11 +66,11 @@ class NumericalError(RuntimeError):
 def write_csv(path, header, columns) -> None:
     """Write the header row, then row i of each column (to 17 significant
     digits), so the values read back bit for bit."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([format(v, ".17g") for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % row for row in zip(*columns))
 
 
 def thermal_wavelength(mass: float, temperature: float) -> float:

@@ -560,33 +560,69 @@ class TrapDepthReport:
     excluded_directions: list         # rays still rising at truncation
 
 
-def _barrier(u, u0):
-    """(barrier, still rising at truncation) of the potential u along one ray;
-    u is inf where the ray passes within the singularity guard of a wire."""
-    finite = np.isfinite(u)
-    if not finite.any():
-        return np.inf, False
-    u_max = float(np.max(u[finite]))
-    barrier = u_max - u0
-    if np.isinf(u).any():
-        return barrier if barrier > 0 else np.inf, False  # wire in the way: huge wall
-    i80 = int(0.8 * len(u))
-    tail_rise = u[-1] - u[i80]
-    still_rising = (np.argmax(u) >= len(u) - 2) and tail_rise > 0.05 * max(u_max - u0, 1e-300)
-    return barrier, still_rising
+# the batches of a refinement fan (see trap_depth): the samples within
+# _CREST_HALF_WIDTH of the weakest ray's crest, every _COARSE_STRIDE-th, the rest
+_CREST_HALF_WIDTH = 16
+_COARSE_STRIDE = 8
 
 
-def _ray_barriers(model, state, r0, directions, u0, s):
-    """_barrier along each ray r0 + s d, or None for a ray the chip plane
-    truncates within 8 samples; the rays share one field evaluation."""
+def _ray_points(model, r0, directions, s):
+    """The points r0 + s d of each ray (rays, samples, 3) and the mask of those
+    kept: the samples on the near side of the chip plane, and none of a ray the
+    plane truncates within 8 samples (no escape information that way)."""
     pts = r0 + s[None, :, None] * directions[:, None, :]
     keep = ~model.beyond_chip(pts)
-    keep[keep.sum(axis=1) < 8] = False  # truncated at once: no escape information this way
-    flat = pts[keep]
+    keep[keep.sum(axis=1) < 8] = False
+    return pts, keep
+
+
+def _fill_potential(model, state, pts, mask, u) -> None:
+    """Set u[mask] to the potential at pts[mask], inf where a point is within
+    the singularity guard of a wire, from one field_and_distance call."""
+    flat = pts[mask]
     b, dist = model.field_and_distance(flat)
-    u = np.where(dist >= SINGULARITY_GUARD, _potential(model, state, flat, b), np.inf)
-    rays = np.split(u, np.cumsum(keep.sum(axis=1))[:-1])
-    return [_barrier(ray, u0) if len(ray) else None for ray in rays]
+    u[mask] = np.where(dist >= SINGULARITY_GUARD, _potential(model, state, flat, b), np.inf)
+
+
+def _finite(u) -> np.ndarray:
+    """u with -inf for each value that is not finite."""
+    return np.where(np.isfinite(u), u, -np.inf)
+
+
+def _barriers(u, keep, u0):
+    """Barrier above u0 and whether the potential is still rising at
+    truncation, for each ray from its kept samples u[keep] in order.
+
+    A ray with no finite sample has barrier inf.  A ray that passes within the
+    singularity guard of a wire (an inf sample) is never rising, and has the
+    barrier of its highest finite sample if that is positive, else inf: the
+    wire is a huge wall.  A ray is still rising when its maximum is one of its
+    last two samples and its last fifth climbs by more than 5% of its barrier."""
+    n = keep.sum(axis=1)
+    v = np.take_along_axis(u, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    valid = np.arange(u.shape[1]) < n[:, None]
+    height = np.where(valid, _finite(v), -np.inf).max(axis=1)
+    seen = height > -np.inf
+    barrier = height - u0
+    wired = (valid & np.isinf(v)).any(axis=1)
+    rising = np.zeros(len(n), dtype=bool)
+    tested = np.flatnonzero(seen & ~wired)
+    if len(tested):
+        vt, nt, rows = v[tested], n[tested], np.arange(len(tested))
+        tail_rise = vt[rows, nt - 1] - vt[rows, (0.8 * nt).astype(int)]
+        top = np.where(valid[tested], vt, -np.inf).argmax(axis=1)
+        rising[tested] = (top >= nt - 2) & (
+            tail_rise > 0.05 * np.maximum(barrier[tested], 1e-300)
+        )
+    barrier[~seen | (wired & ~(barrier > 0))] = np.inf
+    return barrier, rising
+
+
+def _weakest(barrier, rising, bound):
+    """Index of the first lowest barrier below bound among the rays not
+    rising, or None."""
+    candidates = np.flatnonzero(~rising & (barrier < bound))
+    return candidates[np.argmin(barrier[candidates])] if len(candidates) else None
 
 
 def trap_depth(
@@ -601,8 +637,14 @@ def trap_depth(
 
     26-direction grid plus angular refinement around the weakest ray.  Rays whose
     potential is still rising at truncation have no barrier inside the search
-    range and are excluded (reported in the result).  The rays of the grid, and
-    of each refinement fan, are evaluated as one batch of points.
+    range and are excluded (reported in the result).  The grid's rays are
+    evaluated in full, as one batch of points, for the excluded list.  Each
+    49-ray refinement fan is evaluated in at most three batches (the samples
+    near the crest of the weakest ray so far, every 8th sample, the rest), and
+    after each batch a ray whose highest sample already stands at least the
+    weakest barrier above U(r0) is dropped: its barrier could not be lower,
+    and a point's potential does not depend on its batch, so the result is
+    the one every sample of every ray would give.
     """
     r0 = np.asarray(r0, dtype=float)
     if ray_length is None:
@@ -618,23 +660,19 @@ def trap_depth(
     s = np.geomspace(1e-7, ray_length, samples)
     u0 = float(potential(model, state, r0, guard=0.0))
 
-    excluded = []
-    best = (np.inf, None)
-    for d, res in zip(_RAY_DIRECTIONS, _ray_barriers(model, state, r0, _RAY_DIRECTIONS, u0, s)):
-        if res is None:
-            continue
-        barrier, rising = res
-        if rising:
-            excluded.append(d)
-            continue
-        if barrier < best[0]:
-            best = (barrier, d)
-
-    if best[1] is None:
+    pts, keep = _ray_points(model, r0, _RAY_DIRECTIONS, s)
+    u = np.full(keep.shape, -np.inf)
+    _fill_potential(model, state, pts, keep, u)
+    barrier, rising = _barriers(u, keep, u0)
+    excluded = [d for d, r in zip(_RAY_DIRECTIONS, rising) if r]
+    i = _weakest(barrier, rising, np.inf)
+    if i is None:
         return TrapDepthReport(np.inf, np.inf, np.zeros(3), excluded)
+    best, d = float(barrier[i]), _RAY_DIRECTIONS[i]
+    crest = _finite(u[i]).argmax()
 
     # refine directions around the weakest ray
-    d = best[1]
+    index = np.arange(samples)
     width = 0.45
     for _ in range(refine_rounds):
         t1 = np.cross(d, [0.0, 0.0, 1.0])
@@ -648,17 +686,27 @@ def trap_depth(
                 dd = d + a * t1 + b * t2
                 dd /= np.linalg.norm(dd)
                 fan.append(dd)
-        for dd, res in zip(fan, _ray_barriers(model, state, r0, np.array(fan), u0, s)):
-            if res is None:
-                continue
-            barrier, rising = res
-            if not rising and barrier < best[0]:
-                best = (barrier, dd)
-        d = best[1]
+        fan = np.array(fan)
+        pts, keep = _ray_points(model, r0, fan, s)
+        u = np.full(keep.shape, -np.inf)
+        alive = keep.any(axis=1)
+        near = np.abs(index - crest) <= _CREST_HALF_WIDTH
+        coarse = ~near & (index % _COARSE_STRIDE == 0)
+        for batch in (near, coarse, ~(near | coarse)):
+            mask = keep & alive[:, None] & batch
+            if mask.any():
+                _fill_potential(model, state, pts, mask, u)
+            alive &= ~(_finite(u).max(axis=1) - u0 >= best)
+        barrier, rising = _barriers(u[alive], keep[alive], u0)
+        i = _weakest(barrier, rising, best)
+        if i is not None:
+            k = np.flatnonzero(alive)[i]
+            best, d = float(barrier[i]), fan[k]
+            crest = _finite(u[k]).argmax()
         width /= 3.0
 
-    depth = max(best[0], 0.0)
-    return TrapDepthReport(depth, depth / K_B, best[1], excluded)
+    depth = max(best, 0.0)
+    return TrapDepthReport(depth, depth / K_B, d, excluded)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,33 @@ def test_density_profile_csv(tmp_path):
     assert len(lines) == 42
 
 
+GAS_ARGS = ["--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "315", "--t-over-tf", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["density", "--points", "0"], "--points"),
+        (["density", "--extent-um", "nan"], "--extent-um"),
+        (["density", "--extent-um", "-3"], "--extent-um"),
+        (["tof", "--nx", "0"], "--nx"),
+        (["tof", "--ny", "0"], "--ny"),
+        (["thermo", "--scan-points", "0"], "--scan-points"),
+        (["thermo", "--scan-min", "0"], "--scan-min"),
+    ],
+    ids=["density-points-0", "density-extent-nan", "density-extent-negative", "tof-nx-0",
+         "tof-ny-0", "thermo-scan-points-0", "thermo-scan-min-0"],
+)
+def test_empty_or_non_finite_grid_is_config_error(tmp_path, capsys, argv, message):
+    command, *flags = argv
+    out = tmp_path / "out"
+    extra = ["--scan-out", out] if command == "thermo" else ["--out", out]
+    assert run([command, *GAS_ARGS, *flags, *extra]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
 def test_tof_raster_and_fit_roundtrip(tmp_path):
     img = tmp_path / "img.raster"
     code = run(
@@ -306,9 +333,10 @@ def test_dress_preset(tmp_path):
         (["--preset", "rb-doublewell", "--extent-um", "-5"], "--extent-um"),
         (["--geometry", "toronto-split-trap", "--rf-khz", "100", "--ramp-khz", "-5"],
          "--ramp-khz"),
+        (["--geometry", "toronto-split-trap"], "--rf-khz"),
     ],
     ids=["negative-rf", "nan-amplitude", "points-0", "points-1", "extent-0", "extent-negative",
-         "negative-ramp"],
+         "negative-ramp", "no-rf"],
 )
 def test_dress_bad_input_is_config_error(tmp_path, capsys, argv, message):
     code = run(["dress", *argv, "--out-prefix", tmp_path / "dw"])

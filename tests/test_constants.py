@@ -1,6 +1,8 @@
+import csv
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fermichip import constants as C
@@ -82,3 +84,26 @@ def test_registry_extendable(tmp_path, registry):
     loaded = C.SpeciesRegistry.load_json(path)
     st = loaded.stretched_state("Li6")
     assert st.F == Fraction(3, 2) and st.trappable
+
+
+def csv_writer_reference(path, header, columns):
+    """write_csv as one csv.writer row per line, each value formatted on its own."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") for v in row] for row in rows)
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0, 123456789.0, 1e17, -7]
+    rng = np.random.default_rng(3)
+    scattered = rng.normal(size=len(special)) * 10.0 ** rng.integers(-30, 30, len(special))
+    header = ["a", "b,quoted", "c"]
+    # three columns, one column, and no rows at all
+    for cols in ([special, special[::-1], scattered], [special], [[], []]):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        C.write_csv(new, header[: len(cols)], cols)
+        csv_writer_reference(old, header[: len(cols)], cols)
+        assert new.read_bytes() == old.read_bytes()

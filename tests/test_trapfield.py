@@ -41,22 +41,28 @@ def benchmark_ip(b0_gauss=1.214, f_perp=1230.0, f_axial=13.7):
 
 def counting(base):
     """Subclass of a field class that counts its field evaluations (field,
-    field_and_distance and derivatives) and, apart, its min_line_distance calls."""
+    field_and_distance and derivatives) and the points they take, and, apart,
+    its min_line_distance calls."""
 
     class Counting(base):
         evaluations = 0
+        points = 0
         distance_calls = 0
 
-        def field(self, r, **kwargs):
+        def _count(self, r):
             self.evaluations += 1
+            self.points += np.asarray(r).size // 3
+
+        def field(self, r, **kwargs):
+            self._count(r)
             return super().field(r, **kwargs)
 
         def field_and_distance(self, r):
-            self.evaluations += 1
+            self._count(r)
             return super().field_and_distance(r)
 
         def derivatives(self, r):
-            self.evaluations += 1
+            self._count(r)
             return super().derivatives(r)
 
         def min_line_distance(self, r):
@@ -486,13 +492,134 @@ def test_depth_science_trap(z_trap, z_minimum, k92):
 
 @pytest.mark.parametrize("rounds", [0, 1, 2])
 def test_depth_one_field_call_per_round(z_trap, z_minimum, k92, rounds):
-    # U(r0), the 26-ray grid, then one call per 49-ray refinement fan
+    # U(r0), the 26-ray grid, then at most three batched calls per 49-ray
+    # refinement fan, however many rays it has
     model, _ = z_trap
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
     tf.trap_depth(counted, k92, z_minimum.position, refine_rounds=rounds)
-    assert counted.evaluations <= 2 + rounds
+    assert counted.evaluations <= 2 + 3 * rounds
     # each batch's axis distances come from its field evaluation
     assert counted.distance_calls == 0
+    # U(r0) and the 10,924 grid points above the chip, then under 30% of
+    # each fan's 49 x 500 points: the rays that cannot win are dropped early
+    assert counted.points <= 10_925 + 0.3 * 24_500 * rounds
+
+
+def reference_barrier(u, u0):
+    """(barrier, still rising at truncation) of the potential u along one ray;
+    u is inf where the ray passes within the singularity guard of a wire."""
+    finite = np.isfinite(u)
+    if not finite.any():
+        return np.inf, False
+    u_max = float(np.max(u[finite]))
+    barrier = u_max - u0
+    if np.isinf(u).any():
+        return barrier if barrier > 0 else np.inf, False
+    i80 = int(0.8 * len(u))
+    tail_rise = u[-1] - u[i80]
+    still_rising = (np.argmax(u) >= len(u) - 2) and tail_rise > 0.05 * max(u_max - u0, 1e-300)
+    return barrier, still_rising
+
+
+def reference_depths(model, state, r0, rounds):
+    """The depth search of a gravity-free wire model as a loop over rays, with
+    every sample of every ray evaluated: (depth, escape direction, excluded
+    directions) after each of 0, 1, ..., rounds refinement rounds."""
+    far = max(np.linalg.norm(np.asarray(p) - r0) for seg in model.segments for p in (seg.a, seg.b))
+    s = np.geomspace(1e-7, max(5e-3, 10.0 * far), 500)
+    u0 = float(tf.potential(model, state, r0, guard=0.0))
+
+    def barriers(directions):
+        for d in directions:
+            pts = r0 + s[:, None] * d
+            pts = pts[~model.beyond_chip(pts)]
+            if len(pts) < 8:
+                yield None
+                continue
+            b, dist = model.field_and_distance(pts)
+            u = C.magnetic_moment(state) * np.linalg.norm(b, axis=-1)
+            yield reference_barrier(np.where(dist >= tf.SINGULARITY_GUARD, u, np.inf), u0)
+
+    grid = np.array(
+        [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1) if i or j or k],
+        dtype=float,
+    )
+    grid /= np.linalg.norm(grid, axis=1)[:, None]
+    excluded, best = [], (np.inf, None)
+    for d, res in zip(grid, barriers(grid)):
+        if res is None:
+            continue
+        barrier, rising = res
+        if rising:
+            excluded.append(d)
+        elif barrier < best[0]:
+            best = (barrier, d)
+    if best[1] is None:
+        return [(np.inf, np.zeros(3), excluded)] * (rounds + 1)
+    results = [(max(best[0], 0.0), best[1], excluded)]
+    width = 0.45
+    for _ in range(rounds):
+        d = best[1]
+        t1 = np.cross(d, [0.0, 0.0, 1.0])
+        if np.linalg.norm(t1) < 1e-8:
+            t1 = np.cross(d, [0.0, 1.0, 0.0])
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(d, t1)
+        fan = []
+        for a in np.linspace(-width, width, 7):
+            for b in np.linspace(-width, width, 7):
+                dd = d + a * t1 + b * t2
+                dd /= np.linalg.norm(dd)
+                fan.append(dd)
+        for dd, res in zip(fan, barriers(fan)):
+            if res is not None and not res[1] and res[0] < best[0]:
+                best = (res[0], dd)
+        results.append((max(best[0], 0.0), best[1], excluded))
+        width /= 3.0
+    return results
+
+
+def depth_start(model, seed, where):
+    """A start point for the depth search: the trap minimum, a point 2-300 um
+    from it, a point beyond the chip plane, or one 3 um from a wire axis."""
+    m = tf.find_minimum(model, seed).position
+    if where == "minimum":
+        return m
+    if where.startswith("offset"):
+        rng = np.random.default_rng(int(where[-1]))
+        d = rng.normal(size=3)
+        return m + np.geomspace(2e-6, 3e-4, 3)[int(where[-1])] * d / np.linalg.norm(d)
+    normal, offset = (np.asarray(v, dtype=float) for v in model.chip_plane)
+    if where == "beyond-chip":
+        return m + (offset - m @ normal + 5e-6) * normal
+    # nearest point of the nearest segment's axis, then 3 um towards the minimum
+    feet = []
+    for seg in model.segments:
+        a, b = np.asarray(seg.a), np.asarray(seg.b)
+        u = (b - a) / np.linalg.norm(b - a)
+        feet.append(a + ((m - a) @ u) * u)
+    foot = min(feet, key=lambda f: np.linalg.norm(m - f))
+    return foot + 3e-6 * (m - foot) / np.linalg.norm(m - foot)
+
+
+@pytest.mark.parametrize(
+    "where", ["minimum", "offset-0", "offset-1", "offset-2", "beyond-chip", "near-wire"]
+)
+@pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
+def test_depth_matches_unpruned_reference(name, where, k92, rb22):
+    # dropping fan rays that cannot win leaves every output bit as the
+    # per-ray search over every sample gives it
+    model, seed = tf.load_geometry(geometry_path(name))
+    r0 = depth_start(model, seed, where)
+    for state in (k92, rb22):
+        expected = reference_depths(model, state, r0, 2)
+        for rounds, (depth, direction, excluded) in enumerate(expected):
+            report = tf.trap_depth(model, state, r0, refine_rounds=rounds)
+            assert np.float64(report.depth).tobytes() == np.float64(depth).tobytes()
+            assert report.escape_direction.tobytes() == np.asarray(direction).tobytes()
+            assert [e.tobytes() for e in report.excluded_directions] == [
+                e.tobytes() for e in excluded
+            ]
 
 
 @pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
