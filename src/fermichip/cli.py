@@ -301,7 +301,8 @@ def cmd_dress(args) -> int:
         raise ValueError("give --preset, or --rf-khz for --geometry")
     else:
         geometry, rf_khz = args.geometry, args.rf_khz
-        ramp_khz, amplitude_mg = args.ramp_khz or args.rf_khz, args.amplitude_mg
+        ramp_khz = args.rf_khz if args.ramp_khz is None else args.ramp_khz
+        amplitude_mg = args.amplitude_mg
     model, seed = _resolve_geometry(geometry)
     minimum = trapfield.find_minimum(model, seed)
     ip = trapfield.ip_fit(model, minimum.position)

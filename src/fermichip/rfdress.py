@@ -119,40 +119,22 @@ def _detuning_and_rabi(b_vec, rf: RFField, state: SpinState, r):
     return delta, rabi
 
 
-def _spin_matrices(f: Fraction):
-    d = int(2 * f) + 1
-    m = np.array([float(-f + k) for k in range(d)])
-    sz = np.diag(m)
-    fp = np.zeros((d, d))
-    for k in range(d - 1):
-        fp[k + 1, k] = math.sqrt(float(f) * (float(f) + 1.0) - m[k] * (m[k] + 1.0))
-    sx = 0.5 * (fp + fp.T)
-    return m, sz, sx
-
-
-def adiabatic_branch(state: SpinState, delta0: float, rabi0: float, steps: int = 60) -> Fraction:
+def adiabatic_branch(state: SpinState, delta0: float, rabi0: float) -> Fraction:
     """Dressed branch m_F' that the populated bare state joins as the RF
-    amplitude ramps up from zero, found by eigenvector continuity.
+    amplitude ramps up from zero: m_F' = -m_F sign(delta0).
 
-    For delta(0) < 0 a stretched m_F = +F state connects to m_F' = +F; for
-    delta(0) > 0 it connects to m_F' = -F.
+    The RWA Hamiltonian -delta0 F_z + rabi0 F_x is linear in the spin, so it is
+    sqrt(delta0^2 + rabi0^2) times the spin component along the unit vector
+    n ~ (rabi0, 0, -delta0), with eigenvalues m_F' sqrt(delta0^2 + rabi0^2)
+    (Majorana, Nuovo Cimento 9, 43 (1932); Garraway and Perrin, J. Phys. B
+    49, 172001 (2016)).  As rabi0 ramps up from zero, n turns continuously
+    away from -sign(delta0) z and the levels never cross, so the bare state
+    m_F joins m_F' = -m_F sign(delta0) for every ratio rabi0 / |delta0|: for
+    delta0 < 0 a stretched m_F = +F state joins m_F' = +F, for delta0 > 0 it
+    joins -F.  rabi0 does not enter the label.  At resonance (delta0 = 0)
+    the branch is m_F, the undressed label.
     """
-    f = state.F
-    m, sz, sx = _spin_matrices(f)
-    idx = int(np.argmin(np.abs(m - float(state.m_F))))
-    vec = np.zeros(len(m))
-    vec[idx] = 1.0
-    if rabi0 == 0:
-        branch = -float(state.m_F) * math.copysign(1.0, delta0) if delta0 != 0 else float(state.m_F)
-        return Fraction(branch).limit_denominator(2)
-    for omega in np.linspace(rabi0 / steps, rabi0, steps):
-        h = -delta0 * sz + omega * sx
-        vals, vecs = np.linalg.eigh(h)
-        idx = int(np.argmax(np.abs(vecs.T @ vec)))
-        vec = vecs[:, idx]
-    scale = math.hypot(delta0, rabi0)
-    branch = vals[idx] / scale
-    return Fraction(round(2.0 * branch), 2)
+    return -state.m_F if delta0 > 0 else state.m_F
 
 
 @dataclass
@@ -257,6 +239,18 @@ def _parabolic_refine(s, u, i):
     return s[i] + shift * h, u[i] - 0.25 * (u[i - 1] - u[i + 1]) * shift
 
 
+def _extrema(u):
+    """Indices of the interior minima and maxima of the samples u, ascending.
+
+    An extremum sits at step i when the slope u[i+1] - u[i] has the opposite
+    sign of the last nonzero slope before it, so a flat run counts once, at
+    its last sample."""
+    sign = np.sign(np.diff(u))
+    steps = np.flatnonzero(sign)
+    turns = steps[1:][sign[steps[:-1]] * sign[steps[1:]] < 0]
+    return turns[sign[turns] > 0].tolist(), turns[sign[turns] < 0].tolist()
+
+
 @dataclass
 class DoubleWellReport:
     topology: str                    # "single" | "double"
@@ -269,19 +263,7 @@ class DoubleWellReport:
 def characterize_wells(scan: DressedPotentialScan) -> DoubleWellReport:
     """Locate the extrema of a dressed-potential scan and classify its topology."""
     s, u = scan.positions, scan.u_eff
-    du = np.diff(u)
-    sign = np.sign(du)
-    nz = sign != 0
-    minima, maxima = [], []
-    last_sign = 0
-    for i in range(len(sign)):
-        if not nz[i]:
-            continue
-        if last_sign < 0 and sign[i] > 0:
-            minima.append(i)
-        elif last_sign > 0 and sign[i] < 0:
-            maxima.append(i)
-        last_sign = sign[i]
+    minima, maxima = _extrema(u)
     # interior extrema only; refine positions parabolically
     wells = [_parabolic_refine(s, u, i) for i in minima]
     bumps = [_parabolic_refine(s, u, i) for i in maxima]

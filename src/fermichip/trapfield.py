@@ -405,7 +405,9 @@ def _potential(model, state: SpinState, r, b) -> np.ndarray:
     """potential() at the points r, where the field is b."""
     u = magnetic_moment(state) * np.linalg.norm(b, axis=-1)
     if model.gravity is not None:
-        u = u - state.species.mass * (r @ np.asarray(model.gravity, dtype=float))
+        # summed elementwise, so a point's value does not depend on its batch
+        gx, gy, gz = (float(g) for g in model.gravity)
+        u = u - state.species.mass * (r[..., 0] * gx + r[..., 1] * gy + r[..., 2] * gz)
     return u
 
 
@@ -561,16 +563,24 @@ class TrapDepthReport:
 
 
 # the batches of a refinement fan (see trap_depth): the samples within
-# _CREST_HALF_WIDTH of the weakest ray's crest, every _COARSE_STRIDE-th, the rest
+# _CREST_HALF_WIDTH of the weakest ray's crest, every _COARSE_STRIDE-th, the
+# rest; the grid's first batch takes every _COARSE_STRIDE-th sample too
 _CREST_HALF_WIDTH = 16
 _COARSE_STRIDE = 8
+# a ray of n samples is still rising when its maximum is one of its last two
+# and its samples from _TAIL_START n on climb by more than _TAIL_RISE of its
+# barrier
+_TAIL_START = 0.8
+_TAIL_RISE = 0.05
 
 
 def _ray_points(model, r0, directions, s):
     """The points r0 + s d of each ray (rays, samples, 3) and the mask of those
     kept: the samples on the near side of the chip plane, and none of a ray the
     plane truncates within 8 samples (no escape information that way)."""
-    pts = r0 + s[None, :, None] * directions[:, None, :]
+    pts = np.empty((len(directions), len(s), 3))
+    for k in range(3):
+        pts[:, :, k] = r0[k] + s * directions[:, k, None]
     keep = ~model.beyond_chip(pts)
     keep[keep.sum(axis=1) < 8] = False
     return pts, keep
@@ -609,10 +619,10 @@ def _barriers(u, keep, u0):
     tested = np.flatnonzero(seen & ~wired)
     if len(tested):
         vt, nt, rows = v[tested], n[tested], np.arange(len(tested))
-        tail_rise = vt[rows, nt - 1] - vt[rows, (0.8 * nt).astype(int)]
+        tail_rise = vt[rows, nt - 1] - vt[rows, (_TAIL_START * nt).astype(int)]
         top = np.where(valid[tested], vt, -np.inf).argmax(axis=1)
         rising[tested] = (top >= nt - 2) & (
-            tail_rise > 0.05 * np.maximum(barrier[tested], 1e-300)
+            tail_rise > _TAIL_RISE * np.maximum(barrier[tested], 1e-300)
         )
     barrier[~seen | (wired & ~(barrier > 0))] = np.inf
     return barrier, rising
@@ -623,6 +633,57 @@ def _weakest(barrier, rising, bound):
     rising, or None."""
     candidates = np.flatnonzero(~rising & (barrier < bound))
     return candidates[np.argmin(barrier[candidates])] if len(candidates) else None
+
+
+def _grid(model, state, r0, s, u0):
+    """The potential samples u (rays, samples) of the 26-ray grid, and each
+    ray's barrier and whether it is still rising, from at most three batches.
+
+    The first batch takes every _COARSE_STRIDE-th kept sample of each ray, its
+    last two and the one at 0.8 n that the rising test reads.  A ray is then
+    settled as not rising when an earlier sample reaches the larger of its
+    last two, or when its tail climbs by no more than 5% of that value above
+    u0; the others are filled in full, and with them the settled ray whose
+    samples so far peak lowest.  Last, the settled rays whose highest sample
+    is below the weakest filled ray's barrier, or equal to it with a lower
+    index, are filled.  A filled ray gets the barrier and rising flag that all
+    its samples give (_barriers); one left unfilled could not be the first
+    lowest, so it gets barrier inf and is not rising."""
+    pts, keep = _ray_points(model, r0, _RAY_DIRECTIONS, s)
+    u = np.full(keep.shape, -np.inf)
+    n = keep.sum(axis=1)
+    rank = np.cumsum(keep, axis=1) - 1
+    tail = (_TAIL_START * n).astype(int)
+    coarse = keep & (
+        (rank % _COARSE_STRIDE == 0) | (rank >= n[:, None] - 2) | (rank == tail[:, None])
+    )
+    if coarse.any():
+        _fill_potential(model, state, pts, coarse, u)
+
+    # a ray is still rising only if its maximum is one of its last two kept
+    # samples (v: each ray's kept samples moved to the front, as in _barriers)
+    v = np.take_along_axis(u, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    rows = np.arange(len(n))
+    top = np.maximum(v[rows, n - 2], v[rows, n - 1])
+    earlier = np.where(np.arange(len(s)) < n[:, None] - 2, v, -np.inf).max(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf: a wired or empty ray, never rising
+        climbs = v[rows, n - 1] - v[rows, tail] > _TAIL_RISE * np.maximum(top - u0, 1e-300)
+    full = (n > 0) & ~(earlier >= top) & climbs
+    settled = (n > 0) & ~full
+    low = _finite(u).max(axis=1) - u0  # no settled ray's barrier is lower
+    if settled.any():
+        full[np.flatnonzero(settled)[np.argmin(low[settled])]] = True
+
+    barrier, rising = np.full(len(n), np.inf), np.zeros(len(n), dtype=bool)
+    fill = full.copy()
+    while fill.any():  # twice at most: the bound only falls
+        _fill_potential(model, state, pts, keep & ~coarse & fill[:, None], u)
+        barrier[fill], rising[fill] = _barriers(u[fill], keep[fill], u0)
+        i = _weakest(barrier, rising, np.inf)
+        bound, first = (np.inf, len(n)) if i is None else (barrier[i], i)
+        fill = settled & ~full & ((low < bound) | ((low == bound) & (rows < first)))
+        full |= fill
+    return u, barrier, rising
 
 
 def trap_depth(
@@ -637,14 +698,18 @@ def trap_depth(
 
     26-direction grid plus angular refinement around the weakest ray.  Rays whose
     potential is still rising at truncation have no barrier inside the search
-    range and are excluded (reported in the result).  The grid's rays are
-    evaluated in full, as one batch of points, for the excluded list.  Each
-    49-ray refinement fan is evaluated in at most three batches (the samples
-    near the crest of the weakest ray so far, every 8th sample, the rest), and
-    after each batch a ray whose highest sample already stands at least the
-    weakest barrier above U(r0) is dropped: its barrier could not be lower,
-    and a point's potential does not depend on its batch, so the result is
-    the one every sample of every ray would give.
+    range and are excluded (reported in the result).  The grid is evaluated
+    in at most three batches: every 8th sample of each ray with the samples
+    the rising test reads, then in full the rays that may still be rising and
+    the ray lowest so far, then the rays that could still be the first lowest
+    (branch and bound).  Each 49-ray refinement fan is evaluated in at most
+    three batches (the samples near the crest of the weakest ray so far,
+    every 8th sample, the rest), and after each batch a ray whose highest
+    sample already stands at least the weakest barrier above U(r0) is
+    dropped.  A ray's highest sample bounds its barrier from below, and a
+    point's potential does not depend on its batch, so the depth, escape
+    direction and excluded list are the ones every sample of every ray would
+    give.
     """
     r0 = np.asarray(r0, dtype=float)
     if ray_length is None:
@@ -660,10 +725,7 @@ def trap_depth(
     s = np.geomspace(1e-7, ray_length, samples)
     u0 = float(potential(model, state, r0, guard=0.0))
 
-    pts, keep = _ray_points(model, r0, _RAY_DIRECTIONS, s)
-    u = np.full(keep.shape, -np.inf)
-    _fill_potential(model, state, pts, keep, u)
-    barrier, rising = _barriers(u, keep, u0)
+    u, barrier, rising = _grid(model, state, r0, s, u0)
     excluded = [d for d, r in zip(_RAY_DIRECTIONS, rising) if r]
     i = _weakest(barrier, rising, np.inf)
     if i is None:

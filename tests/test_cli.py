@@ -321,6 +321,19 @@ def test_dress_preset(tmp_path):
     assert len(rb_csv) == 2049
 
 
+def test_dress_near_resonance_branch(tmp_path):
+    # 1820 kHz lies 0.5 kHz above the Rb87 bottom resonance of the z-trap, and
+    # the 70 kHz coupling is ~140 times that detuning: the stretched state
+    # still joins the stretched branch -2
+    prefix = tmp_path / "nr"
+    code = run(["dress", "--geometry", "toronto-z-trap", "--rf-khz", "1820",
+                "--out-prefix", prefix])
+    assert code == 0
+    doc = json.loads((tmp_path / "nr_report.json").read_text())
+    assert doc["species"]["Rb87"]["m_f_prime"] == "-2"
+    assert doc["species"]["K40"]["m_f_prime"] == "-9/2"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -333,10 +346,12 @@ def test_dress_preset(tmp_path):
         (["--preset", "rb-doublewell", "--extent-um", "-5"], "--extent-um"),
         (["--geometry", "toronto-split-trap", "--rf-khz", "100", "--ramp-khz", "-5"],
          "--ramp-khz"),
+        (["--geometry", "toronto-split-trap", "--rf-khz", "100", "--ramp-khz", "0"],
+         "--ramp-khz"),
         (["--geometry", "toronto-split-trap"], "--rf-khz"),
     ],
     ids=["negative-rf", "nan-amplitude", "points-0", "points-1", "extent-0", "extent-negative",
-         "negative-ramp", "no-rf"],
+         "negative-ramp", "ramp-zero", "no-rf"],
 )
 def test_dress_bad_input_is_config_error(tmp_path, capsys, argv, message):
     code = run(["dress", *argv, "--out-prefix", tmp_path / "dw"])

@@ -89,6 +89,28 @@ def test_adiabatic_branch_interior_state(registry):
     assert rf.adiabatic_branch(state, +10.0 * KHZ, 30.0 * KHZ) == Fraction(-1)
 
 
+@pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0, 100.0, 1e4])
+def test_adiabatic_branch_closed_form(registry, ratio):
+    # the Zeeman term only rotates the spin, so the label is -m_F sign(delta0)
+    # however strong the coupling is against the detuning
+    rb = registry["Rb87"]
+    for two_f in range(1, 10):
+        f = Fraction(two_f, 2)
+        for two_m in range(-two_f, two_f + 1, 2):
+            state = C.SpinState(rb, f, Fraction(two_m, 2), Fraction(1, 2))
+            for delta0 in (-3.0 * KHZ, +3.0 * KHZ):
+                expected = -state.m_F * int(math.copysign(1, delta0))
+                assert rf.adiabatic_branch(state, delta0, ratio * abs(delta0)) == expected
+
+
+def test_adiabatic_branch_at_resonance_is_bare_label(registry):
+    # with no detuning the bare m_F labels the branch, whatever the coupling
+    for m_f in range(-2, 3):
+        state = registry.state("Rb87", 2, m_f)
+        for rabi0 in (0.0, 1.0 * KHZ, 70.0 * KHZ):
+            assert rf.adiabatic_branch(state, 0.0, rabi0) == Fraction(m_f)
+
+
 # -- dressed potentials --------------------------------------------------------------------
 
 def test_zero_rabi_limit_kinked_at_resonance(rb22):
@@ -249,6 +271,35 @@ def test_ambiguous_topology_raises(rb22):
     )
     with pytest.raises(rf.TopologyError):
         rf.characterize_wells(scan)
+
+
+def reference_extrema(u):
+    """Interior minima and maxima of u, one slope sign at a time: an extremum
+    where a nonzero slope sign flips, skipping flat steps."""
+    minima, maxima = [], []
+    last_sign = 0
+    for i, sign in enumerate(np.sign(np.diff(u))):
+        if sign == 0:
+            continue
+        if last_sign < 0 and sign > 0:
+            minima.append(i)
+        elif last_sign > 0 and sign < 0:
+            maxima.append(i)
+        last_sign = sign
+    return minima, maxima
+
+
+def test_extrema_match_reference_loop():
+    # random walks with flat runs (repeated values), plateaus at the ends and
+    # the degenerate cases
+    rng = np.random.default_rng(5)
+    walks = [np.zeros(0), np.zeros(1), np.zeros(5), np.array([1.0, 0.0, 1.0]),
+             np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])]
+    for _ in range(200):
+        steps = rng.choice([-1.0, 0.0, 1.0], size=rng.integers(2, 300), p=[0.4, 0.2, 0.4])
+        walks.append(np.cumsum(steps * rng.uniform(0.5, 2.0, steps.size)))
+    for u in walks:
+        assert rf._extrema(u) == reference_extrema(u)
 
 
 # -- evaporation knife ------------------------------------------------------------------------
