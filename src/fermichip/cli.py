@@ -204,6 +204,8 @@ def cmd_tof(args) -> int:
     from . import imagefit
 
     _require_positive(("--nx", args.nx), ("--ny", args.ny))
+    if not (args.noise_frac >= 0 and math.isfinite(args.noise_frac)):
+        raise ValueError(f"--noise-frac must be non-negative and finite, got {args.noise_frac}")
     gas = _gas_from_args(args)
     pitch = args.pitch_um * 1e-6
     t = args.time_ms * 1e-3
@@ -294,15 +296,20 @@ def cmd_dress(args) -> int:
     from . import rfdress, trapfield
 
     if args.preset:
+        for flag, value in (("--geometry", args.geometry), ("--rf-khz", args.rf_khz),
+                            ("--ramp-khz", args.ramp_khz), ("--amplitude-mg", args.amplitude_mg)):
+            if value is not None:
+                raise ValueError(f"{flag} cannot be combined with --preset, which sets it")
         cfg = DRESS_PRESETS[args.preset]
         geometry, rf_khz = cfg["geometry"], cfg["rf_khz"]
         ramp_khz, amplitude_mg = cfg["ramp_khz"], cfg["amplitude_mg"]
     elif args.rf_khz is None:
         raise ValueError("give --preset, or --rf-khz for --geometry")
     else:
-        geometry, rf_khz = args.geometry, args.rf_khz
+        geometry = "toronto-split-trap" if args.geometry is None else args.geometry
+        rf_khz = args.rf_khz
         ramp_khz = args.rf_khz if args.ramp_khz is None else args.ramp_khz
-        amplitude_mg = args.amplitude_mg
+        amplitude_mg = 200.0 if args.amplitude_mg is None else args.amplitude_mg
     model, seed = _resolve_geometry(geometry)
     minimum = trapfield.find_minimum(model, seed)
     ip = trapfield.ip_fit(model, minimum.position)
@@ -582,11 +589,15 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = sub.add_parser("dress", help="RF-dressed potential scans for both species")
     p.add_argument("--preset", choices=sorted(DRESS_PRESETS), default=None)
-    p.add_argument("--geometry", default="toronto-split-trap")
-    p.add_argument("--rf-khz", type=float, default=None)
+    p.add_argument("--geometry", default=None,
+                   help="geometry JSON path or shipped preset name (default toronto-split-trap); "
+                   "not with --preset")
+    p.add_argument("--rf-khz", type=float, default=None, help="not with --preset")
     p.add_argument("--ramp-khz", type=float, default=None,
-                   help="frequency at which the RF amplitude was ramped on")
-    p.add_argument("--amplitude-mg", type=float, default=200.0)
+                   help="frequency at which the RF amplitude was ramped on (default --rf-khz); "
+                   "not with --preset")
+    p.add_argument("--amplitude-mg", type=float, default=None,
+                   help="RF amplitude (default 200); not with --preset")
     p.add_argument("--extent-um", type=float, default=10.0)
     p.add_argument("--points", type=int, default=4096)
     p.add_argument("--out-prefix", default="dress")

@@ -4,21 +4,25 @@ Finite straight segments (Biot-Savart) plus uniform bias fields.  Every field
 class has one protocol: `field(r, guard=...)` returns B with shape (..., 3),
 `field_and_distance(r)` returns B together with the distance to the nearest
 wire axis from the same evaluation (inf without wires), `derivatives(r)`
-returns B, J[..., i, j] = d_j B_i and H[..., i, j, k] = d_j d_k B_i, and
-`gravity`, `min_line_distance` and `beyond_chip` describe what else the
-searches need.  Each field is written once, as elementwise arithmetic on the
-x, y, z components, which `field` runs on arrays and `derivatives` on
+returns B, J[..., i, j] = d_j B_i and H[..., i, j, k] = d_j d_k B_i,
+`derivatives_and_distance(r)` returns those and the axis distance from one
+evaluation, and `gravity`, `min_line_distance` and `beyond_chip` describe what
+else the searches need.  Each field is written once, as elementwise arithmetic
+on the x, y, z components, which `field` runs on arrays and `derivatives` on
 forward-mode jets: the derivatives are exact, and a point's B, J and H do not
 depend on the batch it is evaluated in.  A `FieldModel` runs the Biot-Savart
 kernel once for all its segments, their constants as columns against the
 points as rows (arrays in blocks of `_BLOCK` points, jets in one pass), and
-adds the segments to the bias one at a time in their order.
+adds the segments to the bias one at a time in their order.  The field
+classes are frozen, and each keeps B, J, H and the axis distance of its last
+one-point jet pass, so a caller asking again at that point (the frequencies
+and the IP fit at a minimum just found) runs no kernel.
 
-On top of the field model: location of the trap minimum (damped Newton on the
-exact gradient J^T B of |B|^2 / 2), bottom field B0, harmonic frequencies per
-spin state from the exact Hessian of |B|, trap depth from an escape-ray
-search, and a least-squares Ioffe-Pritchard parameterization (B0, B', B'')
-used by the RF-dressing module.
+On top of the field model: location of the trap minimum (trust-region Newton
+on the exact gradient J^T B and Hessian of |B|^2 / 2, one kernel pass per
+step), bottom field B0, harmonic frequencies per spin state from the exact
+Hessian of |B|, trap depth from an escape-ray search, and a least-squares
+Ioffe-Pritchard parameterization (B0, B', B'') used by the RF-dressing module.
 
 Positions are in metres, fields in tesla, currents in ampere.
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +105,6 @@ class _Jet:
             return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
         return _Jet(self.v - other, self.g, self.h)
 
-    def __getitem__(self, key):
-        # key indexes the leading axis of v, which g and h carry behind
-        # their derivative axes: a FieldModel's segment rows
-        h = self.h[:, :, key] if isinstance(self.h, np.ndarray) else self.h
-        return _Jet(self.v[key], self.g[:, key], h)
-
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             h = self.h * other if isinstance(self.h, np.ndarray) else self.h
@@ -139,22 +137,17 @@ class _Jet:
         return NotImplemented if reflected is None else reflected(inputs[0])
 
 
-def _derivatives(components, r):
-    """B (..., 3), J (..., 3, 3) and H (..., 3, 3, 3) at the points r from the
-    kernel `components(x, y, z)`, B_x, B_y, B_z first, run on coordinate jets."""
-    r = np.asarray(r, dtype=float)
-    x = _coordinates(r)
-    n = x.shape[-1]
-    seeds = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 1, n))
-    b = components(*(_Jet(xi, gi) for xi, gi in zip(x, seeds)))[:3]
-    shape = r.shape[:-1]
-    return (
-        np.stack([c.v[0] for c in b], axis=-1).reshape(r.shape),
-        np.stack([c.g[:, 0] for c in b]).transpose(2, 0, 1).reshape(shape + (3, 3)),
-        np.stack([np.broadcast_to(c.h, (3, 3, 1, n))[:, :, 0] for c in b])
-        .transpose(3, 0, 1, 2)
-        .reshape(shape + (3, 3, 3)),
-    )
+def _add_in_order(start, rows):
+    """start + rows[0] + rows[1] + ... over the segment rows (axis -2) of a
+    kernel output, added one row at a time in their order (an accumulation is
+    sequential), as a (..., 1, N) array; on jets, on the raw value, gradient
+    and Hessian arrays."""
+    if isinstance(rows, _Jet):
+        return _Jet(*(_add_in_order(a, b) for a, b in zip(
+            (start.v, start.g, start.h), (rows.v, rows.g, rows.h))))
+    terms = rows.copy()
+    terms[..., :1, :] += start
+    return np.add.accumulate(terms, axis=-2, out=terms)[..., -1:, :]
 
 
 def _biot_savart(a, b, u, k, x, y, z):
@@ -233,49 +226,22 @@ class WireSegment:
         bx, by, bz, _ = _biot_savart(self.a, self.b, self._u, self._k, *_coordinates(r))
         return np.stack([bx, by, bz], axis=-1).reshape(r.shape)
 
-    def translated(self, offset) -> "WireSegment":
-        off = np.asarray(offset, dtype=float)
-        return WireSegment(tuple(np.asarray(self.a) + off), tuple(np.asarray(self.b) + off), self.current)
 
+class _KernelField:
+    """Base of the fields computed by one elementwise kernel,
+    `_components(x, y, z)`: B_x, B_y, B_z and the squared distances to the
+    wire axes, a row per segment (None without wires), on arrays or jets.
 
-@dataclass
-class FieldModel:
-    """Wire segments plus a uniform bias field; optionally gravity and a chip plane.
+    The last one-point jet pass is kept as _memo, keyed by the point's bytes;
+    the fields are frozen dataclasses, so it cannot go stale, and copies are
+    handed out, so a caller cannot change it.  `_field_pass` and `_jet_pass`
+    are the kernel passes themselves."""
 
-    gravity: acceleration vector (m/s^2) or None (off, the default).
-    chip_plane: (normal, offset) such that points with normal . r > offset lie
-    beyond the chip surface (escape rays are truncated there).
-    """
+    _memo = None
 
-    segments: list[WireSegment] = field(default_factory=list)
-    bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    gravity: tuple[float, float, float] | None = None
-    chip_plane: tuple[tuple[float, float, float], float] | None = None
-
-    def _components(self, x, y, z):
-        """B_x, B_y, B_z at the coordinates x, y, z ((1, N) rows of arrays or
-        jets, to whose shape x * 0.0 lifts the bias) and the squared distances
-        to each axis, a row per segment (None without segments).
-
-        One kernel pass for all segments; their fields are added to the bias
-        one at a time in their order, as a segment-by-segment sum would."""
-        b = [x * 0.0 + c for c in self.bias]
-        if not self.segments:
-            return (*b, None)
-        columns = (
-            np.array([getattr(seg, name) for seg in self.segments]).T[..., None]
-            for name in ("a", "b", "_u")
-        )
-        k = np.array([[seg._k] for seg in self.segments])
-        *db, rho2 = _biot_savart(*columns, k, x, y, z)
-        for i in range(len(self.segments)):
-            b = [bc + dc[i : i + 1] for bc, dc in zip(b, db)]
-        return (*b, rho2)
-
-    def _field_and_rho2(self, r):
+    def _field_pass(self, r):
         """B (..., 3) at the points r and the squared distance (...) to the
         nearest wire axis, from the kernel run on blocks of _BLOCK points."""
-        r = np.asarray(r, dtype=float)
         x = _coordinates(r)
         n = x.shape[-1]
         b = np.empty((n, 3))
@@ -286,6 +252,35 @@ class FieldModel:
             if rho2_blk is not None:
                 rho2[lo : lo + _BLOCK] = rho2_blk.min(axis=0)
         return b.reshape(r.shape), rho2.reshape(r.shape[:-1])
+
+    def _jet_pass(self, r):
+        """B (..., 3), J (..., 3, 3), H (..., 3, 3, 3) and the squared
+        distance (...) to the nearest wire axis at the points r, from one pass
+        of the kernel on coordinate jets."""
+        x = _coordinates(r)
+        n = x.shape[-1]
+        seeds = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 1, n))
+        *b, rho2 = self._components(*(_Jet(xi, gi) for xi, gi in zip(x, seeds)))
+        shape = r.shape[:-1]
+        return (
+            np.stack([c.v[0] for c in b], axis=-1).reshape(r.shape),
+            np.stack([c.g[:, 0] for c in b]).transpose(2, 0, 1).reshape(shape + (3, 3)),
+            np.stack([np.broadcast_to(c.h, (3, 3, 1, n))[:, :, 0] for c in b])
+            .transpose(3, 0, 1, 2)
+            .reshape(shape + (3, 3, 3)),
+            (np.full(n, np.inf) if rho2 is None else rho2.v.min(axis=0)).reshape(shape),
+        )
+
+    def _recall(self, r):
+        """The kept jet pass at the one point r, or None."""
+        if r.shape == (3,) and self._memo is not None and self._memo[0] == r.tobytes():
+            return self._memo[1]
+        return None
+
+    def _field_and_rho2(self, r):
+        r = np.asarray(r, dtype=float)
+        kept = self._recall(r)
+        return (kept[0].copy(), kept[3]) if kept is not None else self._field_pass(r)
 
     def field(self, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
         b, rho2 = self._field_and_rho2(r)
@@ -300,12 +295,64 @@ class FieldModel:
         b, rho2 = self._field_and_rho2(r)
         return b, np.sqrt(rho2)
 
-    def derivatives(self, r):
-        """B (..., 3), dB_i/dr_j (..., 3, 3) and d_j d_k B_i (..., 3, 3, 3)."""
-        return _derivatives(self._components, r)
-
     def min_line_distance(self, r) -> np.ndarray:
         return np.sqrt(self._field_and_rho2(r)[1])
+
+    def derivatives_and_distance(self, r):
+        """B (..., 3), dB_i/dr_j (..., 3, 3), d_j d_k B_i (..., 3, 3, 3) and
+        the distance (...) to the nearest wire axis, unguarded."""
+        r = np.asarray(r, dtype=float)
+        if r.shape != (3,):
+            b, jac, hess, rho2 = self._jet_pass(r)
+            return b, jac, hess, np.sqrt(rho2)
+        if self._recall(r) is None:
+            object.__setattr__(self, "_memo", (r.tobytes(), self._jet_pass(r)))
+        b, jac, hess, rho2 = self._memo[1]
+        return b.copy(), jac.copy(), hess.copy(), np.sqrt(rho2)
+
+    def derivatives(self, r):
+        """B (..., 3), dB_i/dr_j (..., 3, 3) and d_j d_k B_i (..., 3, 3, 3)."""
+        return self.derivatives_and_distance(r)[:3]
+
+
+@dataclass(frozen=True)
+class FieldModel(_KernelField):
+    """Wire segments plus a uniform bias field; optionally gravity and a chip plane.
+
+    gravity: acceleration vector (m/s^2) or None (off, the default).
+    chip_plane: (normal, offset) such that points with normal . r > offset lie
+    beyond the chip surface (escape rays are truncated there).
+    """
+
+    segments: tuple[WireSegment, ...] = ()
+    bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    gravity: tuple[float, float, float] | None = None
+    chip_plane: tuple[tuple[float, float, float], float] | None = None
+
+    def __post_init__(self):
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "bias", tuple(float(c) for c in self.bias))
+        # the (S, 1) columns of the segment ends a, b, unit axes and prefactors
+        columns = [
+            np.array([getattr(seg, name) for seg in segments]).T[..., None]
+            for name in ("a", "b", "_u")
+        ]
+        columns.append(np.array([[seg._k] for seg in segments]))
+        object.__setattr__(self, "_columns", columns)
+
+    def _components(self, x, y, z):
+        """B_x, B_y, B_z at the coordinates x, y, z ((1, N) rows of arrays or
+        jets, to whose shape x * 0.0 lifts the bias) and the squared distances
+        to each axis, a row per segment (None without segments).
+
+        One kernel pass for all segments; their fields are added to the bias
+        one at a time in their order, as a segment-by-segment sum would."""
+        b = [x * 0.0 + c for c in self.bias]
+        if not self.segments:
+            return (*b, None)
+        *db, rho2 = _biot_savart(*self._columns, x, y, z)
+        return (*(_add_in_order(bc, dc) for bc, dc in zip(b, db)), rho2)
 
     def beyond_chip(self, r) -> np.ndarray:
         if self.chip_plane is None:
@@ -314,21 +361,8 @@ class FieldModel:
         normal, offset = self.chip_plane
         return np.asarray(r, dtype=float) @ np.asarray(normal, dtype=float) > offset
 
-    def translated(self, offset) -> "FieldModel":
-        return replace(
-            self,
-            segments=[s.translated(offset) for s in self.segments],
-            chip_plane=None
-            if self.chip_plane is None
-            else (
-                self.chip_plane[0],
-                self.chip_plane[1]
-                + float(np.asarray(self.chip_plane[0], dtype=float) @ np.asarray(offset, dtype=float)),
-            ),
-        )
 
-
-@dataclass
+@dataclass(frozen=True)
 class WireFreeField:
     """Base of fields without wires: optional gravity, no wire axis to keep
     away from and no chip surface to truncate escape rays."""
@@ -341,12 +375,15 @@ class WireFreeField:
     def field_and_distance(self, r):
         return self.field(r), self.min_line_distance(r)
 
+    def derivatives_and_distance(self, r):
+        return (*self.derivatives(r), self.min_line_distance(r))
+
     def beyond_chip(self, r) -> np.ndarray:
         return np.zeros(np.shape(r)[:-1], dtype=bool)
 
 
-@dataclass
-class AnalyticIPField(WireFreeField):
+@dataclass(frozen=True)
+class AnalyticIPField(_KernelField, WireFreeField):
     """Quadratic Ioffe-Pritchard field, Maxwell-consistent, longitudinal axis = local y.
 
     B_x = B' x - (B''/2) x y,  B_z = -B' z - (B''/2) y z,
@@ -360,10 +397,17 @@ class AnalyticIPField(WireFreeField):
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     axes: np.ndarray | None = None
 
+    def __post_init__(self):
+        # copies the caller cannot change, so the kept pass cannot go stale
+        axes = np.array(np.eye(3) if self.axes is None else self.axes, dtype=float)
+        axes.setflags(write=False)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+
     def _components(self, x, y, z):
         """B_x, B_y, B_z at the coordinates x, y, z (arrays or jets): the local
-        coordinates are (r - center) @ axes, and B = axes @ B_local."""
-        a = np.eye(3) if self.axes is None else np.asarray(self.axes, dtype=float)
+        coordinates are (r - center) @ axes, and B = axes @ B_local.  No wires."""
+        a = self.axes
         dx, dy, dz = x - self.center[0], y - self.center[1], z - self.center[2]
         lx, ly, lz = (dx * a[0, j] + dy * a[1, j] + dz * a[2, j] for j in range(3))
         bp, c = self.b_prime, 0.5 * self.b_double_prime
@@ -372,18 +416,10 @@ class AnalyticIPField(WireFreeField):
             self.b0 + c * (ly * ly - 0.5 * (lx * lx + lz * lz)),
             -bp * lz - c * ly * lz,
         )
-        return tuple(bl[0] * a[i, 0] + bl[1] * a[i, 1] + bl[2] * a[i, 2] for i in range(3))
-
-    def field(self, r, guard: float = 0.0) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.stack(self._components(*_coordinates(r)), axis=-1).reshape(r.shape)
-
-    def derivatives(self, r):
-        """B (..., 3), dB_i/dr_j (..., 3, 3) and d_j d_k B_i (..., 3, 3, 3)."""
-        return _derivatives(self._components, r)
+        return (*(bl[0] * a[i, 0] + bl[1] * a[i, 1] + bl[2] * a[i, 2] for i in range(3)), None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallableField(WireFreeField):
     """Adapter giving the field protocol to an r -> B callable `fn` and an
     r -> (B, J, H) callable `derivatives`."""
@@ -425,12 +461,6 @@ def _norm_hessian(r0, b, jac, hess) -> np.ndarray:
     return (_square_hessian(b, jac, hess) - np.outer(grad, grad)) / b0
 
 
-def _check_guard(model, x) -> None:
-    dist = float(model.min_line_distance(x))
-    if dist < SINGULARITY_GUARD:
-        raise SingularityError(f"minimum search at {x} m is {dist*1e6:.3g} um from a wire axis")
-
-
 @dataclass(frozen=True)
 class TrapMinimum:
     position: np.ndarray
@@ -439,40 +469,98 @@ class TrapMinimum:
     grad_norm: float          # |grad |B|| at the returned point, T/m
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _trust_step(lam, vec, g, radius):
+    """The step p minimising the model g.p + p.H p / 2 over |p| <= radius,
+    where H = vec diag(lam) vec^T with lam ascending, and whether p is the
+    Newton step -H^-1 g inside the region (More and Sorensen, SIAM J. Sci.
+    Stat. Comput. 4, 553 (1983), on the eigenbasis)."""
+    a = vec.T @ g
+    if not a.any():
+        return np.zeros(3), True
+    if lam[0] > 0:
+        c = a / lam
+        if c @ c <= radius * radius:
+            return -(vec @ c), True
+    # On the boundary, (H + mu) p = -g for the mu > max(0, -lam[0]) where
+    # |p(mu)| = radius.  |p| falls with mu, and 1/|p| - 1/radius is concave:
+    # Newton's method on it from mu0, where |p| <= radius, drops below the
+    # root and then climbs to it; a step past the pole is halved back.
+    lo = max(0.0, -float(lam[0]))
+    mu = lo + float(np.linalg.norm(a)) / radius
+    for _ in range(50):
+        d = lam + mu
+        c = a / d
+        length = float(np.linalg.norm(c))
+        if abs(length - radius) <= 1e-3 * radius:
+            break
+        mu_next = mu - (1.0 - length / radius) * length * length / float(c @ (c / d))
+        mu = mu_next if mu_next > lo else 0.5 * (lo + mu)
+    return -(vec @ c), False
+
+
 def _newton(model, x, zero_field_tol: float):
-    """Damped Newton iteration on |B|^2 / 2 from x; returns the last point
-    with B, J and H there."""
-    _check_guard(model, x)
-    b, jac, hess = model.derivatives(x)
-    previous = np.inf
+    """Trust-region Newton search on |B|^2 / 2 from x, one kernel pass per
+    trial point; returns the last point with B, J and H there, and why the
+    last rejected trial was rejected: "chip" (beyond the chip plane), "wire"
+    (within the singularity guard of an axis) or None (a rise of |B|^2, or no
+    trial rejected)."""
+    b, jac, hess, dist = model.derivatives_and_distance(x)
+    if dist < SINGULARITY_GUARD:
+        raise SingularityError(f"minimum search at {x} m is {dist*1e6:.3g} um from a wire axis")
+    radius = 0.25 * float(dist)
+    blocked = None
     for _ in range(100):
-        g = jac.T @ b
-        j_norm = float(np.linalg.norm(jac, 2))
+        j_norm = float(np.linalg.norm(jac))
         if j_norm == 0.0:
             raise NotATrapError("the field is uniform here, so |B| has no curvature")
-        # steps shorter than this are round-off; at a trap minimum |B| / ||J||_2
-        # is the IP length B0/B', and a zero field takes zero_field_tol for |B|
-        round_off = 1e-4 * max(float(np.linalg.norm(b)), zero_field_tol) / j_norm
+        # the length over which the field changes: near a trap minimum the IP
+        # length B0 / B', with zero_field_tol for |B| at a field zero
+        scale = max(float(np.linalg.norm(b)), zero_field_tol) / j_norm
+        g = jac.T @ b
         lam, vec = np.linalg.eigh(_square_hessian(b, jac, hess))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = vec @ ((vec.T @ g) / np.abs(lam))
+        if lam[0] <= 0 and not math.isfinite(radius):
+            radius = scale  # no wire sets a radius, and the model has no minimum
+        step, newton = _trust_step(lam, vec, g, radius)
         length = float(np.linalg.norm(step))
-        # Newton converges quadratically: a short step not halving the last is round-off
-        if not 0.0 < length < np.inf or 0.5 * previous < length < round_off:
+        if not length > _EPS * scale:
+            break  # round-off is all that is left
+        trial = x + step
+        if model.beyond_chip(trial):
+            blocked, radius = "chip", 0.25 * length
+            continue
+        bt, jt, ht, dist = model.derivatives_and_distance(trial)
+        if dist < SINGULARITY_GUARD:
+            blocked, radius = "wire", 0.25 * length
+            continue
+        # the actual and the predicted fall of |B|^2 / 2
+        actual = 0.5 * float(b @ b - bt @ bt)
+        c = vec.T @ step
+        predicted = -float(g @ step + 0.5 * (lam * c) @ c)
+        if actual < 0.25 * predicted:
+            radius = 0.25 * length
+        elif actual > 0.75 * predicted and not newton:
+            radius = 2.0 * radius
+        # below the resolution of |B|^2 the gradient still shows progress
+        if actual < 0.0 and np.linalg.norm(jt.T @ bt) >= np.linalg.norm(g):
+            blocked = None
+            continue
+        x, b, jac, hess = trial, bt, jt, ht
+        # Newton converges quadratically: after this step the next would be
+        # about length^2 / scale, under the round-off eps * scale
+        if newton and length * length <= _EPS * scale * scale:
             break
-        scale = 1.0
-        while True:
-            bt, jt, ht = model.derivatives(x - scale * step)
-            if bt @ bt <= b @ b or np.linalg.norm(jt.T @ bt) < np.linalg.norm(g):
-                break
-            scale *= 0.5
-            if scale * length < round_off:
-                return x, b, jac, hess  # nothing better a round-off length away
-        x = x - scale * step
-        _check_guard(model, x)
-        b, jac, hess = bt, jt, ht
-        previous = scale * length
-    return x, b, jac, hess
+    return x, b, jac, hess, blocked
+
+
+_BLOCKED = {
+    "chip": "the search ended against the chip surface, beyond which its last rejected trial lay",
+    "wire": "the search ended against the singularity guard of a wire axis, within which its "
+    "last rejected trial lay",
+    None: "bracket state",
+}
 
 
 def find_minimum(
@@ -483,22 +571,36 @@ def find_minimum(
 ) -> TrapMinimum:
     """Locate a local minimum of |B| near `seed`.
 
-    Deterministic damped Newton iteration on the exact gradient J^T B of
-    |B|^2 / 2, which stays smooth through zero-field minima; the seed must
-    be three finite coordinates (ValueError otherwise).  The Hessian's
-    eigenvalues are taken in absolute value, so every step points downhill in
-    |B|^2; a trial step is accepted when |B|^2 does not rise or
-    |grad |B|^2| falls, else halved down to the round-off length
-    1e-4 |B| / ||J||_2.  The iteration ends when a shorter step no longer
-    halves the one before.  Raises SingularityError if the seed or a step
-    lies within SINGULARITY_GUARD of a wire axis, ConvergenceError if
-    |grad |B|| > grad_tol there, SaddlePointError if the Hessian of |B| is
-    indefinite and NotATrapError if the field is uniform.
+    Deterministic trust-region Newton search (Nocedal and Wright, Numerical
+    Optimization, 2nd ed., ch. 4) on |B|^2 / 2, with the exact gradient
+    J^T B and Hessian J^T J + sum_i B_i H_i, which stay smooth through
+    zero-field minima.  Each step minimises that quadratic model within a
+    radius (More and Sorensen) and costs one kernel pass, which also gives
+    the trial point's distance to the wire axes.  The radius starts at a
+    quarter of the seed's axis distance (unbounded without wires).  A trial
+    point beyond the chip plane or within SINGULARITY_GUARD of an axis is
+    rejected, as is one where |B|^2 and |grad |B|^2| both rise; the radius is
+    cut to a quarter of the step when |B|^2 falls by less than a quarter of
+    the predicted amount, and doubled when a step on the boundary gets more
+    than three quarters of it.  The search stops when the step is below the
+    round-off length eps l, l = max(|B|, zero_field_tol) / ||J||_F, or right
+    after a Newton step inside the region shorter than sqrt(eps) l (the next
+    one, quadratically shorter, would be below eps l).
+
+    The seed must be three finite coordinates on the near side of the chip
+    plane (ValueError otherwise).  Raises SingularityError if the seed lies
+    within SINGULARITY_GUARD of a wire axis, ConvergenceError if
+    |grad |B|| > grad_tol at the end (naming the chip surface or the wire
+    guard when the last rejected trial lay beyond or within it),
+    SaddlePointError if the Hessian of |B| is indefinite and NotATrapError if
+    the field is uniform.
     """
     seed = np.array(seed, dtype=float)
     if seed.shape != (3,) or not np.isfinite(seed).all():
         raise ValueError(f"the minimum search needs a seed of 3 finite coordinates (m), got {seed}")
-    x, b, jac, hess = _newton(model, seed, zero_field_tol)
+    if model.beyond_chip(seed):
+        raise ValueError(f"the minimum search seed {seed} m lies beyond the chip surface")
+    x, b, jac, hess, blocked = _newton(model, seed, zero_field_tol)
     b0 = float(np.linalg.norm(b))
     zero = b0 < zero_field_tol
     if zero:
@@ -508,7 +610,7 @@ def find_minimum(
         if grad_norm > grad_tol:
             raise ConvergenceError(
                 f"|grad |B|| = {grad_norm:.3e} T/m exceeds tolerance {grad_tol:.1e}; "
-                f"bracket state: position {x}, B0 = {b0:.6e} T"
+                f"{_BLOCKED[blocked]}: position {x}, B0 = {b0:.6e} T"
             )
         eigs = np.linalg.eigvalsh(_norm_hessian(x, b, jac, hess))
         scale = max(abs(eigs).max(), 1e-30)

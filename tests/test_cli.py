@@ -159,9 +159,12 @@ GAS_ARGS = ["--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "315", "--t-ove
         (["tof", "--ny", "0"], "--ny"),
         (["thermo", "--scan-points", "0"], "--scan-points"),
         (["thermo", "--scan-min", "0"], "--scan-min"),
+        (["tof", "--noise-frac", "-0.1"], "--noise-frac"),
+        (["tof", "--noise-frac", "nan"], "--noise-frac"),
     ],
     ids=["density-points-0", "density-extent-nan", "density-extent-negative", "tof-nx-0",
-         "tof-ny-0", "thermo-scan-points-0", "thermo-scan-min-0"],
+         "tof-ny-0", "thermo-scan-points-0", "thermo-scan-min-0", "tof-noise-negative",
+         "tof-noise-nan"],
 )
 def test_empty_or_non_finite_grid_is_config_error(tmp_path, capsys, argv, message):
     command, *flags = argv
@@ -254,24 +257,24 @@ def test_trap_report_deterministic(tmp_path, geometry, species):
 # field is evaluated (batching, segment order, blocks) must not move a bit
 TRAP_REPORTS = {
     "toronto-z-trap": {
-        "position_um": [1.9606939046164373e-15, -7.868402099726128e-14, 273.8797589957177],
-        "frequencies_hz": [46.000244886792814, 817.300630790296, 828.7391263403409],
+        "position_um": [-9.98200628447761e-15, -7.219427702240913e-14, 273.8797589957176],
+        "frequencies_hz": [46.000244886792736, 817.3006307902962, 828.7391263403417],
         "depth_j": 1.408261095239575e-26,
         "escape_direction": [-0.3820196912922497, -0.8768056591166087, 0.2920150537319328],
         "ip_b0_gauss": 2.599996676391403,
-        "ip_b_prime_t_per_m": 7.055623183132489,
-        "ip_b_double_prime_t_per_m2": 597.8124311594504,
-        "ip_residual_rms_gauss": 0.0007759850565989457,
+        "ip_b_prime_t_per_m": 7.055623183132427,
+        "ip_b_double_prime_t_per_m2": 597.812431159451,
+        "ip_residual_rms_gauss": 0.0007759850565993174,
     },
     "toronto-split-trap": {
-        "position_um": [8.071207907194677e-17, -9.830742967465312e-15, 79.99999999733755],
-        "frequencies_hz": [20.203374552643098, 1810.819698022232, 1816.9029673022899],
+        "position_um": [7.951688635701502e-17, -9.777375431186255e-15, 79.99999999733754],
+        "frequencies_hz": [20.203374552643094, 1810.8196980222324, 1816.9029673022908],
         "depth_j": 6.709288041077497e-27,
         "escape_direction": [-0.4215573027455748, -0.8414188188170962, 0.3380884674790289],
-        "ip_b0_gauss": 1.2139981456927864,
-        "ip_b_prime_t_per_m": 10.626152425762973,
-        "ip_b_double_prime_t_per_m2": 115.30932546722667,
-        "ip_residual_rms_gauss": 0.0003910235109207646,
+        "ip_b0_gauss": 1.2139981456927862,
+        "ip_b_prime_t_per_m": 10.626152425762966,
+        "ip_b_double_prime_t_per_m2": 115.30932546032189,
+        "ip_residual_rms_gauss": 0.0003910235109208624,
     },
 }
 
@@ -292,6 +295,24 @@ def test_trap_bad_seed_is_config_error(capsys, seed):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: --seed-um ") and "Traceback" not in err
+
+
+def test_trap_seed_beyond_chip_is_config_error(capsys):
+    # the z-trap's chip plane is z = 0, with the trap above it
+    code = run(["trap", "--geometry", "toronto-z-trap", "--seed-um=0,0,-50"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "beyond the chip surface" in err
+
+
+def test_trap_search_into_chip_exits_3(capsys):
+    # 5 um above the midpoint of the z-trap's first wire the field falls
+    # towards the chip; the search stops against the chip surface, not below it
+    code = run(["trap", "--geometry", "toronto-z-trap", "--seed-um=-2000,-997.85364711,5"])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "chip surface" in err
+    assert "Traceback" not in err
 
 
 def test_trap_unknown_geometry(tmp_path):
@@ -349,9 +370,15 @@ def test_dress_near_resonance_branch(tmp_path):
         (["--geometry", "toronto-split-trap", "--rf-khz", "100", "--ramp-khz", "0"],
          "--ramp-khz"),
         (["--geometry", "toronto-split-trap"], "--rf-khz"),
+        # a preset sets these, and an explicit value is not silently dropped
+        (["--preset", "rb-doublewell", "--amplitude-mg", "0"], "--amplitude-mg"),
+        (["--preset", "rb-doublewell", "--rf-khz", "860"], "--rf-khz"),
+        (["--preset", "k-doublewell", "--geometry", "toronto-split-trap"], "--geometry"),
+        (["--preset", "k-doublewell", "--ramp-khz", "338"], "--ramp-khz"),
     ],
     ids=["negative-rf", "nan-amplitude", "points-0", "points-1", "extent-0", "extent-negative",
-         "negative-ramp", "ramp-zero", "no-rf"],
+         "negative-ramp", "ramp-zero", "no-rf", "preset-amplitude", "preset-rf",
+         "preset-geometry", "preset-ramp"],
 )
 def test_dress_bad_input_is_config_error(tmp_path, capsys, argv, message):
     code = run(["dress", *argv, "--out-prefix", tmp_path / "dw"])

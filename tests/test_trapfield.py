@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 from pathlib import Path
@@ -40,9 +41,11 @@ def benchmark_ip(b0_gauss=1.214, f_perp=1230.0, f_axial=13.7):
 
 
 def counting(base):
-    """Subclass of a field class that counts its field evaluations (field,
-    field_and_distance and derivatives) and the points they take, and, apart,
-    its min_line_distance calls."""
+    """Subclass of a kernel field class that counts its kernel passes, on
+    arrays (field, field_and_distance, min_line_distance) or on jets
+    (derivatives, derivatives_and_distance), and the points they take, and,
+    apart, its min_line_distance calls.  A call that the field's kept
+    one-point pass answers runs no kernel and is not counted."""
 
     class Counting(base):
         evaluations = 0
@@ -53,17 +56,13 @@ def counting(base):
             self.evaluations += 1
             self.points += np.asarray(r).size // 3
 
-        def field(self, r, **kwargs):
+        def _field_pass(self, r):
             self._count(r)
-            return super().field(r, **kwargs)
+            return super()._field_pass(r)
 
-        def field_and_distance(self, r):
+        def _jet_pass(self, r):
             self._count(r)
-            return super().field_and_distance(r)
-
-        def derivatives(self, r):
-            self._count(r)
-            return super().derivatives(r)
+            return super()._jet_pass(r)
 
         def min_line_distance(self, r):
             self.distance_calls += 1
@@ -280,12 +279,58 @@ def test_find_minimum_split_trap_b0(split_trap):
 def test_find_minimum_science_trap(z_trap, z_minimum):
     assert z_minimum.b0 / C.GAUSS == pytest.approx(2.6, abs=1e-4)
     assert z_minimum.grad_norm < 1e-10
-    # B, J and H at the shipped seed, then one evaluation per Newton step:
-    # 4 evaluations in all when this was written
+    # B, J and H at the shipped seed, then one pass per Newton step: 2 in all
     model, seed = z_trap
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
     tf.find_minimum(counted, seed)
-    assert counted.evaluations <= 4
+    assert counted.evaluations <= 2
+
+
+@pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
+def test_find_minimum_one_pass_per_step(name, k92):
+    # the shipped seed lies within ~1e-15 m of the minimum: its pass, then one
+    # Newton step, after which the next would be below round-off; the guard
+    # reads the axis distance from the same passes
+    model, seed = tf.load_geometry(geometry_path(name))
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    m = tf.find_minimum(counted, seed)
+    assert counted.evaluations <= 2
+    assert counted.distance_calls == 0
+    # the frequencies and the IP fit at the minimum just found take B, J and H
+    # from the search's last pass; the fit then runs one batch for its profiles
+    passes = counted.evaluations
+    tf.trap_frequencies(counted, k92, m.position)
+    assert counted.evaluations == passes
+    points = counted.points
+    tf.ip_fit(counted, m.position)
+    assert (counted.evaluations, counted.points) == (passes + 1, points + 3 * 41)
+
+
+def test_kept_pass_is_safe_from_callers(z_trap):
+    # the arrays handed out are copies: changing them leaves the kept pass,
+    # which still answers field and derivatives at its point with the bits a
+    # fresh model gives
+    model, seed = z_trap
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    r0 = tf.find_minimum(counted, seed).position
+    fresh = tf.FieldModel(model.segments, model.bias).derivatives(r0)
+    passes = counted.evaluations
+    for out in (counted.derivatives(r0), counted.derivatives_and_distance(r0)):
+        for a in out[:3]:
+            a[...] = 0.0
+    counted.field(r0)[...] = 0.0
+    for a, b in zip(counted.derivatives(r0), fresh):
+        assert np.array_equal(a, b)
+    assert np.array_equal(counted.field(r0), fresh[0])
+    assert counted.min_line_distance(r0) == tf.FieldModel(model.segments).min_line_distance(r0)
+    assert counted.evaluations == passes
+    # any other point runs the kernel
+    counted.field(np.nextafter(r0, 1.0))
+    assert counted.evaluations == passes + 1
+    # and the model cannot change under the kept pass
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        counted.bias = (0.0, 0.0, 0.0)
+    assert isinstance(counted.segments, tuple)
 
 
 def test_zero_minimum_flagged():
@@ -317,6 +362,43 @@ def test_find_minimum_refuses_seed_on_wire_axis(z_trap, offset):
 def test_find_minimum_rejects_bad_seed(z_trap, seed):
     with pytest.raises(ValueError, match="seed of 3 finite coordinates"):
         tf.find_minimum(z_trap[0], seed)
+
+
+def test_find_minimum_rejects_seed_beyond_chip(z_trap):
+    with pytest.raises(ValueError, match="beyond the chip surface"):
+        tf.find_minimum(z_trap[0], [0.0, 0.0, -50e-6])
+
+
+@pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
+def test_find_minimum_reaches_trap_from_afar(name):
+    # seeds 1 um to 1 mm from the minimum in random directions above the
+    # chip: the bounded steps reach the trap from every one
+    model, seed = tf.load_geometry(geometry_path(name))
+    r0 = tf.find_minimum(model, seed).position
+    rng = np.random.default_rng(1)
+    for radius in np.geomspace(1e-6, 1e-3, 40):
+        d = rng.normal(size=3)
+        start = r0 + radius * d / np.linalg.norm(d)
+        start[2] = abs(start[2])
+        assert np.linalg.norm(tf.find_minimum(model, start).position - r0) < 1e-9
+
+
+@pytest.mark.parametrize("direction", ["+z", "+y", "-y"])
+def test_find_minimum_near_wire_stays_above_chip(z_trap, z_minimum, direction):
+    # seeds 1.01-30 um from the midpoint of the z-trap's first wire, which lies
+    # in the chip surface: each search reaches the trap or raises, and none
+    # returns a point beyond the chip
+    model, _ = z_trap
+    seg = model.segments[0]
+    mid = 0.5 * (np.asarray(seg.a) + np.asarray(seg.b))
+    axis = {"+z": (0.0, 0.0, 1.0), "+y": (0.0, 1.0, 0.0), "-y": (0.0, -1.0, 0.0)}[direction]
+    for offset in (1.01, 1.5, 2, 5, 10, 20, 30):
+        try:
+            m = tf.find_minimum(model, mid + offset * 1e-6 * np.asarray(axis))
+        except C.NumericalError:
+            continue
+        assert not model.beyond_chip(m.position)
+        assert m.position[2] == pytest.approx(z_minimum.position[2], rel=1e-9)
 
 
 def test_uniform_field_not_a_trap():
