@@ -362,14 +362,9 @@ def numerics_rows():
         model, seed = trapfield.load_geometry(p)
     rng = np.random.default_rng(4)
     maxwell = 0.0
-    h = 1e-7
     for _ in range(5):
         pt = seed + rng.uniform(-40e-6, 40e-6, 3)
-        jac = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            jac[:, j] = (model.field(pt + e) - model.field(pt - e)) / (2 * h)
+        jac = model.derivatives(pt)[1]  # exact, from the field's jet pass
         scale = np.abs(jac).max()
         div = abs(np.trace(jac)) / scale
         curl = np.linalg.norm([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]]) / scale

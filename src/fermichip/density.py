@@ -101,13 +101,13 @@ class ThomasFermiExtent:
         return cls(*r)
 
 
-def _fermi32_safe(w: np.ndarray) -> np.ndarray:
-    """f_3/2 with underflowed (w == 0) entries mapped to 0."""
+def _fermi_safe(n: float, w: np.ndarray) -> np.ndarray:
+    """f_n(w) with underflowed (w == 0) entries mapped to 0."""
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     pos = w > 0.0
     if pos.any():
-        out[pos] = fermi_fn(1.5, w[pos])
+        out[pos] = fermi_fn(n, w[pos])
     return out
 
 
@@ -122,7 +122,7 @@ def density_finite_T(gas: TrappedGasState, r) -> float | np.ndarray:
     r = np.asarray(r, dtype=float)
     beta = 1.0 / (K_B * gas.temperature)
     w = gas.fugacity * np.exp(-beta * _harmonic_potential(gas, r))
-    out = gas.thermal_wavelength**-3 * _fermi32_safe(w)
+    out = gas.thermal_wavelength**-3 * _fermi_safe(1.5, w)
     return float(out) if out.ndim == 0 else out
 
 
@@ -192,17 +192,8 @@ def density_tof(gas: TrappedGasState, t: float, r) -> float | np.ndarray:
     om_eff = gas.trap.omegas / resc.stretch
     u = 0.5 * gas.mass * np.sum((om_eff * r) ** 2, axis=-1)
     w = gas.fugacity * np.exp(-beta * u)
-    out = resc.renorm * gas.thermal_wavelength**-3 * _fermi32_safe(w)
+    out = resc.renorm * gas.thermal_wavelength**-3 * _fermi_safe(1.5, w)
     return float(out) if out.ndim == 0 else out
-
-
-def _f2_safe(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    if pos.any():
-        out[pos] = fermi_fn(2.0, w[pos])
-    return out
 
 
 def column_density_fermi(gas: TrappedGasState, t: float, x, y) -> float | np.ndarray:
@@ -212,7 +203,7 @@ def column_density_fermi(gas: TrappedGasState, t: float, x, y) -> float | np.nda
     y = np.asarray(y, dtype=float)
     z = gas.fugacity
     w = z * np.exp(-0.5 * (x / rx) ** 2 - 0.5 * (y / ry) ** 2)
-    out = gas.n_atoms / (2.0 * np.pi * rx * ry * fermi_fn(3.0, z)) * _f2_safe(w)
+    out = gas.n_atoms / (2.0 * np.pi * rx * ry * fermi_fn(3.0, z)) * _fermi_safe(2.0, w)
     return float(out) if out.ndim == 0 else out
 
 

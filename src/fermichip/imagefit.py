@@ -169,17 +169,18 @@ def _covariance(jac, chi2, dof):
 
 
 def _start(img: TofImage):
-    """Moment estimates of (r_x, r_y, x0, y0) and their bounds; FitError if uninformative."""
+    """Moment estimates of (r_x, r_y, x0, y0) and their bounds; ValueError if
+    the image is uninformative, an input error rather than a fit failure."""
     peak = float(np.max(np.abs(img.values)))
     if peak <= 0:
-        raise FitError("empty image")
+        raise ValueError("empty image")
     if int(np.sum(np.abs(img.values) > 0.02 * peak)) < 100:
-        raise FitError("fewer than 100 informative pixels")
+        raise ValueError("fewer than 100 informative pixels")
     xx, yy = img.coordinates()
     v = np.clip(img.values, 0.0, None)
     total = v.sum()
     if total <= 0:
-        raise FitError("image has no positive signal")
+        raise ValueError("image has no positive signal")
     x0 = float((v * xx).sum() / total)
     y0 = float((v * yy).sum() / total)
     rx = math.sqrt(max(float((v * (xx - x0) ** 2).sum() / total), img.pitch**2))

@@ -61,18 +61,12 @@ class TopologyError(NumericalError):
 
 @dataclass
 class RFField:
-    """RF dressing field: amplitude (T), angular frequency (rad/s), polarization axis.
-
-    With source_line=((point), (direction)) and reference_distance set, the
-    amplitude follows the near-field 1/d law of a chip antenna wire; otherwise
-    it is uniform.
-    """
+    """Uniform RF dressing field: amplitude (T), angular frequency (rad/s),
+    polarization axis."""
 
     amplitude: float
     omega: float
     polarization: tuple[float, float, float]
-    source_line: tuple[tuple, tuple] | None = None
-    reference_distance: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
@@ -84,28 +78,14 @@ class RFField:
         p = np.asarray(self.polarization, dtype=float)
         self.polarization = tuple(p / np.linalg.norm(p))
 
-    def amplitude_at(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.source_line is None:
-            return np.broadcast_to(self.amplitude, r.shape[:-1]).copy()
-        point, direction = self.source_line
-        point = np.asarray(point, dtype=float)
-        u = np.asarray(direction, dtype=float)
-        u = u / np.linalg.norm(u)
-        rel = r - point
-        perp = rel - (rel @ u)[..., None] * u
-        d = np.linalg.norm(perp, axis=-1)
-        return self.amplitude * self.reference_distance / d
-
 
 def detuning_and_rabi(model, rf: RFField, state: SpinState, r):
     """Local (delta, Omega) in J at position(s) r, shaped (..., 3)."""
-    r = np.asarray(r, dtype=float)
-    return _detuning_and_rabi(model.field(r), rf, state, r)
+    return _detuning_and_rabi(model.field(r), rf, state)
 
 
-def _detuning_and_rabi(b_vec, rf: RFField, state: SpinState, r):
-    """(delta, Omega) at the points r where the static field is b_vec."""
+def _detuning_and_rabi(b_vec, rf: RFField, state: SpinState):
+    """(delta, Omega) where the static field is b_vec."""
     b_dc = np.linalg.norm(b_vec, axis=-1)
     if np.any(b_dc <= 0):
         raise ValueError("static field vanishes at a requested point")
@@ -114,7 +94,7 @@ def _detuning_and_rabi(b_vec, rf: RFField, state: SpinState, r):
     b_hat = b_vec / b_dc[..., None]
     pol = np.asarray(rf.polarization, dtype=float)
     sin_theta = np.linalg.norm(np.cross(np.broadcast_to(pol, b_hat.shape), b_hat), axis=-1)
-    b_perp = rf.amplitude_at(r) * sin_theta
+    b_perp = rf.amplitude * sin_theta
     rabi = g * MU_B * b_perp / 2.0
     return delta, rabi
 
@@ -192,10 +172,10 @@ def dressed_potential(
     s = np.linspace(-half_range, half_range, npoints)
     pts = center[None, :] + s[:, None] * axis[None, :]
     b_vec = model.field(pts)
-    delta, rabi = _detuning_and_rabi(b_vec, rf, state, pts)
+    delta, rabi = _detuning_and_rabi(b_vec, rf, state)
 
     b_dc_min = float(np.min(np.linalg.norm(b_vec, axis=-1)))
-    amp = float(np.max(rf.amplitude_at(pts)))
+    amp = float(rf.amplitude)
     if amp >= b_dc_min:
         raise RWAViolationError(
             f"B_RF = {amp:.3e} T >= min B_DC = {b_dc_min:.3e} T on the scan"

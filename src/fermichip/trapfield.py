@@ -1,14 +1,16 @@
 """Magnetostatics of chip wire traps.
 
 Finite straight segments (Biot-Savart) plus uniform bias fields.  Every field
-class has one protocol: `field(r, guard=...)` returns B with shape (..., 3),
+class subclasses `_KernelField` and writes its field once, as elementwise
+arithmetic on the x, y, z components (`_components`); the base gives the one
+protocol.  `field(r, guard=...)` returns B with shape (..., 3),
 `field_and_distance(r)` returns B together with the distance to the nearest
 wire axis from the same evaluation (inf without wires), `derivatives(r)`
 returns B, J[..., i, j] = d_j B_i and H[..., i, j, k] = d_j d_k B_i,
 `derivatives_and_distance(r)` returns those and the axis distance from one
-evaluation, and `gravity`, `min_line_distance` and `beyond_chip` describe what
-else the searches need.  Each field is written once, as elementwise arithmetic
-on the x, y, z components, which `field` runs on arrays and `derivatives` on
+evaluation, and `segments`, `gravity` and `beyond_chip` describe what else
+the searches need (no wires, no gravity, no chip plane unless a class sets
+them).  `field` runs the components on arrays and `derivatives` on
 forward-mode jets: the derivatives are exact, and a point's B, J and H do not
 depend on the batch it is evaluated in.  A `FieldModel` runs the Biot-Savart
 kernel once for all its segments, their constants as columns against the
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,6 @@ __all__ = [
     "WireSegment",
     "FieldModel",
     "AnalyticIPField",
-    "CallableField",
     "IPTrapParams",
     "TrapMinimum",
     "TrapFrequencies",
@@ -69,6 +70,9 @@ _CLAMP = 0.25 * SINGULARITY_GUARD
 # points per pass of a FieldModel's kernel: its (segments, points) temporaries
 # stay small enough for the cache
 _BLOCK = 1024
+_ZERO_FIELD_TOL = 1e-9  # T, |B| below which a minimum is a field zero
+_DEPTH_SAMPLES = 500  # samples per escape ray of trap_depth
+_IP_RESIDUAL_THRESHOLD = 0.01  # ip_fit warns above this |B| residual RMS / B0
 
 
 def _coordinates(r: np.ndarray) -> np.ndarray:
@@ -221,22 +225,22 @@ class WireSegment:
         object.__setattr__(self, "_u", tuple((b - a) / length))
         object.__setattr__(self, "_k", MU_0 * self.current / (4.0 * np.pi))
 
-    def field(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        bx, by, bz, _ = _biot_savart(self.a, self.b, self._u, self._k, *_coordinates(r))
-        return np.stack([bx, by, bz], axis=-1).reshape(r.shape)
-
 
 class _KernelField:
-    """Base of the fields computed by one elementwise kernel,
+    """Base of every field: a subclass writes one elementwise kernel,
     `_components(x, y, z)`: B_x, B_y, B_z and the squared distances to the
     wire axes, a row per segment (None without wires), on arrays or jets.
+    A field has no wire segments, no gravity and no chip plane unless its
+    class sets `segments`, `gravity` (m/s^2) or `chip_plane`.
 
     The last one-point jet pass is kept as _memo, keyed by the point's bytes;
     the fields are frozen dataclasses, so it cannot go stale, and copies are
     handed out, so a caller cannot change it.  `_field_pass` and `_jet_pass`
     are the kernel passes themselves."""
 
+    segments = ()
+    gravity = None
+    chip_plane = None
     _memo = None
 
     def _field_pass(self, r):
@@ -295,9 +299,6 @@ class _KernelField:
         b, rho2 = self._field_and_rho2(r)
         return b, np.sqrt(rho2)
 
-    def min_line_distance(self, r) -> np.ndarray:
-        return np.sqrt(self._field_and_rho2(r)[1])
-
     def derivatives_and_distance(self, r):
         """B (..., 3), dB_i/dr_j (..., 3, 3), d_j d_k B_i (..., 3, 3, 3) and
         the distance (...) to the nearest wire axis, unguarded."""
@@ -313,6 +314,14 @@ class _KernelField:
     def derivatives(self, r):
         """B (..., 3), dB_i/dr_j (..., 3, 3) and d_j d_k B_i (..., 3, 3, 3)."""
         return self.derivatives_and_distance(r)[:3]
+
+    def beyond_chip(self, r) -> np.ndarray:
+        """Whether each point r (..., 3) lies beyond the chip plane."""
+        r = np.asarray(r, dtype=float)
+        if self.chip_plane is None:
+            return np.zeros(r.shape[:-1], dtype=bool)
+        normal, offset = self.chip_plane
+        return r @ np.asarray(normal, dtype=float) > offset
 
 
 @dataclass(frozen=True)
@@ -354,36 +363,9 @@ class FieldModel(_KernelField):
         *db, rho2 = _biot_savart(*self._columns, x, y, z)
         return (*(_add_in_order(bc, dc) for bc, dc in zip(b, db)), rho2)
 
-    def beyond_chip(self, r) -> np.ndarray:
-        if self.chip_plane is None:
-            r = np.asarray(r, dtype=float)
-            return np.zeros(r.shape[:-1], dtype=bool)
-        normal, offset = self.chip_plane
-        return np.asarray(r, dtype=float) @ np.asarray(normal, dtype=float) > offset
-
 
 @dataclass(frozen=True)
-class WireFreeField:
-    """Base of fields without wires: optional gravity, no wire axis to keep
-    away from and no chip surface to truncate escape rays."""
-
-    gravity: tuple[float, float, float] | None = field(default=None, kw_only=True)
-
-    def min_line_distance(self, r) -> np.ndarray:
-        return np.full(np.shape(r)[:-1], np.inf)
-
-    def field_and_distance(self, r):
-        return self.field(r), self.min_line_distance(r)
-
-    def derivatives_and_distance(self, r):
-        return (*self.derivatives(r), self.min_line_distance(r))
-
-    def beyond_chip(self, r) -> np.ndarray:
-        return np.zeros(np.shape(r)[:-1], dtype=bool)
-
-
-@dataclass(frozen=True)
-class AnalyticIPField(_KernelField, WireFreeField):
+class AnalyticIPField(_KernelField):
     """Quadratic Ioffe-Pritchard field, Maxwell-consistent, longitudinal axis = local y.
 
     B_x = B' x - (B''/2) x y,  B_z = -B' z - (B''/2) y z,
@@ -417,18 +399,6 @@ class AnalyticIPField(_KernelField, WireFreeField):
             -bp * lz - c * ly * lz,
         )
         return (*(bl[0] * a[i, 0] + bl[1] * a[i, 1] + bl[2] * a[i, 2] for i in range(3)), None)
-
-
-@dataclass(frozen=True)
-class CallableField(WireFreeField):
-    """Adapter giving the field protocol to an r -> B callable `fn` and an
-    r -> (B, J, H) callable `derivatives`."""
-
-    fn: object
-    derivatives: object
-
-    def field(self, r, guard: float = 0.0) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(r, dtype=float)), dtype=float)
 
 
 def potential(model, state: SpinState, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
@@ -501,7 +471,7 @@ def _trust_step(lam, vec, g, radius):
     return -(vec @ c), False
 
 
-def _newton(model, x, zero_field_tol: float):
+def _newton(model, x):
     """Trust-region Newton search on |B|^2 / 2 from x, one kernel pass per
     trial point; returns the last point with B, J and H there, and why the
     last rejected trial was rejected: "chip" (beyond the chip plane), "wire"
@@ -517,8 +487,8 @@ def _newton(model, x, zero_field_tol: float):
         if j_norm == 0.0:
             raise NotATrapError("the field is uniform here, so |B| has no curvature")
         # the length over which the field changes: near a trap minimum the IP
-        # length B0 / B', with zero_field_tol for |B| at a field zero
-        scale = max(float(np.linalg.norm(b)), zero_field_tol) / j_norm
+        # length B0 / B', with _ZERO_FIELD_TOL for |B| at a field zero
+        scale = max(float(np.linalg.norm(b)), _ZERO_FIELD_TOL) / j_norm
         g = jac.T @ b
         lam, vec = np.linalg.eigh(_square_hessian(b, jac, hess))
         if lam[0] <= 0 and not math.isfinite(radius):
@@ -563,12 +533,7 @@ _BLOCKED = {
 }
 
 
-def find_minimum(
-    model,
-    seed,
-    grad_tol: float = 1e-10,
-    zero_field_tol: float = 1e-9,
-) -> TrapMinimum:
+def find_minimum(model, seed, grad_tol: float = 1e-10) -> TrapMinimum:
     """Locate a local minimum of |B| near `seed`.
 
     Deterministic trust-region Newton search (Nocedal and Wright, Numerical
@@ -583,7 +548,7 @@ def find_minimum(
     cut to a quarter of the step when |B|^2 falls by less than a quarter of
     the predicted amount, and doubled when a step on the boundary gets more
     than three quarters of it.  The search stops when the step is below the
-    round-off length eps l, l = max(|B|, zero_field_tol) / ||J||_F, or right
+    round-off length eps l, l = max(|B|, 1 nT) / ||J||_F, or right
     after a Newton step inside the region shorter than sqrt(eps) l (the next
     one, quadratically shorter, would be below eps l).
 
@@ -600,9 +565,9 @@ def find_minimum(
         raise ValueError(f"the minimum search needs a seed of 3 finite coordinates (m), got {seed}")
     if model.beyond_chip(seed):
         raise ValueError(f"the minimum search seed {seed} m lies beyond the chip surface")
-    x, b, jac, hess, blocked = _newton(model, seed, zero_field_tol)
+    x, b, jac, hess, blocked = _newton(model, seed)
     b0 = float(np.linalg.norm(b))
-    zero = b0 < zero_field_tol
+    zero = b0 < _ZERO_FIELD_TOL
     if zero:
         grad_norm = float("nan")
     else:
@@ -793,7 +758,6 @@ def trap_depth(
     state: SpinState,
     r0,
     ray_length: float | None = None,
-    samples: int = 500,
     refine_rounds: int = 2,
 ) -> TrapDepthReport:
     """Lowest escape barrier: min over ray directions of (max U along ray - U(r0)).
@@ -815,7 +779,7 @@ def trap_depth(
     """
     r0 = np.asarray(r0, dtype=float)
     if ray_length is None:
-        if getattr(model, "segments", None):
+        if model.segments:
             far = max(
                 np.linalg.norm(np.asarray(p) - r0)
                 for seg in model.segments
@@ -824,7 +788,7 @@ def trap_depth(
             ray_length = max(5e-3, 10.0 * far)
         else:
             ray_length = 5e-3
-    s = np.geomspace(1e-7, ray_length, samples)
+    s = np.geomspace(1e-7, ray_length, _DEPTH_SAMPLES)
     u0 = float(potential(model, state, r0, guard=0.0))
 
     u, barrier, rising = _grid(model, state, r0, s, u0)
@@ -836,7 +800,7 @@ def trap_depth(
     crest = _finite(u[i]).argmax()
 
     # refine directions around the weakest ray
-    index = np.arange(samples)
+    index = np.arange(_DEPTH_SAMPLES)
     width = 0.45
     for _ in range(refine_rounds):
         t1 = np.cross(d, [0.0, 0.0, 1.0])
@@ -890,13 +854,12 @@ class IPTrapParams:
     transverse_trapping: bool = True
 
 
-def ip_fit(model, r0, residual_threshold: float = 0.01) -> IPTrapParams:
+def ip_fit(model, r0) -> IPTrapParams:
     """Least-squares IP parameterization of |B| around the minimum r0.
 
     Fits B^2 = B0^2 + B'^2 s^2 (linear in s^2) over |s| <= 0.2 B0/B' on each
     transverse principal axis, and B = B0 + B'' s^2/2 along the soft axis.
-    Warns with PoorFitWarning if the |B| residual RMS exceeds
-    residual_threshold * B0.
+    Warns with PoorFitWarning if the |B| residual RMS exceeds 1% of B0.
     """
     r0 = np.asarray(r0, dtype=float)
     b, jac, hess = model.derivatives(r0)
@@ -926,9 +889,9 @@ def ip_fit(model, r0, residual_threshold: float = 0.01) -> IPTrapParams:
         bp_fits.append(math.sqrt(max(bp2, 0.0)))
         b0_fits.append(math.sqrt(max(b02, 0.0)))
     residual = math.sqrt(float(np.mean(resid_sq)))
-    if residual > residual_threshold * b0:
+    if residual > _IP_RESIDUAL_THRESHOLD * b0:
         warnings.warn(
-            f"IP fit residual RMS {residual:.3e} T exceeds {residual_threshold:.0%} of B0",
+            f"IP fit residual RMS {residual:.3e} T exceeds {_IP_RESIDUAL_THRESHOLD:.0%} of B0",
             PoorFitWarning,
         )
 

@@ -9,7 +9,7 @@ from fermichip import benchmarks, cli, polylog, thermo
 from fermichip import constants as C
 from fermichip.constants import NumericalError
 from fermichip.benchmarks import CheckRow
-from fermichip.density import read_raster
+from fermichip.density import read_raster, write_raster
 
 
 def run(argv):
@@ -208,6 +208,28 @@ def test_fit_nonconvergence_is_numerical_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(imagefit, "_MAX_NFEV", 3)
     assert run(["fit", "--image", img, "--model", "gauss"]) == cli.EXIT_NUMERICAL
     assert "did not converge in 3 evaluations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tof,message",
+    [
+        (["--nx", "2", "--ny", "2"], "fewer than 100 informative pixels"),
+        (["--pitch-um", "1e5"], "empty image"),
+        (None, "image has no positive signal"),
+    ],
+    ids=["few-pixels", "empty", "negative"],
+)
+def test_fit_uninformative_image_is_config_error(tmp_path, capsys, tof, message):
+    img = tmp_path / "img.raster"
+    if tof is None:
+        write_raster(img, -np.ones((48, 48)), 8e-6)
+    else:
+        assert run(["tof", "--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "200",
+                    "--t-over-tf", "0.2", *tof, "--out", img]) == 0
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--image", img, "--out", out]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

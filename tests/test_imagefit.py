@@ -115,10 +115,12 @@ def test_gaussian_fit_degenerate_residual_pattern(gas_factory):
 
 
 def test_fit_requires_informative_pixels():
+    # an uninformative image is an input error, not a fit failure
     img = imf.TofImage(np.zeros((64, 64)), 1e-6)
     img.values[32, 32] = 1.0
-    with pytest.raises(imf.FitError):
+    with pytest.raises(ValueError, match="fewer than 100 informative pixels") as info:
         imf.fit_gaussian(img)
+    assert not isinstance(info.value, imf.FitError)
 
 
 def test_fit_rejects_negative_atom_number():

@@ -60,19 +60,6 @@ def test_rabi_projection_depends_on_polarization(rb22):
     assert rabi_45 / KHZ == pytest.approx(69.98 / math.sqrt(2.0), abs=0.05)
 
 
-def test_near_field_amplitude_law():
-    field = rf.RFField(
-        2e-7,
-        2 * math.pi * 1e6,
-        (0, 0, 1),
-        source_line=((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
-        reference_distance=80e-6,
-    )
-    assert field.amplitude_at(np.array([0.0, 0.0, 80e-6])) == pytest.approx(2e-7)
-    assert field.amplitude_at(np.array([0.0, 0.0, 160e-6])) == pytest.approx(1e-7)
-    assert field.amplitude_at(np.array([160e-6, 0.03, 0.0])) == pytest.approx(1e-7)
-
-
 # -- adiabatic connection -----------------------------------------------------------------
 
 def test_adiabatic_branch_stretched_states(k92, rb22):

@@ -41,16 +41,14 @@ def benchmark_ip(b0_gauss=1.214, f_perp=1230.0, f_axial=13.7):
 
 
 def counting(base):
-    """Subclass of a kernel field class that counts its kernel passes, on
-    arrays (field, field_and_distance, min_line_distance) or on jets
-    (derivatives, derivatives_and_distance), and the points they take, and,
-    apart, its min_line_distance calls.  A call that the field's kept
-    one-point pass answers runs no kernel and is not counted."""
+    """Subclass of a field class that counts its kernel passes, on arrays
+    (field, field_and_distance) or on jets (derivatives,
+    derivatives_and_distance), and the points they take.  A call that the
+    field's kept one-point pass answers runs no kernel and is not counted."""
 
     class Counting(base):
         evaluations = 0
         points = 0
-        distance_calls = 0
 
         def _count(self, r):
             self.evaluations += 1
@@ -64,11 +62,19 @@ def counting(base):
             self._count(r)
             return super()._jet_pass(r)
 
-        def min_line_distance(self, r):
-            self.distance_calls += 1
-            return super().min_line_distance(r)
-
     return Counting
+
+
+def array_field(fn):
+    """A field whose B at the points r (..., 3) is fn(r), run on arrays only:
+    for the depth search, which takes no derivatives."""
+
+    class ArrayField(tf._KernelField):
+        def _components(self, x, y, z):
+            b = fn(np.stack([x, y, z], axis=-1))
+            return b[..., 0], b[..., 1], b[..., 2], None
+
+    return ArrayField()
 
 
 def central_jacobian(model, pt, h):
@@ -98,12 +104,24 @@ def assert_div_and_curl_free(jac):
         assert np.abs(jj - jj.T).max() < 1e-12 * scale
 
 
+# -- field protocol ---------------------------------------------------------------------
+
+def test_every_field_class_is_a_kernel_field():
+    # one field protocol: each exported class with a field writes its
+    # components once and takes field, derivatives and the rest from the base
+    exported = [getattr(tf, name) for name in tf.__all__]
+    fields = [c for c in exported if isinstance(c, type) and hasattr(c, "field")]
+    assert {c.__name__ for c in fields} >= {"FieldModel", "AnalyticIPField"}
+    for c in fields:
+        assert issubclass(c, tf._KernelField), c.__name__
+
+
 # -- Biot-Savart --------------------------------------------------------------------
 
 def test_infinite_wire_field():
     seg = tf.WireSegment((-2.0, 0.0, 0.0), (2.0, 0.0, 0.0), 2.0)
     d = 190e-6
-    b = seg.field(np.array([0.0, 0.0, d]))
+    b = tf.FieldModel([seg]).field(np.array([0.0, 0.0, d]))
     expected = C.MU_0 * 2.0 / (2.0 * math.pi * d)
     assert np.linalg.norm(b) == pytest.approx(expected, rel=1e-6)
     assert expected / C.GAUSS == pytest.approx(21.05, abs=0.01)
@@ -117,7 +135,8 @@ def test_superposition_linearity():
     model = tf.FieldModel(segments=[s1, s2], bias=(1e-4, 0.0, -2e-4))
     pts = np.array([[3e-4, 1e-4, 4e-4], [-2e-4, 0.0, 6e-4]])
     total = model.field(pts)
-    manual = s1.field(pts) + s2.field(pts) + np.array([1e-4, 0.0, -2e-4])
+    manual = (tf.FieldModel([s1]).field(pts) + tf.FieldModel([s2]).field(pts)
+              + np.array([1e-4, 0.0, -2e-4]))
     assert np.allclose(total, manual, rtol=1e-14)
 
 
@@ -125,7 +144,8 @@ def test_current_reversal_antisymmetry():
     fwd = tf.WireSegment((0.0, -0.01, 0.0), (0.0, 0.01, 0.0), 1.5)
     rev = tf.WireSegment((0.0, -0.01, 0.0), (0.0, 0.01, 0.0), -1.5)
     pt = np.array([2e-4, 3e-4, -1e-4])
-    assert np.allclose(fwd.field(pt), -rev.field(pt), rtol=1e-15)
+    assert np.allclose(tf.FieldModel([fwd]).field(pt), -tf.FieldModel([rev]).field(pt),
+                       rtol=1e-15)
 
 
 def test_singularity_guard():
@@ -157,8 +177,8 @@ def test_field_independent_of_batch(name):
     pts = seed + radius[:, None] * direction
     batch = model.field(pts, guard=0.0)
     assert np.array_equal(batch, [model.field(p, guard=0.0) for p in pts])
-    dist = model.min_line_distance(pts)
-    assert np.array_equal(dist, [model.min_line_distance(p) for p in pts])
+    dist = model.field_and_distance(pts)[1]
+    assert np.array_equal(dist, [model.field_and_distance(p)[1] for p in pts])
     # so are B, J and H from the jets, and their B is field()'s B
     b, jac, hess = model.derivatives(pts[:300])
     assert np.array_equal(b, batch[:300])
@@ -182,11 +202,12 @@ def test_segments_summed_in_order():
     pts = rng.uniform(-3e-3, 3e-3, (2500, 3))  # across two block boundaries
     expected = np.broadcast_to(bias, pts.shape)
     for seg in segments:
-        expected = expected + seg.field(pts)
+        expected = expected + tf.FieldModel([seg]).field(pts, guard=0.0)
     assert np.array_equal(model.field(pts, guard=0.0), expected)
     field, dist = model.field_and_distance(pts)
     assert np.array_equal(field, expected)
-    assert np.array_equal(dist, model.min_line_distance(pts))
+    assert np.array_equal(dist, np.min(
+        [tf.FieldModel([seg]).field_and_distance(pts)[1] for seg in segments], axis=0))
     # B, J and H: the in-order sum of the single-segment models' derivatives
     b, jac, hess = model.derivatives(pts[:200])
     expected = [np.broadcast_to(bias, (200, 3)), 0.0, 0.0]
@@ -295,7 +316,6 @@ def test_find_minimum_one_pass_per_step(name, k92):
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
     m = tf.find_minimum(counted, seed)
     assert counted.evaluations <= 2
-    assert counted.distance_calls == 0
     # the frequencies and the IP fit at the minimum just found take B, J and H
     # from the search's last pass; the fit then runs one batch for its profiles
     passes = counted.evaluations
@@ -322,7 +342,8 @@ def test_kept_pass_is_safe_from_callers(z_trap):
     for a, b in zip(counted.derivatives(r0), fresh):
         assert np.array_equal(a, b)
     assert np.array_equal(counted.field(r0), fresh[0])
-    assert counted.min_line_distance(r0) == tf.FieldModel(model.segments).min_line_distance(r0)
+    distance = tf.FieldModel(model.segments).field_and_distance(r0)[1]
+    assert counted.field_and_distance(r0)[1] == distance
     assert counted.evaluations == passes
     # any other point runs the kernel
     counted.field(np.nextafter(r0, 1.0))
@@ -580,8 +601,6 @@ def test_depth_one_field_call_per_round(z_trap, z_minimum, k92, rounds):
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
     tf.trap_depth(counted, k92, z_minimum.position, refine_rounds=rounds)
     assert counted.evaluations <= 1 + 3 + 3 * rounds
-    # each batch's axis distances come from its field evaluation
-    assert counted.distance_calls == 0
     # U(r0) and under 4,000 of the grid's 10,924 points above the chip, then
     # under 30% of each fan's 49 x 500 points: the grid rays settled as not
     # rising, and the rays that cannot win, are not filled in
@@ -604,7 +623,7 @@ def test_depth_grid_refills_rays_that_can_still_win(k92, tie):
         bump = np.where((-s[311] < y) & (y < -s[289]), down, bump)  # samples 290-310
         return np.stack([b_prime * x, b0 * (1.0 + bump), -b_prime * z], axis=-1)
 
-    model = tf.CallableField(field, None)
+    model = array_field(field)
     report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3)
     assert report.escape_direction.tolist() == [0.0, -1.0, 0.0]
     crest = tf.potential(model, k92, np.array([0.0, -s[300], 0.0]))
@@ -626,7 +645,7 @@ def test_depth_excludes_slowly_rising_rays(k92):
         bump = np.where((1e-5 < np.abs(y)) & (np.abs(y) < 2e-5), 0.1, 0.0)
         return np.stack([0.0 * x, b0 * (1.0 + rise + bump), 0.0 * x], axis=-1)
 
-    model = tf.CallableField(field, None)
+    model = array_field(field)
     report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3)
     assert len(report.excluded_directions) == 24
     assert report.escape_direction.tolist() == [0.0, -1.0, 0.0]
@@ -783,7 +802,7 @@ def test_depth_is_barrier_along_escape_direction(name, k92):
     s = np.geomspace(1e-7, 0.5, 500)
     pts = r0 + s[:, None] * report.escape_direction
     pts = pts[~model.beyond_chip(pts)]
-    assert model.min_line_distance(pts).min() >= tf.SINGULARITY_GUARD
+    assert model.field_and_distance(pts)[1].min() >= tf.SINGULARITY_GUARD
     u = tf.potential(model, k92, pts, guard=0.0)
     assert report.depth == float(np.max(u)) - float(tf.potential(model, k92, r0, guard=0.0))
 
@@ -818,19 +837,7 @@ def test_depth_excludes_unbounded_rays(k92):
         by = b0 * (1.0 + bump * u * u * np.exp(-(u * u)))
         return np.stack([b_prime * x, by, -b_prime * z], axis=-1)
 
-    def derivatives(r):
-        u = r[..., 1] / length
-        jac = np.zeros(r.shape + (3,))
-        jac[..., 0, 0] = b_prime
-        jac[..., 1, 1] = b0 * bump * 2.0 * u * (1.0 - u * u) * np.exp(-(u * u)) / length
-        jac[..., 2, 2] = -b_prime
-        hess = np.zeros(r.shape + (3, 3))
-        hess[..., 1, 1, 1] = (
-            b0 * bump * 2.0 * (1.0 - 5.0 * u * u + 2.0 * u**4) * np.exp(-(u * u)) / length**2
-        )
-        return field(r), jac, hess
-
-    model = tf.CallableField(field, derivatives)
+    model = array_field(field)
     report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3)
     expected = C.magnetic_moment(k92) * b0 * bump * math.exp(-1.0)
     assert report.depth == pytest.approx(expected, rel=0.01)
@@ -889,20 +896,14 @@ def test_ip_fit_warns_on_poor_profile():
     b_prime = 10.0
     scale = 0.02 * b0 / b_prime
 
-    def field(r):
-        x = r[..., 0]
-        bx = b_prime * x * (1.0 + (x / scale) ** 2)
-        return np.stack([bx, np.full_like(bx, b0), np.zeros_like(bx)], axis=-1)
-
-    def derivatives(r):
-        jac = np.zeros(r.shape + (3,))
-        jac[..., 0, 0] = b_prime * (1.0 + 3.0 * (r[..., 0] / scale) ** 2)
-        hess = np.zeros(r.shape + (3, 3))
-        hess[..., 0, 0, 0] = 6.0 * b_prime * r[..., 0] / scale**2
-        return field(r), jac, hess
+    class Cubic(tf._KernelField):
+        # B_x = B' x (1 + (x / scale)^2), B_y = B0, as arithmetic on arrays or jets
+        def _components(self, x, y, z):
+            u = x * (1.0 / scale)
+            return b_prime * x * (1.0 + u * u), x * 0.0 + b0, x * 0.0, None
 
     with pytest.warns(tf.PoorFitWarning):
-        tf.ip_fit(tf.CallableField(field, derivatives), np.zeros(3))
+        tf.ip_fit(Cubic(), np.zeros(3))
 
 
 # -- geometry files ----------------------------------------------------------------------
