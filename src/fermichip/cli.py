@@ -508,7 +508,7 @@ def cmd_run(args) -> int:
                 if value:
                     argv.append(flag)
             else:
-                argv.extend([flag, str(value)])
+                argv.append(f"{flag}={value}")  # a value may start with a minus
         run_args = build_parser(_ConfigArgumentParser).parse_args(argv)
     except ValueError as exc:
         raise ValueError(f"config {args.config}: {exc}") from None
@@ -629,9 +629,24 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     return ap
 
 
+def _attach_negative_values(argv) -> list[str]:
+    """argv with each `--flag VALUE` whose VALUE starts with a minus and a
+    digit written `--flag=VALUE`: argparse takes only plain numbers such as -9
+    or -4.5 for values, and reads a VALUE such as -9/2 or -5,0,300 as an
+    option."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--"
+                and token[:1] == "-" and token[1:2].isdigit()):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (C.NumericalError, np.linalg.LinAlgError) as exc:

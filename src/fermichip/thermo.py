@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
+from . import polylog
 from .constants import HBAR, K_B, NumericalError, SpinState, thermal_wavelength, write_csv
 from .polylog import bose_fn, fermi_fn
 
@@ -56,6 +57,14 @@ def _expit(x):
 
 class FugacityError(NumericalError):
     """The root find for the fugacity at a reduced temperature failed."""
+
+
+@cache
+def _f3_at_unit_fugacity() -> float:
+    """f_3(1): 6 f_3(1) = t^-3 divides the classical side of the fugacity
+    solve (Z < 1) from the degenerate one.  From polylog itself: a caller
+    may replace this module's fermi_fn, and the value is kept."""
+    return polylog.fermi_fn(3.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,7 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
         )
     # h(y) = ln f_3(e^y) - ln(t^-3/6) increases with y = ln Z: its sign at Z = 1
     # picks the side; f_3(e^y) > y^3/6 keeps ln Z below 1/t, capped for exp()
-    classical = 6.0 * fermi_fn(3.0, 1.0) >= ts**-3
+    classical = 6.0 * _f3_at_unit_fugacity() >= ts**-3
     lo = np.where(classical, math.log(1e-300), 0.0)
     hi = np.where(classical, 0.0, np.minimum(3.0 / ts + 1.0, 708.0))
     ln_target = -3.0 * np.log(ts) - math.log(6.0)

@@ -13,12 +13,14 @@ the searches need (no wires, no gravity, no chip plane unless a class sets
 them).  `field` runs the components on arrays and `derivatives` on
 forward-mode jets: the derivatives are exact, and a point's B, J and H do not
 depend on the batch it is evaluated in.  A `FieldModel` runs the Biot-Savart
-kernel once for all its segments, their constants as columns against the
-points as rows (arrays in blocks of `_BLOCK` points, jets in one pass), and
-adds the segments to the bias one at a time in their order.  The field
-classes are frozen, and each keeps B, J, H and the axis distance of its last
-one-point jet pass, so a caller asking again at that point (the frequencies
-and the IP fit at a minimum just found) runs no kernel.
+kernel once for all its segments and adds them to the bias one at a time in
+their order.  Arrays go through it in blocks of `_BLOCK` points, the segment
+constants and the coordinates as contiguous (segments, points) arrays; jets
+go in one pass, the constants as (segments, 1) columns.  The field classes
+are frozen, and each keeps its last jet pass (B, J, H and the axis distance)
+and its last array pass (B and the axis distance), whatever their shape, so
+a caller asking again at the same points runs no kernel: the frequencies and
+the IP fit at a minimum just found, or a second species' dressed scan.
 
 On top of the field model: location of the trap minimum (trust-region Newton
 on the exact gradient J^T B and Hessian of |B|^2 / 2, one kernel pass per
@@ -68,8 +70,9 @@ SINGULARITY_GUARD = 1e-6  # m, minimum approach to a segment axis
 # to 0 on the axis: a false zero that find_minimum refuses to search near.
 _CLAMP = 0.25 * SINGULARITY_GUARD
 # points per pass of a FieldModel's kernel: its (segments, points) temporaries
-# stay small enough for the cache
-_BLOCK = 1024
+# stay small enough for the cache (a 6-segment pass over 8192 points took
+# 5.0 ms in blocks of 1024 and 3.6 ms in blocks of 512 on a 2-vCPU Xeon)
+_BLOCK = 512
 _ZERO_FIELD_TOL = 1e-9  # T, |B| below which a minimum is a field zero
 _DEPTH_SAMPLES = 500  # samples per escape ray of trap_depth
 _IP_RESIDUAL_THRESHOLD = 0.01  # ip_fit warns above this |B| residual RMS / B0
@@ -143,15 +146,16 @@ class _Jet:
 
 def _add_in_order(start, rows):
     """start + rows[0] + rows[1] + ... over the segment rows (axis -2) of a
-    kernel output, added one row at a time in their order (an accumulation is
-    sequential), as a (..., 1, N) array; on jets, on the raw value, gradient
-    and Hessian arrays."""
+    kernel output, added one row at a time in their order, as a (..., 1, N)
+    array; on jets, on the raw value, gradient and Hessian arrays, with the
+    number start as a constant (zero derivatives)."""
     if isinstance(rows, _Jet):
         return _Jet(*(_add_in_order(a, b) for a, b in zip(
-            (start.v, start.g, start.h), (rows.v, rows.g, rows.h))))
-    terms = rows.copy()
-    terms[..., :1, :] += start
-    return np.add.accumulate(terms, axis=-2, out=terms)[..., -1:, :]
+            (start, 0.0, 0.0), (rows.v, rows.g, rows.h))))
+    total = start + rows[..., :1, :]
+    for k in range(1, rows.shape[-2]):
+        total += rows[..., k : k + 1, :]
+    return total
 
 
 def _biot_savart(a, b, u, k, x, y, z):
@@ -159,11 +163,11 @@ def _biot_savart(a, b, u, k, x, y, z):
     segments from a to b with unit axis u and prefactor k = mu0 I / 4 pi, at
     the points with coordinates x, y, z (arrays or jets).
 
-    The segment constants are numbers for one segment or (S, 1) columns for S
-    segments, the coordinates (1, N) rows, so each output has a row per
-    segment.  Elementwise arithmetic on the components only (no matmul, whose
-    rounding depends on the batch), so a point's field is the same whatever
-    else is evaluated with it; rho, |pa| and |pb| are clamped.
+    The segment constants and the coordinates are (S, N) arrays for S
+    segments, or (S, 1) columns against (1, N) rows, so each output has a row
+    per segment.  Elementwise arithmetic on the components only (no matmul,
+    whose rounding depends on the batch), so a point's field is the same
+    whatever else is evaluated with it; rho, |pa| and |pb| are clamped.
     """
     ax, ay, az = a
     bx, by, bz = b
@@ -233,25 +237,32 @@ class _KernelField:
     A field has no wire segments, no gravity and no chip plane unless its
     class sets `segments`, `gravity` (m/s^2) or `chip_plane`.
 
-    The last one-point jet pass is kept as _memo, keyed by the point's bytes;
-    the fields are frozen dataclasses, so it cannot go stale, and copies are
-    handed out, so a caller cannot change it.  `_field_pass` and `_jet_pass`
-    are the kernel passes themselves."""
+    The last jet pass and the last array pass are kept, each keyed by the
+    shape and then the bytes of its points; the fields are frozen
+    dataclasses, so they cannot go stale, and copies are handed out, so a
+    caller cannot change them.  `_field_pass` and `_jet_pass` are the kernel
+    passes themselves."""
 
     segments = ()
     gravity = None
     chip_plane = None
-    _memo = None
+    # (shape of the points, their bytes, the pass's outputs) of the last pass
+    _kept_jets = None
+    _kept_field = None
 
     def _field_pass(self, r):
         """B (..., 3) at the points r and the squared distance (...) to the
-        nearest wire axis, from the kernel run on blocks of _BLOCK points."""
+        nearest wire axis, from the kernel run on blocks of _BLOCK points.
+        Each block's coordinates go in as contiguous rows, one per segment
+        (one without wires), as the segment constants are: an operation
+        against an (S, 1) column costs more than one on two (S, n) arrays."""
         x = _coordinates(r)
         n = x.shape[-1]
+        rows = max(len(self.segments), 1)
         b = np.empty((n, 3))
         rho2 = np.full(n, np.inf)
         for lo in range(0, n, _BLOCK):
-            *b_blk, rho2_blk = self._components(*x[..., lo : lo + _BLOCK])
+            *b_blk, rho2_blk = self._components(*np.repeat(x[..., lo : lo + _BLOCK], rows, axis=1))
             b[lo : lo + _BLOCK] = np.stack(b_blk, axis=-1)[0]
             if rho2_blk is not None:
                 rho2[lo : lo + _BLOCK] = rho2_blk.min(axis=0)
@@ -275,16 +286,23 @@ class _KernelField:
             (np.full(n, np.inf) if rho2 is None else rho2.v.min(axis=0)).reshape(shape),
         )
 
-    def _recall(self, r):
-        """The kept jet pass at the one point r, or None."""
-        if r.shape == (3,) and self._memo is not None and self._memo[0] == r.tobytes():
-            return self._memo[1]
+    @staticmethod
+    def _recall(kept, r):
+        """The outputs of the kept pass `kept` if it ran at the points r, else None."""
+        if kept is not None and kept[0] == r.shape and kept[1] == r.tobytes():
+            return kept[2]
         return None
 
     def _field_and_rho2(self, r):
         r = np.asarray(r, dtype=float)
-        kept = self._recall(r)
-        return (kept[0].copy(), kept[3]) if kept is not None else self._field_pass(r)
+        kept = self._recall(self._kept_jets, r)
+        if kept is not None:
+            return kept[0].copy(), kept[3]
+        kept = self._recall(self._kept_field, r)
+        if kept is None:
+            kept = self._field_pass(r)
+            object.__setattr__(self, "_kept_field", (r.shape, r.tobytes(), kept))
+        return kept[0].copy(), kept[1]
 
     def field(self, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:
         b, rho2 = self._field_and_rho2(r)
@@ -303,12 +321,11 @@ class _KernelField:
         """B (..., 3), dB_i/dr_j (..., 3, 3), d_j d_k B_i (..., 3, 3, 3) and
         the distance (...) to the nearest wire axis, unguarded."""
         r = np.asarray(r, dtype=float)
-        if r.shape != (3,):
-            b, jac, hess, rho2 = self._jet_pass(r)
-            return b, jac, hess, np.sqrt(rho2)
-        if self._recall(r) is None:
-            object.__setattr__(self, "_memo", (r.tobytes(), self._jet_pass(r)))
-        b, jac, hess, rho2 = self._memo[1]
+        kept = self._recall(self._kept_jets, r)
+        if kept is None:
+            kept = self._jet_pass(r)
+            object.__setattr__(self, "_kept_jets", (r.shape, r.tobytes(), kept))
+        b, jac, hess, rho2 = kept
         return b.copy(), jac.copy(), hess.copy(), np.sqrt(rho2)
 
     def derivatives(self, r):
@@ -342,26 +359,33 @@ class FieldModel(_KernelField):
         segments = tuple(self.segments)
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "bias", tuple(float(c) for c in self.bias))
-        # the (S, 1) columns of the segment ends a, b, unit axes and prefactors
-        columns = [
-            np.array([getattr(seg, name) for seg in segments]).T[..., None]
+        # the segment ends a, b, unit axes and prefactors as contiguous
+        # (S, _BLOCK) blocks, sliced to the width of each pass
+        ends = [
+            np.array([getattr(seg, name) for seg in segments]).reshape(-1, 3).T
             for name in ("a", "b", "_u")
         ]
-        columns.append(np.array([[seg._k] for seg in segments]))
-        object.__setattr__(self, "_columns", columns)
+        k = np.array([seg._k for seg in segments])
+        blocks = [np.repeat(c[..., None], _BLOCK, axis=-1) for c in (*ends, k)]
+        object.__setattr__(self, "_blocks", blocks)
 
     def _components(self, x, y, z):
-        """B_x, B_y, B_z at the coordinates x, y, z ((1, N) rows of arrays or
-        jets, to whose shape x * 0.0 lifts the bias) and the squared distances
-        to each axis, a row per segment (None without segments).
+        """B_x, B_y, B_z at the coordinates x, y, z and the squared distances
+        to each axis, a row per segment (None without segments).  An array
+        pass gives the coordinates as (S, n) rows, one per segment (one row
+        without segments, to whose shape x * 0.0 lifts the bias); jets are
+        the n = 1 case, and their (1, N) rows meet the constants' (S, 1)
+        columns.
 
         One kernel pass for all segments; their fields are added to the bias
         one at a time in their order, as a segment-by-segment sum would."""
-        b = [x * 0.0 + c for c in self.bias]
         if not self.segments:
-            return (*b, None)
-        *db, rho2 = _biot_savart(*self._columns, x, y, z)
-        return (*(_add_in_order(bc, dc) for bc, dc in zip(b, db)), rho2)
+            return (*(x * 0.0 + c for c in self.bias), None)
+        n = x.shape[-1] if isinstance(x, np.ndarray) else 1
+        # a partial block's slices are copied: contiguous like the coordinates
+        consts = (np.ascontiguousarray(c[..., :n]) for c in self._blocks)
+        *db, rho2 = _biot_savart(*consts, x, y, z)
+        return (*(_add_in_order(c, d) for c, d in zip(self.bias, db)), rho2)
 
 
 @dataclass(frozen=True)
@@ -702,6 +726,35 @@ def _weakest(barrier, rising, bound):
     return candidates[np.argmin(barrier[candidates])] if len(candidates) else None
 
 
+def _fill_lowest_first(model, state, pts, keep, u, u0, fill, candidates, bound):
+    """Each ray's barrier and whether it is still rising (_barriers), once
+    the kept samples of the rays that could be the first lowest below bound
+    are all filled in u, where -inf marks a sample not yet evaluated.
+
+    The rays `fill` go first, with the candidate ray whose samples so far
+    peak lowest (first index on ties); then, in one more batch, the other
+    candidates whose highest sample so far lies below the weakest filled
+    barrier under bound, or equals it with a lower index.  A ray's highest
+    sample bounds its barrier from below, and a point's potential does not
+    depend on its batch, so a ray left out could not be the first lowest: it
+    gets barrier inf and is not rising."""
+    rows = np.arange(len(u))
+    low = _finite(u).max(axis=1) - u0
+    barrier, rising = np.full(len(u), np.inf), np.zeros(len(u), dtype=bool)
+    fill = fill.copy()
+    if candidates.any():
+        fill[np.flatnonzero(candidates)[np.argmin(low[candidates])]] = True
+    done = fill.copy()
+    while fill.any():  # twice at most: the bound only falls
+        _fill_potential(model, state, pts, keep & fill[:, None] & (u == -np.inf), u)
+        barrier[fill], rising[fill] = _barriers(u[fill], keep[fill], u0)
+        i = _weakest(barrier, rising, bound)
+        lowest, first = (bound, -1) if i is None else (barrier[i], i)
+        fill = candidates & ~done & ((low < lowest) | ((low == lowest) & (rows < first)))
+        done |= fill
+    return barrier, rising
+
+
 def _grid(model, state, r0, s, u0):
     """The potential samples u (rays, samples) of the 26-ray grid, and each
     ray's barrier and whether it is still rising, from at most three batches.
@@ -711,11 +764,10 @@ def _grid(model, state, r0, s, u0):
     settled as not rising when an earlier sample reaches the larger of its
     last two, or when its tail climbs by no more than 5% of that value above
     u0; the others are filled in full, and with them the settled ray whose
-    samples so far peak lowest.  Last, the settled rays whose highest sample
-    is below the weakest filled ray's barrier, or equal to it with a lower
-    index, are filled.  A filled ray gets the barrier and rising flag that all
-    its samples give (_barriers); one left unfilled could not be the first
-    lowest, so it gets barrier inf and is not rising."""
+    samples so far peak lowest, then the settled rays that could still be the
+    first lowest (_fill_lowest_first).  A filled ray gets the barrier and
+    rising flag that all its samples give; one left unfilled gets barrier inf
+    and is not rising."""
     pts, keep = _ray_points(model, r0, _RAY_DIRECTIONS, s)
     u = np.full(keep.shape, -np.inf)
     n = keep.sum(axis=1)
@@ -736,20 +788,9 @@ def _grid(model, state, r0, s, u0):
     with np.errstate(invalid="ignore"):  # inf - inf: a wired or empty ray, never rising
         climbs = v[rows, n - 1] - v[rows, tail] > _TAIL_RISE * np.maximum(top - u0, 1e-300)
     full = (n > 0) & ~(earlier >= top) & climbs
-    settled = (n > 0) & ~full
-    low = _finite(u).max(axis=1) - u0  # no settled ray's barrier is lower
-    if settled.any():
-        full[np.flatnonzero(settled)[np.argmin(low[settled])]] = True
-
-    barrier, rising = np.full(len(n), np.inf), np.zeros(len(n), dtype=bool)
-    fill = full.copy()
-    while fill.any():  # twice at most: the bound only falls
-        _fill_potential(model, state, pts, keep & ~coarse & fill[:, None], u)
-        barrier[fill], rising[fill] = _barriers(u[fill], keep[fill], u0)
-        i = _weakest(barrier, rising, np.inf)
-        bound, first = (np.inf, len(n)) if i is None else (barrier[i], i)
-        fill = settled & ~full & ((low < bound) | ((low == bound) & (rows < first)))
-        full |= fill
+    barrier, rising = _fill_lowest_first(
+        model, state, pts, keep, u, u0, full, (n > 0) & ~full, np.inf
+    )
     return u, barrier, rising
 
 
@@ -769,13 +810,14 @@ def trap_depth(
     the rising test reads, then in full the rays that may still be rising and
     the ray lowest so far, then the rays that could still be the first lowest
     (branch and bound).  Each 49-ray refinement fan is evaluated in at most
-    three batches (the samples near the crest of the weakest ray so far,
-    every 8th sample, the rest), and after each batch a ray whose highest
-    sample already stands at least the weakest barrier above U(r0) is
-    dropped.  A ray's highest sample bounds its barrier from below, and a
-    point's potential does not depend on its batch, so the depth, escape
-    direction and excluded list are the ones every sample of every ray would
-    give.
+    four batches: the samples near the crest of the weakest ray so far, then
+    every 8th sample, each time dropping a ray whose highest sample already
+    stands at least the weakest barrier above U(r0); then the rest of the
+    surviving ray that peaks lowest, whose barrier, if lower, bounds the
+    others; then the rest of the rays that could still be the first lowest.
+    A ray's highest sample bounds its barrier from below, and a point's
+    potential does not depend on its batch, so the depth, escape direction
+    and excluded list are the ones every sample of every ray would give.
     """
     r0 = np.asarray(r0, dtype=float)
     if ray_length is None:
@@ -820,17 +862,18 @@ def trap_depth(
         alive = keep.any(axis=1)
         near = np.abs(index - crest) <= _CREST_HALF_WIDTH
         coarse = ~near & (index % _COARSE_STRIDE == 0)
-        for batch in (near, coarse, ~(near | coarse)):
+        for batch in (near, coarse):
             mask = keep & alive[:, None] & batch
             if mask.any():
                 _fill_potential(model, state, pts, mask, u)
             alive &= ~(_finite(u).max(axis=1) - u0 >= best)
-        barrier, rising = _barriers(u[alive], keep[alive], u0)
+        barrier, rising = _fill_lowest_first(
+            model, state, pts, keep, u, u0, np.zeros_like(alive), alive, best
+        )
         i = _weakest(barrier, rising, best)
         if i is not None:
-            k = np.flatnonzero(alive)[i]
-            best, d = float(barrier[i]), fan[k]
-            crest = _finite(u[k]).argmax()
+            best, d = float(barrier[i]), fan[i]
+            crest = _finite(u[i]).argmax()
         width /= 3.0
 
     depth = max(best, 0.0)

@@ -337,6 +337,31 @@ def test_trap_search_into_chip_exits_3(capsys):
     assert "Traceback" not in err
 
 
+MF_NEGATIVE = ["trap", "--geometry", "toronto-z-trap", "--species", "K40", "--f-quantum", "9/2"]
+
+
+def _mf_negative_config(tmp_path):
+    params = dict(zip(("geometry", "species", "f_quantum"), MF_NEGATIVE[2::2]), mf="-9/2")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "trap", "params": params}))
+    return ["run", "--config", cfg]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [lambda tmp: MF_NEGATIVE + ["--mf", "-9/2"], _mf_negative_config],
+    ids=["flag", "config"],
+)
+def test_negative_mf_parses_like_attached_value(tmp_path, capsys, argv):
+    # -9/2 is a value, not an option, as in --mf=-9/2; that state of K40 is
+    # high-field seeking, so the trap is no trap for it
+    assert run(MF_NEGATIVE + ["--mf=-9/2"]) == cli.EXIT_NUMERICAL
+    attached = capsys.readouterr().err
+    assert run(argv(tmp_path)) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == attached
+    assert attached.startswith("numerical failure: ") and "non-positive" in attached
+
+
 def test_trap_unknown_geometry(tmp_path):
     assert run(["trap", "--geometry", "no-such-trap"]) == cli.EXIT_CONFIG
 

@@ -87,6 +87,23 @@ def test_unit_fugacity_temperature():
     assert thermo.fugacity_from_reduced_temperature(t) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_fugacity_solves_without_recomputing_f3_at_one(monkeypatch):
+    # f_3(1), which picks the side of Z = 1, is computed once per process
+    # and not by each solve; the Newton steps still take f_3 and f_2
+    thermo.fugacity_from_reduced_temperature(0.3)
+    calls = []
+
+    def recording(n, z):
+        calls.append((float(n), np.asarray(z).tolist()))
+        return fermi_fn(n, z)
+
+    monkeypatch.setattr(thermo, "fermi_fn", recording)
+    z = thermo.fugacity_from_reduced_temperature(0.3)
+    assert calls and (3.0, 1.0) not in calls
+    assert thermo._f3_at_unit_fugacity() == fermi_fn(3.0, 1.0)
+    assert 6.0 * fermi_fn(3.0, z) * 0.3**3 == pytest.approx(1.0, rel=1e-14)
+
+
 def test_fugacity_boltzmann_regime():
     z = thermo.fugacity_from_reduced_temperature(10.0)
     # leading order z = t^-3/6, with the first quantum correction z/8

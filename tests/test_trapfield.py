@@ -354,6 +354,27 @@ def test_kept_pass_is_safe_from_callers(z_trap):
     assert isinstance(counted.segments, tuple)
 
 
+def test_kept_pass_of_any_shape(z_trap):
+    # the last array pass and the last jet pass are kept whatever their
+    # shape, keyed by the shape and then the bytes of the points
+    model, seed = z_trap
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    pts = seed + np.random.default_rng(8).uniform(-50e-6, 50e-6, (700, 3))
+    b = counted.field(pts)
+    b[...] = 0.0
+    assert np.array_equal(counted.field_and_distance(pts.copy())[0], model.field(pts))
+    assert counted.evaluations == 1
+    # the same bytes in another shape run the kernel
+    counted.field(pts.reshape(1, 700, 3))
+    assert counted.evaluations == 2
+    # jets at several points, then the field there, from one jet pass
+    jac = counted.derivatives(pts[:5])[1]
+    jac[...] = 0.0
+    assert np.array_equal(counted.derivatives(pts[:5])[1], model.derivatives(pts[:5])[1])
+    assert np.array_equal(counted.field(pts[:5]), model.field(pts[:5]))
+    assert counted.evaluations == 3
+
+
 def test_zero_minimum_flagged():
     # side guide: wire + transverse bias has a field-zero line
     current = 1.0
@@ -595,16 +616,18 @@ def test_depth_science_trap(z_trap, z_minimum, k92):
 
 @pytest.mark.parametrize("rounds", [0, 1, 2])
 def test_depth_one_field_call_per_round(z_trap, z_minimum, k92, rounds):
-    # U(r0), at most three batched calls for the 26-ray grid and three per
+    # U(r0), at most three batched calls for the 26-ray grid and four per
     # 49-ray refinement fan, however many rays they have
     model, _ = z_trap
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
     tf.trap_depth(counted, k92, z_minimum.position, refine_rounds=rounds)
-    assert counted.evaluations <= 1 + 3 + 3 * rounds
+    assert counted.evaluations <= 1 + 3 + 4 * rounds
     # U(r0) and under 4,000 of the grid's 10,924 points above the chip, then
-    # under 30% of each fan's 49 x 500 points: the grid rays settled as not
-    # rising, and the rays that cannot win, are not filled in
-    assert counted.points <= 1 + 4_000 + 0.3 * 24_500 * rounds
+    # about a tenth of each fan's 49 x 500 points: the grid rays settled as
+    # not rising, and the rays that cannot win, are not filled in, and of a
+    # fan's survivors only the one that peaks lowest is filled before the
+    # others are bounded by its barrier
+    assert counted.points <= {0: 4_001, 1: 6_500, 2: 9_000}[rounds]
 
 
 @pytest.mark.parametrize("tie", [False, True])
@@ -668,12 +691,16 @@ def reference_barrier(u, u0):
     return barrier, still_rising
 
 
-def reference_depths(model, state, r0, rounds):
-    """The depth search of a wire model as a loop over rays, with every sample
-    of every ray evaluated: (depth, escape direction, excluded directions)
-    after each of 0, 1, ..., rounds refinement rounds."""
-    far = max(np.linalg.norm(np.asarray(p) - r0) for seg in model.segments for p in (seg.a, seg.b))
-    s = np.geomspace(1e-7, max(5e-3, 10.0 * far), 500)
+def reference_depths(model, state, r0, rounds, ray_length=None):
+    """The depth search as a loop over rays, with every sample of every ray
+    evaluated: (depth, escape direction, excluded directions) after each of
+    0, 1, ..., rounds refinement rounds.  Without a ray length, that of a
+    wire model's default search."""
+    if ray_length is None:
+        far = max(np.linalg.norm(np.asarray(p) - r0) for seg in model.segments
+                  for p in (seg.a, seg.b))
+        ray_length = max(5e-3, 10.0 * far)
+    s = np.geomspace(1e-7, ray_length, 500)
     u0 = float(tf.potential(model, state, r0, guard=0.0))
 
     def barriers(directions):
@@ -727,6 +754,51 @@ def reference_depths(model, state, r0, rounds):
         results.append((max(best[0], 0.0), best[1], excluded))
         width /= 3.0
     return results
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_depth_fan_bounds_survivors_by_lowest_first(k92, tie):
+    # B along y is b0 (1 + h) with h set by the ray: 1 on every ray but three,
+    # in a bump over samples 290-310, which the fan's first batch (around the
+    # grid crest) sees.  The grid's weakest ray +y has h = 0.3 there, and in
+    # the first fan around it the ray W (a = -0.15, b = 0) has h = 0.2 and the
+    # ray P (a = 0.15, b = 0, higher index) h = 0.1, both over samples
+    # 350-370, where the coarse batch sees them.  P therefore peaks lowest and
+    # is filled first, and a narrow bump over samples 401-403, between coarse
+    # samples, gives it the barrier 0.25 (tie: 0.2).  W must still be filled
+    # and win, as the lower barrier or, tied, as the ray of lower index.
+    s = np.geomspace(1e-7, 5e-3, 500)
+    b0 = 2.0 * C.GAUSS
+
+    def over(dist, lo, hi):
+        return (s[lo] * 0.99 < dist) & (dist < s[hi] * 1.01)
+
+    def field(r):
+        x, y, z = r[..., 0], r[..., 1], r[..., 2]
+        dist = np.sqrt(x * x + y * y + z * z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a, b = x / y, -z / y
+
+        def ray(a0):
+            return (y > 0) & (np.abs(a - a0) < 1e-9) & (np.abs(b) < 1e-9)
+
+        h = np.where(over(dist, 290, 310), 1.0, 0.0)
+        h = np.where(ray(0.0), np.where(over(dist, 290, 310), 0.3, 0.0), h)
+        h = np.where(ray(-0.15), np.where(over(dist, 350, 370), 0.2, 0.0), h)
+        hidden = 0.2 if tie else 0.25
+        h = np.where(ray(0.15), np.where(over(dist, 350, 370), 0.1,
+                                         np.where(over(dist, 401, 403), hidden, 0.0)), h)
+        return np.stack([0.0 * x, b0 * (1.0 + h), 0.0 * x], axis=-1)
+
+    model = array_field(field)
+    expected = reference_depths(model, k92, np.zeros(3), 2, ray_length=5e-3)
+    w = np.array([-0.15, 1.0, 0.0]) / np.linalg.norm([-0.15, 1.0, 0.0])
+    assert np.allclose(expected[1][1], w, rtol=0, atol=1e-15)
+    assert expected[1][0] == pytest.approx(0.2 * C.magnetic_moment(k92) * b0, rel=1e-12)
+    for rounds, (depth, direction, _) in enumerate(expected):
+        report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3, refine_rounds=rounds)
+        assert np.float64(report.depth).tobytes() == np.float64(depth).tobytes()
+        assert report.escape_direction.tobytes() == np.asarray(direction).tobytes()
 
 
 def depth_start(model, seed, where):
