@@ -114,17 +114,51 @@ def test_vectorized_matches_scalar():
         assert vi == pytest.approx(pl.fermi_fn(2.5, float(zi)), rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0])
+FERMI_ORDERS = [0.5, 1.5, 2.5] + [float(k) for k in range(1, pl._MAX_EXACT_ORDER + 1)]
+
+
+def regime_edges():
+    """z = 1, e^36 and the boundaries of the shipped tables, each with its two
+    neighbouring floats, and the extremes 5e-324 and 1e308, where a step
+    taken over the whole batch could overflow (RuntimeWarning is an error
+    under the test configuration)."""
+    x = [0.0, pl.SOMMERFELD_CUT_LOG]
+    for lo, width, coef in pl._TABLES.values():
+        x.extend(lo + width * np.arange(len(coef) + 1))
+    z = np.exp(np.unique(x))
+    return np.concatenate([z, np.nextafter(z, 0.0), np.nextafter(z, np.inf), [5e-324, 1e308]])
+
+
+def log_disagreements(rng):
+    """z above 1 where the C library's log and numpy's array log differ, if
+    they do on this machine: a one-point path must take numpy's."""
+    z = 1.0 + rng.uniform(0.0, 1.0, 20_000)  # where they differ most often
+    return z[np.log(z) != [math.log(v) for v in z.tolist()]]
+
+
+@pytest.mark.parametrize("n", FERMI_ORDERS)
 def test_array_call_matches_per_element_bits(n):
-    # each value is independent of the rest of the batch, in every regime
+    # each value is independent of the rest of the batch, in every regime; a
+    # one-point call (a float, a 0-d array or a size-1 array of any shape)
+    # runs in floats and gives the batch's bits
     rng = np.random.default_rng(11)
     series = rng.uniform(1e-6, pl.SERIES_CUT, 200)
     mid = np.exp(rng.uniform(math.log(pl.SERIES_CUT), pl.SOMMERFELD_CUT_LOG, 200))
     sommerfeld = np.exp(rng.uniform(pl.SOMMERFELD_CUT_LOG, 700.0, 200))
-    z = rng.permutation(np.concatenate([series, mid, sommerfeld]))
-    assert np.array_equal(pl.fermi_fn(n, z), [pl.fermi_fn(n, float(zi)) for zi in z])
+    edges = np.concatenate([regime_edges(), log_disagreements(rng)])
+    z = rng.permutation(np.concatenate([series, mid, sommerfeld, edges]))
+    batch = pl.fermi_fn(n, z)
+    assert batch.shape == z.shape
+    for zi, want in zip(z.tolist(), batch.tolist()):
+        scalars = pl.fermi_fn(n, zi), pl.fermi_fn(n, np.array(zi))
+        arrays = pl.fermi_fn(n, np.array([zi])), pl.fermi_fn(n, np.array([[zi]]))
+        assert [type(v) for v in scalars] == [float, float]
+        assert [(type(v), v.shape) for v in arrays] == [(np.ndarray, (1,)), (np.ndarray, (1, 1))]
+        # every value is finite and positive, so equal values have equal bits
+        assert [*scalars, *(v.item() for v in arrays)] == [want] * 4
     # bose_fn: duplication formula up to 2^(-1/2), Wood's expansion above, zeta(n) at 1
-    bose = rng.permutation(np.concatenate([series, rng.uniform(0.5, 1.0, 200), [1.0]]))
+    unit = [1.0] if n > 1.0 else []  # bose_fn diverges there for n <= 1
+    bose = rng.permutation(np.concatenate([series, rng.uniform(0.5, 1.0, 200), unit]))
     assert np.array_equal(pl.bose_fn(n, bose), [pl.bose_fn(n, float(zi)) for zi in bose])
 
 
@@ -137,10 +171,11 @@ def test_domain_errors():
             pl.fermi_fn(n, 2.0)
         with pytest.raises(ValueError, match="not supported"):
             pl.seams(n)
-    with pytest.raises(ValueError):
-        pl.fermi_fn(2.0, 0.0)
-    with pytest.raises(ValueError):
-        pl.fermi_fn(2.0, -1.0)
+    # a point or a batch: z must be finite and positive
+    for bad in (0.0, -1.0, -math.inf, math.nan, math.inf):
+        for z in (bad, np.array([2.0, bad])):
+            with pytest.raises(ValueError, match="finite z > 0"):
+                pl.fermi_fn(2.0, z)
 
 
 @settings(max_examples=40, deadline=None)
