@@ -8,6 +8,14 @@ significant digits) so identical configurations produce byte-identical output.
 
 Every command is a fresh process, so this module imports only argparse, numpy
 and `constants` at the top; each `cmd_*` imports the modules it uses.
+
+No command gives BLAS any work worth a thread pool (its linear algebra is 3x3
+and 6x6), so when this module is what first imports numpy, and none of
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS has a value, it sets
+OPENBLAS_NUM_THREADS=1 first: a command runs on one OS thread instead of
+starting one idle OpenBLAS worker per core.  Set any of the three to choose
+another count.  A process that imported numpy before this module keeps its
+environment and its pool.
 """
 
 from __future__ import annotations
@@ -20,6 +28,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

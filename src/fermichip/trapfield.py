@@ -498,14 +498,15 @@ def _trust_step(lam, vec, g, radius):
 def _newton(model, x):
     """Trust-region Newton search on |B|^2 / 2 from x, one kernel pass per
     trial point; returns the last point with B, J and H there, and why the
-    last rejected trial was rejected: "chip" (beyond the chip plane), "wire"
-    (within the singularity guard of an axis) or None (a rise of |B|^2, or no
-    trial rejected)."""
+    search was last held back: "chip" (a step reached the chip plane),
+    "wire" (a trial within the singularity guard of an axis) or None (a
+    rise of |B|^2, or nothing)."""
     b, jac, hess, dist = model.derivatives_and_distance(x)
     if dist < SINGULARITY_GUARD:
         raise SingularityError(f"minimum search at {x} m is {dist*1e6:.3g} um from a wire axis")
     radius = 0.25 * float(dist)
     blocked = None
+    on_chip = False  # x is where a step cut at the chip plane landed
     for _ in range(100):
         j_norm = float(np.linalg.norm(jac))
         if j_norm == 0.0:
@@ -522,9 +523,21 @@ def _newton(model, x):
         if not length > _EPS * scale:
             break  # round-off is all that is left
         trial = x + step
-        if model.beyond_chip(trial):
-            blocked, radius = "chip", 0.25 * length
-            continue
+        cut = bool(model.beyond_chip(trial))
+        if cut:
+            # cut the step where it meets the chip plane; a step that meets
+            # it at x, or from where the last cut landed, ends the search
+            blocked = "chip"
+            normal, offset = model.chip_plane
+            rise = float(step @ normal)
+            t = (offset - float(x @ normal)) / rise if rise > 0 else 0.0
+            if on_chip or not t * length > _EPS * scale:
+                break
+            step, newton = t * step, False
+            trial, length = x + step, t * length
+            if model.beyond_chip(trial):  # the cut rounded beyond the plane
+                radius = 0.25 * length
+                continue
         bt, jt, ht, dist = model.derivatives_and_distance(trial)
         if dist < SINGULARITY_GUARD:
             blocked, radius = "wire", 0.25 * length
@@ -541,7 +554,7 @@ def _newton(model, x):
         if actual < 0.0 and np.linalg.norm(jt.T @ bt) >= np.linalg.norm(g):
             blocked = None
             continue
-        x, b, jac, hess = trial, bt, jt, ht
+        x, b, jac, hess, on_chip = trial, bt, jt, ht, cut
         # Newton converges quadratically: after this step the next would be
         # about length^2 / scale, under the round-off eps * scale
         if newton and length * length <= _EPS * scale * scale:
@@ -550,7 +563,7 @@ def _newton(model, x):
 
 
 _BLOCKED = {
-    "chip": "the search ended against the chip surface, beyond which its last rejected trial lay",
+    "chip": "the search ended against the chip surface, where its steps were cut",
     "wire": "the search ended against the singularity guard of a wire axis, within which its "
     "last rejected trial lay",
     None: "bracket state",
@@ -566,21 +579,25 @@ def find_minimum(model, seed, grad_tol: float = 1e-10) -> TrapMinimum:
     zero-field minima.  Each step minimises that quadratic model within a
     radius (More and Sorensen) and costs one kernel pass, which also gives
     the trial point's distance to the wire axes.  The radius starts at a
-    quarter of the seed's axis distance (unbounded without wires).  A trial
-    point beyond the chip plane or within SINGULARITY_GUARD of an axis is
-    rejected, as is one where |B|^2 and |grad |B|^2| both rise; the radius is
-    cut to a quarter of the step when |B|^2 falls by less than a quarter of
-    the predicted amount, and doubled when a step on the boundary gets more
-    than three quarters of it.  The search stops when the step is below the
-    round-off length eps l, l = max(|B|, 1 nT) / ||J||_F, or right
-    after a Newton step inside the region shorter than sqrt(eps) l (the next
-    one, quadratically shorter, would be below eps l).
+    quarter of the seed's axis distance (unbounded without wires).  A step
+    that would cross the chip plane is cut where it meets the plane.  A trial
+    point within SINGULARITY_GUARD of an axis is rejected, as is one where
+    |B|^2 and |grad |B|^2| both rise; the radius is cut to a quarter of the
+    step when |B|^2 falls by less than a quarter of the predicted amount,
+    and doubled when a step on the boundary gets more than three quarters of
+    it.  The search stops when the step is below the round-off length eps l,
+    l = max(|B|, 1 nT) / ||J||_F, right after a Newton step inside the
+    region shorter than sqrt(eps) l (the next one, quadratically shorter,
+    would be below eps l), or when a step would cross the chip plane from
+    the plane itself or from where the last cut step landed: there |B|
+    falls through the chip surface.
 
     The seed must be three finite coordinates on the near side of the chip
     plane (ValueError otherwise).  Raises SingularityError if the seed lies
     within SINGULARITY_GUARD of a wire axis, ConvergenceError if
-    |grad |B|| > grad_tol at the end (naming the chip surface or the wire
-    guard when the last rejected trial lay beyond or within it),
+    |grad |B|| > grad_tol at the end (naming the chip surface when a step
+    was cut there, or the wire guard when the last rejected trial lay
+    within it),
     SaddlePointError if the Hessian of |B| is indefinite and NotATrapError if
     the field is uniform.
     """

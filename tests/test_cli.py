@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,6 +535,39 @@ def test_paper_check_table(tmp_path, capsys, monkeypatch):
     )
     rows = {r["name"]: r for r in json.loads(out.read_text())}
     assert rows["injected-fail"]["passed"] is False
+
+
+# -- BLAS threads -------------------------------------------------------------------------------
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    # each command as a fresh process writes the same bytes whether OpenBLAS
+    # runs one thread or two
+    image = tmp_path / "img.raster"
+    assert run(["tof", "--species", "K40", "--n-atoms", "4e4", "--fx-hz", "823", "--fy-hz", "46",
+                "--fz-hz", "823", "--t-over-tf", "0.1", "--time-ms", "10", "--nx", "48",
+                "--ny", "48", "--noise-frac", "0.02", "--out", image]) == 0
+    commands = [
+        ["trap", "--geometry", "toronto-z-trap", "--out", "trap_z.json"],
+        ["trap", "--geometry", "toronto-split-trap", "--out", "trap_split.json"],
+        ["fit", "--image", str(image), "--model", "both", "--out", "fit.json"],
+        ["dress", "--preset", "rb-doublewell", "--out-prefix", "rb"],
+        ["dress", "--preset", "k-doublewell", "--out-prefix", "k"],
+        ["paper-check", "--out", "table.json"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2"):
+        workdir = tmp_path / f"threads-{threads}"
+        workdir.mkdir()
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "fermichip.cli", *argv], cwd=workdir,
+                           env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           capture_output=True, check=True)
+        outputs[threads] = {f.name: f.read_bytes() for f in sorted(workdir.iterdir())}
+    assert len(outputs["1"]) == 10
+    assert outputs["1"] == outputs["2"]
 
 
 # -- deterministic JSON writer ------------------------------------------------------------------

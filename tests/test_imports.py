@@ -1,6 +1,7 @@
 """Import hygiene: a bare package import and the light CLI commands stay off
-mpmath and the Fermi-function modules, and no command loads any scipy module,
-so each fresh process starts fast."""
+mpmath and the Fermi-function modules, no command loads any scipy module, and
+the CLI starts numpy without an OpenBLAS thread pool unless the user asks for
+one, so each fresh process starts fast."""
 
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fermichip
@@ -118,6 +120,85 @@ def test_fermi_gas_commands_skip_quadrature_and_solvers(tmp_path, argv):
     loaded = set(_loaded_after(code, tmp_path))
     assert "fermichip.polylog" in loaded
     assert _scipy(loaded) == [] and "mpmath" not in loaded
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict form
+        return "unknown"
+
+
+def _env(**variables) -> dict:
+    """os.environ without any BLAS thread variable, with PYTHONPATH and `variables`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": SRC, **variables}
+
+
+def _threads_after(code: str, cwd, **variables) -> tuple[int, dict]:
+    """Run code in a fresh interpreter with _env(**variables); return its OS
+    thread count and its environment after the code."""
+    script = code + (
+        "\nimport json, os\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')), dict(os.environ)]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd,
+        env=_env(**variables),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return tuple(json.loads(out.stdout.splitlines()[-1]))
+
+
+needs_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task")
+    or len(os.sched_getaffinity(0)) < 2
+    or "openblas" not in _numpy_blas(),
+    reason="counts OpenBLAS threads through /proc on two or more cores",
+)
+
+RUN_MODULE = """import runpy, sys
+sys.argv = ["fermichip", "evap", "--preset", "ioffe-c", "--out", "evap.json"]
+try:
+    runpy.run_module("fermichip.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0"""
+
+
+@needs_threads
+@pytest.mark.parametrize("code", ["import fermichip.cli", RUN_MODULE], ids=["import", "main"])
+def test_cli_starts_numpy_on_one_thread(tmp_path, code):
+    # the CLI, as `import fermichip.cli` (the console script) or as
+    # `python -m fermichip.cli`, starts numpy without the idle OpenBLAS pool
+    threads, environ = _threads_after(code, tmp_path)
+    assert threads == 1
+    assert environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@needs_threads
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_honours_a_thread_count_set_by_the_user(tmp_path, variable):
+    threads, environ = _threads_after("import fermichip.cli", tmp_path, **{variable: "2"})
+    assert threads == 2
+    assert {k: environ.get(k) for k in BLAS_THREAD_VARIABLES} == {
+        k: "2" if k == variable else None for k in BLAS_THREAD_VARIABLES
+    }
+
+
+def test_cli_imported_after_numpy_leaves_environment(tmp_path):
+    # a host process that started numpy itself keeps its environment and pool
+    code = """import os
+import numpy
+before = dict(os.environ)
+import fermichip.cli
+assert dict(os.environ) == before"""
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env(), check=True)
 
 
 def test_fit_commands_load_no_scipy(tmp_path):

@@ -304,6 +304,27 @@ def test_bose_domain_errors():
         pl.bose_fn(1.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "z", [math.nan, math.inf, -math.inf, [0.5, math.nan]], ids=["nan", "inf", "-inf", "array"]
+)
+def test_bose_names_non_finite_z(z):
+    with pytest.raises(ValueError, match="requires a finite z"):
+        pl.bose_fn(1.5, z)
+
+
+@pytest.mark.parametrize(
+    "z,value",
+    # duplication formula with the direct series, and Wood's expansion
+    [(0.5, 0.6248370208199139), (0.9, 1.6144385285663396)],
+)
+def test_bose_values_pinned(z, value):
+    # the cached series coefficients give the bits they gave when each call
+    # built them, alone or in a batch, on the first call and on later ones
+    assert pl.bose_fn(1.5, z) == value
+    assert pl.bose_fn(1.5, z) == value
+    assert pl.bose_fn(1.5, np.array([z, 0.3]))[0] == value
+
+
 # -- gaussian reduction ------------------------------------------------------------------
 
 @pytest.mark.parametrize(
