@@ -312,7 +312,7 @@ def _bose_coefficients(n: float) -> tuple[float, ...]:
     return tuple((1.0 / j**n).tolist())
 
 
-def _bose_series(n: float, w: float | np.ndarray) -> float | np.ndarray:
+def _bose_series(n: float, w: np.ndarray) -> np.ndarray:
     # sum_j w^j / j^n, w <= 1/2: the tail is below 1e-20 after 72 terms
     return _power_series(_bose_coefficients(n), w)
 
@@ -346,9 +346,7 @@ def bose_fn(n: float, z) -> float | np.ndarray:
 
     Up to z = 2^(-1/2), the duplication formula Li_n(z) = f_n(z) + 2^(1-n)
     Li_n(z^2) with the direct series for Li_n(z^2) (all terms positive); above
-    it, Wood's expansion in ln z; Li_n(1) = zeta(n).  A scalar or a 0-d
-    array gives a float; one point in the duplication range is summed in
-    Python floats, with the bits of the array path.  Raises ValueError for a
+    it, Wood's expansion in ln z; Li_n(1) = zeta(n).  Raises ValueError for a
     non-finite z or one outside (0, 1].
     """
     n = _check_order(n)
@@ -361,12 +359,6 @@ def bose_fn(n: float, z) -> float | np.ndarray:
         raise ValueError("bose_fn requires z <= 1 (condensed regime not modeled)")
     if np.any(z == 1.0) and not n > 1.0:
         raise ValueError("bose_fn at z=1 diverges unless n > 1")
-    if z.size == 1 and z.item() <= _BOSE_DUPLICATION_CUT:
-        # one point by the duplication formula: Python floats, the same adds
-        # and multiplies as the array path
-        w = z.item()
-        out = _fermi_series(n, w) + 2.0 ** (1.0 - n) * _bose_series(n, w * w)
-        return out if z.ndim == 0 else np.full(z.shape, out)
     scalar = z.ndim == 0
     w = np.atleast_1d(z)
     out = np.empty_like(w)

@@ -473,7 +473,7 @@ def _trust_step(lam, vec, g, radius):
     Stat. Comput. 4, 553 (1983), on the eigenbasis)."""
     a = vec.T @ g
     if not a.any():
-        return np.zeros(3), True
+        return np.zeros_like(g), True
     if lam[0] > 0:
         c = a / lam
         if c @ c <= radius * radius:
@@ -493,6 +493,20 @@ def _trust_step(lam, vec, g, radius):
         mu_next = mu - (1.0 - length / radius) * length * length / float(c @ (c / d))
         mu = mu_next if mu_next > lo else 0.5 * (lo + mu)
     return -(vec @ c), False
+
+
+def _plane_step(hess, g, normal, radius):
+    """_trust_step for the model g.p + p.H p / 2 restricted to the plane
+    normal . p = 0: the step within it, and whether that is the model's
+    Newton step there."""
+    normal = np.asarray(normal, dtype=float)
+    # the eigenvectors of the projector onto the plane with eigenvalue 1
+    # span it; an axis normal gives axis vectors, so the step keeps the
+    # normal coordinate exactly
+    basis = np.linalg.eigh(np.eye(3) - np.outer(normal, normal))[1][:, 1:]
+    lam, vec = np.linalg.eigh(basis.T @ hess @ basis)
+    step, newton = _trust_step(lam, vec, basis.T @ g, radius)
+    return basis @ step, newton
 
 
 def _newton(model, x):
@@ -515,29 +529,32 @@ def _newton(model, x):
         # length B0 / B', with _ZERO_FIELD_TOL for |B| at a field zero
         scale = max(float(np.linalg.norm(b)), _ZERO_FIELD_TOL) / j_norm
         g = jac.T @ b
-        lam, vec = np.linalg.eigh(_square_hessian(b, jac, hess))
+        h = _square_hessian(b, jac, hess)
+        lam, vec = np.linalg.eigh(h)
         if lam[0] <= 0 and not math.isfinite(radius):
             radius = scale  # no wire sets a radius, and the model has no minimum
         step, newton = _trust_step(lam, vec, g, radius)
-        length = float(np.linalg.norm(step))
-        if not length > _EPS * scale:
-            break  # round-off is all that is left
-        trial = x + step
-        cut = bool(model.beyond_chip(trial))
-        if cut:
-            # cut the step where it meets the chip plane; a step that meets
-            # it at x, or from where the last cut landed, ends the search
+        cut = planar = False
+        if model.beyond_chip(x + step):
+            # a step that would cross the chip plane is cut where it meets
+            # it; from the plane, or from where the last cut landed, the
+            # model's step within the plane is taken instead
             blocked = "chip"
             normal, offset = model.chip_plane
             rise = float(step @ normal)
             t = (offset - float(x @ normal)) / rise if rise > 0 else 0.0
-            if on_chip or not t * length > _EPS * scale:
-                break
-            step, newton = t * step, False
-            trial, length = x + step, t * length
-            if model.beyond_chip(trial):  # the cut rounded beyond the plane
-                radius = 0.25 * length
-                continue
+            if on_chip or not t * float(np.linalg.norm(step)) > _EPS * scale:
+                step, newton = _plane_step(h, g, normal, radius)
+                planar = True
+            else:
+                step, newton, cut = t * step, False, True
+        length = float(np.linalg.norm(step))
+        if not length > _EPS * scale:
+            break  # round-off is all that is left
+        trial = x + step
+        if (cut or planar) and model.beyond_chip(trial):
+            radius = 0.25 * length  # the step rounded beyond the plane
+            continue
         bt, jt, ht, dist = model.derivatives_and_distance(trial)
         if dist < SINGULARITY_GUARD:
             blocked, radius = "wire", 0.25 * length
@@ -554,7 +571,7 @@ def _newton(model, x):
         if actual < 0.0 and np.linalg.norm(jt.T @ bt) >= np.linalg.norm(g):
             blocked = None
             continue
-        x, b, jac, hess, on_chip = trial, bt, jt, ht, cut
+        x, b, jac, hess, on_chip = trial, bt, jt, ht, cut or planar
         # Newton converges quadratically: after this step the next would be
         # about length^2 / scale, under the round-off eps * scale
         if newton and length * length <= _EPS * scale * scale:
@@ -580,24 +597,25 @@ def find_minimum(model, seed, grad_tol: float = 1e-10) -> TrapMinimum:
     radius (More and Sorensen) and costs one kernel pass, which also gives
     the trial point's distance to the wire axes.  The radius starts at a
     quarter of the seed's axis distance (unbounded without wires).  A step
-    that would cross the chip plane is cut where it meets the plane.  A trial
-    point within SINGULARITY_GUARD of an axis is rejected, as is one where
-    |B|^2 and |grad |B|^2| both rise; the radius is cut to a quarter of the
-    step when |B|^2 falls by less than a quarter of the predicted amount,
-    and doubled when a step on the boundary gets more than three quarters of
-    it.  The search stops when the step is below the round-off length eps l,
-    l = max(|B|, 1 nT) / ||J||_F, right after a Newton step inside the
+    that would cross the chip plane is cut where it meets the plane; from the
+    plane, a step that would cross it again is replaced by the step of the
+    quadratic model restricted to the plane, so the search goes on along the
+    chip surface while |B| falls there.  A trial point within
+    SINGULARITY_GUARD of an axis is rejected, as is one where |B|^2 and
+    |grad |B|^2| both rise; the radius is cut to a quarter of the step when
+    |B|^2 falls by less than a quarter of the predicted amount, and doubled
+    when a step on the boundary gets more than three quarters of it.  The
+    search stops when the step is below the round-off length eps l,
+    l = max(|B|, 1 nT) / ||J||_F, or right after a Newton step inside the
     region shorter than sqrt(eps) l (the next one, quadratically shorter,
-    would be below eps l), or when a step would cross the chip plane from
-    the plane itself or from where the last cut step landed: there |B|
-    falls through the chip surface.
+    would be below eps l).
 
     The seed must be three finite coordinates on the near side of the chip
     plane (ValueError otherwise).  Raises SingularityError if the seed lies
     within SINGULARITY_GUARD of a wire axis, ConvergenceError if
-    |grad |B|| > grad_tol at the end (naming the chip surface when a step
-    was cut there, or the wire guard when the last rejected trial lay
-    within it),
+    |grad |B|| > grad_tol at the end (naming the chip surface when steps
+    were cut there, as where |B| falls only through the chip, or the wire
+    guard when the last rejected trial lay within it),
     SaddlePointError if the Hessian of |B| is indefinite and NotATrapError if
     the field is uniform.
     """

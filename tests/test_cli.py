@@ -332,9 +332,9 @@ def test_trap_seed_beyond_chip_is_config_error(capsys):
 
 
 def test_trap_search_into_chip_exits_3(capsys):
-    # 5 um above the midpoint of the z-trap's first wire the field falls
-    # towards the chip; the search stops against the chip surface, not below it
-    code = run(["trap", "--geometry", "toronto-z-trap", "--seed-um=-2000,-997.85364711,5"])
+    # near (-4.06, -1.24) mm |B| has a minimum on the chip surface and falls
+    # only through the chip; the search stops against it, not below it
+    code = run(["trap", "--geometry", "toronto-z-trap", "--seed-um=-4060,-1236,5"])
     assert code == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "chip surface" in err

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fermichip
+from fermichip import cli
 
 SRC = str(Path(fermichip.__file__).resolve().parents[1])
 
@@ -122,9 +123,6 @@ def test_fermi_gas_commands_skip_quadrature_and_solvers(tmp_path, argv):
     assert _scipy(loaded) == [] and "mpmath" not in loaded
 
 
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _numpy_blas() -> str:
     try:
         return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -134,7 +132,7 @@ def _numpy_blas() -> str:
 
 def _env(**variables) -> dict:
     """os.environ without any BLAS thread variable, with PYTHONPATH and `variables`."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
     return {**env, "PYTHONPATH": SRC, **variables}
 
 
@@ -186,8 +184,8 @@ def test_cli_starts_numpy_on_one_thread(tmp_path, code):
 def test_cli_honours_a_thread_count_set_by_the_user(tmp_path, variable):
     threads, environ = _threads_after("import fermichip.cli", tmp_path, **{variable: "2"})
     assert threads == 2
-    assert {k: environ.get(k) for k in BLAS_THREAD_VARIABLES} == {
-        k: "2" if k == variable else None for k in BLAS_THREAD_VARIABLES
+    assert {k: environ.get(k) for k in cli._BLAS_THREAD_VARIABLES} == {
+        k: "2" if k == variable else None for k in cli._BLAS_THREAD_VARIABLES
     }
 
 

@@ -428,23 +428,50 @@ def test_find_minimum_reaches_trap_from_afar(name):
 @pytest.mark.parametrize("direction", ["+z", "+y", "-y"])
 def test_find_minimum_near_wire_stays_above_chip(z_trap, z_minimum, direction):
     # seeds 1.01-30 um from the midpoint of the z-trap's first wire, which lies
-    # in the chip surface: each search reaches the trap or raises, and none
-    # returns a point beyond the chip; a search that the chip blocks ends
-    # within 10 kernel passes instead of crawling along the surface
+    # in the chip surface: the descent leads into the chip, and the steps
+    # along the chip surface lead on to the trap (the +-y seeds start on the
+    # surface), well inside the search's 100 steps
     model, _ = z_trap
     seg = model.segments[0]
     mid = 0.5 * (np.asarray(seg.a) + np.asarray(seg.b))
     axis = {"+z": (0.0, 0.0, 1.0), "+y": (0.0, 1.0, 0.0), "-y": (0.0, -1.0, 0.0)}[direction]
     for offset in (1.01, 1.5, 2, 5, 10, 20, 30):
         counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
-        try:
-            m = tf.find_minimum(counted, mid + offset * 1e-6 * np.asarray(axis))
-        except C.NumericalError as exc:
-            if "chip surface" in str(exc):
-                assert counted.evaluations <= 10
-            continue
-        assert not model.beyond_chip(m.position)
-        assert m.position[2] == pytest.approx(z_minimum.position[2], rel=1e-9)
+        m = tf.find_minimum(counted, mid + offset * 1e-6 * np.asarray(axis))
+        assert np.linalg.norm(m.position - z_minimum.position) < 1e-9
+        assert counted.evaluations <= 70
+
+
+@pytest.mark.parametrize("height_um", [1.01, 3, 10, 30])
+def test_find_minimum_walks_along_chip_to_trap(z_trap, z_minimum, height_um):
+    # above the z-trap's first wire, 0.4 mm from its end, |B| falls towards
+    # the chip: the steps cut at the chip surface go on along it and reach
+    # the trap in 24-28 kernel passes (22-50 when each step that crossed the
+    # chip plane was rejected and the radius quartered)
+    model, _ = z_trap
+    seg = model.segments[0]
+    seed = np.asarray(seg.a) + 0.9 * (np.asarray(seg.b) - np.asarray(seg.a))
+    seed[2] = height_um * 1e-6
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    m = tf.find_minimum(counted, seed)
+    assert np.linalg.norm(m.position - z_minimum.position) < 1e-9
+    assert counted.evaluations <= 30
+
+
+@pytest.mark.parametrize("corner", [-1.0, 1.0])
+@pytest.mark.parametrize("height_um", [1, 5, 30, 100])
+def test_find_minimum_blocked_by_chip_ends_on_it(z_trap, corner, height_um):
+    # near (+-4.06, +-1.24) mm, past the ends of the z-trap's outer wires,
+    # |B| has a minimum on the chip surface and falls only through the chip:
+    # the search cuts its step at the surface, settles along it and ends
+    # there within 10 kernel passes
+    model, _ = z_trap
+    seed = corner * np.array([4060.0, 1236.0, 0.0]) * 1e-6
+    seed[2] = height_um * 1e-6
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    with pytest.raises(tf.ConvergenceError, match="chip surface"):
+        tf.find_minimum(counted, seed)
+    assert counted.evaluations <= 10
 
 
 def test_uniform_field_not_a_trap():
