@@ -6,8 +6,9 @@ g(eps) = eps^2 / (2 (hbar wbar)^3):
     N = (beta hbar wbar)^-3 f_3(Z),      E = 3 k_B T (beta hbar wbar)^-3 f_4(Z),
     E_F = hbar wbar (6 N)^(1/3),         6 f_3(Z) = (beta E_F)^3.
 
-The last relation is inverted for Z by Newton's method in ln Z, bracketed,
-with the exact slope d ln f_3 / d ln Z = f_2/f_3, on a scalar or an array.
+The last relation is inverted for Z by Halley's method in ln Z, bracketed,
+from closed-form starts and with the exact derivatives d f_n / d ln Z =
+f_(n-1), on a scalar or an array.
 Includes a brute-force discrete-sum oracle over oscillator levels for
 finite-size cross-checks.
 """
@@ -44,8 +45,8 @@ __all__ = [
     "write_thermo_scan_csv",
 ]
 
-_NEWTON_MAXITER = 100
-_NEWTON_YTOL = 1e-8
+_SOLVE_MAXITER = 100
+_SOLVE_YTOL = 1e-8
 
 
 def _expit(x):
@@ -129,6 +130,15 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
 
     Scalars or arrays, like fermi_fn; monotone decreasing in t.  Each point is
     iterated on its own, so an array gives the same bits as per-element calls.
+
+    The iteration on y = ln Z starts from a closed form on each side of Z = 1.
+    On the degenerate side it is the root of the Sommerfeld cubic
+    y^3 + pi^2 y = t^-3, by Cardano's formula: 6 f_3(e^y) exceeds that cubic
+    only by 6 f_3(e^-y).  On the classical side it is the inverse of the series
+    f_3(z) = z - z^2/8 + z^3/27 to third order in t^-3/6.  It then takes
+    Halley's steps on ln f_3(e^y) - ln(t^-3/6), whose derivatives need only
+    f_3, f_2 and f_1(Z) = ln(1 + Z), inside a bracket that falls back to
+    bisection.  From 0.0016 to 50 in t that takes 1 to 3 passes of f_3 and f_2.
     """
     t = np.asarray(t, dtype=float)
     ts = t.ravel()
@@ -141,25 +151,38 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
         )
     # h(y) = ln f_3(e^y) - ln(t^-3/6) increases with y = ln Z: its sign at Z = 1
     # picks the side; f_3(e^y) > y^3/6 keeps ln Z below 1/t, capped for exp()
-    classical = 6.0 * _f3_at_unit_fugacity() >= ts**-3
+    cube = ts**-3
+    classical = 6.0 * _f3_at_unit_fugacity() >= cube
     lo = np.where(classical, math.log(1e-300), 0.0)
     hi = np.where(classical, 0.0, np.minimum(3.0 / ts + 1.0, 708.0))
     ln_target = -3.0 * np.log(ts) - math.log(6.0)
-    y = np.clip(ln_target, lo, hi)  # the classical limit f_3(z) = z
+    # z = u + u^2/8 - 5 u^3/864 inverts the series to third order in u = t^-3/6,
+    # which is below f_3(1) < 1 on the classical side (the cap keeps the start
+    # not taken finite); Cardano's root of the cubic, a - pi^2 / (3 a), adds
+    # two positive terms inside the cube root
+    u = np.minimum(cube / 6.0, 1.0)
+    series = ln_target + np.log1p(u / 8.0 - 5.0 * u * u / 864.0)
+    a = np.cbrt(0.5 * cube + np.sqrt(0.25 * cube * cube + math.pi**6 / 27.0))
+    sommerfeld = a - math.pi**2 / (3.0 * a)
+    y = np.clip(np.where(classical, series, sommerfeld), lo, hi)
     todo = np.arange(ts.size)
-    for _ in range(_NEWTON_MAXITER):
+    for _ in range(_SOLVE_MAXITER):
         z = np.exp(y[todo])
         f3 = fermi_fn(3.0, z)
         h = np.log(f3) - ln_target[todo]
-        step = -h * f3 / fermi_fn(2.0, z)  # h' = f_2/f_3, as d f_n / d ln z = f_(n-1)
+        # as d f_n / d ln z = f_(n-1): h' = f_2/f_3, h'' = f_1/f_3 - h'^2
+        slope = fermi_fn(2.0, z) / f3
+        curvature = np.log1p(z) / f3 - slope * slope
+        step = -h / slope / (1.0 - 0.5 * h * curvature / (slope * slope))
         if not np.all(np.isfinite(step)):
             todo = todo[~np.isfinite(step)]
             break
         lo[todo] = np.where(h < 0.0, y[todo], lo[todo])
         hi[todo] = np.where(h > 0.0, y[todo], hi[todo])
-        # convergence is quadratic: a step this small leaves an error of its
-        # square, below round-off, so it is taken even onto a bracket end
-        done = np.abs(step) <= _NEWTON_YTOL * np.maximum(1.0, np.abs(y[todo]))
+        # convergence is cubic: a step this small leaves an error far below
+        # round-off, so it is taken even onto a bracket end; a step that leaves
+        # the bracket, as Halley's may from far off, is replaced by bisection
+        done = np.abs(step) <= _SOLVE_YTOL * np.maximum(1.0, np.abs(y[todo]))
         new = y[todo] + step
         bisect = ~done & ((new < lo[todo]) | (new > hi[todo]))
         new[bisect] = 0.5 * (lo[todo] + hi[todo])[bisect]

@@ -483,6 +483,18 @@ def _trust_step(lam, vec, g, radius):
     # Newton's method on it from mu0, where |p| <= radius, drops below the
     # root and then climbs to it; a step past the pole is halved back.
     lo = max(0.0, -float(lam[0]))
+    pole = lam == lam[0]
+    if lam[0] <= 0 and not a[pole].any():
+        # the hard case: with no component of g along the lowest eigenvectors
+        # |p(mu)| has no pole at mu = lo.  If it is within the radius there,
+        # no mu > lo reaches the boundary, and the step is p(lo) plus the
+        # multiple of the lowest eigenvector that does
+        c = np.zeros_like(a)
+        np.divide(a, lam + lo, out=c, where=~pole)
+        slack = radius * radius - float(c @ c)
+        if slack >= 0.0:
+            c[0] = math.sqrt(slack)
+            return -(vec @ c), False
     mu = lo + float(np.linalg.norm(a)) / radius
     for _ in range(50):
         d = lam + mu

@@ -331,6 +331,18 @@ def test_trap_seed_beyond_chip_is_config_error(capsys):
     assert err.startswith("configuration error: ") and "beyond the chip surface" in err
 
 
+def test_trap_seed_on_trap_axis_reaches_trap(tmp_path, capsys):
+    # 2 um above the chip, straight below the trap: the search's step in the
+    # trust-region hard case is finite, and the report is the shipped trap's
+    out = tmp_path / "trap.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["trap", "--geometry", "toronto-z-trap", "--seed-um=0,0,2", "--out", out])
+    assert code == 0 and capsys.readouterr().err == ""
+    position = json.loads(out.read_text())["position_um"]
+    assert position == pytest.approx(TRAP_REPORTS["toronto-z-trap"]["position_um"], abs=1e-9)
+
+
 def test_trap_search_into_chip_exits_3(capsys):
     # near (-4.06, -1.24) mm |B| has a minimum on the chip surface and falls
     # only through the chip; the search stops against it, not below it

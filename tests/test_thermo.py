@@ -1,6 +1,7 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,7 +90,7 @@ def test_unit_fugacity_temperature():
 
 def test_fugacity_solves_without_recomputing_f3_at_one(monkeypatch):
     # f_3(1), which picks the side of Z = 1, is computed once per process
-    # and not by each solve; the Newton steps still take f_3 and f_2
+    # and not by each solve; the Halley steps still take f_3 and f_2
     thermo.fugacity_from_reduced_temperature(0.3)
     calls = []
 
@@ -102,6 +103,50 @@ def test_fugacity_solves_without_recomputing_f3_at_one(monkeypatch):
     assert calls and (3.0, 1.0) not in calls
     assert thermo._f3_at_unit_fugacity() == fermi_fn(3.0, 1.0)
     assert 6.0 * fermi_fn(3.0, z) * 0.3**3 == pytest.approx(1.0, rel=1e-14)
+
+
+# the thermo-scan grid, and log-spaced reduced temperatures from near the
+# deepest the solve takes (ln Z ~ 625) to far into the classical regime
+SCAN_GRID = np.geomspace(0.02, 5.0, 24)
+WIDE_GRID = np.geomspace(0.0016, 50.0, 400)
+
+
+def test_fugacity_solve_passes(monkeypatch):
+    # the closed-form starts leave at most 3 passes of f_3 (and f_2) per solve
+    passes = []
+
+    def counting(n, z):
+        if float(n) == 3.0:
+            passes[-1] += 1
+        return fermi_fn(n, z)
+
+    thermo.fugacity_from_reduced_temperature(0.3)
+    monkeypatch.setattr(thermo, "fermi_fn", counting)
+    passes.append(0)
+    thermo.fugacity_from_reduced_temperature(SCAN_GRID)
+    assert passes.pop() <= 3
+    for t in WIDE_GRID:
+        passes.append(0)
+        thermo.fugacity_from_reduced_temperature(float(t))
+    assert max(passes) <= 3 and np.mean(passes) <= 1.5
+
+
+def test_fugacity_matches_mpmath():
+    # Z from 40-digit mpmath: the root in y = ln Z of -Li_3(-e^y) = t^-3/6,
+    # on both grids and at the Z = 1 seam.  Z = e^y carries the round-off of
+    # y as a relative error, so the bound is 8 eps max(1, |ln Z|)
+    seam = (6.0 * fermi_fn(3.0, 1.0)) ** (-1.0 / 3.0)
+    t = np.concatenate([SCAN_GRID, WIDE_GRID, [seam]])
+    z = thermo.fugacity_from_reduced_temperature(t)
+    with mpmath.workdps(40):
+        for ti, zi in zip(t, z):
+            target = mpmath.mpf(ti) ** -3 / 6
+            y = mpmath.findroot(
+                lambda y: mpmath.log(-mpmath.polylog(3, -mpmath.exp(y)) / target),
+                mpmath.log(zi),
+            )
+            error = abs(mpmath.mpf(zi) / mpmath.exp(y) - 1)
+            assert error <= 8 * np.finfo(float).eps * max(1.0, abs(math.log(zi))), ti
 
 
 def test_fugacity_boltzmann_regime():

@@ -442,6 +442,33 @@ def test_find_minimum_near_wire_stays_above_chip(z_trap, z_minimum, direction):
         assert counted.evaluations <= 70
 
 
+def test_trust_step_hard_case():
+    # g has no component along the eigenvector of the negative eigenvalue and
+    # p(-lam[0]) lies inside the radius: the step reaches the boundary along
+    # that eigenvector, and its model value beats p(-lam[0]) alone
+    lam, vec = np.array([-2.0, 1.0, 3.0]), np.eye(3)
+    g = np.array([0.0, 1.0, -3.0])
+    step, newton = tf._trust_step(lam, vec, g, 2.0)
+    assert not newton and np.all(np.isfinite(step))
+    assert np.linalg.norm(step) == pytest.approx(2.0, rel=1e-15)
+    assert step[1:] == pytest.approx([-1.0 / 3.0, 3.0 / 5.0], rel=1e-15)
+    model = lambda p: g @ p + 0.5 * p @ (lam * p)
+    assert model(step) < model(np.array([0.0, *step[1:]]))
+
+
+@pytest.mark.parametrize("height_um", [1, 2, 5])
+def test_find_minimum_from_trap_axis_near_chip(z_trap, z_minimum, height_um):
+    # straight below the trap, 1-5 um above the chip, the gradient has no
+    # component along the Hessian's negative eigenvector (the trust-region
+    # hard case): the step along that eigenvector leads on to the trap
+    model, _ = z_trap
+    counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
+    m = tf.find_minimum(counted, [0.0, 0.0, height_um * 1e-6])
+    assert np.linalg.norm(m.position - z_minimum.position) < 1e-9
+    assert m.position[2] * 1e6 == pytest.approx(273.88, abs=0.01)
+    assert counted.evaluations <= 30
+
+
 @pytest.mark.parametrize("height_um", [1.01, 3, 10, 30])
 def test_find_minimum_walks_along_chip_to_trap(z_trap, z_minimum, height_um):
     # above the z-trap's first wire, 0.4 mm from its end, |B| falls towards
