@@ -9,10 +9,12 @@ finite-segment Biot-Savart expression of Hanson and Hirshman (Phys. Plasmas 9,
 is found by Newton iteration from the shipped seed, with the gradient and the
 Hessian of |B| from `mpmath.diff`, and the trap frequencies of the stretched
 K40 and Rb87 states are sqrt(mu lambda / m) over the eigenvalues lambda of
-that Hessian, with the program's own moments and masses.  The script prints
-the position (um), B0 (gauss) and the frequencies (Hz) to 20 digits; the
-reference test in `tests/test_trapfield.py` hardcodes them.  It takes a few
-seconds.
+that Hessian, with the program's own moments and masses.  The Ioffe-Pritchard
+parameters come from the same eigenvalues: B'' is the soft one lambda_s, and
+each transverse lambda_t gives B'_t = sqrt(B0 (lambda_t + B''/2)).  The script
+prints the position (um), B0 (gauss), the frequencies (Hz), B'' (T/m^2), both
+B'_t and their mean (T/m) to 20 digits; the reference test in
+`tests/test_trapfield.py` hardcodes them.  It takes a few seconds.
 """
 
 from __future__ import annotations
@@ -95,18 +97,23 @@ def reference(name):
         mu = mpmath.mpf(float(C.magnetic_moment(state)))
         mass = mpmath.mpf(float(state.species.mass))
         freqs[species] = [mpmath.sqrt(mu * v / mass) / (2 * mpmath.pi) for v in lam]
-    return x, f(*x), freqs
+    b0 = f(*x)
+    b_primes = [mpmath.sqrt(b0 * (v + lam[0] / 2)) for v in lam[1:]]
+    return x, b0, freqs, lam[0], b_primes
 
 
 def main() -> int:
     mpmath.mp.dps = DPS
     for name in GEOMETRIES:
-        x, b0, freqs = reference(name)
+        x, b0, freqs, b_double_prime, b_primes = reference(name)
         print(f"{name}:")
         print("  position_um", [mpmath.nstr(v * 10**6, 20) for v in x])
         print("  b0_gauss", mpmath.nstr(b0 / mpmath.mpf(float(C.GAUSS)), 20))
         for species, values in freqs.items():
             print(f"  {species} frequencies_hz", [mpmath.nstr(v, 20) for v in values])
+        print("  ip_b_double_prime_t_per_m2", mpmath.nstr(b_double_prime, 20))
+        print("  ip_b_prime_t_per_m (transverse)", [mpmath.nstr(v, 20) for v in b_primes])
+        print("  ip_b_prime_t_per_m (mean)", mpmath.nstr(sum(b_primes) / 2, 20))
     return 0
 
 

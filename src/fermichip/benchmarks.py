@@ -9,7 +9,7 @@ test suite asserts them one by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +44,8 @@ def _within(value, center, tol):
 
 def degeneracy_rows():
     f32 = polylog.fermi_fn(1.5, 1.0)
-    g32 = polylog.bose_fn(1.5, 1.0)
+    # the Bose g_3/2(1) = zeta(3/2) = eta(3/2) / (1 - 2^(-1/2)), and eta(3/2) = f_3/2(1)
+    g32 = f32 / -math.expm1(-0.5 * math.log(2.0))
     t_unit = thermo.reduced_temperature_from_fugacity(1.0)
     return [
         _row("c1-fermi-degeneracy", "n0 Lambda^3 at Z=1 (Fermi)", f32,

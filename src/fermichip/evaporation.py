@@ -3,8 +3,8 @@
 Effective trap volumes V_eff(T) = Int exp(-U/k_B T) d^3r for the standard trap
 shapes, the resulting bound on the loadable atom number at a given phase-space
 density, the wire-current scaling of that bound, elastic collision rates, the
-minimum useful starting temperature, and the energy-dependent s-wave
-cross-section.
+minimum useful starting temperature, and the low-temperature s-wave
+cross-section of identical bosons.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "relative_velocity",
     "min_start_temperature",
     "min_start_temperature_scaling",
-    "sigma_swave",
     "sigma_identical_low_temperature",
 ]
 
@@ -204,19 +203,6 @@ def min_start_temperature_scaling(
         a_s = species.s_wave_scattering_length
     t_ref = min_start_temperature(species, 1e-6, 150.0, 5.3e-9)
     return t_ref * math.sqrt(1e-6 / rho0) * math.sqrt(gamma_min / 150.0) * (5.3e-9 / a_s)
-
-
-def sigma_swave(a: float, k) -> float | np.ndarray:
-    """Energy-dependent s-wave cross-section 4 pi a^2 / (1 + a^2 k^2) for
-    distinguishable partners; monotonically suppressed with k
-    (Ramsauer-Townsend trend)."""
-    if a == 0:
-        raise ValueError("scattering length must be nonzero")
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0):
-        raise ValueError("wavevector must be nonnegative")
-    out = 4.0 * math.pi * a * a / (1.0 + (a * k) ** 2)
-    return float(out) if out.ndim == 0 else out
 
 
 def sigma_identical_low_temperature(a: float) -> float:

@@ -1,10 +1,8 @@
-"""Fermi functions of the orders the program uses, and Bose functions of real
-order n >= 1/2, from numpy and `math` alone.
+"""Fermi functions of the orders the program uses, from numpy and `math` alone.
 
 fermi_fn(n, z) = -Li_n(-z) for z > 0, the integral (1/Gamma(n)) * Int_0^inf
 t^(n-1) dt / (exp(t)/z + 1), for an integer order 1 <= n <= 24 or a
 half-integer order n = 1/2, 3/2 or 5/2; any other order raises ValueError.
-bose_fn(n, z) = Li_n(z) for 0 < z <= 1 and real n >= 1/2.
 
 fermi_fn is evaluated in these regimes, with x = ln z:
 
@@ -34,12 +32,9 @@ numpy's array log on 0.35% of z in (1, 2), and x ** p, on a float or an
 np.float64, from the array power on about 5% of points; the ufuncs called on
 one value matched the array loops on every point.
 
-The special functions behind the Sommerfeld and Wood expansions need no
-library either: 1/Gamma is rounded once from its exact factorial forms at the
-integers and half-integers (`math.gamma` elsewhere); zeta(s) is
-eta(s) / (1 - 2^(1-s)) with eta(s) = f_s(1) from the accelerated series for
-s >= 1/2, and the reflection formula below that; zeta at the even and the
-non-positive integers is exact, from Bernoulli numbers.
+The special functions behind the Sommerfeld expansion need no library either:
+1/Gamma is rounded once from its exact factorial forms at the integers and
+half-integers, and zeta at the even integers is exact, from Bernoulli numbers.
 """
 
 from __future__ import annotations
@@ -54,8 +49,6 @@ from . import _fermi12_table, _fermi32_table, _fermi52_table
 
 __all__ = [
     "fermi_fn",
-    "bose_fn",
-    "fermi_fn_degenerate_limit",
     "gaussian_reduction_check",
     "seams",
     "SERIES_CUT",
@@ -65,10 +58,6 @@ __all__ = [
 SERIES_CUT = 1.0
 SOMMERFELD_CUT_LOG = 36.0
 _SERIES_TERMS = 24
-_BOSE_TERMS = 72
-_WOOD_TERMS = 16
-# bose_fn uses the duplication formula up to here and Wood's expansion above
-_BOSE_DUPLICATION_CUT = 2.0**-0.5
 # trapezoid step of gaussian_reduction_check on the real line
 _GAUSS_STEP = 0.1
 
@@ -90,8 +79,6 @@ def _bernoulli(m: int) -> list[Fraction]:
 
 
 _BERNOULLI = _bernoulli(_MAX_EXACT_ORDER)
-# zeta(-m) = (-1)^m B_(m+1) / (m+1): the trivial zeros are exactly 0
-_ZETA_NONPOSITIVE = [float((-1) ** m * b / (m + 1)) for m, b in enumerate(_BERNOULLI[1:])]
 # Dirichlet eta(2k) = (1 - 2^(1-2k)) zeta(2k) for 2k = 0, 2, ..., 24, with
 # zeta(2k) = (-1)^(k+1) B_2k (2 pi)^2k / (2 (2k)!) rounded once from a 50-digit
 # pi; eta(0) = 1/2 makes the Sommerfeld sum start at the leading x^n / Gamma(n+1)
@@ -105,13 +92,6 @@ _ZETA_EVEN = np.array([
 _ETA_EVEN = (1.0 - 2.0 ** (1.0 - _TWO_K)) * _ZETA_EVEN
 
 
-def _check_order(n: float) -> float:
-    n = float(n)
-    if not n >= 0.5:
-        raise ValueError(f"order n={n} out of domain (need n >= 1/2)")
-    return n
-
-
 def _fermi_order(n: float) -> float:
     n = float(n)
     if n in _TABLES or (n.is_integer() and 1.0 <= n <= _MAX_EXACT_ORDER):
@@ -123,14 +103,12 @@ def _fermi_order(n: float) -> float:
 
 
 def _rgamma(x: float) -> float:
-    """1/Gamma(x), 0 at the poles x = 0, -1, -2, ...  At the integers and the
-    half-integers, which are all the Sommerfeld terms use, it is rounded once
+    """1/Gamma(x) at an integer or a half-integer x, which are all the
+    Sommerfeld terms use, 0 at the poles x = 0, -1, -2, ...  It is rounded once
     from the exact forms 1/(x-1)! and, for x = m + 1/2,
     4^m m! / ((2m)! sqrt(pi)) (m >= 0) or (2k)! / ((-4)^k k! sqrt(pi)) (m = -k)."""
     if x.is_integer():
         return 0.0 if x <= 0.0 else 1 / math.factorial(int(x) - 1)
-    if not (2.0 * x).is_integer():
-        return 1.0 / math.gamma(x)
     m = int(x - 0.5)
     if m >= 0:
         exact = Fraction(4**m * math.factorial(m), math.factorial(2 * m))
@@ -180,20 +158,6 @@ def _series_coefficients(n: float) -> tuple[float, ...]:
 def _fermi_series(n: float, w: float | np.ndarray) -> float | np.ndarray:
     # Accelerated alternating series sum_j (-1)^(j+1) w^j / j^n, w <= 1.
     return _power_series(_series_coefficients(n), w)
-
-
-def _zeta(s: float) -> float:
-    """Riemann zeta(s) for real s != 1: eta(s) / (1 - 2^(1-s)) for s >= 1/2,
-    the exact Bernoulli values at s = 0, -1, -2, ..., and the reflection
-    zeta(s) = 2 (2 pi)^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s) otherwise."""
-    if s >= 0.5:
-        eta = _fermi_series(s, 1.0)
-        return eta / -math.expm1((1.0 - s) * math.log(2.0))
-    if s.is_integer():
-        return _ZETA_NONPOSITIVE[int(-s)]
-    # sin(pi s / 2) has period 4 in s, and fmod is exact
-    sine = math.sin(0.5 * math.pi * math.fmod(s, 4.0))
-    return 2.0 * (2.0 * math.pi) ** (s - 1.0) * sine * math.gamma(1.0 - s) * _zeta(1.0 - s)
 
 
 @lru_cache(maxsize=64)
@@ -303,88 +267,6 @@ def seams(n: float) -> list[tuple[float, float, float]]:
     out += [(lo + (k + 1) * width, ends[1][k], ends[0][k + 1]) for k in range(len(coef) - 1)]
     out.append((SOMMERFELD_CUT_LOG, ends[1][-1], above))
     return out
-
-
-@lru_cache(maxsize=64)
-def _bose_coefficients(n: float) -> tuple[float, ...]:
-    """1 / j^n for the terms of the direct series of order n, as floats."""
-    j = np.arange(1, _BOSE_TERMS + 1, dtype=float)
-    return tuple((1.0 / j**n).tolist())
-
-
-def _bose_series(n: float, w: np.ndarray) -> np.ndarray:
-    # sum_j w^j / j^n, w <= 1/2: the tail is below 1e-20 after 72 terms
-    return _power_series(_bose_coefficients(n), w)
-
-
-@lru_cache(maxsize=64)
-def _wood_coefficients(n: float) -> np.ndarray:
-    """zeta(n-k) / k! for k < _WOOD_TERMS, 0 at the pole k = n - 1 of integer n."""
-    pole = n - 1.0 if n.is_integer() else -1.0
-    a = [0.0 if k == pole else _zeta(n - k) / math.factorial(k) for k in range(_WOOD_TERMS)]
-    return np.array(a)
-
-
-def _bose_wood(n: float, mu: np.ndarray) -> np.ndarray:
-    """Li_n(e^mu) for -2 pi < mu < 0 by the expansion about mu = 0 of D. C. Wood
-    ("The computation of polylogarithms", Kent TR 15-92, 1992):
-    Gamma(1-n) (-mu)^(n-1) + sum_k zeta(n-k) mu^k / k!, where for integer n the
-    zeta(1) pole and the Gamma term merge into mu^(n-1) (H_(n-1) - ln(-mu)) / (n-1)!."""
-    a = _wood_coefficients(n)
-    if n.is_integer():
-        m = int(n) - 1
-        harmonic = math.fsum(1.0 / j for j in range(1, m + 1))
-        head = mu**m / math.factorial(m) * (harmonic - np.log(-mu))
-    else:
-        head = math.gamma(1.0 - n) * (-mu) ** (n - 1.0)
-    return head + (a[0] + _power_series(a[1:], mu))
-
-
-def bose_fn(n: float, z) -> float | np.ndarray:
-    """Li_n(z) for 0 < z <= 1 (z = 1 needs n > 1; the condensed branch z > 1
-    is out of domain).
-
-    Up to z = 2^(-1/2), the duplication formula Li_n(z) = f_n(z) + 2^(1-n)
-    Li_n(z^2) with the direct series for Li_n(z^2) (all terms positive); above
-    it, Wood's expansion in ln z; Li_n(1) = zeta(n).  Raises ValueError for a
-    non-finite z or one outside (0, 1].
-    """
-    n = _check_order(n)
-    z = np.asarray(z, dtype=float)
-    if not np.all((z > 0.0) & (z <= 1.0)):
-        if not np.all(np.isfinite(z)):
-            raise ValueError("bose_fn requires a finite z")
-        if not np.all(z > 0.0):
-            raise ValueError("bose_fn requires z > 0")
-        raise ValueError("bose_fn requires z <= 1 (condensed regime not modeled)")
-    if np.any(z == 1.0) and not n > 1.0:
-        raise ValueError("bose_fn at z=1 diverges unless n > 1")
-    scalar = z.ndim == 0
-    w = np.atleast_1d(z)
-    out = np.empty_like(w)
-    low = w <= _BOSE_DUPLICATION_CUT
-    if low.any():
-        wl = w[low]
-        out[low] = _fermi_series(n, wl) + 2.0 ** (1.0 - n) * _bose_series(n, wl * wl)
-    unit = w == 1.0
-    if unit.any():
-        out[unit] = _zeta(n)
-    rest = ~low & ~unit
-    if rest.any():
-        out[rest] = _bose_wood(n, np.log(w[rest]))
-    return float(out[0]) if scalar else out
-
-
-def fermi_fn_degenerate_limit(n: float, beta_mu) -> float | np.ndarray:
-    """Deep-degeneracy limit (beta*mu)^n / Gamma(n+1) of fermi_fn(n, e^(beta*mu)).
-
-    Leading term only; the relative error is O((beta*mu)^-2) and is already a
-    few percent at beta*mu = 10 for n = 3.
-    """
-    n = _check_order(n)
-    x = np.asarray(beta_mu, dtype=float)
-    out = x**n * _rgamma(n + 1.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def gaussian_reduction_check(n: float, c: float) -> tuple[float, float]:

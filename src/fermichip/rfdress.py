@@ -29,13 +29,11 @@ __all__ = [
     "DoubleWellReport",
     "RWAWarning",
     "RWAViolationError",
-    "KnifeNotEngagedError",
     "TopologyError",
     "detuning_and_rabi",
     "adiabatic_branch",
     "dressed_potential",
     "characterize_wells",
-    "rf_knife_depth",
     "eta_relation",
     "eta_relation_coefficients",
     "eta_min_over_sublevels",
@@ -49,10 +47,6 @@ class RWAWarning(UserWarning):
 
 class RWAViolationError(NumericalError, ValueError):
     """RF amplitude comparable to the static field; RWA form invalid."""
-
-
-class KnifeNotEngagedError(NumericalError, ValueError):
-    """RF frequency below the trap bottom: no depth limit for this species."""
 
 
 class TopologyError(NumericalError):
@@ -266,23 +260,6 @@ def characterize_wells(scan: DressedPotentialScan) -> DoubleWellReport:
     raise TopologyError(
         f"ambiguous topology: {len(wells)} minima and {len(bumps)} interior maxima"
     )
-
-
-def rf_knife_depth(state: SpinState, b0: float, omega_rf: float) -> float:
-    """Evaporation-knife trap depth U_td = m_F (hbar w_RF - g_F mu_B B0), J.
-
-    Requires the knife to be engaged (hbar w_RF above the bottom splitting);
-    otherwise the RF imposes no depth limit on this species and
-    KnifeNotEngagedError is raised.
-    """
-    g = float(state.g_F)
-    bottom = g * MU_B * b0
-    if HBAR * omega_rf < bottom:
-        raise KnifeNotEngagedError(
-            f"hbar w_RF = {HBAR*omega_rf:.3e} J below the trap bottom splitting "
-            f"{bottom:.3e} J: no depth limit imposed on {state}"
-        )
-    return float(state.m_F) * (HBAR * omega_rf - bottom)
 
 
 def eta_relation_coefficients(state_target: SpinState, state_ref: SpinState):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import polylog
 from .constants import HBAR, K_B, NumericalError, SpinState, thermal_wavelength, write_csv
-from .polylog import bose_fn, fermi_fn
+from .polylog import fermi_fn
 
 __all__ = [
     "FugacityError",
@@ -35,10 +35,8 @@ __all__ = [
     "fugacity_from_reduced_temperature",
     "reduced_temperature_from_fugacity",
     "chemical_potential_approx",
-    "total_energy",
     "energy_per_particle",
     "degeneracy_parameter",
-    "bose_degeneracy_parameter",
     "thermal_wavelength",
     "capacity_1d",
     "discrete_sum_oracle",
@@ -269,13 +267,6 @@ class TrappedGasState:
         return cls(state, trap, n_atoms, t_over_tf * e_f / K_B)
 
 
-def total_energy(gas: TrappedGasState) -> float:
-    """E = 3 k_B T (beta hbar wbar)^-3 f_4(Z) in J."""
-    kt = K_B * gas.temperature
-    x = kt / (HBAR * gas.trap.omega_bar)
-    return 3.0 * kt * x**3 * fermi_fn(4.0, gas.fugacity)
-
-
 def energy_per_particle(gas: TrappedGasState) -> float:
     """E/N = 3 k_B T f_4(Z) / f_3(Z) in J."""
     z = gas.fugacity
@@ -285,11 +276,6 @@ def energy_per_particle(gas: TrappedGasState) -> float:
 def degeneracy_parameter(z: float) -> float:
     """Central phase-space density n_0 Lambda_T^3 = f_3/2(Z) of the Fermi gas."""
     return fermi_fn(1.5, z)
-
-
-def bose_degeneracy_parameter(z: float) -> float:
-    """Ideal-Bose counterpart g_3/2(Z); reaches zeta(3/2) ~ 2.612 at Z = 1."""
-    return bose_fn(1.5, z)
 
 
 def capacity_1d(trap: HarmonicTrap, tolerance: float = 0.01) -> float:

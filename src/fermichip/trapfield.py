@@ -20,13 +20,14 @@ go in one pass, the constants as (segments, 1) columns.  The field classes
 are frozen, and each keeps its last jet pass (B, J, H and the axis distance)
 and its last array pass (B and the axis distance), whatever their shape, so
 a caller asking again at the same points runs no kernel: the frequencies and
-the IP fit at a minimum just found, or a second species' dressed scan.
+the IP parameters at a minimum just found, or a second species' dressed scan.
 
 On top of the field model: location of the trap minimum (trust-region Newton
 on the exact gradient J^T B and Hessian of |B|^2 / 2, one kernel pass per
 step), bottom field B0, harmonic frequencies per spin state from the exact
-Hessian of |B|, trap depth from an escape-ray search, and a least-squares
-Ioffe-Pritchard parameterization (B0, B', B'') used by the RF-dressing module.
+Hessian of |B|, trap depth from an escape-ray search, and the
+Ioffe-Pritchard parameters (B0, B', B'') in closed form from that Hessian, whose
+axes the RF-dressing scans follow.
 
 Positions are in metres, fields in tesla, currents in ampere.
 """
@@ -206,7 +207,7 @@ class NotATrapError(NumericalError):
 
 
 class PoorFitWarning(UserWarning):
-    """Ioffe-Pritchard fit residual above the reporting threshold."""
+    """|B| departs from the Ioffe-Pritchard form by more than the reporting threshold."""
 
 
 @dataclass(frozen=True)
@@ -931,8 +932,8 @@ def trap_depth(
 class IPTrapParams:
     """Ioffe-Pritchard parameterization near the minimum.
 
-    Along each transverse axis |B|(s) = sqrt(B0^2 + B'^2 s^2); along the soft
-    axis |B|(s) = B0 + B'' s^2 / 2.
+    Along transverse axis t, |B|(s) = sqrt(B0^2 + B'_t^2 s^2), and b_prime is
+    the mean of the two B'_t; along the soft axis |B|(s) = B0 + B'' s^2 / 2.
     """
 
     b0: float                # T
@@ -940,60 +941,53 @@ class IPTrapParams:
     b_double_prime: float    # T/m^2
     center: np.ndarray
     axes: np.ndarray         # columns: [transverse1, transverse2, longitudinal]
-    residual_rms: float      # of |B| over the transverse fit windows, T
+    residual_rms: float      # of |B| against the IP form over the transverse windows, T
     transverse_trapping: bool = True
 
 
 def ip_fit(model, r0) -> IPTrapParams:
-    """Least-squares IP parameterization of |B| around the minimum r0.
+    """Ioffe-Pritchard parameters at the minimum r0 in closed form, from B, J
+    and H there.
 
-    Fits B^2 = B0^2 + B'^2 s^2 (linear in s^2) over |s| <= 0.2 B0/B' on each
-    transverse principal axis, and B = B0 + B'' s^2/2 along the soft axis.
-    Warns with PoorFitWarning if the |B| residual RMS exceeds 1% of B0.
+    B0 is |B(r0)| and B'' the soft eigenvalue lambda_s of the Hessian of |B|.
+    An IP field has the transverse eigenvalues B'^2 / B0 - B'' / 2, so each
+    transverse axis gives B'_t = sqrt(B0 (lambda_t + B'' / 2)), clamped at 0;
+    B' is the mean of the two.  The residual is the RMS of |B| against
+    sqrt(B0^2 + B'_t^2 s^2) over |s| <= 0.2 B0/B' on each transverse axis, and
+    PoorFitWarning is raised if it exceeds 1% of B0.  A zero field or a B'
+    below 1e-6 T/m is reported as no transverse trapping.
     """
     r0 = np.asarray(r0, dtype=float)
     b, jac, hess = model.derivatives(r0)
     b0 = float(np.linalg.norm(b))
-    # at the minimum J has the eigenvalues (-B', 0, B'), so ||J||_2 = B'
-    bp_est = float(np.linalg.norm(jac, 2))
-    if b0 == 0 or bp_est < 1e-6:
+    if b0 == 0:
         return IPTrapParams(b0, 0.0, 0.0, r0, np.eye(3), 0.0, transverse_trapping=False)
-    _, vec = np.linalg.eigh(_norm_hessian(r0, b, jac, hess))
-    # soft (longitudinal) axis first eigenvalue; transverse are the two stiff ones
-    soft_axis = vec[:, 0]
-    trans_axes = [vec[:, 1], vec[:, 2]]
+    # eigenvalues ascending: the soft (longitudinal) axis first, then the two transverse
+    lam, vec = np.linalg.eigh(_norm_hessian(r0, b, jac, hess))
+    bpp = float(lam[0])
+    b_primes = np.sqrt(np.maximum(b0 * (lam[1:] + 0.5 * bpp), 0.0))
+    b_prime = float(np.mean(b_primes))
+    if b_prime < 1e-6:
+        return IPTrapParams(b0, 0.0, 0.0, r0, np.eye(3), 0.0, transverse_trapping=False)
 
-    window = 0.2 * b0 / bp_est
+    window = 0.2 * b0 / b_prime
     s = np.linspace(-window, window, 41)
-    # |B| along the two transverse axes and the soft axis, in one batch
-    pts = r0 + s[None, :, None] * np.array([*trans_axes, soft_axis])[:, None, :]
-    profiles = np.linalg.norm(model.field(pts.reshape(-1, 3)), axis=-1).reshape(3, len(s))
-    resid_sq = []
-    bp_fits = []
-    b0_fits = []
-    for bmag in profiles[:2]:
-        coeff = np.polyfit(s**2, bmag**2, 1)
-        bp2, b02 = coeff[0], coeff[1]
-        model_b = np.sqrt(np.maximum(b02 + bp2 * s**2, 0.0))
-        resid_sq.extend((bmag - model_b) ** 2)
-        bp_fits.append(math.sqrt(max(bp2, 0.0)))
-        b0_fits.append(math.sqrt(max(b02, 0.0)))
-    residual = math.sqrt(float(np.mean(resid_sq)))
+    # |B| along the two transverse axes, in one batch
+    pts = r0 + s[None, :, None] * vec[:, 1:].T[:, None, :]
+    profiles = np.linalg.norm(model.field(pts.reshape(-1, 3)), axis=-1).reshape(2, len(s))
+    model_b = np.sqrt(b0**2 + (b_primes[:, None] * s) ** 2)
+    residual = math.sqrt(float(np.mean((profiles - model_b) ** 2)))
     if residual > _IP_RESIDUAL_THRESHOLD * b0:
         warnings.warn(
-            f"IP fit residual RMS {residual:.3e} T exceeds {_IP_RESIDUAL_THRESHOLD:.0%} of B0",
+            f"IP residual RMS {residual:.3e} T exceeds {_IP_RESIDUAL_THRESHOLD:.0%} of B0",
             PoorFitWarning,
         )
-
-    bpp = 2.0 * np.polyfit(s**2, profiles[2], 1)[0]
-
-    axes = np.column_stack([trans_axes[0], trans_axes[1], soft_axis])
     return IPTrapParams(
-        b0=float(np.mean(b0_fits)),
-        b_prime=float(np.mean(bp_fits)),
-        b_double_prime=float(bpp),
+        b0=b0,
+        b_prime=b_prime,
+        b_double_prime=bpp,
         center=r0,
-        axes=axes,
+        axes=vec[:, [1, 2, 0]],
         residual_rms=residual,
     )
 

@@ -287,20 +287,20 @@ TRAP_REPORTS = {
         "frequencies_hz": [46.000244886792736, 817.3006307902962, 828.7391263403417],
         "depth_j": 1.408261095239575e-26,
         "escape_direction": [-0.3820196912922497, -0.8768056591166087, 0.2920150537319328],
-        "ip_b0_gauss": 2.599996676391403,
-        "ip_b_prime_t_per_m": 7.055623183132427,
-        "ip_b_double_prime_t_per_m2": 597.812431159451,
-        "ip_residual_rms_gauss": 0.0007759850565993174,
+        "ip_b0_gauss": 2.600000065555424,
+        "ip_b_prime_t_per_m": 7.058965079124844,
+        "ip_b_double_prime_t_per_m2": 597.7650123266134,
+        "ip_residual_rms_gauss": 0.0007768707705205892,
     },
     "toronto-split-trap": {
         "position_um": [7.951688635701502e-17, -9.777375431186255e-15, 79.99999999733754],
         "frequencies_hz": [20.203374552643094, 1810.8196980222324, 1816.9029673022908],
         "depth_j": 6.709288041077497e-27,
         "escape_direction": [-0.4215573027455748, -0.8414188188170962, 0.3380884674790289],
-        "ip_b0_gauss": 1.2139981456927862,
-        "ip_b_prime_t_per_m": 10.626152425762966,
-        "ip_b_double_prime_t_per_m2": 115.30932546032189,
-        "ip_residual_rms_gauss": 0.0003910235109208624,
+        "ip_b0_gauss": 1.213999999247348,
+        "ip_b_prime_t_per_m": 10.622628606049636,
+        "ip_b_double_prime_t_per_m2": 115.3076271516361,
+        "ip_residual_rms_gauss": 0.00039131375461382245,
     },
 }
 

@@ -210,19 +210,6 @@ def test_min_start_temperature_needs_scattering_length(k40):
 
 # -- cross-section -----------------------------------------------------------------------------
 
-def test_sigma_swave_limits():
-    a = 10e-9
-    assert ev.sigma_swave(a, 0.0) == pytest.approx(4 * math.pi * a * a, rel=1e-12)
-    assert ev.sigma_swave(a, 1.0 / a) == pytest.approx(2 * math.pi * a * a, rel=1e-12)
-
-
-def test_sigma_swave_monotone_suppression():
-    a = 10e-9
-    k = np.geomspace(1e4, 1e10, 40)
-    sig = ev.sigma_swave(a, k)
-    assert np.all(np.diff(sig) < 0)
-
-
 def test_sigma_identical_low_temperature():
     assert ev.sigma_identical_low_temperature(5.3e-9) == pytest.approx(
         8 * math.pi * 5.3e-9**2, rel=1e-15

@@ -156,10 +156,6 @@ def test_array_call_matches_per_element_bits(n):
         assert [(type(v), v.shape) for v in arrays] == [(np.ndarray, (1,)), (np.ndarray, (1, 1))]
         # every value is finite and positive, so equal values have equal bits
         assert [*scalars, *(v.item() for v in arrays)] == [want] * 4
-    # bose_fn: duplication formula up to 2^(-1/2), Wood's expansion above, zeta(n) at 1
-    unit = [1.0] if n > 1.0 else []  # bose_fn diverges there for n <= 1
-    bose = rng.permutation(np.concatenate([series, rng.uniform(0.5, 1.0, 200), unit]))
-    assert np.array_equal(pl.bose_fn(n, bose), [pl.bose_fn(n, float(zi)) for zi in bose])
 
 
 def test_domain_errors():
@@ -212,25 +208,9 @@ def test_boltzmann_limit():
     z = 1e-8
     for n in (0.5, 1.5, 3.0):
         assert pl.fermi_fn(n, z) / z == pytest.approx(1.0, rel=1e-7)
-        assert pl.bose_fn(n, z) / z == pytest.approx(1.0, rel=1e-7)
 
 
-# -- zeta and eta --------------------------------------------------------------------
-
-def test_zeta_at_wood_arguments_vs_mpmath():
-    # every zeta(n - k) that Wood's expansion of bose_fn uses
-    worst = 0.0
-    for n in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
-        for k in range(pl._WOOD_TERMS):
-            s = n - k
-            if s == 1.0:
-                continue
-            if s < 0.0 and s % 2.0 == 0.0:
-                assert pl._zeta(s) == 0.0  # the trivial zeros, exactly
-            else:
-                worst = max(worst, abs(float(pl._zeta(s) / mpmath.zeta(s)) - 1.0))
-    assert worst <= 2.5e-15
-
+# -- eta --------------------------------------------------------------------
 
 def test_sommerfeld_eta_vs_mpmath():
     for two_k, eta in zip(pl._TWO_K, pl._ETA_EVEN):
@@ -238,91 +218,12 @@ def test_sommerfeld_eta_vs_mpmath():
         assert abs(float(eta / ref) - 1.0) <= 2.3e-16
 
 
-# -- degenerate limit ----------------------------------------------------------------
-
-def test_degenerate_limit_formula():
-    assert pl.fermi_fn_degenerate_limit(3.0, 30.0) == pytest.approx(4500.0, rel=1e-12)
-
-
-def test_degenerate_limit_vs_full_n3():
-    x = 30.0
-    full = pl.fermi_fn(3.0, math.exp(x))
-    lim = pl.fermi_fn_degenerate_limit(3.0, x)
-    # next Sommerfeld term is pi^2 x / 6, a ~1.1% relative correction here
-    dev = abs(lim / full - 1.0)
-    assert dev < math.pi**2 / (2.0 * x**2) * 6.0
-    assert dev > 1e-3
-
-
-def test_degenerate_limit_n1():
-    x = 20.0
-    exact = math.log1p(math.exp(x))
-    assert abs(pl.fermi_fn_degenerate_limit(1.0, x) / exact - 1.0) < 1e-8
-
-
-# -- bose_fn ---------------------------------------------------------------------------
-
-def test_bose_at_unit_fugacity():
-    assert pl.bose_fn(1.5, 1.0) == pytest.approx(float(mpmath.zeta(1.5)), rel=1e-9)
-    assert pl.bose_fn(1.5, 1.0) == pytest.approx(2.612, abs=1e-3)
-    assert pl.bose_fn(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-10)
-
-
-@pytest.mark.parametrize("n", [1.5, 2.0, 2.5, 3.0, 4.0])
-def test_bose_at_unit_fugacity_vs_mpmath(n):
-    assert pl.bose_fn(n, 1.0) == pytest.approx(float(mpmath.polylog(n, 1.0)), rel=2e-16)
-    assert pl.bose_fn(n, np.array([0.75, 1.0]))[1] == pl.bose_fn(n, 1.0)
-
-
-def test_bose_small_z():
-    assert pl.bose_fn(2.0, 1e-10) == pytest.approx(1e-10, rel=1e-8)
-
-
-def test_bose_series_vs_mpmath_seam():
-    for n in (1.5, 2.0, 3.0):
-        lo = pl.bose_fn(n, 0.4999)
-        assert lo == pytest.approx(float(mpmath.polylog(n, 0.4999)), rel=1e-11)
-        mid = pl.bose_fn(n, 0.75)
-        assert mid == pytest.approx(float(mpmath.polylog(n, 0.75)), rel=1e-11)
-
-
-@pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
-def test_bose_matches_mpmath_below_unit_fugacity(n):
-    z = np.random.default_rng(int(2 * n)).uniform(0.5, 1.0, 300)
-    z = np.concatenate([z, [0.5, 2.0**-0.5, np.nextafter(2.0**-0.5, 1.0), 1.0 - 2.0**-40]])
-    with mpmath.workdps(30):
-        ref = np.array([float(mpmath.polylog(n, mpmath.mpf(zi))) for zi in z])
-    assert np.max(np.abs(pl.bose_fn(n, z) / ref - 1.0)) <= 1e-15
-
-
-def test_bose_domain_errors():
-    with pytest.raises(ValueError):
-        pl.bose_fn(1.5, 1.2)
-    with pytest.raises(ValueError):
-        pl.bose_fn(1.0, 1.0)  # diverges at z=1 unless n > 1
-    with pytest.raises(ValueError):
-        pl.bose_fn(1.5, 0.0)
-
-
-@pytest.mark.parametrize(
-    "z", [math.nan, math.inf, -math.inf, [0.5, math.nan]], ids=["nan", "inf", "-inf", "array"]
-)
-def test_bose_names_non_finite_z(z):
-    with pytest.raises(ValueError, match="requires a finite z"):
-        pl.bose_fn(1.5, z)
-
-
-@pytest.mark.parametrize(
-    "z,value",
-    # duplication formula with the direct series, and Wood's expansion
-    [(0.5, 0.6248370208199139), (0.9, 1.6144385285663396)],
-)
-def test_bose_values_pinned(z, value):
-    # the cached series coefficients give the bits they gave when each call
-    # built them, alone or in a batch, on the first call and on later ones
-    assert pl.bose_fn(1.5, z) == value
-    assert pl.bose_fn(1.5, z) == value
-    assert pl.bose_fn(1.5, np.array([z, 0.3]))[0] == value
+@pytest.mark.parametrize("n", [1.5, 2.0, 2.5, 3.0])
+def test_unit_fugacity_gives_zeta(n):
+    # f_n(1) = eta(n) = (1 - 2^(1-n)) zeta(n): paper-check's c1-bose-degeneracy
+    # row takes the Bose g_3/2(1) = zeta(3/2) this way
+    zeta = pl.fermi_fn(n, 1.0) / -math.expm1((1.0 - n) * math.log(2.0))
+    assert zeta == pytest.approx(float(mpmath.zeta(n)), rel=2.3e-16)
 
 
 # -- gaussian reduction ------------------------------------------------------------------

@@ -309,36 +309,6 @@ def test_extrema_match_reference_loop():
         assert rf._extrema(u) == reference_extrema(u)
 
 
-# -- evaporation knife ------------------------------------------------------------------------
-
-def test_knife_depth_round_trip(rb22):
-    b0 = 5.7 * C.GAUSS
-    target = 8.0 * C.K_B * 300e-6  # eta_Rb = 8 at 300 uK
-    omega = (target / float(rb22.m_F) + float(rb22.g_F) * C.MU_B * b0) / C.HBAR
-    assert rf.rf_knife_depth(rb22, b0, omega) == pytest.approx(target, rel=1e-12)
-
-
-def test_knife_zero_depth_at_bottom(rb22):
-    b0 = 2.0 * C.GAUSS
-    omega_bottom = float(rb22.g_F) * C.MU_B * b0 / C.HBAR
-    assert rf.rf_knife_depth(rb22, b0, omega_bottom) == pytest.approx(0.0, abs=1e-40)
-
-
-def test_knife_engaged_at_sweep_end(rb22):
-    # sweep endpoint 3.65 MHz with B0 = 2.6 G: bottom splitting is 1.82 MHz
-    b0 = 2.6 * C.GAUSS
-    bottom_hz = float(rb22.g_F) * C.MU_B * b0 / C.H_PLANCK
-    assert bottom_hz == pytest.approx(1.82e6, rel=1e-3)
-    depth = rf.rf_knife_depth(rb22, b0, 2 * math.pi * 3.65e6)
-    assert depth > 0
-
-
-def test_knife_not_engaged_raises(rb22):
-    b0 = 2.6 * C.GAUSS
-    with pytest.raises(rf.KnifeNotEngagedError):
-        rf.rf_knife_depth(rb22, b0, 2 * math.pi * 1.0e6)
-
-
 # -- eta relation -------------------------------------------------------------------------------
 
 def test_eta_coefficients_exact(k92, rb22):

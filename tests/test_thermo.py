@@ -251,17 +251,10 @@ def test_energy_unit_fugacity_ratio(k92, science_trap):
     assert ratio == pytest.approx(0.947033 / 0.901543, rel=1e-5)
 
 
-def test_total_energy_consistency(cold_gas):
-    assert thermo.total_energy(cold_gas) == pytest.approx(
-        cold_gas.n_atoms * thermo.energy_per_particle(cold_gas), rel=1e-10
-    )
-
-
 # -- degeneracy parameter ------------------------------------------------------------------
 
 def test_degeneracy_parameter_values():
     assert thermo.degeneracy_parameter(1.0) == pytest.approx(0.765, abs=1e-3)
-    assert thermo.bose_degeneracy_parameter(1.0) == pytest.approx(2.612, abs=1e-3)
     z = 1e-6
     assert thermo.degeneracy_parameter(z) == pytest.approx(z, rel=1e-5)
 

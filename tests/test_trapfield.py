@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -323,7 +324,7 @@ def test_find_minimum_one_pass_per_step(name, k92):
     assert counted.evaluations == passes
     points = counted.points
     tf.ip_fit(counted, m.position)
-    assert (counted.evaluations, counted.points) == (passes + 1, points + 3 * 41)
+    assert (counted.evaluations, counted.points) == (passes + 1, points + 2 * 41)
 
 
 def test_kept_pass_is_safe_from_callers(z_trap):
@@ -423,6 +424,42 @@ def test_find_minimum_reaches_trap_from_afar(name):
         start = r0 + radius * d / np.linalg.norm(d)
         start[2] = abs(start[2])
         assert np.linalg.norm(tf.find_minimum(model, start).position - r0) < 1e-9
+
+
+# seeds straight above the central wire where the search met the trust-region
+# hard case (a NaN step) before it was handled
+HARD_CASE_SEEDS_UM = {
+    "toronto_z_trap": [(0.0, 0.0, 1.01), (0.0, 0.0, 1.5), (0.0, 0.0, 2.0), (0.0, 0.0, 5.0)],
+    "toronto_split_trap": [(0.0, 0.0, 1.01), (0.0, 0.0, 1.5), (0.0, 0.0, 2.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_CASE_SEEDS_UM))
+def test_find_minimum_seed_sweep(name):
+    # 100 seeds above the chip, |x| <= 2 mm, |y| <= 1.5 mm, z log-uniform in
+    # 1 um - 1 mm, and the hard-case seeds: every search ends at the trap or
+    # raises NumericalError or ValueError (past the wire ends |B| can fall
+    # only through the chip), with no other exception and no warning
+    model, seed = tf.load_geometry(geometry_path(name))
+    r0 = tf.find_minimum(model, seed).position
+    rng = np.random.default_rng(22)
+    seeds = np.column_stack([
+        rng.uniform(-2e-3, 2e-3, 100),
+        rng.uniform(-1.5e-3, 1.5e-3, 100),
+        np.exp(rng.uniform(math.log(1e-6), math.log(1e-3), 100)),
+    ])
+    seeds = np.vstack([seeds, 1e-6 * np.array(HARD_CASE_SEEDS_UM[name])])
+    reached = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in seeds:
+            try:
+                m = tf.find_minimum(model, start)
+            except (C.NumericalError, ValueError):
+                continue
+            assert np.linalg.norm(m.position - r0) < 1e-9, start
+            reached += 1
+    assert reached >= 80
 
 
 @pytest.mark.parametrize("direction", ["+z", "+y", "-y"])
@@ -589,7 +626,8 @@ def test_frequencies_science_trap(z_trap, z_minimum, k92):
 
 
 # from scripts/trap_reference.py: the 40-digit Hanson-Hirshman field of each
-# shipped geometry, minimum by Newton, Hessian by mpmath.diff
+# shipped geometry, minimum by Newton, Hessian by mpmath.diff; B0 (G), the
+# frequencies (Hz), B'' (T/m^2) and the two transverse B'_t (T/m)
 TRAP_REFERENCE = {
     "toronto_z_trap": (
         2.6000000655554234483,
@@ -597,6 +635,8 @@ TRAP_REFERENCE = {
             "K40": (46.000244886792794248, 817.30063079029609576, 828.7391263403411788),
             "Rb87": (31.193333116187495495, 554.22163284247192733, 561.97821768063280857),
         },
+        597.76501232661436566,
+        (7.0099881256879957218, 7.10794203256168655),
     ),
     "toronto_split_trap": (
         1.2139999992473481235,
@@ -604,6 +644,8 @@ TRAP_REFERENCE = {
             "K40": (20.203374552643101899, 1810.8196980222319197, 1816.9029673022898767),
             "Rb87": (13.700157337045885908, 1227.9391597321511719, 1232.0642996211955346),
         },
+        115.30762715163614693,
+        (10.604816797375008243, 10.640440414724256345),
     ),
 }
 
@@ -612,7 +654,7 @@ TRAP_REFERENCE = {
 def test_frequencies_match_reference(name, registry):
     model, seed = tf.load_geometry(geometry_path(name))
     m = tf.find_minimum(model, seed)
-    b0_gauss, frequencies = TRAP_REFERENCE[name]
+    b0_gauss, frequencies, _, _ = TRAP_REFERENCE[name]
     assert m.b0 / C.GAUSS == pytest.approx(b0_gauss, rel=1e-14)
     for species, expected in frequencies.items():
         state = registry.stretched_state(species)
@@ -979,21 +1021,35 @@ def test_depth_excludes_unbounded_rays(k92):
 # -- Ioffe-Pritchard fit --------------------------------------------------------------------
 
 def test_ip_fit_recovers_synthetic_parameters():
+    # the closed form from the exact Hessian is exact for an IP field
     ip = benchmark_ip()
     fit = tf.ip_fit(ip, np.zeros(3))
-    assert fit.b0 == pytest.approx(ip.b0, rel=1e-4)
-    assert fit.b_prime == pytest.approx(ip.b_prime, rel=1e-4)
-    assert fit.b_double_prime == pytest.approx(ip.b_double_prime, rel=1e-2)
+    assert fit.b0 == pytest.approx(ip.b0, rel=1e-12)
+    assert fit.b_prime == pytest.approx(ip.b_prime, rel=1e-12)
+    assert fit.b_double_prime == pytest.approx(ip.b_double_prime, rel=1e-12)
     assert fit.transverse_trapping
     assert fit.residual_rms < 1e-4 * ip.b0
 
 
+@pytest.mark.parametrize("name", sorted(TRAP_REFERENCE))
+def test_ip_fit_matches_reference(name):
+    model, seed = tf.load_geometry(geometry_path(name))
+    m = tf.find_minimum(model, seed)
+    b0_gauss, _, b_double_prime, b_primes = TRAP_REFERENCE[name]
+    fit = tf.ip_fit(model, m.position)
+    assert fit.b0 == m.b0
+    assert fit.b0 / C.GAUSS == pytest.approx(b0_gauss, rel=1e-12)
+    assert fit.b_double_prime == pytest.approx(b_double_prime, rel=1e-12)
+    assert fit.b_prime == pytest.approx(0.5 * sum(b_primes), rel=1e-12)
+    assert fit.residual_rms < 1e-3 * fit.b0
+
+
 def test_ip_fit_profiles_in_one_field_call(z_trap, z_minimum):
-    # B, J and H at r0, then one batch for the three profiles
+    # B, J and H at r0, then one batch for the two transverse profiles
     model, _ = z_trap
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
     tf.ip_fit(counted, z_minimum.position)
-    assert counted.evaluations == 2
+    assert (counted.evaluations, counted.points) == (2, 1 + 2 * 41)
 
 
 def test_ip_fit_frequency_inversion():
