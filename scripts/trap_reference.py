@@ -14,11 +14,19 @@ parameters come from the same eigenvalues: B'' is the soft one lambda_s, and
 each transverse lambda_t gives B'_t = sqrt(B0 (lambda_t + B''/2)).  The script
 prints the position (um), B0 (gauss), the frequencies (Hz), B'' (T/m^2), both
 B'_t and their mean (T/m) to 20 digits; the reference test in
-`tests/test_trapfield.py` hardcodes them.  It takes a few seconds.
+`tests/test_trapfield.py` hardcodes them.  Next to each value that
+`fermichip trap` reports it prints the program's value, found from the same
+seed and computed as the command computes it, and their difference in units
+of the last place (ulp) of the program's value.  The x and y of both traps
+are 0 by symmetry, so there the program's value is round-off and its ulps
+are no measure; read its size instead.  Run it from two checkouts to see
+which digits a change moved, and whether they moved towards the reference.
+It takes a few seconds.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -102,18 +110,47 @@ def reference(name):
     return x, b0, freqs, lam[0], b_primes
 
 
+def program(name):
+    """The values `fermichip trap` reports for the geometry, per species."""
+    model, seed = trapfield.load_geometry(ROOT / "src" / "fermichip" / "data" / f"{name}.json")
+    minimum = trapfield.find_minimum(model, seed)
+    ip = trapfield.ip_fit(model, minimum.position)
+    registry = C.builtin_species()
+    freqs = {
+        species: sorted(
+            (trapfield.trap_frequencies(model, registry.stretched_state(species), minimum.position)
+             .omega / (2 * math.pi)).tolist()
+        )
+        for species in SPECIES
+    }
+    return (minimum.position * 1e6).tolist(), minimum.b0 / C.GAUSS, freqs, ip
+
+
+def row(label, ref, value=None):
+    """One line: the reference to 20 digits, then the program's value and
+    their difference in ulps of it, if the program reports the quantity."""
+    line = f"  {label:<34} {mpmath.nstr(ref, 20):>28}"
+    if value is not None:
+        line += f" {value!r:>25} {float((mpmath.mpf(value) - ref) / math.ulp(value)):>10.3g}"
+    print(line)
+
+
 def main() -> int:
     mpmath.mp.dps = DPS
     for name in GEOMETRIES:
         x, b0, freqs, b_double_prime, b_primes = reference(name)
-        print(f"{name}:")
-        print("  position_um", [mpmath.nstr(v * 10**6, 20) for v in x])
-        print("  b0_gauss", mpmath.nstr(b0 / mpmath.mpf(float(C.GAUSS)), 20))
+        position, b0_gauss, program_freqs, ip = program(name)
+        print(f"{name}:{'reference':>55} {'fermichip':>25} {'ulps':>10}")
+        for axis, ref, value in zip("xyz", x, position):
+            row(f"position_um {axis}", ref * 10**6, value)
+        row("b0_gauss", b0 / mpmath.mpf(float(C.GAUSS)), b0_gauss)
         for species, values in freqs.items():
-            print(f"  {species} frequencies_hz", [mpmath.nstr(v, 20) for v in values])
-        print("  ip_b_double_prime_t_per_m2", mpmath.nstr(b_double_prime, 20))
-        print("  ip_b_prime_t_per_m (transverse)", [mpmath.nstr(v, 20) for v in b_primes])
-        print("  ip_b_prime_t_per_m (mean)", mpmath.nstr(sum(b_primes) / 2, 20))
+            for k, (ref, value) in enumerate(zip(values, program_freqs[species])):
+                row(f"{species} frequencies_hz {k}", ref, value)
+        row("ip_b_double_prime_t_per_m2", b_double_prime, ip.b_double_prime)
+        for k, ref in enumerate(b_primes):
+            row(f"ip_b_prime_t_per_m transverse {k}", ref)
+        row("ip_b_prime_t_per_m", sum(b_primes) / 2, ip.b_prime)
     return 0
 
 

@@ -365,7 +365,7 @@ def numerics_rows():
     maxwell = 0.0
     for _ in range(5):
         pt = seed + rng.uniform(-40e-6, 40e-6, 3)
-        jac = model.derivatives(pt)[1]  # exact, from the field's jet pass
+        jac = model.derivatives(pt)[1]  # exact, from the field's closed-form derivatives
         scale = np.abs(jac).max()
         div = abs(np.trace(jac)) / scale
         curl = np.linalg.norm([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]]) / scale

@@ -10,16 +10,17 @@ returns B, J[..., i, j] = d_j B_i and H[..., i, j, k] = d_j d_k B_i,
 `derivatives_and_distance(r)` returns those and the axis distance from one
 evaluation, and `segments`, `gravity` and `beyond_chip` describe what else
 the searches need (no wires, no gravity, no chip plane unless a class sets
-them).  `field` runs the components on arrays and `derivatives` on
-forward-mode jets: the derivatives are exact, and a point's B, J and H do not
-depend on the batch it is evaluated in.  A `FieldModel` runs the Biot-Savart
-kernel once for all its segments and adds them to the bias one at a time in
-their order.  Arrays go through it in blocks of `_BLOCK` points, the segment
-constants and the coordinates as contiguous (segments, points) arrays; jets
-go in one pass, the constants as (segments, 1) columns.  The field classes
-are frozen, and each keeps its last jet pass (B, J, H and the axis distance)
-and its last array pass (B and the axis distance), whatever their shape, so
-a caller asking again at the same points runs no kernel: the frequencies and
+them).  `field` runs the components on arrays and `derivatives` the class's
+closed-form derivatives, which compute B with the same arithmetic: the
+derivatives are exact, and a point's B, J and H do not depend on the batch it
+is evaluated in.  A `FieldModel` runs the Biot-Savart kernel once for all its
+segments and adds them to the bias one at a time in their order.  Arrays go
+through it in blocks of `_BLOCK` points, the segment constants and the
+coordinates as contiguous (segments, points) arrays; derivatives go in one
+pass, the constants as (segments, 1) columns.  The field classes are frozen,
+and each keeps its last derivative pass (B, J, H and the axis distance) and
+its last array pass (B and the axis distance), whatever their shape, so a
+caller asking again at the same points runs no kernel: the frequencies and
 the IP parameters at a minimum just found, or a second species' dressed scan.
 
 On top of the field model: location of the trap minimum (trust-region Newton
@@ -84,75 +85,9 @@ def _coordinates(r: np.ndarray) -> np.ndarray:
     return np.array(r.reshape(-1, 3).T[:, None, :])
 
 
-def _sym(a, b):
-    """a b^T + b a^T for gradients a, b of shape (3, N)."""
-    return a[:, None] * b[None, :] + b[:, None] * a[None, :]
-
-
-class _Jet:
-    """Value v (N,), gradient g (3, N) and Hessian h (3, 3, N) in the
-    coordinates of N points, carried through a field kernel's elementwise
-    arithmetic (forward mode; Griewank and Walther, Evaluating Derivatives,
-    SIAM 2008); h is the scalar 0 while affine.  Values are computed as on
-    arrays, so B from jets is bit for bit the B of field()."""
-
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v, g, h=0.0):
-        self.v, self.g, self.h = v, g, h
-
-    def __add__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
-        return _Jet(self.v + other, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.v - other.v, self.g - other.g, self.h - other.h)
-        return _Jet(self.v - other, self.g, self.h)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Jet):
-            h = self.h * other if isinstance(self.h, np.ndarray) else self.h
-            return _Jet(self.v * other, self.g * other, h)
-        h = _sym(self.g, other.g)
-        if isinstance(other.h, np.ndarray):  # else other is affine
-            h = h + self.v * other.h
-        if isinstance(self.h, np.ndarray):
-            h = h + other.v * self.h
-        return _Jet(self.v * other.v, self.v * other.g + other.v * self.g, h)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # q = a / b from a = q b, differentiated once and twice
-        q = self.v / other.v
-        g = (self.g - q * other.g) / other.v
-        return _Jet(q, g, (self.h - q * other.h - _sym(g, other.g)) / other.v)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        # np.sqrt, the np.maximum clamp, and numpy scalars on the left of a jet
-        if ufunc is np.sqrt:
-            v = np.sqrt(self.v)
-            g = self.g / (2.0 * v)
-            return _Jet(v, g, (self.h - _sym(g, g)) / (2.0 * v))
-        if ufunc is np.maximum:  # a clamped value is constant
-            v, free = np.maximum(self.v, inputs[1]), self.v > inputs[1]
-            return _Jet(v, np.where(free, self.g, 0.0), np.where(free, self.h, 0.0))
-        reflected = {np.add: self.__radd__, np.multiply: self.__rmul__}.get(ufunc)
-        return NotImplemented if reflected is None else reflected(inputs[0])
-
-
 def _add_in_order(start, rows):
     """start + rows[0] + rows[1] + ... over the segment rows (axis -2) of a
-    kernel output, added one row at a time in their order, as a (..., 1, N)
-    array; on jets, on the raw value, gradient and Hessian arrays, with the
-    number start as a constant (zero derivatives)."""
-    if isinstance(rows, _Jet):
-        return _Jet(*(_add_in_order(a, b) for a, b in zip(
-            (start, 0.0, 0.0), (rows.v, rows.g, rows.h))))
+    kernel output, added one at a time in their order, as a (..., 1, N) array."""
     total = start + rows[..., :1, :]
     for k in range(1, rows.shape[-2]):
         total += rows[..., k : k + 1, :]
@@ -160,15 +95,18 @@ def _add_in_order(start, rows):
 
 
 def _biot_savart(a, b, u, k, x, y, z):
-    """B_x, B_y, B_z and the unclamped squared axis distance rho^2 of straight
-    segments from a to b with unit axis u and prefactor k = mu0 I / 4 pi, at
-    the points with coordinates x, y, z (arrays or jets).
+    """The field B = f w of straight segments from a to b with unit axis u
+    and prefactor k = mu0 I / 4 pi at the points with coordinates x, y, z:
+    f = k g / d, w = u x r, g = pa.u / |pa| - pb.u / |pb|, r = pa - (pa.u) u
+    the radial vector and d = max(rho^2, c^2), with |pa| and |pb| clamped at
+    c = _CLAMP too.  Returns f, w, the unclamped rho^2 = r.r and the terms
+    (pa.u, pb.u, r, |pa|, |pb|, g, d), each w and r component separately.
 
     The segment constants and the coordinates are (S, N) arrays for S
     segments, or (S, 1) columns against (1, N) rows, so each output has a row
     per segment.  Elementwise arithmetic on the components only (no matmul,
     whose rounding depends on the batch), so a point's field is the same
-    whatever else is evaluated with it; rho, |pa| and |pb| are clamped.
+    whatever else is evaluated with it.
     """
     ax, ay, az = a
     bx, by, bz = b
@@ -181,13 +119,9 @@ def _biot_savart(a, b, u, k, x, y, z):
     pb_u = pbx * ux + pby * uy + pbz * uz
     na = np.maximum(np.sqrt(pax * pax + pay * pay + paz * paz), _CLAMP)
     nb = np.maximum(np.sqrt(pbx * pbx + pby * pby + pbz * pbz), _CLAMP)
-    factor = k * (pa_u / na - pb_u / nb) / np.maximum(rho2, _CLAMP**2)
-    return (
-        factor * (uy * rz - uz * ry),
-        factor * (uz * rx - ux * rz),
-        factor * (ux * ry - uy * rx),
-        rho2,
-    )
+    g, d = pa_u / na - pb_u / nb, np.maximum(rho2, _CLAMP**2)
+    w = (uy * rz - uz * ry, uz * rx - ux * rz, ux * ry - uy * rx)
+    return k * g / d, w, rho2, (pa_u, pb_u, (rx, ry, rz), na, nb, g, d)
 
 
 class SingularityError(NumericalError, ValueError):
@@ -234,21 +168,23 @@ class WireSegment:
 class _KernelField:
     """Base of every field: a subclass writes one elementwise kernel,
     `_components(x, y, z)`: B_x, B_y, B_z and the squared distances to the
-    wire axes, a row per segment (None without wires), on arrays or jets.
-    A field has no wire segments, no gravity and no chip plane unless its
-    class sets `segments`, `gravity` (m/s^2) or `chip_plane`.
+    wire axes, a row per segment (None without wires), and its closed-form
+    derivatives `_derivatives(x, y, z)`: B (3, N), J (3, 3, N), H (3, 3, 3, N)
+    and the same distances at (1, N) coordinate rows.  A field has no wire
+    segments, no gravity and no chip plane unless its class sets `segments`,
+    `gravity` (m/s^2) or `chip_plane`.
 
-    The last jet pass and the last array pass are kept, each keyed by the
-    shape and then the bytes of its points; the fields are frozen
+    The last derivative pass and the last array pass are kept, each keyed by
+    the shape and then the bytes of its points; the fields are frozen
     dataclasses, so they cannot go stale, and copies are handed out, so a
-    caller cannot change them.  `_field_pass` and `_jet_pass` are the kernel
-    passes themselves."""
+    caller cannot change them.  `_field_pass` and `_derivative_pass` are the
+    kernel passes themselves."""
 
     segments = ()
     gravity = None
     chip_plane = None
     # (shape of the points, their bytes, the pass's outputs) of the last pass
-    _kept_jets = None
+    _kept_derivatives = None
     _kept_field = None
 
     def _field_pass(self, r):
@@ -269,22 +205,18 @@ class _KernelField:
                 rho2[lo : lo + _BLOCK] = rho2_blk.min(axis=0)
         return b.reshape(r.shape), rho2.reshape(r.shape[:-1])
 
-    def _jet_pass(self, r):
+    def _derivative_pass(self, r):
         """B (..., 3), J (..., 3, 3), H (..., 3, 3, 3) and the squared
         distance (...) to the nearest wire axis at the points r, from one pass
-        of the kernel on coordinate jets."""
+        of the class's closed-form derivatives."""
         x = _coordinates(r)
-        n = x.shape[-1]
-        seeds = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 1, n))
-        *b, rho2 = self._components(*(_Jet(xi, gi) for xi, gi in zip(x, seeds)))
+        b, jac, hess, rho2 = self._derivatives(*x)
         shape = r.shape[:-1]
         return (
-            np.stack([c.v[0] for c in b], axis=-1).reshape(r.shape),
-            np.stack([c.g[:, 0] for c in b]).transpose(2, 0, 1).reshape(shape + (3, 3)),
-            np.stack([np.broadcast_to(c.h, (3, 3, 1, n))[:, :, 0] for c in b])
-            .transpose(3, 0, 1, 2)
-            .reshape(shape + (3, 3, 3)),
-            (np.full(n, np.inf) if rho2 is None else rho2.v.min(axis=0)).reshape(shape),
+            b.T.reshape(r.shape),
+            jac.transpose(2, 0, 1).reshape(shape + (3, 3)),
+            hess.transpose(3, 0, 1, 2).reshape(shape + (3, 3, 3)),
+            (np.full(x.shape[-1], np.inf) if rho2 is None else rho2.min(axis=0)).reshape(shape),
         )
 
     @staticmethod
@@ -296,7 +228,7 @@ class _KernelField:
 
     def _field_and_rho2(self, r):
         r = np.asarray(r, dtype=float)
-        kept = self._recall(self._kept_jets, r)
+        kept = self._recall(self._kept_derivatives, r)
         if kept is not None:
             return kept[0].copy(), kept[3]
         kept = self._recall(self._kept_field, r)
@@ -322,10 +254,10 @@ class _KernelField:
         """B (..., 3), dB_i/dr_j (..., 3, 3), d_j d_k B_i (..., 3, 3, 3) and
         the distance (...) to the nearest wire axis, unguarded."""
         r = np.asarray(r, dtype=float)
-        kept = self._recall(self._kept_jets, r)
+        kept = self._recall(self._kept_derivatives, r)
         if kept is None:
-            kept = self._jet_pass(r)
-            object.__setattr__(self, "_kept_jets", (r.shape, r.tobytes(), kept))
+            kept = self._derivative_pass(r)
+            object.__setattr__(self, "_kept_derivatives", (r.shape, r.tobytes(), kept))
         b, jac, hess, rho2 = kept
         return b.copy(), jac.copy(), hess.copy(), np.sqrt(rho2)
 
@@ -369,24 +301,72 @@ class FieldModel(_KernelField):
         k = np.array([seg._k for seg in segments])
         blocks = [np.repeat(c[..., None], _BLOCK, axis=-1) for c in (*ends, k)]
         object.__setattr__(self, "_blocks", blocks)
+        # for the derivatives: (S, 1) columns, W = [u]_x = dw/dr, u u^T and I -
+        # u u^T as (3, 3, S, 1), and the bias in the B slot of (B, J, H) rows
+        u = blocks[2][..., :1]
+        start = np.zeros((3, 13, 1, 1))
+        start[:, 0, 0, 0] = self.bias
+        object.__setattr__(self, "_columns", [np.array(c[..., :1]) for c in blocks])
+        object.__setattr__(self, "_cross", np.cross(ends[2].T[:, None], np.eye(3)).T[..., None])
+        object.__setattr__(self, "_uu", u[:, None] * u[None])
+        object.__setattr__(self, "_perp", np.eye(3)[:, :, None, None] - self._uu)
+        object.__setattr__(self, "_start", start)
 
     def _components(self, x, y, z):
-        """B_x, B_y, B_z at the coordinates x, y, z and the squared distances
-        to each axis, a row per segment (None without segments).  An array
-        pass gives the coordinates as (S, n) rows, one per segment (one row
-        without segments, to whose shape x * 0.0 lifts the bias); jets are
-        the n = 1 case, and their (1, N) rows meet the constants' (S, 1)
-        columns.
+        """B_x, B_y, B_z at the coordinates x, y, z, given as (S, n) rows, one
+        per segment (one row without segments, to whose shape x * 0.0 lifts
+        the bias), and the squared distances to each axis, a row per segment
+        (None without segments).
 
         One kernel pass for all segments; their fields are added to the bias
         one at a time in their order, as a segment-by-segment sum would."""
         if not self.segments:
             return (*(x * 0.0 + c for c in self.bias), None)
-        n = x.shape[-1] if isinstance(x, np.ndarray) else 1
         # a partial block's slices are copied: contiguous like the coordinates
-        consts = (np.ascontiguousarray(c[..., :n]) for c in self._blocks)
-        *db, rho2 = _biot_savart(*consts, x, y, z)
-        return (*(_add_in_order(c, d) for c, d in zip(self.bias, db)), rho2)
+        consts = (np.ascontiguousarray(c[..., : x.shape[-1]]) for c in self._blocks)
+        f, w, rho2, _ = _biot_savart(*consts, x, y, z)
+        return (*(_add_in_order(c, f * wi) for c, wi in zip(self.bias, w)), rho2)
+
+    def _derivatives(self, x, y, z):
+        """B, J and H of _biot_savart's B = f w, f = k g / d, in closed form;
+        B and rho^2 come from _biot_savart on the (S, 1) columns, bit for bit.
+
+        On u, r and P = I - uu (ur = u r^T), for each end p = pa, pb with s =
+        p.u, n = |p|, e = 1 / n^3, l = rho^2 / n^2: grad(s / n) = rho^2 e u -
+        s e r, Hessian -3 s e l uu + e (2 - 3 l)(ur + ru) + 3 s e rr / n^2 -
+        s e P; and with q = -2 / d, grad(1 / d) = q r / d, Hessian (q P +
+        2 q^2 rr) / d.  The product rule's q rho^2 e (ur + ru) is taken per
+        end as -2 e, and g meets q after the ends' difference, so no
+        derivative along a wire is lost to cancellation.  Where n = c, e = 0
+        and grad(s / n) = u / c; where d = c^2, q = 0.  J = w grad(f)^T + f W
+        and H_ijk = w_i d_j d_k f + W_ij d_k f + W_ik d_j f (W = [u]_x) of
+        each segment are added to the bias and to 0 in segment order."""
+        if not self.segments:
+            zeros = np.zeros((3, 3, 3) + x.shape[1:])
+            return np.array(self._components(x, y, z)[:3])[:, 0], zeros[0], zeros, None
+        a, b, u, k = self._columns
+        f, w, rho2, (s, t, r, na, nb, g, d) = _biot_savart(a, b, u, k, x, y, z)
+        w, r = np.array(w), np.array(r)
+        s, n = np.array((s, t)), np.array((na, nb))  # both ends at once
+        nsq, free = n * n, rho2 > _CLAMP**2
+        e, clamped = (n > _CLAMP) / (nsq * n), (n <= _CLAMP) / n
+        se, l3, q = s * e, 3.0 * rho2 / nsq, free * (-2.0 / d)
+        ends = np.array((rho2 * e + clamped, -se, -se * l3,
+                         e * (2.0 * ~free - l3) + q * clamped, 3.0 * se / nsq))
+        # along u, r, uu, ur + ru and rr; r with the product rule's g q
+        gu, gr, huu, hur, hrr = ends[:, 0] - ends[:, 1]
+        gr = gr + g * q
+        fu, fr, cuu, cur, crr = (k / d) * np.array((gu, gr, huu, hur, hrr + 2.0 * q * gr))
+        grad = fu * u + fr * r
+        ur = u[:, None] * r[None]
+        hess = (cuu * self._uu + cur * (ur + ur.swapaxes(0, 1)) + crr * (r[:, None] * r[None])
+                + fr * self._perp)
+        cross = self._cross[:, :, None] * grad[None, None]
+        hess = w[:, None, None] * hess[None] + (cross + cross.swapaxes(1, 2))
+        rows = np.concatenate(((f * w)[:, None], w[:, None] * grad[None] + f * self._cross,
+                               hess.reshape(3, 9, *f.shape)), axis=1)
+        total = _add_in_order(self._start, rows)[..., 0, :]
+        return total[:, 0], total[:, 1:4], total[:, 4:].reshape(3, 3, 3, -1), rho2
 
 
 @dataclass(frozen=True)
@@ -410,10 +390,19 @@ class AnalyticIPField(_KernelField):
         axes.setflags(write=False)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        # J at the center, A diag(B', 0, -B') A^T, and the constant H: the
+        # local second derivatives -c, 2c, -c on the diagonal of B_y and -c
+        # at (x, y) of B_x and (y, z) of B_z, c = B''/2, rotated by A = axes
+        c = 0.5 * self.b_double_prime
+        local = np.zeros((3, 3, 3))
+        local[0, 0, 1] = local[0, 1, 0] = local[2, 1, 2] = local[2, 2, 1] = -c
+        local[1] = np.diag([-c, 2.0 * c, -c])
+        object.__setattr__(self, "_jac0", axes * [self.b_prime, 0.0, -self.b_prime] @ axes.T)
+        object.__setattr__(self, "_hess", np.einsum("ia,jb,kc,abc->ijk", axes, axes, axes, local))
 
     def _components(self, x, y, z):
-        """B_x, B_y, B_z at the coordinates x, y, z (arrays or jets): the local
-        coordinates are (r - center) @ axes, and B = axes @ B_local.  No wires."""
+        """B_x, B_y, B_z at the coordinates x, y, z: the local coordinates are
+        (r - center) @ axes, and B = axes @ B_local.  No wires."""
         a = self.axes
         dx, dy, dz = x - self.center[0], y - self.center[1], z - self.center[2]
         lx, ly, lz = (dx * a[0, j] + dy * a[1, j] + dz * a[2, j] for j in range(3))
@@ -424,6 +413,16 @@ class AnalyticIPField(_KernelField):
             -bp * lz - c * ly * lz,
         )
         return (*(bl[0] * a[i, 0] + bl[1] * a[i, 1] + bl[2] * a[i, 2] for i in range(3)), None)
+
+    def _derivatives(self, x, y, z):
+        """B from _components; J = A J_local A^T is affine, J(center) + H (r -
+        center), summed over x, y, z in order; H is constant."""
+        b = np.array(self._components(x, y, z)[:3])[:, 0]
+        h = self._hess[..., None]
+        jac = self._jac0[..., None] + h[:, :, 0] * (x[0] - self.center[0])
+        jac += h[:, :, 1] * (y[0] - self.center[1])
+        jac += h[:, :, 2] * (z[0] - self.center[2])
+        return b, jac, np.broadcast_to(h, (3, 3, 3, x.shape[-1])), None
 
 
 def potential(model, state: SpinState, r, guard: float = SINGULARITY_GUARD) -> np.ndarray:

@@ -283,23 +283,23 @@ def test_trap_report_deterministic(tmp_path, geometry, species):
 # field is evaluated (batching, segment order, blocks) must not move a bit
 TRAP_REPORTS = {
     "toronto-z-trap": {
-        "position_um": [-9.98200628447761e-15, -7.219427702240913e-14, 273.8797589957176],
-        "frequencies_hz": [46.000244886792736, 817.3006307902962, 828.7391263403417],
+        "position_um": [-1.051189780714536e-14, -6.380860226365767e-14, 273.8797589957176],
+        "frequencies_hz": [46.00024488679277, 817.3006307902962, 828.7391263403417],
         "depth_j": 1.408261095239575e-26,
         "escape_direction": [-0.3820196912922497, -0.8768056591166087, 0.2920150537319328],
         "ip_b0_gauss": 2.600000065555424,
         "ip_b_prime_t_per_m": 7.058965079124844,
-        "ip_b_double_prime_t_per_m2": 597.7650123266134,
+        "ip_b_double_prime_t_per_m2": 597.7650123266136,
         "ip_residual_rms_gauss": 0.0007768707705205892,
     },
     "toronto-split-trap": {
-        "position_um": [7.951688635701502e-17, -9.777375431186255e-15, 79.99999999733754],
-        "frequencies_hz": [20.203374552643094, 1810.8196980222324, 1816.9029673022908],
+        "position_um": [1.020040762749173e-17, -4.180050935601647e-15, 79.99999999733754],
+        "frequencies_hz": [20.203374552643087, 1810.8196980222324, 1816.9029673022915],
         "depth_j": 6.709288041077497e-27,
         "escape_direction": [-0.4215573027455748, -0.8414188188170962, 0.3380884674790289],
         "ip_b0_gauss": 1.213999999247348,
-        "ip_b_prime_t_per_m": 10.622628606049636,
-        "ip_b_double_prime_t_per_m2": 115.3076271516361,
+        "ip_b_prime_t_per_m": 10.622628606049638,
+        "ip_b_double_prime_t_per_m2": 115.30762715163598,
         "ip_residual_rms_gauss": 0.00039131375461382245,
     },
 }
@@ -341,6 +341,42 @@ def test_trap_seed_on_trap_axis_reaches_trap(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().err == ""
     position = json.loads(out.read_text())["position_um"]
     assert position == pytest.approx(TRAP_REPORTS["toronto-z-trap"]["position_um"], abs=1e-9)
+
+
+# seeds straight above the central wire where the search met the trust-region
+# hard case (a NaN step) before it was handled, as in test_trapfield.py
+HARD_CASE_SEEDS_UM = {
+    "toronto-z-trap": ["0,0,1.01", "0,0,1.5", "0,0,2", "0,0,5"],
+    "toronto-split-trap": ["0,0,1.01", "0,0,1.5", "0,0,2"],
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(HARD_CASE_SEEDS_UM))
+def test_trap_seed_sweep(tmp_path, capsys, geometry):
+    # 40 seeds above the chip, |x| <= 2 mm, |y| <= 1.5 mm, z log-uniform in
+    # 1 um - 1 mm, and the hard-case seeds: every run exits 0, 2 or 3 with at
+    # most one line on stderr and no traceback or warning, and a reported
+    # minimum meets the search's gradient tolerance
+    rng = np.random.default_rng(23)
+    seeds = [
+        ",".join(repr(float(v)) for v in (rng.uniform(-2e3, 2e3), rng.uniform(-1.5e3, 1.5e3),
+                                          math.exp(rng.uniform(0.0, math.log(1e3)))))
+        for _ in range(40)
+    ]
+    out = tmp_path / "trap.json"
+    reached = 0
+    for seed in seeds + HARD_CASE_SEEDS_UM[geometry]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["trap", "--geometry", geometry, f"--seed-um={seed}", "--out", out])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), seed
+        assert not caught and err.count("\n") <= 1, seed
+        assert "Traceback" not in err and "Warning" not in err, seed
+        if code == cli.EXIT_OK:
+            assert err == "" and json.loads(out.read_text())["grad_norm_t_per_m"] <= 1e-10, seed
+            reached += 1
+    assert reached >= 30
 
 
 def test_trap_search_into_chip_exits_3(capsys):

@@ -4,6 +4,7 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,9 +44,9 @@ def benchmark_ip(b0_gauss=1.214, f_perp=1230.0, f_axial=13.7):
 
 def counting(base):
     """Subclass of a field class that counts its kernel passes, on arrays
-    (field, field_and_distance) or on jets (derivatives,
-    derivatives_and_distance), and the points they take.  A call that the
-    field's kept one-point pass answers runs no kernel and is not counted."""
+    (field, field_and_distance) or of the closed-form derivatives
+    (derivatives, derivatives_and_distance), and the points they take.  A
+    call that the field's kept pass answers runs no kernel and is not counted."""
 
     class Counting(base):
         evaluations = 0
@@ -59,11 +60,101 @@ def counting(base):
             self._count(r)
             return super()._field_pass(r)
 
-        def _jet_pass(self, r):
+        def _derivative_pass(self, r):
             self._count(r)
-            return super()._jet_pass(r)
+            return super()._derivative_pass(r)
 
     return Counting
+
+
+def _sym(a, b):
+    """a b^T + b a^T for gradients a, b of shape (3, N)."""
+    return a[:, None] * b[None, :] + b[:, None] * a[None, :]
+
+
+class Jet:
+    """Value v (N,), gradient g (3, N) and Hessian h (3, 3, N) in the
+    coordinates of N points, carried through a field kernel's elementwise
+    arithmetic (forward mode; Griewank and Walther, Evaluating Derivatives,
+    SIAM 2008); h is the scalar 0 while affine.  The oracle of the fields'
+    closed-form derivatives."""
+
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v, g, h=0.0):
+        self.v, self.g, self.h = v, g, h
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.v + other.v, self.g + other.g, self.h + other.h)
+        return Jet(self.v + other, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.v - other.v, self.g - other.g, self.h - other.h)
+        return Jet(self.v - other, self.g, self.h)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            h = self.h * other if isinstance(self.h, np.ndarray) else self.h
+            return Jet(self.v * other, self.g * other, h)
+        h = _sym(self.g, other.g)
+        if isinstance(other.h, np.ndarray):  # else other is affine
+            h = h + self.v * other.h
+        if isinstance(self.h, np.ndarray):
+            h = h + other.v * self.h
+        return Jet(self.v * other.v, self.v * other.g + other.v * self.g, h)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # q = a / b from a = q b, differentiated once and twice
+        q = self.v / other.v
+        g = (self.g - q * other.g) / other.v
+        return Jet(q, g, (self.h - q * other.h - _sym(g, other.g)) / other.v)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # np.sqrt, the np.maximum clamp, and numpy scalars on the left of a jet
+        if ufunc is np.sqrt:
+            v = np.sqrt(self.v)
+            g = self.g / (2.0 * v)
+            return Jet(v, g, (self.h - _sym(g, g)) / (2.0 * v))
+        if ufunc is np.maximum:  # a clamped value is constant
+            v, free = np.maximum(self.v, inputs[1]), self.v > inputs[1]
+            return Jet(v, np.where(free, self.g, 0.0), np.where(free, self.h, 0.0))
+        reflected = {np.add: self.__radd__, np.multiply: self.__rmul__}.get(ufunc)
+        return NotImplemented if reflected is None else reflected(inputs[0])
+
+
+def jet_pass(model, r):
+    """B (..., 3), J (..., 3, 3) and H (..., 3, 3, 3) of a field at the
+    points r from its kernel run on coordinate jets: a FieldModel's
+    `_biot_savart` on the segment columns, each segment added to the bias
+    in order, or any other field's `_components`."""
+    r = np.asarray(r, dtype=float)
+    x = tf._coordinates(r)
+    n = x.shape[-1]
+    seeds = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 1, n))
+    jets = [Jet(xi, gi) for xi, gi in zip(x, seeds)]
+    if isinstance(model, tf.FieldModel):
+        f, w, _, _ = tf._biot_savart(*model._columns, *jets)
+        b = []
+        for c, wi in zip(model.bias, w):
+            bi = f * wi
+            b.append(Jet(*(tf._add_in_order(start, rows) for start, rows in zip(
+                (c, 0.0, 0.0), (bi.v, bi.g, bi.h)))))
+    else:
+        b = model._components(*jets)[:3]
+    shape = r.shape[:-1]
+    return (
+        np.stack([c.v[0] for c in b], axis=-1).reshape(r.shape),
+        np.stack([c.g[:, 0] for c in b]).transpose(2, 0, 1).reshape(shape + (3, 3)),
+        np.stack([np.broadcast_to(c.h, (3, 3, 1, n))[:, :, 0] for c in b])
+        .transpose(3, 0, 1, 2)
+        .reshape(shape + (3, 3, 3)),
+    )
 
 
 def array_field(fn):
@@ -180,7 +271,7 @@ def test_field_independent_of_batch(name):
     assert np.array_equal(batch, [model.field(p, guard=0.0) for p in pts])
     dist = model.field_and_distance(pts)[1]
     assert np.array_equal(dist, [model.field_and_distance(p)[1] for p in pts])
-    # so are B, J and H from the jets, and their B is field()'s B
+    # so are B, J and H from the derivative pass, and their B is field()'s B
     b, jac, hess = model.derivatives(pts[:300])
     assert np.array_equal(b, batch[:300])
     alone = [model.derivatives(p) for p in pts[:300]]
@@ -277,6 +368,150 @@ def test_analytic_ip_jacobian_rotated_axes():
     closed = np.einsum("ia,jb,kc,abc->ijk", q, q, q, local)
     for h in hess:
         assert np.abs(h - closed).max() < 1e-12 * np.abs(closed).max()
+
+
+# -- closed-form derivatives against the jet oracle -------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def oracle_points(name):
+    """Points about a shipped geometry by category: random within 1 mm of
+    the seed; 0.1 um from each wire endpoint and 0.1 um from each axis
+    within its segment, both inside the clamp radius (0.25 um); and on each
+    axis line 1 um - 1 mm beyond each end, on it and 0.1 um off it.  700
+    points in all."""
+    model, seed = tf.load_geometry(geometry_path(name))
+    rng = np.random.default_rng(16)
+
+    def across(u, n):  # unit vectors normal to the axis u
+        v = np.cross(u, rng.normal(size=(n, 3)))
+        return v / np.linalg.norm(v, axis=1)[:, None]
+
+    points = {"random": seed + rng.uniform(-1e-3, 1e-3, (304, 3))}
+    endpoint, axis, beyond = [], [], []
+    beyond_by = np.geomspace(1e-6, 1e-3, 10)[:, None]
+    for seg in model.segments:
+        a, b, u = (np.asarray(v) for v in (seg.a, seg.b, seg._u))
+        for end in (a, b):
+            d = rng.normal(size=(8, 3))
+            endpoint.append(end + 1e-7 * d / np.linalg.norm(d, axis=1)[:, None])
+        along = rng.uniform(0.05, 0.95, (10, 1))
+        axis.append(a + along * (b - a) + 1e-7 * across(u, 10))
+        for line in (b + beyond_by * u, a - beyond_by * u):
+            beyond += [line, line + 1e-7 * across(u, 10)]
+    points.update(endpoint=np.vstack(endpoint), axis=np.vstack(axis), beyond=np.vstack(beyond))
+    return model, points
+
+
+def assert_batch_independent(model, pts):
+    """A batch of 700 points gives each point's one-point B, J and H bit for bit."""
+    assert pts.shape == (700, 3)
+    batch = model.derivatives(pts)
+    for i, pt in enumerate(pts):
+        for whole, alone in zip(batch, model.derivatives(pt)):
+            assert np.array_equal(whole[i], alone)
+
+
+# |closed form - jet| bounds on J and H per category, in eps times the
+# category's max |J| and max |H|, 2-8 times the largest gap measured on the
+# two geometries: random 1.4 and 3.5, endpoint 0.6 and 1.0, axis 0.13 and
+# 436, beyond 9.7e3 and 2.4e4.  Where rho << |p| the jet's axial derivative
+# of s / |p|, (1 - (s / |p|)^2) / |p|, cancels: an error of eps / |p|, which
+# k / d (up to k / c^2 in the clamp) carries into H.  The closed form's
+# rho^2 / |p|^3 does not cancel, and is within 4 eps of 40-digit derivatives
+# there (the mpmath test below).  J 0.1 um off a line beyond an end carries
+# the round-off of g = pa.u / |pa| - pb.u / |pb| ~ 1 - 1, which B and both
+# derivatives share.
+ORACLE_BOUNDS = {"random": (4, 8), "endpoint": (2, 4), "axis": (1, 1e3), "beyond": (2e4, 5e4)}
+
+
+@pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
+def test_derivatives_match_jet_oracle(name):
+    model, points = oracle_points(name)
+    assert_batch_independent(model, np.vstack(list(points.values())))
+    for category, pts in points.items():
+        b, jac, hess = model.derivatives(pts)
+        b_jet, jac_jet, hess_jet = jet_pass(model, pts)
+        assert np.array_equal(b, b_jet)
+        for exact, oracle, bound in zip((jac, hess), (jac_jet, hess_jet), ORACLE_BOUNDS[category]):
+            gap = np.abs(exact - oracle).max() / (EPS * np.abs(oracle).max())
+            assert gap <= bound, (category, gap)
+
+
+def test_derivatives_near_axes_match_mpmath():
+    # 40-digit derivatives (mpmath.diff) of the clamped Biot-Savart
+    # expression of the z-trap, from the doubles of its constants, at points
+    # 0.1 um from the central wire's axis, on its line beyond its end and
+    # 0.1 um off it: H to 4 eps of its max, and J where g does not cancel
+    model, _ = tf.load_geometry(geometry_path("toronto_z_trap"))
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    clamp = mp.mpf(tf._CLAMP)
+    segments = [[[mp.mpf(v) for v in vec] for vec in (seg.a, seg.b, seg._u)] + [mp.mpf(seg._k)]
+                for seg in model.segments]
+
+    def component(i):
+        def field(*p):
+            total = mp.mpf(model.bias[i])
+            for a, b, u, k in segments:
+                pa, pb = [p[j] - a[j] for j in range(3)], [p[j] - b[j] for j in range(3)]
+                s, t = mp.fdot(pa, u), mp.fdot(pb, u)
+                r = [pa[j] - s * u[j] for j in range(3)]
+                n = [max(mp.sqrt(mp.fdot(v, v)), clamp) for v in (pa, pb)]
+                w = u[(i + 1) % 3] * r[(i + 2) % 3] - u[(i + 2) % 3] * r[(i + 1) % 3]
+                total += k * (s / n[0] - t / n[1]) / max(mp.fdot(r, r), clamp**2) * w
+            return total
+        return field
+
+    fields = [component(i) for i in range(3)]
+    seg = model.segments[1]
+    a, b, u = (np.asarray(v) for v in (seg.a, seg.b, seg._u))
+    off = np.array([0.6, 0.0, 0.8]) * 1e-7  # normal to the wire, along y
+    e = np.eye(3, dtype=int)
+    for pt, check_jac in ((a + 0.3 * (b - a) + off, True), (b + 1e-5 * u, True),
+                          (a - 3e-4 * u, True), (b + 1e-5 * u + off, False)):
+        x = [mp.mpf(v) for v in pt]
+        jac, hess = np.empty((3, 3)), np.empty((3, 3, 3))
+        for i, f in enumerate(fields):
+            for k in range(3):
+                jac[i, k] = float(mp.diff(f, x, tuple(e[k].tolist())))
+                for j in range(3):
+                    hess[i, j, k] = float(mp.diff(f, x, tuple((e[j] + e[k]).tolist())))
+        _, jac_cf, hess_cf = model.derivatives(pt)
+        assert np.abs(hess_cf - hess).max() <= 4 * EPS * np.abs(hess).max()
+        if check_jac:
+            assert np.abs(jac_cf - jac).max() <= 4 * EPS * np.abs(jac).max()
+
+
+def test_analytic_ip_derivatives_match_jet_oracle():
+    # rotated and shifted; measured gaps 1.9 (J) and 1.2 (H) eps of the max
+    ip = benchmark_ip()
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    rotated = tf.AnalyticIPField(ip.b0, ip.b_prime, ip.b_double_prime, (1e-4, -2e-4, 3e-4), q)
+    pts = np.array(rotated.center) + np.random.default_rng(6).uniform(-1e-3, 1e-3, (700, 3))
+    assert_batch_independent(rotated, pts)
+    b, jac, hess = rotated.derivatives(pts)
+    b_jet, jac_jet, hess_jet = jet_pass(rotated, pts)
+    assert np.array_equal(b, b_jet) and np.array_equal(b, rotated.field(pts))
+    for exact, oracle in ((jac, jac_jet), (hess, hess_jet)):
+        assert np.abs(exact - oracle).max() <= 4 * EPS * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("name", ["toronto_z_trap", "toronto_split_trap"])
+def test_derivatives_at_wire_endpoints(name):
+    # |pa| = 0 is clamped before any division: finite B, J and H with no
+    # warning, and the minimum search refuses the point as on a wire axis
+    # (without the chip plane, which refuses the leads' far ends first)
+    model, _ = tf.load_geometry(geometry_path(name))
+    wires = tf.FieldModel(model.segments, model.bias)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seg in model.segments:
+            for end in (seg.a, seg.b):
+                assert all(np.isfinite(d).all() for d in model.derivatives(np.array(end)))
+                with pytest.raises(tf.SingularityError, match="from a wire axis"):
+                    tf.find_minimum(wires, end)
 
 
 # -- minima --------------------------------------------------------------------------
@@ -1083,10 +1318,14 @@ def test_ip_fit_warns_on_poor_profile():
     scale = 0.02 * b0 / b_prime
 
     class Cubic(tf._KernelField):
-        # B_x = B' x (1 + (x / scale)^2), B_y = B0, as arithmetic on arrays or jets
+        # B_x = B' x (1 + (x / scale)^2), B_y = B0, as arithmetic on arrays or
+        # jets, with its derivatives from the jet oracle
         def _components(self, x, y, z):
             u = x * (1.0 / scale)
             return b_prime * x * (1.0 + u * u), x * 0.0 + b0, x * 0.0, None
+
+        def _derivative_pass(self, r):
+            return (*jet_pass(self, r), np.full(r.shape[:-1], np.inf))
 
     with pytest.warns(tf.PoorFitWarning):
         tf.ip_fit(Cubic(), np.zeros(3))
