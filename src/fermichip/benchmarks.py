@@ -122,62 +122,34 @@ def discrete_oracle_rows():
 # -- criterion 5: worked trap-volume examples ----------------------------------
 
 def trap_volume_rows():
-    reg = C.builtin_species()
-    rb = reg["Rb87"]
-    um3 = 1e18
-    rows = []
-
-    reichel = evaporation.EffectiveVolumeModel(
-        "sho", eta=4, mass=rb.mass, omega_bar=2 * math.pi * 300.0
+    reichel, loop, ioffe, toronto = (
+        evaporation.LOADING_PRESETS[name].report(1e-6)
+        for name in ("reichel-z", "libbrecht-loop", "ioffe-c", "toronto-z")
     )
-    v = evaporation.effective_volume(reichel, 1.3e-3 / 4.0) * um3
-    n = evaporation.max_loadable_atoms(
-        evaporation.LoadingBudget(1e-6, C.K_B * 1.3e-3, 4.0, rb), reichel
-    )
-    rows.append(_row("c5-reichel-volume", "Z-trap V_eff (um^3)", v,
-                     "1.3e7 +/- 10%", _within(v, 1.3e7, 0.10 * 1.3e7)))
-    rows.append(_row("c5-reichel-atoms", "Z-trap N_max at rho0 = 1e-6", n,
-                     "1.2e7 +/- 15%", _within(n, 1.2e7, 0.15 * 1.2e7)))
-
-    f_bar = C.MU_B * 5.4e5 * C.GAUSS_PER_CM / 2.0 ** (2.0 / 3.0)
-    loop = evaporation.EffectiveVolumeModel("quadrupole3d", eta=4, mean_gradient=f_bar)
-    v = evaporation.effective_volume(loop, 21e-3 / 4.0) * um3
-    n = evaporation.max_loadable_atoms(
-        evaporation.LoadingBudget(1e-6, C.K_B * 21e-3, 4.0, rb), loop
-    )
-    rows.append(_row("c5-libbrecht-volume", "loop quadrupole V_eff (um^3)", v,
-                     "310 +/- 20%", _within(v, 310.0, 0.20 * 310.0)))
-    rows.append(_row("c5-libbrecht-atoms", "loop quadrupole N_max", n,
-                     "2e4 +/- 20%", _within(n, 2e4, 0.20 * 2e4)))
-
-    ioffe = evaporation.EffectiveVolumeModel(
-        "sho", eta=4, mass=rb.mass, omega_bar=2 * math.pi * 94e3
-    )
-    v = evaporation.effective_volume(ioffe, 1.3e-3 / 4.0) * um3
-    n = evaporation.max_loadable_atoms(
-        evaporation.LoadingBudget(1e-6, C.K_B * 1.3e-3, 4.0, rb), ioffe
-    )
-    rows.append(_row("c5-ioffe-volume", "half-loop trap V_eff (um^3)", v,
-                     "0.4 +/- 25%", _within(v, 0.4, 0.25 * 0.4)))
-    rows.append(_row("c5-ioffe-atoms", "half-loop trap N_max", n, "< 1", n < 1.0))
-
-    omega_bar = math.sqrt(C.MU_B * 3e4 * C.GAUSS_PER_CM2 / rb.mass)
-    ours = evaporation.EffectiveVolumeModel("sho", eta=4, mass=rb.mass, omega_bar=omega_bar)
-    v = evaporation.effective_volume(ours, 300e-6) * um3
-    rows.append(_row("c5-toronto-volume", "science-trap V_eff at 300 uK (um^3)", v,
-                     "3e7 +/- 15%", _within(v, 3e7, 0.15 * 3e7)))
-    return rows
+    return [
+        _row("c5-reichel-volume", "Z-trap V_eff (um^3)", reichel["v_eff_um3"],
+             "1.3e7 +/- 10%", _within(reichel["v_eff_um3"], 1.3e7, 0.10 * 1.3e7)),
+        _row("c5-reichel-atoms", "Z-trap N_max at rho0 = 1e-6", reichel["n_max"],
+             "1.2e7 +/- 15%", _within(reichel["n_max"], 1.2e7, 0.15 * 1.2e7)),
+        _row("c5-libbrecht-volume", "loop quadrupole V_eff (um^3)", loop["v_eff_um3"],
+             "310 +/- 20%", _within(loop["v_eff_um3"], 310.0, 0.20 * 310.0)),
+        _row("c5-libbrecht-atoms", "loop quadrupole N_max", loop["n_max"],
+             "2e4 +/- 20%", _within(loop["n_max"], 2e4, 0.20 * 2e4)),
+        _row("c5-ioffe-volume", "half-loop trap V_eff (um^3)", ioffe["v_eff_um3"],
+             "0.4 +/- 25%", _within(ioffe["v_eff_um3"], 0.4, 0.25 * 0.4)),
+        _row("c5-ioffe-atoms", "half-loop trap N_max", ioffe["n_max"],
+             "< 1", ioffe["n_max"] < 1.0),
+        _row("c5-toronto-volume", "science-trap V_eff at 300 uK (um^3)", toronto["v_eff_um3"],
+             "3e7 +/- 15%", _within(toronto["v_eff_um3"], 3e7, 0.15 * 3e7)),
+    ]
 
 
 # -- criterion 6: minimum start temperature and collision rate -----------------
 
 def collision_rows():
-    reg = C.builtin_species()
-    rb = reg["Rb87"]
-    t0 = evaporation.min_start_temperature(rb, 1e-6, 150.0) * 1e6
-    gamma = evaporation.collision_rate(
-        rb, 1e-6, 300e-6, evaporation.sigma_identical_low_temperature(5.3e-9)
-    )
+    # the science trap is loaded at 300 uK
+    toronto = evaporation.LOADING_PRESETS["toronto-z"].report(1e-6)
+    t0, gamma = toronto["t_min_uk"], toronto["gamma_coll_hz"]
     return [
         _row("c6-min-start-temperature", "T0 minimum (uK)", t0,
              "300 +/- 2%", _within(t0, 300.0, 0.02 * 300.0)),
@@ -304,13 +276,13 @@ def scaling_rows():
     reg = C.builtin_species()
     rb = reg["Rb87"]
     models = {
-        "sho": evaporation.EffectiveVolumeModel("sho", eta=4, mass=rb.mass, omega_bar=2e3),
+        "sho": evaporation.EffectiveVolumeModel("sho", mass=rb.mass, omega_bar=2e3),
         "quadrupole3d": evaporation.EffectiveVolumeModel(
-            "quadrupole3d", eta=4, mean_gradient=C.MU_B * 1e3
+            "quadrupole3d", mean_gradient=C.MU_B * 1e3
         ),
-        "box": evaporation.EffectiveVolumeModel("box", eta=4, side=1e-4),
+        "box": evaporation.EffectiveVolumeModel("box", side=1e-4),
         "quad2d_box": evaporation.EffectiveVolumeModel(
-            "quad2d_box", eta=4, mean_gradient=C.MU_B * 1e3, side=1e-4
+            "quad2d_box", mean_gradient=C.MU_B * 1e3, side=1e-4
         ),
     }
     temps = np.geomspace(1e-5, 1e-3, 9)

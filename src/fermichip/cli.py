@@ -129,6 +129,14 @@ def _require_positive(*flags) -> None:
             raise ValueError(f"{flag} must be positive and finite, got {value}")
 
 
+def _require_non_negative(*flags) -> None:
+    """Raise ValueError naming the first (flag, value) pair whose value is not
+    non-negative and finite."""
+    for flag, value in flags:
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{flag} must be non-negative and finite, got {value}")
+
+
 def _trap_from_args(args) -> thermo.HarmonicTrap:
     from . import thermo
 
@@ -208,16 +216,15 @@ def cmd_density(args) -> int:
     values = (
         density.density_zero_T(gas, pts) if args.zero_t else density.density_finite_T(gas, pts)
     )
-    density.write_profile_csv(args.out, s, values, header=(f"{args.axis}_m", "density_m3"))
+    C.write_csv(args.out, [f"{args.axis}_m", "density_m3"], [s, values])
     return EXIT_OK
 
 
 def cmd_tof(args) -> int:
     from . import imagefit
 
-    _require_positive(("--nx", args.nx), ("--ny", args.ny))
-    if not (args.noise_frac >= 0 and math.isfinite(args.noise_frac)):
-        raise ValueError(f"--noise-frac must be non-negative and finite, got {args.noise_frac}")
+    _require_positive(("--nx", args.nx), ("--ny", args.ny), ("--pitch-um", args.pitch_um))
+    _require_non_negative(("--time-ms", args.time_ms), ("--noise-frac", args.noise_frac))
     gas = _gas_from_args(args)
     pitch = args.pitch_um * 1e-6
     t = args.time_ms * 1e-3
@@ -358,63 +365,15 @@ def cmd_dress(args) -> int:
 # -- evap -------------------------------------------------------------------------
 
 def _evap_preset(name: str, rho0: float | None):
+    """The report of loading preset `name` at rho0 (default 1e-6)."""
     from . import evaporation
 
-    reg = C.builtin_species()
-    rb = reg["Rb87"]
-    k40 = reg["K40"]
-    if name == "libbrecht-loop":
-        f_bar = C.MU_B * 5.4e5 * C.GAUSS_PER_CM / 2.0 ** (2.0 / 3.0)
-        model = evaporation.EffectiveVolumeModel("quadrupole3d", eta=4, mean_gradient=f_bar)
-        depth = C.K_B * 21e-3
-        species = rb
-    elif name == "ioffe-c":
-        model = evaporation.EffectiveVolumeModel(
-            "sho", eta=4, mass=rb.mass, omega_bar=2 * math.pi * 94e3
-        )
-        depth = C.K_B * 1.3e-3
-        species = rb
-    elif name == "reichel-z":
-        model = evaporation.EffectiveVolumeModel(
-            "sho", eta=4, mass=rb.mass, omega_bar=2 * math.pi * 300.0
-        )
-        depth = C.K_B * 1.3e-3
-        species = rb
-    elif name == "toronto-z":
-        omega_bar = math.sqrt(C.MU_B * 3e4 * C.GAUSS_PER_CM2 / rb.mass)
-        model = evaporation.EffectiveVolumeModel("sho", eta=4, mass=rb.mass, omega_bar=omega_bar)
-        depth = 4.0 * C.K_B * 300e-6  # loaded at 300 uK with eta = 4
-        species = rb
-    else:
-        raise KeyError(name)
-    rho = rho0 if rho0 is not None else 1e-6
-    budget = evaporation.LoadingBudget(rho, depth, 4.0, species)
-    t_load = budget.temperature
-    report = {
-        "preset": name,
-        "species": species.name,
-        "eta": 4.0,
-        "rho0": rho,
-        "depth_mk": depth / C.K_B * 1e3,
-        "load_temperature_uk": t_load * 1e6,
-        "v_eff_um3": evaporation.effective_volume(model, t_load) * 1e18,
-        "n_max": evaporation.max_loadable_atoms(budget, model),
-        "t_min_uk": evaporation.min_start_temperature(rb, rho, 150.0) * 1e6,
-        "gamma_coll_hz": evaporation.collision_rate(
-            rb, rho, t_load, evaporation.sigma_identical_low_temperature(5.3e-9)
-        ),
-    }
-    if name == "toronto-z":
-        model_k = evaporation.EffectiveVolumeModel(
-            "sho", eta=4, mass=k40.mass,
-            omega_bar=math.sqrt(C.MU_B * 3e4 * C.GAUSS_PER_CM2 / k40.mass),
-        )
-        budget_k = evaporation.LoadingBudget(4e-8, depth, 4.0, k40)
-        report["n_max_k40_at_rho0_4e-8"] = evaporation.max_loadable_atoms(budget_k, model_k)
-    return report
+    return evaporation.LOADING_PRESETS[name].report(1e-6 if rho0 is None else rho0)
 
 
 def cmd_evap(args) -> int:
+    if args.rho0 is not None:
+        _require_positive(("--rho0", args.rho0))
     report = _evap_preset(args.preset, args.rho0)
     write_json(args.out, report)
     return EXIT_OK
@@ -425,6 +384,7 @@ def cmd_evap(args) -> int:
 def cmd_fit(args) -> int:
     from . import imagefit
 
+    _require_non_negative(("--noise-rms", args.noise_rms))
     img = imagefit.TofImage.load(args.image, noise_rms=args.noise_rms)
     results = {}
     if args.model in ("gauss", "both"):
@@ -616,6 +576,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.set_defaults(fn=cmd_dress)
 
     p = sub.add_parser("evap", help="loading and evaporation design report")
+    # the names of evaporation.LOADING_PRESETS, which only `evap` imports
     p.add_argument("--preset", required=True,
                    choices=["libbrecht-loop", "ioffe-c", "reichel-z", "toronto-z"])
     p.add_argument("--rho0", type=float, default=None)

@@ -2,7 +2,7 @@
 states, and the CSV writer the modules share.
 
 Everything internal to the package is SI; the unit multipliers below convert
-interface values (gauss, microkelvin, kHz, micrometres) at the boundary.
+interface values (gauss, gauss per cm and per cm^2, micrometres) at the boundary.
 g-factors, F and m_F are stored as exact rationals because the species-selective
 evaporation algebra relies on exact ratios like 9/4 and 5/4.
 """
@@ -10,25 +10,11 @@ evaporation algebra relies on exact ratios like 9/4 and 5/4.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the constants used throughout, SI units."""
-
-    hbar: float               # J s
-    h: float                  # J s
-    k_B: float                # J / K
-    mu_B: float               # J / T
-    mu_0: float               # T m / A
-    atomic_mass_unit: float   # kg
 
 
 # 2019 SI exact values where applicable, CODATA 2018 otherwise.
@@ -40,19 +26,11 @@ MU_0 = 1.25663706212e-6
 ATOMIC_MASS_UNIT = 1.66053906660e-27
 G_EARTH = 9.80665  # m / s^2
 
-CODATA = PhysicalConstants(HBAR, H_PLANCK, K_B, MU_B, MU_0, ATOMIC_MASS_UNIT)
-
 # Unit multipliers: value_in_unit * multiplier -> SI.
 GAUSS = 1e-4             # T
 GAUSS_PER_CM = 1e-2      # T/m
 GAUSS_PER_CM2 = 1.0      # T/m^2
-MICROKELVIN = 1e-6       # K
-NANOKELVIN = 1e-9        # K
 MICROMETER = 1e-6        # m
-NANOMETER = 1e-9         # m
-MILLISECOND = 1e-3       # s
-KHZ = 1e3                # Hz
-MHZ = 1e6                # Hz
 
 
 class NumericalError(RuntimeError):
@@ -148,7 +126,7 @@ def magnetic_moment(state: SpinState) -> float:
 
 
 class SpeciesRegistry:
-    """Species plus per-manifold g-factors, loadable from a JSON data file."""
+    """Species plus per-manifold g-factors."""
 
     def __init__(self, species: dict[str, AtomSpecies], g_factors: dict[str, dict[Fraction, Fraction]]):
         self.species = dict(species)
@@ -156,9 +134,6 @@ class SpeciesRegistry:
 
     def __getitem__(self, name: str) -> AtomSpecies:
         return self.species[name]
-
-    def names(self) -> list[str]:
-        return sorted(self.species)
 
     def state(self, name: str, F, m_F, g_F=None) -> SpinState:
         F = _as_fraction(F)
@@ -174,44 +149,6 @@ class SpeciesRegistry:
         """The |F, m_F=F> state of the largest tabulated manifold."""
         F = max(self.g_factors[name])
         return self.state(name, F, F)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name, sp in self.species.items():
-            manifolds = [
-                {"F": str(F), "g_F": str(g)}
-                for F, g in sorted(self.g_factors.get(name, {}).items())
-            ]
-            a = sp.s_wave_scattering_length
-            out[name] = {
-                "mass_u": sp.mass / ATOMIC_MASS_UNIT,
-                "scattering_length_nm": None if a is None else a / NANOMETER,
-                "manifolds": manifolds,
-            }
-        return {"species": out}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SpeciesRegistry":
-        species = {}
-        g_factors = {}
-        for name, rec in doc["species"].items():
-            a = rec.get("scattering_length_nm")
-            species[name] = AtomSpecies(
-                name,
-                rec["mass_u"] * ATOMIC_MASS_UNIT,
-                None if a is None else a * NANOMETER,
-            )
-            g_factors[name] = {
-                _as_fraction(m["F"]): _as_fraction(m["g_F"]) for m in rec.get("manifolds", [])
-            }
-        return cls(species, g_factors)
-
-    def dump_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load_json(cls, path) -> "SpeciesRegistry":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def builtin_species() -> SpeciesRegistry:

@@ -1,9 +1,10 @@
-"""In-trap and time-of-flight density distributions of the trapped ideal gas.
+"""In-trap and time-of-flight density distributions of the trapped ideal gas,
+and the raster file format of column-density images.
 
 The harmonic potential convention is U(0) = 0.  Finite-temperature in-trap
-density: n(r) = Lambda_T^-3 f_3/2(Z exp(-beta U(r))).  Free expansion for a
-time t stretches each axis by lambda_i = sqrt(1 + w_i^2 t^2); the column
-density imaged along z is
+density: n(r) = Lambda_T^-3 f_3/2(Z exp(-beta U(r))); at T = 0 the
+Thomas-Fermi profile.  Free expansion for a time t stretches each axis by
+lambda_i = sqrt(1 + w_i^2 t^2); the column density imaged along z is
 
     ncol(x, y, t) = N / (2 pi r_x r_y f_3(Z)) * f_2(Z exp(-x^2/2r_x^2 - y^2/2r_y^2)),
 
@@ -17,68 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, K_B, AtomSpecies, write_csv
+from .constants import HBAR, K_B, AtomSpecies
 from .polylog import fermi_fn
 from .thermo import HarmonicTrap, TrappedGasState
 
 __all__ = [
-    "DensityProfile",
     "ThomasFermiExtent",
-    "TofRescaling",
     "density_finite_T",
     "density_zero_T",
     "uniform_density_zero_T",
-    "tof_rescale",
-    "density_tof",
     "cloud_radii",
     "column_density_fermi",
     "column_density_boltzmann",
-    "write_profile_csv",
     "write_raster",
     "read_raster",
 ]
 
 RASTER_MAGIC = b"FCHIP1"
-
-
-@dataclass
-class DensityProfile:
-    """Sampled density: positions in m, values in m^-3 (3D) or m^-2 (column)."""
-
-    positions: np.ndarray
-    values: np.ndarray
-    gas: TrappedGasState | None = None
-    expansion_time: float = 0.0
-    kind: str = "3d"
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("profile contains non-finite values")
-        if np.any(self.values < 0.0):
-            raise ValueError("densities must be nonnegative")
-
-    @classmethod
-    def sample(cls, gas: TrappedGasState, axes, t: float = 0.0) -> "DensityProfile":
-        """Sample the (possibly expanded) 3D density on a regular grid.
-
-        axes are three 1D coordinate arrays; the grid integral reproduces the
-        atom number to grid resolution.
-        """
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        values = density_tof(gas, t, grid) if t > 0 else density_finite_T(gas, grid)
-        return cls(grid, values, gas, t, "3d")
-
-    def integrated_number(self) -> float:
-        """Voxel sum over the regular grid, in atoms."""
-        if self.positions.ndim != 4:
-            raise ValueError("integrated_number needs a 3D grid profile")
-        voxel = 1.0
-        for axis in range(3):
-            coord = np.moveaxis(self.positions[..., axis], axis, 0)
-            voxel *= float(coord[1, 0, 0] - coord[0, 0, 0])
-        return float(self.values.sum() * abs(voxel))
 
 
 @dataclass(frozen=True)
@@ -144,56 +100,12 @@ def uniform_density_zero_T(e_fermi: float, species: AtomSpecies) -> float:
     return (2.0 * species.mass * e_fermi / HBAR**2) ** 1.5 / (6.0 * np.pi**2)
 
 
-@dataclass(frozen=True)
-class TofRescaling:
-    """Free-expansion rescaling report after time t.
-
-    stretch            lambda_i = sqrt(1 + w_i^2 t^2) per axis
-    omega_rescaled     w_i * lambda_i (the frequency-rescaling form)
-    renorm             prod_i (1/lambda_i), the analytic factor that keeps the
-                       rescaled in-trap formula normalized to N
-    radii              Gaussian-equivalent cloud sizes r_i(t)
-    """
-
-    stretch: np.ndarray
-    omega_rescaled: np.ndarray
-    renorm: float
-    radii: np.ndarray
-
-
 def cloud_radii(gas: TrappedGasState, t: float) -> np.ndarray:
     """r_i(t) = sqrt((w_i^-2 + t^2) k_B T / M) for i = x, y, z."""
     if t < 0:
         raise ValueError("expansion time must be nonnegative")
     om = gas.trap.omegas
     return np.sqrt((om**-2.0 + t * t) * K_B * gas.temperature / gas.mass)
-
-
-def tof_rescale(gas: TrappedGasState, t: float) -> TofRescaling:
-    """Rescaling factors describing free expansion for time t (t=0 is identity)."""
-    if t < 0:
-        raise ValueError("expansion time must be nonnegative")
-    om = gas.trap.omegas
-    stretch = np.sqrt(1.0 + (om * t) ** 2)
-    return TofRescaling(
-        stretch=stretch,
-        omega_rescaled=om * stretch,
-        renorm=float(np.prod(1.0 / stretch)),
-        radii=cloud_radii(gas, t),
-    )
-
-
-def density_tof(gas: TrappedGasState, t: float, r) -> float | np.ndarray:
-    """3D density after expansion time t: axes stretch by lambda_i, amplitude
-    renormalizes by prod(1/lambda_i) so the integral stays N."""
-    resc = tof_rescale(gas, t)
-    r = np.asarray(r, dtype=float)
-    beta = 1.0 / (K_B * gas.temperature)
-    om_eff = gas.trap.omegas / resc.stretch
-    u = 0.5 * gas.mass * np.sum((om_eff * r) ** 2, axis=-1)
-    w = gas.fugacity * np.exp(-beta * u)
-    out = resc.renorm * gas.thermal_wavelength**-3 * _fermi_safe(1.5, w)
-    return float(out) if out.ndim == 0 else out
 
 
 def column_density_fermi(gas: TrappedGasState, t: float, x, y) -> float | np.ndarray:
@@ -228,16 +140,6 @@ def column_density_boltzmann(
         * np.exp(-0.5 * (x / rx) ** 2 - 0.5 * (y / ry) ** 2)
     )
     return float(out) if out.ndim == 0 else out
-
-
-def write_profile_csv(path, positions, values, header=("position_m", "value")) -> None:
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    values = np.asarray(values, dtype=float).ravel()
-    if positions.shape[0] == values.size and positions.shape[1] in (1, 2, 3):
-        cols = ["x_m", "y_m", "z_m"][: positions.shape[1]] + [header[-1]]
-        write_csv(path, cols, [*positions.T, values])
-    else:
-        write_csv(path, header, [positions.ravel(), values])
 
 
 def write_raster(path, values: np.ndarray, pitch: float) -> None:

@@ -4,18 +4,20 @@ Effective trap volumes V_eff(T) = Int exp(-U/k_B T) d^3r for the standard trap
 shapes, the resulting bound on the loadable atom number at a given phase-space
 density, the wire-current scaling of that bound, elastic collision rates, the
 minimum useful starting temperature, and the low-temperature s-wave
-cross-section of identical bosons.
+cross-section of identical bosons; and the four worked loading examples
+(`LOADING_PRESETS`) that the `evap` command reports and paper-check checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
-from .constants import HBAR, K_B, AtomSpecies, thermal_wavelength
+from .constants import (GAUSS_PER_CM, GAUSS_PER_CM2, HBAR, K_B, MU_B, AtomSpecies,
+                        builtin_species, thermal_wavelength)
 
 __all__ = [
     "EffectiveVolumeModel",
@@ -30,6 +32,7 @@ __all__ = [
     "min_start_temperature",
     "min_start_temperature_scaling",
     "sigma_identical_low_temperature",
+    "LOADING_PRESETS",
 ]
 
 Kind = Literal["sho", "quadrupole3d", "box", "quad2d_box"]
@@ -49,7 +52,6 @@ class EffectiveVolumeModel:
     """
 
     kind: Kind
-    eta: float = 4.0
     mass: float | None = None
     omega_bar: float | None = None
     mean_gradient: float | None = None
@@ -58,8 +60,6 @@ class EffectiveVolumeModel:
     def __post_init__(self):
         if self.kind not in _DELTA:
             raise ValueError(f"unknown trap kind {self.kind!r}")
-        if self.eta < 1:
-            raise ValueError("eta must be at least 1")
 
 
 def power_law_exponent(model: EffectiveVolumeModel) -> float:
@@ -109,52 +109,41 @@ def max_loadable_atoms(budget: LoadingBudget, model: EffectiveVolumeModel) -> fl
     return budget.phase_space_density * lam**-3.0 * effective_volume(model, t)
 
 
+# Reference value at I = 1 A and current exponent of the family's trap depth
+# and frequencies: U_td ~ I (B_perp ~ I at fixed trap-surface distance),
+# omega_perp ~ B_perp / I = const and omega_z ~ I^(1/2).
+_FAMILY_SCALING = (
+    (K_B * 1.3e-3, 1.0),            # depth, J
+    (2.0 * math.pi * 1.0e3, 0.0),   # omega_perp, rad/s
+    (2.0 * math.pi * 50.0, 0.5),    # omega_z, rad/s
+)
+
+
 @dataclass(frozen=True)
 class CurrentScalingFamily:
-    """Single-wire microtrap family parameterized by wire current I.
+    """Single-wire microtrap family parameterized by wire current I, loaded at
+    rho0 = 1e-6 and eta = 4.
 
     The trap depth scales with the transverse bias (held proportional to I at
     fixed trap-surface distance), the transverse frequency follows
     omega_perp ~ B_perp / I, and the axial frequency follows omega_z ~ I^(1/2),
-    giving N_max ~ I^(5/2) for the reference exponents below.
+    giving N_max ~ I^(5/2).
     """
 
     species: AtomSpecies
-    phase_space_density: float = 1e-6
-    eta: float = 4.0
-    depth_ref: float = K_B * 1.3e-3        # J at I = I_ref
-    omega_perp_ref: float = 2.0 * math.pi * 1.0e3
-    omega_z_ref: float = 2.0 * math.pi * 50.0
-    i_ref: float = 1.0                     # A
-    depth_exponent: float = 1.0            # U_td ~ I (B_perp ~ I)
-    omega_perp_exponent: float = 0.0       # omega_perp ~ B_perp/I = const
-    omega_z_exponent: float = 0.5          # omega_z ~ sqrt(I)
 
     def n_max(self, current: float) -> float:
-        scale = current / self.i_ref
-        depth = self.depth_ref * scale**self.depth_exponent
-        omega_perp = self.omega_perp_ref * scale**self.omega_perp_exponent
-        omega_z = self.omega_z_ref * scale**self.omega_z_exponent
+        depth, omega_perp, omega_z = (ref * current**exponent for ref, exponent in _FAMILY_SCALING)
         omega_bar = (omega_perp**2 * omega_z) ** (1.0 / 3.0)
-        model = EffectiveVolumeModel(
-            "sho", eta=self.eta, mass=self.species.mass, omega_bar=omega_bar
-        )
-        budget = LoadingBudget(self.phase_space_density, depth, self.eta, self.species)
-        return max_loadable_atoms(budget, model)
+        model = EffectiveVolumeModel("sho", mass=self.species.mass, omega_bar=omega_bar)
+        return max_loadable_atoms(LoadingBudget(1e-6, depth, 4.0, self.species), model)
 
 
-def current_scaling_exponent(
-    family: CurrentScalingFamily | Callable[[float], float],
-    currents=None,
-) -> float:
-    """Log-log slope of N_max(I) over a decade of wire current."""
-    n_of_i = family.n_max if isinstance(family, CurrentScalingFamily) else family
-    if currents is None:
-        currents = np.geomspace(0.3, 3.0, 15)
-    currents = np.asarray(currents, dtype=float)
-    n = np.array([n_of_i(i) for i in currents])
-    slope = np.polyfit(np.log(currents), np.log(n), 1)[0]
-    return float(slope)
+def current_scaling_exponent(family: CurrentScalingFamily) -> float:
+    """Log-log slope of N_max(I) over a decade of wire current, 0.3 A to 3 A."""
+    currents = np.geomspace(0.3, 3.0, 15)
+    n = np.array([family.n_max(i) for i in currents])
+    return float(np.polyfit(np.log(currents), np.log(n), 1)[0])
 
 
 def relative_velocity(species: AtomSpecies, temperature: float) -> float:
@@ -186,8 +175,11 @@ def min_start_temperature(
         a_s = species.s_wave_scattering_length
     if a_s is None:
         raise ValueError(f"no scattering length on record for {species.name}")
-    sigma = sigma_identical_low_temperature(a_s)
-    kt = math.sqrt(gamma_min * math.pi**2 * HBAR**3 / (species.mass * sigma * rho0))
+    m_sigma_rho0 = species.mass * sigma_identical_low_temperature(a_s) * rho0
+    if not m_sigma_rho0 > 0:
+        raise ValueError(f"rho0 (--rho0) must be positive and M sigma rho0 representable, "
+                         f"got rho0 = {rho0}")
+    kt = math.sqrt(gamma_min * math.pi**2 * HBAR**3 / m_sigma_rho0)
     return kt / K_B
 
 
@@ -208,3 +200,63 @@ def min_start_temperature_scaling(
 def sigma_identical_low_temperature(a: float) -> float:
     """Low-temperature limit 8 pi a^2 for identical bosons."""
     return 8.0 * math.pi * a * a
+
+
+@dataclass(frozen=True)
+class _LoadingPreset:
+    """A worked Rb87 loading example: trap shape and depth, and the same trap
+    for K40 where the example also loads K40."""
+
+    name: str
+    model: EffectiveVolumeModel
+    depth: float                                   # J
+    k40_model: EffectiveVolumeModel | None = None
+
+    def report(self, rho0: float = 1e-6) -> dict:
+        """Loading at phase-space density rho0 and eta = 4: temperature, V_eff
+        and N_max, the start temperature a 150 s^-1 collision rate needs and
+        the collision rate at loading (a_s = 5.3 nm), and the K40 N_max at
+        rho0 = 4e-8 for a trap with a K40 model."""
+        budget = LoadingBudget(rho0, self.depth, 4.0, _RB87)
+        t_load = budget.temperature
+        report = {
+            "preset": self.name,
+            "species": _RB87.name,
+            "eta": 4.0,
+            "rho0": rho0,
+            "depth_mk": self.depth / K_B * 1e3,
+            "load_temperature_uk": t_load * 1e6,
+            "v_eff_um3": effective_volume(self.model, t_load) * 1e18,
+            "n_max": max_loadable_atoms(budget, self.model),
+            "t_min_uk": min_start_temperature(_RB87, rho0, 150.0) * 1e6,
+            "gamma_coll_hz": collision_rate(
+                _RB87, rho0, t_load, sigma_identical_low_temperature(5.3e-9)
+            ),
+        }
+        if self.k40_model is not None:
+            budget_k = LoadingBudget(4e-8, self.depth, 4.0, _K40)
+            report["n_max_k40_at_rho0_4e-8"] = max_loadable_atoms(budget_k, self.k40_model)
+        return report
+
+
+def _science_trap(species: AtomSpecies) -> EffectiveVolumeModel:
+    """The Toronto science trap, 3e4 G/cm^2 curvature, for one species."""
+    omega_bar = math.sqrt(MU_B * 3e4 * GAUSS_PER_CM2 / species.mass)
+    return EffectiveVolumeModel("sho", mass=species.mass, omega_bar=omega_bar)
+
+
+_RB87, _K40 = (builtin_species()[name] for name in ("Rb87", "K40"))
+
+# The loading examples, by `evap --preset` name: the Libbrecht loop quadrupole
+# (5.4e5 G/cm axial gradient, 2:1 anisotropy), the Ioffe-C half-loop trap, the
+# Reichel Z-trap, and the Toronto science trap, whose depth loads it at 300 uK.
+LOADING_PRESETS = {preset.name: preset for preset in (
+    _LoadingPreset("libbrecht-loop", EffectiveVolumeModel(
+        "quadrupole3d", mean_gradient=MU_B * 5.4e5 * GAUSS_PER_CM / 2.0 ** (2.0 / 3.0)),
+        K_B * 21e-3),
+    _LoadingPreset("ioffe-c", EffectiveVolumeModel(
+        "sho", mass=_RB87.mass, omega_bar=2 * math.pi * 94e3), K_B * 1.3e-3),
+    _LoadingPreset("reichel-z", EffectiveVolumeModel(
+        "sho", mass=_RB87.mass, omega_bar=2 * math.pi * 300.0), K_B * 1.3e-3),
+    _LoadingPreset("toronto-z", _science_trap(_RB87), 4.0 * K_B * 300e-6, _science_trap(_K40)),
+)}

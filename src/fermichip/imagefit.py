@@ -48,14 +48,15 @@ class TofImage:
     pitch: float                      # m
     noise_rms: float = 0.0            # same units as values
     expansion_time: float = 0.0       # s
-    gas: TrappedGasState | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("image must be 2D")
-        if not self.pitch > 0:
-            raise ValueError("pixel pitch must be positive")
+        if not 0 < self.pitch < math.inf:
+            raise ValueError(f"pixel pitch must be positive and finite, got {self.pitch} m")
+        if not (self.noise_rms >= 0 and math.isfinite(self.noise_rms)):
+            raise ValueError(f"noise rms must be non-negative and finite, got {self.noise_rms}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("image contains non-finite values")
 
@@ -88,7 +89,7 @@ def synthesize_tof_image(
     Deterministic for a fixed seed.
     """
     ny, nx = shape
-    img = TofImage(np.zeros((ny, nx)), pitch, 0.0, t, gas)
+    img = TofImage(np.zeros((ny, nx)), pitch, 0.0, t)
     xx, yy = img.coordinates()
     img.values = column_density_fermi(gas, t, xx, yy)
     return add_noise(img, noise_rms, seed)
@@ -192,6 +193,9 @@ def _start(img: TofImage):
 
 _MAX_NFEV = 200   # residual-and-Jacobian evaluations a fit may take
 _TOL = 1e-14     # relative gradient, step and reduction at which a fit stops
+# peak / noise rms at which the squared residuals, Jacobian and chi2 of a fit
+# can neither overflow nor vanish in double precision
+_SNR_RANGE = (1e-50, 1e50)
 
 
 def _levenberg_marquardt(evaluate, phi, lo, hi):
@@ -236,6 +240,10 @@ def _run_fit(img, model, shape, phi0, bounds) -> FitResult:
     xx, yy = (c.ravel() for c in img.coordinates())
     data = img.values.ravel()
     sigma = img.noise_rms if img.noise_rms > 0 else 1.0
+    peak = float(np.max(np.abs(data)))
+    if not _SNR_RANGE[0] <= peak / sigma <= _SNR_RANGE[1]:
+        raise ValueError(f"noise rms (--noise-rms) {sigma:g} is out of scale with the image "
+                         f"peak {peak:g}: their ratio must lie within {_SNR_RANGE}")
     phi, (_, _, n, s, ds), chi2, nfev, status = _levenberg_marquardt(
         lambda p: _projected(shape, p, xx, yy, data, sigma), np.array(phi0), *map(np.array, bounds))
     if not n > 0:

@@ -93,20 +93,20 @@ def _detuning_and_rabi(b_vec, rf: RFField, state: SpinState):
     return delta, rabi
 
 
-def adiabatic_branch(state: SpinState, delta0: float, rabi0: float) -> Fraction:
+def adiabatic_branch(state: SpinState, delta0: float) -> Fraction:
     """Dressed branch m_F' that the populated bare state joins as the RF
     amplitude ramps up from zero: m_F' = -m_F sign(delta0).
 
-    The RWA Hamiltonian -delta0 F_z + rabi0 F_x is linear in the spin, so it is
-    sqrt(delta0^2 + rabi0^2) times the spin component along the unit vector
-    n ~ (rabi0, 0, -delta0), with eigenvalues m_F' sqrt(delta0^2 + rabi0^2)
+    The RWA Hamiltonian -delta0 F_z + Omega F_x is linear in the spin, so it is
+    sqrt(delta0^2 + Omega^2) times the spin component along the unit vector
+    n ~ (Omega, 0, -delta0), with eigenvalues m_F' sqrt(delta0^2 + Omega^2)
     (Majorana, Nuovo Cimento 9, 43 (1932); Garraway and Perrin, J. Phys. B
-    49, 172001 (2016)).  As rabi0 ramps up from zero, n turns continuously
+    49, 172001 (2016)).  As Omega ramps up from zero, n turns continuously
     away from -sign(delta0) z and the levels never cross, so the bare state
-    m_F joins m_F' = -m_F sign(delta0) for every ratio rabi0 / |delta0|: for
+    m_F joins m_F' = -m_F sign(delta0) for every ratio Omega / |delta0|: for
     delta0 < 0 a stretched m_F = +F state joins m_F' = +F, for delta0 > 0 it
-    joins -F.  rabi0 does not enter the label.  At resonance (delta0 = 0)
-    the branch is m_F, the undressed label.
+    joins -F.  The coupling does not enter the label.  At resonance
+    (delta0 = 0) the branch is m_F, the undressed label.
     """
     return -state.m_F if delta0 > 0 else state.m_F
 
@@ -187,7 +187,7 @@ def dressed_potential(
         delta0 = float(delta[i0])
         if connect_at_omega is not None:
             delta0 = float(delta[i0]) + HBAR * (connect_at_omega - rf.omega)
-        m_f_prime = adiabatic_branch(state, delta0, float(rabi[i0]))
+        m_f_prime = adiabatic_branch(state, delta0)
     u_eff = float(m_f_prime) * np.hypot(delta, rabi)
     return DressedPotentialScan(
         state=state,

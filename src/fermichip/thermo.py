@@ -47,13 +47,6 @@ _SOLVE_MAXITER = 100
 _SOLVE_YTOL = 1e-8
 
 
-def _expit(x):
-    """The logistic function by scipy.special.expit's formula 1 / (1 + exp(-x));
-    where exp(-x) overflows to inf it is 0, without a warning."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 class FugacityError(NumericalError):
     """The root find for the fugacity at a reduced temperature failed."""
 
@@ -73,7 +66,6 @@ class HarmonicTrap:
     omega_x: float
     omega_y: float
     omega_z: float
-    trap_depth: float | None = None  # J, optional
 
     def __post_init__(self):
         omegas = (self.omega_x, self.omega_y, self.omega_z)
@@ -81,13 +73,13 @@ class HarmonicTrap:
             raise ValueError(f"trap frequencies must be positive and finite, got {omegas} rad/s")
 
     @classmethod
-    def from_frequencies_hz(cls, fx, fy, fz, trap_depth=None):
+    def from_frequencies_hz(cls, fx, fy, fz):
         tau = 2.0 * math.pi
-        return cls(tau * fx, tau * fy, tau * fz, trap_depth)
+        return cls(tau * fx, tau * fy, tau * fz)
 
     @classmethod
-    def isotropic(cls, omega, trap_depth=None):
-        return cls(omega, omega, omega, trap_depth)
+    def isotropic(cls, omega):
+        return cls(omega, omega, omega)
 
     @property
     def omega_bar(self) -> float:
@@ -100,11 +92,14 @@ class HarmonicTrap:
 
 
 def occupation(epsilon, mu, temperature):
-    """Mean occupation 1/(exp(beta(eps-mu)) + 1), bounded in [0, 1]."""
+    """Mean occupation 1/(exp(beta(eps-mu)) + 1), bounded in [0, 1]: the
+    logistic function by scipy.special.expit's formula, 0 without a warning
+    where the exponential overflows to inf."""
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     beta = 1.0 / (K_B * temperature)
-    return _expit(-beta * (np.asarray(epsilon, dtype=float) - mu))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(beta * (np.asarray(epsilon, dtype=float) - mu)))
 
 
 def _check_atom_number(n_atoms: float) -> None:
@@ -278,19 +273,19 @@ def degeneracy_parameter(z: float) -> float:
     return fermi_fn(1.5, z)
 
 
-def capacity_1d(trap: HarmonicTrap, tolerance: float = 0.01) -> float:
+def capacity_1d(trap: HarmonicTrap) -> float:
     """Number of fermions the 1D regime can hold: the trap aspect ratio.
 
-    Requires the two transverse frequencies to agree within `tolerance`
-    (the trap must be axially symmetric for the 1D picture to apply).
+    Requires the two transverse frequencies to agree within 1% (the trap must
+    be axially symmetric for the 1D picture to apply).
     Integer capacity is the floor of the returned ratio.
     """
     om = sorted([trap.omega_x, trap.omega_y, trap.omega_z])
     omega_parallel, perp_lo, perp_hi = om
-    if perp_hi - perp_lo > tolerance * perp_hi:
+    if perp_hi - perp_lo > 0.01 * perp_hi:
         raise ValueError(
             f"trap is not axially symmetric: transverse frequencies {perp_lo:g}, "
-            f"{perp_hi:g} differ by more than {tolerance:.0%}"
+            f"{perp_hi:g} differ by more than 1%"
         )
     omega_perp = math.sqrt(perp_lo * perp_hi)
     return omega_perp / omega_parallel
@@ -316,12 +311,11 @@ def discrete_sum_oracle(
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    beta = 1.0 / (K_B * temperature)
     omegas = trap.omegas
     zero_point = 0.5 * HBAR * float(omegas.sum()) if include_zero_point else 0.0
 
     e_top = HBAR * float(omegas.min()) * cutoff + zero_point
-    occ_top = float(_expit(-beta * (e_top - mu)))
+    occ_top = float(occupation(e_top, mu, temperature))
     if occ_top >= 1e-12:
         raise ValueError(
             f"cutoff too small: occupancy at the cutoff shell is {occ_top:.2e} >= 1e-12"
@@ -333,7 +327,7 @@ def discrete_sum_oracle(
         s = np.arange(cutoff + 1, dtype=float)
         degeneracy = 0.5 * (s + 1.0) * (s + 2.0)
         energies = HBAR * omegas[0] * s + zero_point
-        occ = _expit(-beta * (energies - mu))
+        occ = occupation(energies, mu, temperature)
         n_total = float(degeneracy @ occ)
         e_total = float(degeneracy @ (occ * energies))
         return n_total, e_total
@@ -352,7 +346,7 @@ def discrete_sum_oracle(
     e_total = 0.0
     for nx in range(n_max[0] + 1):
         e = e_plane + HBAR * omegas[0] * nx
-        occ = _expit(-beta * (e - mu))
+        occ = occupation(e, mu, temperature)
         n_total += float(occ.sum())
         e_total += float((occ * e).sum())
     return n_total, e_total

@@ -64,7 +64,6 @@ __all__ = [
     "trap_depth",
     "ip_fit",
     "load_geometry",
-    "save_geometry",
 ]
 
 SINGULARITY_GUARD = 1e-6  # m, minimum approach to a segment axis
@@ -989,27 +988,6 @@ def ip_fit(model, r0) -> IPTrapParams:
         axes=vec[:, [1, 2, 0]],
         residual_rms=residual,
     )
-
-
-def save_geometry(path, model: FieldModel, seed=None, description: str = "") -> None:
-    doc = {
-        "description": description,
-        "segments": [
-            {
-                "start_um": [p / MICROMETER for p in seg.a],
-                "end_um": [p / MICROMETER for p in seg.b],
-                "current_a": seg.current,
-            }
-            for seg in model.segments
-        ],
-        "bias_gauss": [b / GAUSS for b in model.bias],
-    }
-    if model.chip_plane is not None:
-        normal, offset = model.chip_plane
-        doc["chip_plane"] = {"normal": list(normal), "offset_um": offset / MICROMETER}
-    if seed is not None:
-        doc["seed_um"] = [p / MICROMETER for p in np.asarray(seed, dtype=float)]
-    Path(path).write_text(json.dumps(doc, indent=2))
 
 
 def load_geometry(path) -> tuple[FieldModel, np.ndarray | None]:

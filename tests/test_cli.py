@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from fermichip import benchmarks, cli, polylog, thermo
+from fermichip import benchmarks, cli, evaporation, polylog, thermo
 from fermichip import constants as C
 from fermichip.constants import NumericalError
 from fermichip.benchmarks import CheckRow
@@ -165,10 +170,13 @@ GAS_ARGS = ["--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "315", "--t-ove
         (["thermo", "--scan-min", "0"], "--scan-min"),
         (["tof", "--noise-frac", "-0.1"], "--noise-frac"),
         (["tof", "--noise-frac", "nan"], "--noise-frac"),
+        (["tof", "--time-ms", "inf"], "--time-ms"),
+        (["tof", "--time-ms", "nan"], "--time-ms"),
+        (["tof", "--pitch-um", "inf"], "--pitch-um"),
     ],
     ids=["density-points-0", "density-extent-nan", "density-extent-negative", "tof-nx-0",
          "tof-ny-0", "thermo-scan-points-0", "thermo-scan-min-0", "tof-noise-negative",
-         "tof-noise-nan"],
+         "tof-noise-nan", "tof-time-inf", "tof-time-nan", "tof-pitch-inf"],
 )
 def test_empty_or_non_finite_grid_is_config_error(tmp_path, capsys, argv, message):
     command, *flags = argv
@@ -177,6 +185,43 @@ def test_empty_or_non_finite_grid_is_config_error(tmp_path, capsys, argv, messag
     assert run([command, *GAS_ARGS, *flags, *extra]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_image(tmp_path_factory):
+    """A 24x24 K40 time-of-flight raster with 2% noise, made once."""
+    path = tmp_path_factory.mktemp("image") / "img.raster"
+    assert run(["tof", *GAS_ARGS, "--nx", "24", "--ny", "24", "--pitch-um", "12",
+                "--noise-frac", "0.02", "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["evap", "--preset", "toronto-z", "--rho0", "inf"], "--rho0"),
+        (["evap", "--preset", "toronto-z", "--rho0", "nan"], "--rho0"),
+        (["evap", "--preset", "reichel-z", "--rho0", "-1e-6"], "--rho0"),
+        (["evap", "--preset", "ioffe-c", "--rho0", "1e-290"], "--rho0"),
+        (["fit", "--noise-rms", "inf"], "--noise-rms"),
+        (["fit", "--noise-rms", "nan"], "--noise-rms"),
+        (["fit", "--noise-rms", "-1"], "--noise-rms"),
+        (["fit", "--noise-rms", "1e-300"], "--noise-rms"),
+    ],
+    ids=["evap-rho0-inf", "evap-rho0-nan", "evap-rho0-negative", "evap-rho0-underflow",
+         "fit-noise-inf", "fit-noise-nan", "fit-noise-negative", "fit-noise-out-of-scale"],
+)
+def test_non_finite_or_negative_value_is_config_error(tmp_path, capsys, small_image, argv,
+                                                      message):
+    command, *flags = argv
+    out = tmp_path / "out.json"
+    image = ["--image", small_image] if command == "fit" else []
+    assert run([command, *image, *flags, "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
 
@@ -505,6 +550,14 @@ def test_evap_presets(tmp_path, preset, v_um3, n_max):
     assert doc["n_max"] == pytest.approx(n_max, rel=5e-3)
 
 
+def test_evap_choices_are_the_loading_presets():
+    # the parser names the presets itself, so that no other command imports evaporation
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    preset = next(a for a in commands.choices["evap"]._actions if a.dest == "preset")
+    assert preset.choices == list(evaporation.LOADING_PRESETS)
+
+
 def test_evap_rho0_override(tmp_path):
     out = tmp_path / "evap.json"
     assert run(["evap", "--preset", "reichel-z", "--rho0", "1e-7", "--out", out]) == 0
@@ -627,3 +680,103 @@ def test_json_format_17_digits(tmp_path):
     assert "0.33333333333333331" in text
     assert '"t": true' in text
     assert '"n": null' in text
+
+
+# -- numeric flags, property test ---------------------------------------------------------------
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+NUMERIC_FLAGS = {
+    "thermo": ["n_atoms", "fbar_hz", "t_over_tf", "scan_min", "scan_max"],
+    "density": ["n_atoms", "fbar_hz", "t_over_tf", "extent_um"],
+    "tof": ["n_atoms", "fbar_hz", "t_over_tf", "time_ms", "pitch_um", "noise_frac"],
+    "fit": ["noise_rms"],
+    "evap": ["rho0"],
+    "dress": ["rf_khz", "ramp_khz", "amplitude_mg", "extent_um"],
+}
+
+
+@st.composite
+def numeric_flags(draw, command):
+    """The flags of `command`: up to two of its float flags take an edge value
+    (nan, +-inf, 0 or -1), the others an ordinary one, log-uniform in a range;
+    counts come only from small ranges."""
+    edged = draw(st.sets(st.sampled_from(NUMERIC_FLAGS[command]), max_size=2))
+
+    def value(name, lo, hi):
+        if name in edged:
+            return draw(st.sampled_from(EDGE_VALUES))
+        return draw(st.floats(math.log(lo), math.log(hi)).map(math.exp))
+
+    def count(hi):
+        return draw(st.integers(-1, hi))
+
+    if command == "fit":
+        # the fits reject a noise rms out of scale with the image peak (~1e12)
+        return {"model": draw(st.sampled_from(["gauss", "fd", "both"])),
+                "noise_rms": value("noise_rms", 1e-320, 1e300)}
+    if command == "evap":
+        return {"preset": draw(st.sampled_from(sorted(evaporation.LOADING_PRESETS))),
+                "rho0": value("rho0", 1e-9, 1.0)}
+    if command == "dress":
+        # below 0.3 B0 (364 mG on the split trap) the RF amplitude draws no RWAWarning
+        return {"rf_khz": value("rf_khz", 100.0, 3000.0),
+                "ramp_khz": value("ramp_khz", 100.0, 3000.0),
+                "amplitude_mg": value("amplitude_mg", 1.0, 300.0),
+                "extent_um": value("extent_um", 0.1, 50.0), "points": count(48)}
+    flags = {"species": draw(st.sampled_from(["K40", "Rb87"])),
+             "n_atoms": value("n_atoms", 1.0, 1e7), "fbar_hz": value("fbar_hz", 1.0, 1e4),
+             "t_over_tf": value("t_over_tf", 1e-3, 30.0)}
+    if command == "thermo":
+        flags.update(scan_min=value("scan_min", 1e-3, 1.0),
+                     scan_max=value("scan_max", 0.5, 30.0), scan_points=count(8))
+    elif command == "density":
+        flags.update(extent_um=value("extent_um", 0.1, 1e3), points=count(40),
+                     zero_t=draw(st.booleans()))
+    else:
+        flags.update(time_ms=value("time_ms", 1e-3, 100.0), pitch_um=value("pitch_um", 0.1, 100.0),
+                     noise_frac=value("noise_frac", 1e-4, 1.0), nx=count(24), ny=count(24),
+                     seed=draw(st.integers(0, 9)))
+    return flags
+
+
+def _outputs(command, work, image):
+    if command == "thermo":
+        return {"out": work / "thermo.json", "scan_out": work / "scan.csv"}
+    if command == "dress":
+        return {"out_prefix": work / "dress"}
+    if command == "fit":
+        return {"image": image, "out": work / "fit.json"}
+    return {"out": work / f"{command}.out"}
+
+
+@pytest.mark.parametrize("command", ["thermo", "density", "tof", "fit", "evap", "dress"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_numeric_flags_exit_cleanly(small_image, command, data):
+    # each command, directly or through `run --config`, exits 0, 2 or 3 with at
+    # most one line on stderr and no traceback or warning; a non-finite value
+    # is a configuration error
+    flags = data.draw(numeric_flags(command), label="flags")
+    params = {**flags, **{k: str(v) for k, v in _outputs(command, small_image.parent,
+                                                         small_image).items()}}
+    if data.draw(st.booleans(), label="via config"):
+        config = small_image.parent / "config.json"
+        config.write_text(json.dumps({"command": command, "params": params}))
+        argv = ["run", "--config", config]
+    else:
+        argv = [command] + [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+                            for key, value in params.items() if value is not False]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run(argv)
+    err = stderr.getvalue()
+    event(f"exit {code}")
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+    assert err.count("\n") <= 1 and "Traceback" not in err and "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+    if any(isinstance(v, float) and not math.isfinite(v) for v in flags.values()):
+        assert code == cli.EXIT_CONFIG and err.startswith("configuration error: ")

@@ -62,28 +62,15 @@ def test_g_factors_exact_rationals(k92, rb22):
         C._as_fraction(0.2222222)
 
 
-def test_registry_roundtrip(tmp_path, registry):
-    path = tmp_path / "species.json"
-    registry.dump_json(path)
-    loaded = C.SpeciesRegistry.load_json(path)
-    assert loaded.names() == registry.names()
-    st = loaded.state("K40", "9/2", "7/2")
-    assert st.g_F == Fraction(2, 9)
-    assert loaded["Rb87"].mass == pytest.approx(registry["Rb87"].mass)
-
-
-def test_registry_extendable(tmp_path, registry):
-    doc = registry.to_dict()
-    doc["species"]["Li6"] = {
-        "mass_u": 6.0151228,
-        "scattering_length_nm": None,
-        "manifolds": [{"F": "3/2", "g_F": "2/3"}],
-    }
-    path = tmp_path / "extended.json"
-    path.write_text(__import__("json").dumps(doc))
-    loaded = C.SpeciesRegistry.load_json(path)
-    st = loaded.stretched_state("Li6")
+def test_registry_extendable(registry):
+    li6 = C.AtomSpecies("Li6", 6.0151228 * C.ATOMIC_MASS_UNIT)
+    extended = C.SpeciesRegistry(
+        {**registry.species, "Li6": li6},
+        {**registry.g_factors, "Li6": {Fraction(3, 2): Fraction(2, 3)}},
+    )
+    st = extended.stretched_state("Li6")
     assert st.F == Fraction(3, 2) and st.trappable
+    assert extended.stretched_state("K40") == registry.stretched_state("K40")
 
 
 def csv_writer_reference(path, header, columns):

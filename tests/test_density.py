@@ -37,14 +37,11 @@ def test_low_fugacity_gaussian_shape(k92, science_trap):
 def test_density_grid_normalization(warm_gas):
     radii = density.cloud_radii(warm_gas, 0.0)
     axes = [np.linspace(-4.5 * r, 4.5 * r, 72) for r in radii]
-    profile = density.DensityProfile.sample(warm_gas, axes)
-    assert profile.integrated_number() == pytest.approx(warm_gas.n_atoms, rel=1e-3)
-    assert np.all(profile.values >= 0.0)
-
-
-def test_density_profile_rejects_negative_values(warm_gas):
-    with pytest.raises(ValueError):
-        density.DensityProfile(np.zeros((2, 3)), np.array([1.0, -1.0]))
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    values = density.density_finite_T(warm_gas, grid)
+    voxel = np.prod([a[1] - a[0] for a in axes])
+    assert float(values.sum() * voxel) == pytest.approx(warm_gas.n_atoms, rel=1e-3)
+    assert np.all(values >= 0.0)
 
 
 def test_density_adaptive_normalization(warm_gas):
@@ -152,16 +149,18 @@ def test_uniform_density_reference_value(registry):
 # -- time of flight ---------------------------------------------------------------------
 
 def test_tof_rescale_identity(cold_gas):
-    resc = density.tof_rescale(cold_gas, 0.0)
-    assert np.allclose(resc.omega_rescaled, cold_gas.trap.omegas)
-    assert resc.renorm == pytest.approx(1.0)
-    assert np.allclose(resc.stretch, 1.0)
+    # at t = 0 the cloud has its in-trap radii sqrt(k_B T / M) / w_i
+    thermal = np.sqrt(C.K_B * cold_gas.temperature / cold_gas.mass)
+    r0 = density.cloud_radii(cold_gas, 0.0)
+    assert np.allclose(r0, thermal / cold_gas.trap.omegas, rtol=1e-12, atol=0.0)
 
 
 def test_tof_rescale_long_time_limit(cold_gas):
     t = 5.0  # w t >> 1 for every axis
-    resc = density.tof_rescale(cold_gas, t)
-    assert np.allclose(resc.omega_rescaled, cold_gas.trap.omegas**2 * t, rtol=1e-4)
+    stretch = density.cloud_radii(cold_gas, t) / density.cloud_radii(cold_gas, 0.0)
+    omegas = cold_gas.trap.omegas
+    assert np.allclose(stretch, np.sqrt(1.0 + (omegas * t) ** 2), rtol=1e-12, atol=0.0)
+    assert np.allclose(stretch, omegas * t, rtol=1e-4, atol=0.0)
 
 
 def test_tof_aspect_ratio_monotone_to_unity(cold_gas):
@@ -180,12 +179,13 @@ def test_tof_aspect_ratio_monotone_to_unity(cold_gas):
 
 def test_tof_density_conserves_number(warm_gas):
     t = 4e-3
-    radii = density.cloud_radii(warm_gas, t)
-    axes = [np.linspace(-4.5 * r, 4.5 * r, 64) for r in radii]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = density.density_tof(warm_gas, t, grid)
-    voxel = np.prod([a[1] - a[0] for a in axes])
-    assert float(vals.sum() * voxel) == pytest.approx(warm_gas.n_atoms, rel=2e-3)
+    rx, ry, _ = density.cloud_radii(warm_gas, t)
+    x = np.linspace(-4.5 * rx, 4.5 * rx, 64)
+    y = np.linspace(-4.5 * ry, 4.5 * ry, 64)
+    xx, yy = np.meshgrid(x, y)
+    vals = density.column_density_fermi(warm_gas, t, xx, yy)
+    pixel = (x[1] - x[0]) * (y[1] - y[0])
+    assert float(vals.sum() * pixel) == pytest.approx(warm_gas.n_atoms, rel=2e-3)
 
 
 # -- column densities ----------------------------------------------------------------------
@@ -246,15 +246,18 @@ def test_fermi_flatter_than_matched_gaussian(k92, science_trap):
 # -- profile and raster IO --------------------------------------------------------------------
 
 def test_profile_csv(tmp_path, cold_gas):
+    # a profile written as `density` writes it reads back bit for bit
     s = np.linspace(-1e-5, 1e-5, 7)
     pts = np.zeros((7, 3))
     pts[:, 0] = s
     vals = density.density_finite_T(cold_gas, pts)
     path = tmp_path / "profile.csv"
-    density.write_profile_csv(path, s, vals, header=("x_m", "density_m3"))
+    C.write_csv(path, ["x_m", "density_m3"], [s, vals])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x_m,density_m3"
     assert len(lines) == 8
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back, np.column_stack([s, vals]))
 
 
 def test_raster_roundtrip(tmp_path):

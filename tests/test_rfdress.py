@@ -63,39 +63,55 @@ def test_rabi_projection_depends_on_polarization(rb22):
 # -- adiabatic connection -----------------------------------------------------------------
 
 def test_adiabatic_branch_stretched_states(k92, rb22):
-    omega = 70.0 * KHZ
-    assert rf.adiabatic_branch(rb22, -50.0 * KHZ, omega) == Fraction(2)
-    assert rf.adiabatic_branch(rb22, +50.0 * KHZ, omega) == Fraction(-2)
-    assert rf.adiabatic_branch(k92, +482.0 * KHZ, omega) == Fraction(-9, 2)
-    assert rf.adiabatic_branch(k92, -40.0 * KHZ, omega) == Fraction(9, 2)
+    assert rf.adiabatic_branch(rb22, -50.0 * KHZ) == Fraction(2)
+    assert rf.adiabatic_branch(rb22, +50.0 * KHZ) == Fraction(-2)
+    assert rf.adiabatic_branch(k92, +482.0 * KHZ) == Fraction(-9, 2)
+    assert rf.adiabatic_branch(k92, -40.0 * KHZ) == Fraction(9, 2)
 
 
 def test_adiabatic_branch_interior_state(registry):
     state = registry.state("Rb87", 2, 1)
-    assert rf.adiabatic_branch(state, -10.0 * KHZ, 30.0 * KHZ) == Fraction(1)
-    assert rf.adiabatic_branch(state, +10.0 * KHZ, 30.0 * KHZ) == Fraction(-1)
+    assert rf.adiabatic_branch(state, -10.0 * KHZ) == Fraction(1)
+    assert rf.adiabatic_branch(state, +10.0 * KHZ) == Fraction(-1)
+
+
+def _followed_branches(f, delta0, rabi_final, steps=200):
+    """{m_F: m_F'} for each bare |f, m_F>, followed by overlap through the
+    eigenstates of the RWA Hamiltonian -delta0 F_z + Omega F_x as Omega ramps
+    geometrically from 1e-3 |delta0| to rabi_final."""
+    m = np.arange(f, -f - 1.0, -1.0)
+    fplus = np.diag(np.sqrt(f * (f + 1.0) - m[1:] * (m[1:] + 1.0)), k=1)
+    fz, fx = np.diag(m), 0.5 * (fplus + fplus.T)
+    followed = np.eye(m.size)  # columns: the bare states, in the order of m
+    for rabi in np.geomspace(1e-3 * abs(delta0), rabi_final, steps):
+        energies, vecs = np.linalg.eigh(-delta0 * fz + rabi * fx)
+        picks = np.argmax(np.abs(vecs.T @ followed), axis=0)
+        assert len(set(picks)) == m.size  # each state followed to its own level
+        followed = vecs[:, picks]
+    return dict(zip(m, energies[picks] / math.hypot(delta0, rabi_final)))
 
 
 @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0, 100.0, 1e4])
 def test_adiabatic_branch_closed_form(registry, ratio):
     # the Zeeman term only rotates the spin, so the label is -m_F sign(delta0)
-    # however strong the coupling is against the detuning
+    # however strong the coupling is against the detuning: each bare state,
+    # followed as Omega ramps to ratio |delta0|, ends on the labelled branch
     rb = registry["Rb87"]
     for two_f in range(1, 10):
         f = Fraction(two_f, 2)
-        for two_m in range(-two_f, two_f + 1, 2):
-            state = C.SpinState(rb, f, Fraction(two_m, 2), Fraction(1, 2))
-            for delta0 in (-3.0 * KHZ, +3.0 * KHZ):
-                expected = -state.m_F * int(math.copysign(1, delta0))
-                assert rf.adiabatic_branch(state, delta0, ratio * abs(delta0)) == expected
+        for delta0 in (-1.0, +1.0):
+            for m_f, branch in _followed_branches(float(f), delta0, ratio).items():
+                state = C.SpinState(rb, f, Fraction(m_f), Fraction(1, 2))
+                label = rf.adiabatic_branch(state, delta0 * 3.0 * KHZ)
+                assert label == -state.m_F * int(delta0)
+                assert float(label) == pytest.approx(branch, abs=1e-9)
 
 
 def test_adiabatic_branch_at_resonance_is_bare_label(registry):
     # with no detuning the bare m_F labels the branch, whatever the coupling
     for m_f in range(-2, 3):
         state = registry.state("Rb87", 2, m_f)
-        for rabi0 in (0.0, 1.0 * KHZ, 70.0 * KHZ):
-            assert rf.adiabatic_branch(state, 0.0, rabi0) == Fraction(m_f)
+        assert rf.adiabatic_branch(state, 0.0) == Fraction(m_f)
 
 
 # -- dressed potentials --------------------------------------------------------------------

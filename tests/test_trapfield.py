@@ -1333,18 +1333,6 @@ def test_ip_fit_warns_on_poor_profile():
 
 # -- geometry files ----------------------------------------------------------------------
 
-def test_geometry_roundtrip(tmp_path, z_trap):
-    model, seed = z_trap
-    path = tmp_path / "geom.json"
-    tf.save_geometry(path, model, seed=seed, description="roundtrip")
-    loaded, seed2 = tf.load_geometry(path)
-    assert len(loaded.segments) == len(model.segments)
-    assert np.allclose(seed2, seed)
-    assert np.allclose(loaded.bias, model.bias)
-    pt = seed + np.array([1e-5, -2e-5, 3e-5])
-    assert np.allclose(loaded.field(pt), model.field(pt), rtol=1e-12)
-
-
 def test_gravity_term(k92):
     model = tf.FieldModel(bias=(0.0, 1.0 * C.GAUSS, 0.0), gravity=(0.0, 0.0, -C.G_EARTH))
     r = np.array([0.0, 0.0, 1e-3])
