@@ -1,22 +1,25 @@
 """Fit a shipped Chebyshev table of f_n(e^x) on 0 <= x <= 36 against mpmath,
 for a half-integer order n = 1/2, 3/2 or 5/2.
 
-    python scripts/fit_fermi_table.py --order 1.5            # rewrite the table module
+    python scripts/fit_fermi_table.py --order 1.5            # rewrite that order's table
     python scripts/fit_fermi_table.py --order 1.5 --check    # only compare the shipped table
 
 Each piece of width 0.5 holds the degree-11 Chebyshev interpolant of
 f_n(e^x) = -Li_n(-e^x) through the 12 first-kind nodes of the piece, with the
 values and the coefficients computed in 40-digit mpmath and rounded to double
-once.  The module written, `src/fermichip/_fermi{2n}2_table.py` (so
-`_fermi32_table.py` for n = 3/2), is what `fermichip.polylog` evaluates for
-1 < z < e^36.  Both modes end by printing the largest relative error of that
-module's table, as `polylog` evaluates it, against mpmath at 4000 seeded
+once.  The tables of all three orders live in one file,
+`src/fermichip/data/fermi_tables.json`, which `fermichip.polylog` loads and
+evaluates for 1 < z < e^36; writing one order leaves the others as they are.
+Floats are written as their shortest repr, so they read back bit for bit.
+Both modes end by printing the largest relative error of the shipped table
+of that order, as `polylog` evaluates it, against mpmath at 4000 seeded
 points, which takes most of the two minutes either mode runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -28,10 +31,11 @@ ROOT = Path(__file__).resolve().parents[1]
 ORDERS = (0.5, 1.5, 2.5)
 LO, HI, WIDTH, NODES = 0.0, 36.0, 0.5, 12
 DPS = 40
-
-
-def target(order: float) -> Path:
-    return ROOT / "src" / "fermichip" / f"_fermi{round(2 * order)}2_table.py"
+TARGET = ROOT / "src" / "fermichip" / "data" / "fermi_tables.json"
+NOTE = ("Chebyshev coefficients of f_n(e^x) = -Li_n(-e^x) on 0 <= x <= 36 for each "
+        "half-integer order n, written by scripts/fit_fermi_table.py from 40-digit mpmath "
+        "values; do not edit. Row k of coef covers lo + k width <= x <= lo + (k + 1) width "
+        "and holds the coefficients of T_0 .. T_11 in t = 2 (x - lo - k width) / width - 1.")
 
 
 def fermi(order: float, x) -> mpmath.mpf:
@@ -49,25 +53,14 @@ def piece_coefficients(order: float, a: float) -> list[float]:
     return [float(c) for c in coef]
 
 
-def render(order: float, rows: list[list[float]]) -> str:
-    name = f"{round(2 * order)}/2"
-    lines = [
-        f'"""Chebyshev coefficients of f_{name}(e^x) on 0 <= x <= 36, written by',
-        f"scripts/fit_fermi_table.py --order {order} from 40-digit mpmath values; do",
-        "not edit.",
-        "",
-        "Row k covers LO + k WIDTH <= x <= LO + (k + 1) WIDTH and holds the",
-        "coefficients of T_0 .. T_11 in t = 2 (x - LO - k WIDTH) / WIDTH - 1.",
-        '"""',
-        "",
-        f"LO = {LO!r}",
-        f"WIDTH = {WIDTH!r}",
-        "COEF = (",
-    ]
-    for row in rows:
-        lines.append("    (" + ", ".join(repr(c) for c in row) + "),")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+def render(coef: dict[float, list[list[float]]]) -> str:
+    """The table file: NOTE, then per order its lo, width and one row of
+    coefficients per line."""
+    orders = ",\n".join(
+        f'    "{order}": {{\n      "lo": {LO!r},\n      "width": {WIDTH!r},\n      "coef": [\n'
+        + ",\n".join("        " + json.dumps(row) for row in rows) + "\n      ]\n    }"
+        for order, rows in coef.items())
+    return '{\n  "note": ' + json.dumps(NOTE) + ',\n  "orders": {\n' + orders + "\n  }\n}\n"
 
 
 def max_error(order: float, points: int = 4000, seed: int = 32) -> float:
@@ -89,9 +82,12 @@ def main() -> int:
     if not args.check:
         pieces = round((HI - LO) / WIDTH)
         rows = [piece_coefficients(args.order, LO + k * WIDTH) for k in range(pieces)]
-        path = target(args.order)
-        path.write_text(render(args.order, rows))
-        print(f"wrote {pieces} pieces x {NODES} coefficients to {path.relative_to(ROOT)}")
+        shipped = json.loads(TARGET.read_text())["orders"] if TARGET.exists() else {}
+        coef = {n: rows if n == args.order else shipped[str(n)]["coef"]
+                for n in ORDERS if n == args.order or str(n) in shipped}
+        TARGET.write_text(render(coef))
+        print(f"wrote {pieces} pieces x {NODES} coefficients of order {args.order} "
+              f"to {TARGET.relative_to(ROOT)}")
     print(f"max relative error against mpmath: {max_error(args.order):.3g}")
     return 0
 

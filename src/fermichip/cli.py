@@ -6,16 +6,21 @@ configuration or arguments, 3 numerical failure: any `constants.NumericalError`
 JSON artifacts are written deterministically (sorted keys, floats at 17
 significant digits) so identical configurations produce byte-identical output.
 
-Every command is a fresh process, so this module imports only argparse, numpy
-and `constants` at the top; each `cmd_*` imports the modules it uses.
+Every command is a fresh process, so this module imports only the standard
+library and `constants` at the top; each `cmd_*` imports the modules it uses,
+numpy included.  `evap`, `run` with an `evap` config and `--help` compute in
+`math` alone and never start numpy, which would be about half of their time.
+Where a command's exception types or a JSON value may be numpy's, the types
+are looked up in `sys.modules` (`_numpy_types`): without numpy loaded there is
+no such value to match.
 
 No command gives BLAS any work worth a thread pool (its linear algebra is 3x3
-and 6x6), so when this module is what first imports numpy, and none of
+and 6x6), so when this module is imported before numpy, and none of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS has a value, it sets
-OPENBLAS_NUM_THREADS=1 first: a command runs on one OS thread instead of
-starting one idle OpenBLAS worker per core.  Set any of the three to choose
-another count.  A process that imported numpy before this module keeps its
-environment and its pool.
+OPENBLAS_NUM_THREADS=1 for the numpy a command starts: the command runs on one
+OS thread instead of starting one idle OpenBLAS worker per core.  Set any of
+the three to choose another count.  A process that imported numpy before this
+module keeps its environment and its pool.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -33,8 +39,6 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_T
 if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS_THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
 from . import constants as C
 
 if TYPE_CHECKING:
@@ -44,6 +48,14 @@ EXIT_OK = 0
 EXIT_BENCH_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+def _numpy_types(*names: str) -> tuple:
+    """The numpy attributes `names` (e.g. "ndarray", "linalg.LinAlgError"), or
+    () when numpy is not loaded: no numpy value or exception exists then, so a
+    type check against them needs no numpy import."""
+    np = sys.modules.get("numpy")
+    return tuple(operator.attrgetter(name)(np) for name in names) if np else ()
 
 
 # -- deterministic JSON ----------------------------------------------------------
@@ -58,8 +70,8 @@ def _json_fmt(obj, indent=0):
             for k, v in sorted(obj.items())
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
+    if isinstance(obj, (list, tuple, *_numpy_types("ndarray"))):
+        seq = list(obj) if isinstance(obj, (list, tuple)) else obj.tolist()
         if not seq:
             return "[]"
         items = [f"{pad}  {_json_fmt(v, indent + 1)}" for v in seq]
@@ -68,12 +80,12 @@ def _json_fmt(obj, indent=0):
         return "true" if obj else "false"
     if isinstance(obj, Fraction):
         return json.dumps(str(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (float, *_numpy_types("floating"))):
         x = float(obj)
         if not math.isfinite(x):
             return json.dumps(str(x))
         return format(x, ".17g")
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, (int, *_numpy_types("integer"))):
         return str(int(obj))
     if obj is None:
         return "null"
@@ -151,6 +163,8 @@ def _trap_from_args(args) -> thermo.HarmonicTrap:
 # -- thermo ----------------------------------------------------------------------
 
 def cmd_thermo(args) -> int:
+    import numpy as np
+
     from . import thermo
 
     _require_positive(("--scan-min", args.scan_min), ("--scan-max", args.scan_max),
@@ -205,6 +219,8 @@ def _gas_from_args(args) -> thermo.TrappedGasState:
 
 
 def cmd_density(args) -> int:
+    import numpy as np
+
     from . import density
 
     _require_positive(("--extent-um", args.extent_um), ("--points", args.points))
@@ -242,6 +258,8 @@ def cmd_tof(args) -> int:
 # -- trap -------------------------------------------------------------------------
 
 def cmd_trap(args) -> int:
+    import numpy as np
+
     from . import trapfield
 
     model, seed = _resolve_geometry(args.geometry)
@@ -312,6 +330,8 @@ def _dress_scan_report(scan: rfdress.DressedPotentialScan):
 
 
 def cmd_dress(args) -> int:
+    import numpy as np
+
     from . import rfdress, trapfield
 
     if args.preset:
@@ -622,7 +642,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except (C.NumericalError, np.linalg.LinAlgError) as exc:
+    # an except clause's types are evaluated only once something is raised
+    except (C.NumericalError, *_numpy_types("linalg.LinAlgError")) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, FileNotFoundError) as exc:

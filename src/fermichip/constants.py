@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 
 # 2019 SI exact values where applicable, CODATA 2018 otherwise.
 H_PLANCK = 6.62607015e-34
@@ -44,6 +42,8 @@ class NumericalError(RuntimeError):
 def write_csv(path, header, columns) -> None:
     """Write the header row, then row i of each column (to 17 significant
     digits), so the values read back bit for bit."""
+    import numpy as np  # the light commands import this module but write no CSV
+
     columns = [np.asarray(c, dtype=float).tolist() for c in columns]
     line = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:

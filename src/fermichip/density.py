@@ -77,7 +77,10 @@ def density_finite_T(gas: TrappedGasState, r) -> float | np.ndarray:
     """In-trap density n(r) = Lambda^-3 f_3/2(Z e^(-beta U(r))), r shaped (..., 3)."""
     r = np.asarray(r, dtype=float)
     beta = 1.0 / (K_B * gas.temperature)
-    w = gas.fugacity * np.exp(-beta * _harmonic_potential(gas, r))
+    # where U(r) overflows to inf this is the zero-density limit, like
+    # thermo.occupation, without a warning
+    with np.errstate(over="ignore"):
+        w = gas.fugacity * np.exp(-beta * _harmonic_potential(gas, r))
     out = gas.thermal_wavelength**-3 * _fermi_safe(1.5, w)
     return float(out) if out.ndim == 0 else out
 
@@ -87,7 +90,8 @@ def density_zero_T(gas: TrappedGasState, r) -> float | np.ndarray:
     r = np.asarray(r, dtype=float)
     tf = ThomasFermiExtent.from_state(gas)
     radii = np.array([tf.x, tf.y, tf.z])
-    arg = 1.0 - np.sum((r / radii) ** 2, axis=-1)
+    with np.errstate(over="ignore"):  # an overflowed radius is outside the cloud
+        arg = 1.0 - np.sum((r / radii) ** 2, axis=-1)
     arg = np.maximum(arg, 0.0)
     out = 8.0 * gas.n_atoms / (np.pi**2 * tf.mean**3) * arg**1.5
     return float(out) if out.ndim == 0 else out
@@ -114,7 +118,8 @@ def column_density_fermi(gas: TrappedGasState, t: float, x, y) -> float | np.nda
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = gas.fugacity
-    w = z * np.exp(-0.5 * (x / rx) ** 2 - 0.5 * (y / ry) ** 2)
+    with np.errstate(over="ignore"):  # the zero-density limit where x/rx or y/ry overflows
+        w = z * np.exp(-0.5 * (x / rx) ** 2 - 0.5 * (y / ry) ** 2)
     out = gas.n_atoms / (2.0 * np.pi * rx * ry * fermi_fn(3.0, z)) * _fermi_safe(2.0, w)
     return float(out) if out.ndim == 0 else out
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .constants import (GAUSS_PER_CM, GAUSS_PER_CM2, HBAR, K_B, MU_B, AtomSpecies,
                         builtin_species, thermal_wavelength)
 
@@ -141,6 +139,8 @@ class CurrentScalingFamily:
 
 def current_scaling_exponent(family: CurrentScalingFamily) -> float:
     """Log-log slope of N_max(I) over a decade of wire current, 0.3 A to 3 A."""
+    import numpy as np  # the only numpy in this module; `evap` runs without it
+
     currents = np.geomspace(0.3, 3.0, 15)
     n = np.array([family.n_max(i) for i in currents])
     return float(np.polyfit(np.log(currents), np.log(n), 1)[0])

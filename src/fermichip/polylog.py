@@ -12,7 +12,8 @@ fermi_fn is evaluated in these regimes, with x = ln z:
   z > 1, integer n         f_n(e^x) = P_n(x) - (-1)^n f_n(e^-x), exact, with P_n
                            the terminating Sommerfeld polynomial;
   1 < z < e^36, n = 1/2,   a shipped piecewise Chebyshev table in x per order,
-  3/2, 5/2                 fitted against mpmath by scripts/fit_fermi_table.py;
+  3/2, 5/2                 fitted against mpmath by scripts/fit_fermi_table.py
+                           and read from data/fermi_tables.json at import;
   z >= e^36, n = 1/2,      Sommerfeld asymptotic expansion through the eta(24)
   3/2, 5/2                 term.
 
@@ -39,13 +40,13 @@ half-integers, and zeta at the even integers is exact, from Bernoulli numbers.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-
-from . import _fermi12_table, _fermi32_table, _fermi52_table
 
 __all__ = [
     "fermi_fn",
@@ -62,10 +63,12 @@ _SERIES_TERMS = 24
 _GAUSS_STEP = 0.1
 
 # f_n(e^x) for 0 <= x <= SOMMERFELD_CUT_LOG and each half-integer order:
-# (lower end, piece width, one row of Chebyshev coefficients per piece)
+# (lower end, piece width, one row of Chebyshev coefficients per piece), read
+# from the data file that scripts/fit_fermi_table.py writes
 _TABLES = {
-    n: (m.LO, m.WIDTH, np.array(m.COEF))
-    for n, m in ((0.5, _fermi12_table), (1.5, _fermi32_table), (2.5, _fermi52_table))
+    float(n): (t["lo"], t["width"], np.array(t["coef"]))
+    for n, t in json.loads(
+        (Path(__file__).parent / "data" / "fermi_tables.json").read_text())["orders"].items()
 }
 _MAX_EXACT_ORDER = 24
 
@@ -141,7 +144,15 @@ _CRVZ_WEIGHTS = _crvz_weights(_SERIES_TERMS)
 def _power_series(coeff: tuple[float, ...] | np.ndarray,
                   w: float | np.ndarray) -> float | np.ndarray:
     """sum_j coeff[j-1] w^j by Horner's rule, smallest terms first: elementwise,
-    so a value does not depend on the batch (a BLAS product's rounding does)."""
+    so a value does not depend on the batch (a BLAS product's rounding does).
+    An array is updated in place, which rounds the same as the float path."""
+    if isinstance(w, np.ndarray):
+        acc = np.zeros_like(w)
+        for c in coeff[::-1]:
+            acc *= w
+            acc += c
+        acc *= w
+        return acc
     acc = 0.0
     for c in coeff[::-1]:
         acc = acc * w + c

@@ -45,6 +45,11 @@ __all__ = [
 
 _SOLVE_MAXITER = 100
 _SOLVE_YTOL = 1e-8
+# ln 1e-300, the classical end of the fugacity bracket, and the largest t
+# whose root it holds: on the classical side Z exceeds t^-3/6, which is 1e-300
+# at _T_MAX
+_LN_Z_MIN = math.log(1e-300)
+_T_MAX = 6e-300 ** (-1.0 / 3.0)
 
 
 class FugacityError(NumericalError):
@@ -135,8 +140,13 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     ts = t.ravel()
-    if not np.all((ts > 0.0) & (ts < math.inf)):
-        raise ValueError("reduced temperature must be positive and finite")
+    if not np.all((ts > 0.0) & (ts <= _T_MAX)):
+        if not np.all((ts > 0.0) & (ts < math.inf)):
+            raise ValueError("reduced temperature must be positive and finite")
+        raise ValueError(
+            f"t = {ts.max()} too deep in the classical regime: the fugacity "
+            "falls below 1e-300 (need t < ~5e99)"
+        )
     if np.any(1.0 / ts > 700.0):
         raise ValueError(
             f"t = {ts.min()} too deep in the degenerate regime: the fugacity "
@@ -146,7 +156,7 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
     # picks the side; f_3(e^y) > y^3/6 keeps ln Z below 1/t, capped for exp()
     cube = ts**-3
     classical = 6.0 * _f3_at_unit_fugacity() >= cube
-    lo = np.where(classical, math.log(1e-300), 0.0)
+    lo = np.where(classical, _LN_Z_MIN, 0.0)
     hi = np.where(classical, 0.0, np.minimum(3.0 / ts + 1.0, 708.0))
     ln_target = -3.0 * np.log(ts) - math.log(6.0)
     # z = u + u^2/8 - 5 u^3/864 inverts the series to third order in u = t^-3/6,

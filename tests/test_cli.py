@@ -128,6 +128,22 @@ def test_thermo_non_finite_input_is_config_error(tmp_path, capsys, swap, message
     assert err.startswith("configuration error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--t-over-tf", "1e100"], ["--scan-out", "scan.csv", "--scan-max", "1e120"]],
+    ids=["t-over-tf", "scan-max"],
+)
+def test_thermo_classical_limit_is_config_error(tmp_path, capsys, flags):
+    # past t ~ 5e99 the fugacity falls below the 1e-300 end of the solver's
+    # bracket: an input out of range, not a failed root find
+    argv = THERMO_ARGS + ["--out", tmp_path / "r.json"]
+    argv += [tmp_path / f if f.endswith(".csv") else f for f in flags]
+    assert run(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "classical regime" in err
+    assert err.count("\n") == 1
+
+
 def test_thermo_missing_trap_is_config_error(tmp_path):
     code = run(["thermo", "--species", "K40", "--n-atoms", "4e4", "--t-over-tf", "0.2"])
     assert code == cli.EXIT_CONFIG
@@ -156,6 +172,25 @@ def test_density_profile_csv(tmp_path):
 
 
 GAS_ARGS = ["--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "315", "--t-over-tf", "0.2"]
+
+
+@pytest.mark.parametrize("zero_t", [False, True], ids=["finite-t", "zero-t"])
+def test_density_far_out_is_zero(tmp_path, zero_t):
+    # U(r) overflows to inf at the ends of the axis: the zero-density limit,
+    # without an overflow warning (an error under this suite's filter)
+    out = tmp_path / "profile.csv"
+    argv = ["density", *GAS_ARGS, "--extent-um", "1e200", "--points", "5", "--out", out]
+    assert run(argv + ["--zero-t"] * zero_t) == 0
+    values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert values[0] == values[-1] == 0.0 and values[2] > 0.0
+
+
+def test_tof_far_out_is_zero(tmp_path):
+    out = tmp_path / "img.raster"
+    argv = ["tof", *GAS_ARGS, "--pitch-um", "1e156", "--nx", "5", "--ny", "5", "--out", out]
+    assert run(argv) == 0
+    values, _ = read_raster(out)
+    assert values[2, 2] > 0.0 and np.count_nonzero(values) == 1
 
 
 @pytest.mark.parametrize(
@@ -682,6 +717,32 @@ def test_json_format_17_digits(tmp_path):
     assert '"n": null' in text
 
 
+def test_json_format_numpy_values():
+    doc = {"a": np.array([[0.5, 1.0]]), "e": np.array([]), "f": np.float32(0.1),
+           "g": np.float64(2.0), "i": np.int64(-3), "n": np.float64("nan")}
+    assert cli._json_fmt(doc) == (
+        '{\n  "a": [\n    [\n      0.5,\n      1\n    ]\n  ],\n  "e": [],\n'
+        '  "f": 0.10000000149011612,\n  "g": 2,\n  "i": -3,\n  "n": "nan"\n}')
+
+
+# -- exit codes ---------------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "exc,code,prefix",
+    [(np.linalg.LinAlgError("Singular matrix"), cli.EXIT_NUMERICAL, "numerical failure: "),
+     (ValueError("bad value"), cli.EXIT_CONFIG, "configuration error: ")],
+    ids=["linalg", "value"],
+)
+def test_command_exception_maps_to_exit_code(capsys, monkeypatch, exc, code, prefix):
+    # main matches numpy's LinAlgError without importing numpy itself
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_evap", fail)
+    assert run(["evap", "--preset", "ioffe-c"]) == code
+    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
+
 # -- numeric flags, property test ---------------------------------------------------------------
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
@@ -727,15 +788,18 @@ def numeric_flags(draw, command):
                 "extent_um": value("extent_um", 0.1, 50.0), "points": count(48)}
     flags = {"species": draw(st.sampled_from(["K40", "Rb87"])),
              "n_atoms": value("n_atoms", 1.0, 1e7), "fbar_hz": value("fbar_hz", 1.0, 1e4),
-             "t_over_tf": value("t_over_tf", 1e-3, 30.0)}
+             "t_over_tf": value("t_over_tf", 1e-3, 1e120)}
+    # T/T_F past ~5e99 is out of range (exit 2); a potential that overflows
+    # far out, past an extent of ~1e156 um or a pitch of ~1e150 um, is zero
+    # density
     if command == "thermo":
         flags.update(scan_min=value("scan_min", 1e-3, 1.0),
-                     scan_max=value("scan_max", 0.5, 30.0), scan_points=count(8))
+                     scan_max=value("scan_max", 0.5, 1e120), scan_points=count(8))
     elif command == "density":
-        flags.update(extent_um=value("extent_um", 0.1, 1e3), points=count(40),
+        flags.update(extent_um=value("extent_um", 0.1, 1e250), points=count(40),
                      zero_t=draw(st.booleans()))
     else:
-        flags.update(time_ms=value("time_ms", 1e-3, 100.0), pitch_um=value("pitch_um", 0.1, 100.0),
+        flags.update(time_ms=value("time_ms", 1e-3, 100.0), pitch_um=value("pitch_um", 0.1, 1e200),
                      noise_frac=value("noise_frac", 1e-4, 1.0), nx=count(24), ny=count(24),
                      seed=draw(st.integers(0, 9)))
     return flags

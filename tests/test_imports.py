@@ -1,7 +1,8 @@
 """Import hygiene: a bare package import and the light CLI commands stay off
-mpmath and the Fermi-function modules, no command loads any scipy module, and
-the CLI starts numpy without an OpenBLAS thread pool unless the user asks for
-one, so each fresh process starts fast."""
+mpmath and the Fermi-function modules, `evap`, `run` with an `evap` config and
+`--help` never start numpy, no command loads any scipy module, and a command
+starts numpy without an OpenBLAS thread pool unless the user asks for one, so
+each fresh process starts fast."""
 
 import json
 import os
@@ -59,6 +60,10 @@ def test_unknown_attribute_raises():
         fermichip.no_such_module  # noqa: B018
 
 
+# the commands that compute in `math` alone
+NUMPY_FREE = ("evap", "run", "--help")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -66,17 +71,38 @@ def test_unknown_attribute_raises():
         ["dress", "--preset", "rb-doublewell", "--points", "512", "--out-prefix", "dw"],
         ["evap", "--preset", "toronto-z", "--out", "evap.json"],
         ["run", "--config", "cfg.json"],
+        ["--help"],
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: argv[0].lstrip("-"),
 )
 def test_light_commands_skip_heavy_modules(tmp_path, argv):
     (tmp_path / "cfg.json").write_text(
         json.dumps({"command": "evap", "params": {"preset": "ioffe-c", "out": "run.json"}})
     )
-    code = f"from fermichip import cli\nassert cli.main({argv!r}) == 0"
+    code = f"""from fermichip import cli
+try:
+    assert cli.main({argv!r}) == 0
+except SystemExit as exc:  # --help
+    assert exc.code == 0"""
     loaded = set(_loaded_after(code, tmp_path))
     assert [m for m in HEAVY if m in loaded] == []
     assert _scipy(loaded) == []
+    assert ("numpy" in loaded) == (argv[0] not in NUMPY_FREE)
+
+
+def test_evap_presets_and_bad_input_skip_numpy(tmp_path):
+    # every preset, and a bad value, which exits 2 through the same except
+    # clause that maps numpy's LinAlgError to 3
+    code = """import contextlib, io
+from fermichip import cli, evaporation
+for name in evaporation.LOADING_PRESETS:
+    assert cli.main(["evap", "--preset", name, "--out", name + ".json"]) == 0
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    assert cli.main(["evap", "--preset", "ioffe-c", "--rho0=-1"]) == cli.EXIT_CONFIG
+assert err.getvalue().startswith("configuration error: --rho0")"""
+    loaded = set(_loaded_after(code, tmp_path))
+    assert "fermichip.evaporation" in loaded and "numpy" not in loaded
+    assert len(list(tmp_path.glob("*.json"))) == 4
 
 
 def test_polylog_import_skips_quadrature(tmp_path):
@@ -160,8 +186,12 @@ needs_threads = pytest.mark.skipif(
     reason="counts OpenBLAS threads through /proc on two or more cores",
 )
 
-RUN_MODULE = """import runpy, sys
-sys.argv = ["fermichip", "evap", "--preset", "ioffe-c", "--out", "evap.json"]
+# `trap` is a command that starts numpy
+TRAP = ["trap", "--geometry", "toronto-z-trap", "--out", "trap.json"]
+IMPORT = f"""import fermichip.cli
+assert fermichip.cli.main({TRAP!r}) == 0"""
+RUN_MODULE = f"""import runpy, sys
+sys.argv = ["fermichip", *{TRAP!r}]
 try:
     runpy.run_module("fermichip.cli", run_name="__main__")
 except SystemExit as exc:
@@ -169,10 +199,10 @@ except SystemExit as exc:
 
 
 @needs_threads
-@pytest.mark.parametrize("code", ["import fermichip.cli", RUN_MODULE], ids=["import", "main"])
+@pytest.mark.parametrize("code", [IMPORT, RUN_MODULE], ids=["import", "main"])
 def test_cli_starts_numpy_on_one_thread(tmp_path, code):
-    # the CLI, as `import fermichip.cli` (the console script) or as
-    # `python -m fermichip.cli`, starts numpy without the idle OpenBLAS pool
+    # a command of the CLI, through `import fermichip.cli` (the console script)
+    # or as `python -m fermichip.cli`, starts numpy without the idle OpenBLAS pool
     threads, environ = _threads_after(code, tmp_path)
     assert threads == 1
     assert environ["OPENBLAS_NUM_THREADS"] == "1"
@@ -181,7 +211,7 @@ def test_cli_starts_numpy_on_one_thread(tmp_path, code):
 @needs_threads
 @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_cli_honours_a_thread_count_set_by_the_user(tmp_path, variable):
-    threads, environ = _threads_after("import fermichip.cli", tmp_path, **{variable: "2"})
+    threads, environ = _threads_after(IMPORT, tmp_path, **{variable: "2"})
     assert threads == 2
     assert {k: environ.get(k) for k in cli._BLAS_THREAD_VARIABLES} == {
         k: "2" if k == variable else None for k in cli._BLAS_THREAD_VARIABLES

@@ -179,7 +179,8 @@ def test_fugacity_monotone_decreasing():
     assert np.max(np.abs(np.log(6.0 * fermi_fn(3.0, z) * t**3))) <= 1e-14
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, 0.001], ids=["zero", "negative", "too-deep"])
+@pytest.mark.parametrize("bad", [0.0, -0.5, 0.001, 1e100],
+                         ids=["zero", "negative", "too-deep", "too-classical"])
 def test_fugacity_rejects_out_of_domain_array(bad):
     with pytest.raises(ValueError):
         thermo.fugacity_from_reduced_temperature(np.array([0.5, bad, 2.0]))
