@@ -145,18 +145,14 @@ def _power_series(coeff: tuple[float, ...] | np.ndarray,
                   w: float | np.ndarray) -> float | np.ndarray:
     """sum_j coeff[j-1] w^j by Horner's rule, smallest terms first: elementwise,
     so a value does not depend on the batch (a BLAS product's rounding does).
-    An array is updated in place, which rounds the same as the float path."""
-    if isinstance(w, np.ndarray):
-        acc = np.zeros_like(w)
-        for c in coeff[::-1]:
-            acc *= w
-            acc += c
-        acc *= w
-        return acc
+    On an array the first product allocates the accumulator and every later
+    step runs in place, which rounds the same as the float path."""
     acc = 0.0
     for c in coeff[::-1]:
-        acc = acc * w + c
-    return acc * w
+        acc *= w
+        acc += c
+    acc *= w
+    return acc
 
 
 @lru_cache(maxsize=64)

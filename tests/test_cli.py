@@ -761,13 +761,16 @@ NUMERIC_FLAGS = {
 @st.composite
 def numeric_flags(draw, command):
     """The flags of `command`: up to two of its float flags take an edge value
-    (nan, +-inf, 0 or -1), the others an ordinary one, log-uniform in a range;
+    (nan, +-inf, 0 or -1), the others an ordinary one, log-uniform in a range,
+    or for a flag with a far range, one draw in four log-uniform in that;
     counts come only from small ranges."""
     edged = draw(st.sets(st.sampled_from(NUMERIC_FLAGS[command]), max_size=2))
 
-    def value(name, lo, hi):
+    def value(name, lo, hi, far=None):
         if name in edged:
             return draw(st.sampled_from(EDGE_VALUES))
+        if far is not None and draw(st.integers(0, 3)) == 3:
+            lo, hi = far
         return draw(st.floats(math.log(lo), math.log(hi)).map(math.exp))
 
     def count(hi):
@@ -788,18 +791,20 @@ def numeric_flags(draw, command):
                 "extent_um": value("extent_um", 0.1, 50.0), "points": count(48)}
     flags = {"species": draw(st.sampled_from(["K40", "Rb87"])),
              "n_atoms": value("n_atoms", 1.0, 1e7), "fbar_hz": value("fbar_hz", 1.0, 1e4),
-             "t_over_tf": value("t_over_tf", 1e-3, 1e120)}
-    # T/T_F past ~5e99 is out of range (exit 2); a potential that overflows
-    # far out, past an extent of ~1e156 um or a pitch of ~1e150 um, is zero
-    # density
+             "t_over_tf": value("t_over_tf", 1e-3, 30.0, far=(1e30, 1e120))}
+    # the far ranges straddle the limits: T/T_F past ~5e99 is out of range
+    # (exit 2); a potential that overflows far out, past an extent of ~1e156 um
+    # or a pitch of ~1e150 um, is zero density
     if command == "thermo":
         flags.update(scan_min=value("scan_min", 1e-3, 1.0),
-                     scan_max=value("scan_max", 0.5, 1e120), scan_points=count(8))
+                     scan_max=value("scan_max", 0.5, 30.0, far=(1e30, 1e120)),
+                     scan_points=count(8))
     elif command == "density":
-        flags.update(extent_um=value("extent_um", 0.1, 1e250), points=count(40),
-                     zero_t=draw(st.booleans()))
+        flags.update(extent_um=value("extent_um", 0.1, 1e3, far=(1e30, 1e250)),
+                     points=count(40), zero_t=draw(st.booleans()))
     else:
-        flags.update(time_ms=value("time_ms", 1e-3, 100.0), pitch_um=value("pitch_um", 0.1, 1e200),
+        flags.update(time_ms=value("time_ms", 1e-3, 100.0),
+                     pitch_um=value("pitch_um", 0.1, 100.0, far=(1e30, 1e200)),
                      noise_frac=value("noise_frac", 1e-4, 1.0), nx=count(24), ny=count(24),
                      seed=draw(st.integers(0, 9)))
     return flags
