@@ -165,7 +165,10 @@ def dressed_potential(
     axis = axis / np.linalg.norm(axis)
     s = np.linspace(-half_range, half_range, npoints)
     pts = center[None, :] + s[:, None] * axis[None, :]
-    b_vec = model.field(pts)
+    # past ~1e154 m from the wires their squared distances overflow; the wire
+    # terms there are exactly 0 and B is the bias
+    with np.errstate(over="ignore"):
+        b_vec = model.field(pts)
     delta, rabi = _detuning_and_rabi(b_vec, rf, state)
 
     b_dc_min = float(np.min(np.linalg.norm(b_vec, axis=-1)))

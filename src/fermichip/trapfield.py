@@ -279,7 +279,7 @@ class FieldModel(_KernelField):
 
     gravity: acceleration vector (m/s^2) or None (off, the default).
     chip_plane: (normal, offset) such that points with normal . r > offset lie
-    beyond the chip surface (escape rays are truncated there).
+    beyond the chip surface (escape rays end where they first cross it).
     """
 
     segments: tuple[WireSegment, ...] = ()
@@ -598,6 +598,17 @@ _BLOCKED = {
 }
 
 
+def _start_point(model, r, search, point):
+    """r as an array of 3 finite coordinates on the near side of the chip
+    plane, or ValueError naming the search and its starting point."""
+    r = np.array(r, dtype=float)
+    if r.shape != (3,) or not np.isfinite(r).all():
+        raise ValueError(f"the {search} search needs a {point} of 3 finite coordinates (m), got {r}")
+    if model.beyond_chip(r):
+        raise ValueError(f"the {search} search {point} {r} m lies beyond the chip surface")
+    return r
+
+
 def find_minimum(model, seed, grad_tol: float = 1e-10) -> TrapMinimum:
     """Locate a local minimum of |B| near `seed`.
 
@@ -630,12 +641,7 @@ def find_minimum(model, seed, grad_tol: float = 1e-10) -> TrapMinimum:
     SaddlePointError if the Hessian of |B| is indefinite and NotATrapError if
     the field is uniform.
     """
-    seed = np.array(seed, dtype=float)
-    if seed.shape != (3,) or not np.isfinite(seed).all():
-        raise ValueError(f"the minimum search needs a seed of 3 finite coordinates (m), got {seed}")
-    if model.beyond_chip(seed):
-        raise ValueError(f"the minimum search seed {seed} m lies beyond the chip surface")
-    x, b, jac, hess, blocked = _newton(model, seed)
+    x, b, jac, hess, blocked = _newton(model, _start_point(model, seed, "minimum", "seed"))
     b0 = float(np.linalg.norm(b))
     zero = b0 < _ZERO_FIELD_TOL
     if zero:
@@ -696,12 +702,11 @@ class TrapDepthReport:
     depth: float                      # J
     temperature_equiv: float          # depth / k_B, K
     escape_direction: np.ndarray
-    excluded_directions: list         # rays still rising at truncation
 
 
-# the batches of a refinement fan (see trap_depth): the samples within
-# _CREST_HALF_WIDTH of the weakest ray's crest, every _COARSE_STRIDE-th, the
-# rest; the grid's first batch takes every _COARSE_STRIDE-th sample too
+# the first batches of a refinement fan (see trap_depth): the samples within
+# _CREST_HALF_WIDTH of the weakest ray's crest, then every _COARSE_STRIDE-th;
+# the grid's one first batch is every _COARSE_STRIDE-th sample
 _CREST_HALF_WIDTH = 16
 _COARSE_STRIDE = 8
 # a ray of n samples is still rising when its maximum is one of its last two
@@ -711,24 +716,29 @@ _TAIL_START = 0.8
 _TAIL_RISE = 0.05
 
 
-def _ray_points(model, r0, directions, s):
-    """The points r0 + s d of each ray (rays, samples, 3) and the mask of those
-    kept: the samples on the near side of the chip plane, and none of a ray the
-    plane truncates within 8 samples (no escape information that way)."""
-    pts = np.empty((len(directions), len(s), 3))
-    for k in range(3):
-        pts[:, :, k] = r0[k] + s * directions[:, k, None]
-    keep = ~model.beyond_chip(pts)
-    keep[keep.sum(axis=1) < 8] = False
-    return pts, keep
+def _ray_lengths(model, r0, directions, s):
+    """The number of samples r0 + s d of each ray before it first crosses the
+    chip plane, 0 for a ray the plane cuts within 8 samples (no escape
+    information that way).  r0 lies on the near side and s ascends, so
+    r0 . n + s (d . n) is monotone along a ray and its near samples are a
+    prefix."""
+    n = np.full(len(directions), len(s))
+    if model.chip_plane is not None:
+        normal, offset = model.chip_plane
+        normal = np.asarray(normal, dtype=float)
+        n = (~(r0 @ normal + s * (directions @ normal)[:, None] > offset)).sum(axis=1)
+    return np.where(n < 8, 0, n)
 
 
-def _fill_potential(model, state, pts, mask, u) -> None:
-    """Set u[mask] to the potential at pts[mask], inf where a point is within
-    the singularity guard of a wire, from one field_and_distance call."""
-    flat = pts[mask]
-    b, dist = model.field_and_distance(flat)
-    u[mask] = np.where(dist >= SINGULARITY_GUARD, _potential(model, state, flat, b), np.inf)
+def _fill_potential(model, state, r0, directions, s, u, mask) -> None:
+    """Set u[i, j] for each sample (i, j) in mask to the potential at
+    r0 + s[j] d[i], inf where that point is within the singularity guard of a
+    wire, from one field_and_distance call (none for an empty mask)."""
+    i, j = np.nonzero(mask)
+    if len(i):
+        pts = r0 + s[j, None] * directions[i]
+        b, dist = model.field_and_distance(pts)
+        u[i, j] = np.where(dist >= SINGULARITY_GUARD, _potential(model, state, pts, b), np.inf)
 
 
 def _finite(u) -> np.ndarray:
@@ -736,29 +746,25 @@ def _finite(u) -> np.ndarray:
     return np.where(np.isfinite(u), u, -np.inf)
 
 
-def _barriers(u, keep, u0):
-    """Barrier above u0 and whether the potential is still rising at
-    truncation, for each ray from its kept samples u[keep] in order.
+def _barriers(u, n, u0):
+    """Barrier above u0 and whether the potential is still rising at the
+    ray's end, for each ray from its samples u[:n], with -inf beyond them.
 
     A ray with no finite sample has barrier inf.  A ray that passes within the
     singularity guard of a wire (an inf sample) is never rising, and has the
     barrier of its highest finite sample if that is positive, else inf: the
     wire is a huge wall.  A ray is still rising when its maximum is one of its
     last two samples and its last fifth climbs by more than 5% of its barrier."""
-    n = keep.sum(axis=1)
-    v = np.take_along_axis(u, np.argsort(~keep, axis=1, kind="stable"), axis=1)
-    valid = np.arange(u.shape[1]) < n[:, None]
-    height = np.where(valid, _finite(v), -np.inf).max(axis=1)
+    height = _finite(u).max(axis=1)
     seen = height > -np.inf
     barrier = height - u0
-    wired = (valid & np.isinf(v)).any(axis=1)
+    wired = ((np.arange(u.shape[1]) < n[:, None]) & np.isinf(u)).any(axis=1)
     rising = np.zeros(len(n), dtype=bool)
     tested = np.flatnonzero(seen & ~wired)
     if len(tested):
-        vt, nt, rows = v[tested], n[tested], np.arange(len(tested))
-        tail_rise = vt[rows, nt - 1] - vt[rows, (_TAIL_START * nt).astype(int)]
-        top = np.where(valid[tested], vt, -np.inf).argmax(axis=1)
-        rising[tested] = (top >= nt - 2) & (
+        ut, nt, rows = u[tested], n[tested], np.arange(len(tested))
+        tail_rise = ut[rows, nt - 1] - ut[rows, (_TAIL_START * nt).astype(int)]
+        rising[tested] = (ut.argmax(axis=1) >= nt - 2) & (
             tail_rise > _TAIL_RISE * np.maximum(barrier[tested], 1e-300)
         )
     barrier[~seen | (wired & ~(barrier > 0))] = np.inf
@@ -772,72 +778,42 @@ def _weakest(barrier, rising, bound):
     return candidates[np.argmin(barrier[candidates])] if len(candidates) else None
 
 
-def _fill_lowest_first(model, state, pts, keep, u, u0, fill, candidates, bound):
-    """Each ray's barrier and whether it is still rising (_barriers), once
-    the kept samples of the rays that could be the first lowest below bound
-    are all filled in u, where -inf marks a sample not yet evaluated.
+def _search(model, state, r0, directions, s, u0, batches, bound):
+    """The first ray of lowest barrier below bound among the rays from r0
+    along `directions` that are not still rising (_barriers), as (its index,
+    its barrier, the index of its highest finite sample), or None.  Each ray
+    takes the samples s until it first crosses the chip plane (_ray_lengths).
 
-    The rays `fill` go first, with the candidate ray whose samples so far
-    peak lowest (first index on ties); then, in one more batch, the other
-    candidates whose highest sample so far lies below the weakest filled
-    barrier under bound, or equals it with a lower index.  A ray's highest
-    sample bounds its barrier from below, and a point's potential does not
-    depend on its batch, so a ray left out could not be the first lowest: it
-    gets barrier inf and is not rising."""
-    rows = np.arange(len(u))
+    The sample masks `batches` are evaluated first, in turn, and after each
+    a ray is dropped when its highest sample so far stands bound or more above
+    u0.  Then the surviving ray whose samples so far peak lowest (first index
+    on ties) is filled in, and in one more batch every other survivor whose
+    highest sample lies below the lowest barrier found under bound, or equals
+    it from a lower index.  A ray's highest sample bounds its barrier from
+    below, and a point's potential does not depend on its batch, so a ray
+    left out could not be the first lowest."""
+    n = _ray_lengths(model, r0, directions, s)
+    u = np.full((len(directions), len(s)), -np.inf)  # -inf: not evaluated
+    kept = np.arange(len(s)) < n[:, None]
+    alive = n > 0
+    for batch in batches:
+        _fill_potential(model, state, r0, directions, s, u, kept & alive[:, None] & batch)
+        alive &= ~(_finite(u).max(axis=1) - u0 >= bound)
     low = _finite(u).max(axis=1) - u0
+    rows = np.arange(len(u))
     barrier, rising = np.full(len(u), np.inf), np.zeros(len(u), dtype=bool)
-    fill = fill.copy()
-    if candidates.any():
-        fill[np.flatnonzero(candidates)[np.argmin(low[candidates])]] = True
+    fill, i = np.zeros(len(u), dtype=bool), None
+    if alive.any():
+        fill[np.flatnonzero(alive)[np.argmin(low[alive])]] = True
     done = fill.copy()
     while fill.any():  # twice at most: the bound only falls
-        _fill_potential(model, state, pts, keep & fill[:, None] & (u == -np.inf), u)
-        barrier[fill], rising[fill] = _barriers(u[fill], keep[fill], u0)
+        _fill_potential(model, state, r0, directions, s, u, kept & fill[:, None] & (u == -np.inf))
+        barrier[fill], rising[fill] = _barriers(u[fill], n[fill], u0)
         i = _weakest(barrier, rising, bound)
         lowest, first = (bound, -1) if i is None else (barrier[i], i)
-        fill = candidates & ~done & ((low < lowest) | ((low == lowest) & (rows < first)))
+        fill = alive & ~done & ((low < lowest) | ((low == lowest) & (rows < first)))
         done |= fill
-    return barrier, rising
-
-
-def _grid(model, state, r0, s, u0):
-    """The potential samples u (rays, samples) of the 26-ray grid, and each
-    ray's barrier and whether it is still rising, from at most three batches.
-
-    The first batch takes every _COARSE_STRIDE-th kept sample of each ray, its
-    last two and the one at 0.8 n that the rising test reads.  A ray is then
-    settled as not rising when an earlier sample reaches the larger of its
-    last two, or when its tail climbs by no more than 5% of that value above
-    u0; the others are filled in full, and with them the settled ray whose
-    samples so far peak lowest, then the settled rays that could still be the
-    first lowest (_fill_lowest_first).  A filled ray gets the barrier and
-    rising flag that all its samples give; one left unfilled gets barrier inf
-    and is not rising."""
-    pts, keep = _ray_points(model, r0, _RAY_DIRECTIONS, s)
-    u = np.full(keep.shape, -np.inf)
-    n = keep.sum(axis=1)
-    rank = np.cumsum(keep, axis=1) - 1
-    tail = (_TAIL_START * n).astype(int)
-    coarse = keep & (
-        (rank % _COARSE_STRIDE == 0) | (rank >= n[:, None] - 2) | (rank == tail[:, None])
-    )
-    if coarse.any():
-        _fill_potential(model, state, pts, coarse, u)
-
-    # a ray is still rising only if its maximum is one of its last two kept
-    # samples (v: each ray's kept samples moved to the front, as in _barriers)
-    v = np.take_along_axis(u, np.argsort(~keep, axis=1, kind="stable"), axis=1)
-    rows = np.arange(len(n))
-    top = np.maximum(v[rows, n - 2], v[rows, n - 1])
-    earlier = np.where(np.arange(len(s)) < n[:, None] - 2, v, -np.inf).max(axis=1)
-    with np.errstate(invalid="ignore"):  # inf - inf: a wired or empty ray, never rising
-        climbs = v[rows, n - 1] - v[rows, tail] > _TAIL_RISE * np.maximum(top - u0, 1e-300)
-    full = (n > 0) & ~(earlier >= top) & climbs
-    barrier, rising = _fill_lowest_first(
-        model, state, pts, keep, u, u0, full, (n > 0) & ~full, np.inf
-    )
-    return u, barrier, rising
+    return None if i is None else (i, float(barrier[i]), _finite(u[i]).argmax())
 
 
 def trap_depth(
@@ -849,23 +825,26 @@ def trap_depth(
 ) -> TrapDepthReport:
     """Lowest escape barrier: min over ray directions of (max U along ray - U(r0)).
 
-    26-direction grid plus angular refinement around the weakest ray.  Rays whose
-    potential is still rising at truncation have no barrier inside the search
-    range and are excluded (reported in the result).  The grid is evaluated
-    in at most three batches: every 8th sample of each ray with the samples
-    the rising test reads, then in full the rays that may still be rising and
-    the ray lowest so far, then the rays that could still be the first lowest
-    (branch and bound).  Each 49-ray refinement fan is evaluated in at most
-    four batches: the samples near the crest of the weakest ray so far, then
-    every 8th sample, each time dropping a ray whose highest sample already
-    stands at least the weakest barrier above U(r0); then the rest of the
-    surviving ray that peaks lowest, whose barrier, if lower, bounds the
-    others; then the rest of the rays that could still be the first lowest.
-    A ray's highest sample bounds its barrier from below, and a point's
-    potential does not depend on its batch, so the depth, escape direction
-    and excluded list are the ones every sample of every ray would give.
+    26-direction grid plus angular refinement around the weakest ray.  Each
+    ray takes _DEPTH_SAMPLES geometric steps out to ray_length and ends where
+    it first crosses the chip plane.  A ray whose potential is still rising
+    at its end has no barrier inside the search range and never sets the
+    depth.  One staged search (_search) serves the grid and each 49-ray
+    refinement fan, in at most three batches for the grid and four for a fan:
+    the grid first takes every 8th sample of each ray; a fan takes the
+    samples near the crest of the weakest ray so far and then every 8th,
+    each time dropping a ray whose highest sample already stands at least
+    the weakest barrier above U(r0).  Then the surviving ray that peaks
+    lowest is filled in, and unless it is still rising its barrier, if lower,
+    bounds the others; then the rays that could still be the first lowest.  A ray's highest sample
+    bounds its barrier from below, and a point's potential does not depend
+    on its batch, so the depth and escape direction are the ones every
+    sample of every ray would give.
+
+    r0 must be three finite coordinates on the near side of the chip plane
+    (ValueError otherwise).
     """
-    r0 = np.asarray(r0, dtype=float)
+    r0 = _start_point(model, r0, "depth", "start")
     if ray_length is None:
         if model.segments:
             far = max(
@@ -879,16 +858,15 @@ def trap_depth(
     s = np.geomspace(1e-7, ray_length, _DEPTH_SAMPLES)
     u0 = float(potential(model, state, r0, guard=0.0))
 
-    u, barrier, rising = _grid(model, state, r0, s, u0)
-    excluded = [d for d, r in zip(_RAY_DIRECTIONS, rising) if r]
-    i = _weakest(barrier, rising, np.inf)
-    if i is None:
-        return TrapDepthReport(np.inf, np.inf, np.zeros(3), excluded)
-    best, d = float(barrier[i]), _RAY_DIRECTIONS[i]
-    crest = _finite(u[i]).argmax()
+    index = np.arange(_DEPTH_SAMPLES)
+    coarse = index % _COARSE_STRIDE == 0
+    found = _search(model, state, r0, _RAY_DIRECTIONS, s, u0, [coarse], np.inf)
+    if found is None:
+        return TrapDepthReport(np.inf, np.inf, np.zeros(3))
+    i, best, crest = found
+    d = _RAY_DIRECTIONS[i]
 
     # refine directions around the weakest ray
-    index = np.arange(_DEPTH_SAMPLES)
     width = 0.45
     for _ in range(refine_rounds):
         t1 = np.cross(d, [0.0, 0.0, 1.0])
@@ -903,27 +881,15 @@ def trap_depth(
                 dd /= np.linalg.norm(dd)
                 fan.append(dd)
         fan = np.array(fan)
-        pts, keep = _ray_points(model, r0, fan, s)
-        u = np.full(keep.shape, -np.inf)
-        alive = keep.any(axis=1)
-        near = np.abs(index - crest) <= _CREST_HALF_WIDTH
-        coarse = ~near & (index % _COARSE_STRIDE == 0)
-        for batch in (near, coarse):
-            mask = keep & alive[:, None] & batch
-            if mask.any():
-                _fill_potential(model, state, pts, mask, u)
-            alive &= ~(_finite(u).max(axis=1) - u0 >= best)
-        barrier, rising = _fill_lowest_first(
-            model, state, pts, keep, u, u0, np.zeros_like(alive), alive, best
-        )
-        i = _weakest(barrier, rising, best)
-        if i is not None:
-            best, d = float(barrier[i]), fan[i]
-            crest = _finite(u[i]).argmax()
+        crested = np.abs(index - crest) <= _CREST_HALF_WIDTH
+        found = _search(model, state, r0, fan, s, u0, [crested, ~crested & coarse], best)
+        if found is not None:
+            i, best, crest = found
+            d = fan[i]
         width /= 3.0
 
     depth = max(best, 0.0)
-    return TrapDepthReport(depth, depth / K_B, d, excluded)
+    return TrapDepthReport(depth, depth / K_B, d)
 
 
 @dataclass(frozen=True)

@@ -534,6 +534,19 @@ def test_dress_near_resonance_branch(tmp_path):
     assert doc["species"]["K40"]["m_f_prime"] == "-9/2"
 
 
+@pytest.mark.parametrize("preset", ["rb-doublewell", "k-doublewell"])
+def test_dress_far_out_is_bias_field(tmp_path, preset):
+    # ~1e194 m from the wires their squared distances overflow and the wire
+    # terms are 0: every point sees the bias alone, without an overflow
+    # warning (an error under this suite's filter)
+    prefix = tmp_path / "far"
+    code = run(["dress", "--preset", preset, "--extent-um", "1e200", "--points", "64",
+                "--out-prefix", prefix])
+    assert code == 0
+    rows = (tmp_path / "far_rb87.csv").read_text().splitlines()[1:]
+    assert len(rows) == 64 and len({row.split(",", 1)[1] for row in rows}) == 1
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -784,11 +797,13 @@ def numeric_flags(draw, command):
         return {"preset": draw(st.sampled_from(sorted(evaporation.LOADING_PRESETS))),
                 "rho0": value("rho0", 1e-9, 1.0)}
     if command == "dress":
-        # below 0.3 B0 (364 mG on the split trap) the RF amplitude draws no RWAWarning
+        # below 0.3 B0 (364 mG on the split trap) the RF amplitude draws no
+        # RWAWarning; past an extent of ~1e160 um the scan sees the bias alone
         return {"rf_khz": value("rf_khz", 100.0, 3000.0),
                 "ramp_khz": value("ramp_khz", 100.0, 3000.0),
                 "amplitude_mg": value("amplitude_mg", 1.0, 300.0),
-                "extent_um": value("extent_um", 0.1, 50.0), "points": count(48)}
+                "extent_um": value("extent_um", 0.1, 50.0, far=(1e30, 1e300)),
+                "points": count(48)}
     flags = {"species": draw(st.sampled_from(["K40", "Rb87"])),
              "n_atoms": value("n_atoms", 1.0, 1e7), "fbar_hz": value("fbar_hz", 1.0, 1e4),
              "t_over_tf": value("t_over_tf", 1e-3, 30.0, far=(1e30, 1e120))}
