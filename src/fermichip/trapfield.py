@@ -685,14 +685,7 @@ def trap_frequencies(model, state: SpinState, r0) -> TrapFrequencies:
 
 
 _RAY_DIRECTIONS = np.array(
-    [
-        (i, j, k)
-        for i in (-1, 0, 1)
-        for j in (-1, 0, 1)
-        for k in (-1, 0, 1)
-        if (i, j, k) != (0, 0, 0)
-    ],
-    dtype=float,
+    [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1) if i or j or k], dtype=float
 )
 _RAY_DIRECTIONS /= np.linalg.norm(_RAY_DIRECTIONS, axis=1)[:, None]
 
@@ -704,10 +697,9 @@ class TrapDepthReport:
     escape_direction: np.ndarray
 
 
-# the first batches of a refinement fan (see trap_depth): the samples within
-# _CREST_HALF_WIDTH of the weakest ray's crest, then every _COARSE_STRIDE-th;
-# the grid's one first batch is every _COARSE_STRIDE-th sample
-_CREST_HALF_WIDTH = 16
+# a refinement fan's first batch (see trap_depth): the weakest ray's crest and
+# every _FAN_STRIDE-th sample; then every _COARSE_STRIDE-th, the grid's one batch
+_FAN_STRIDE = 64
 _COARSE_STRIDE = 8
 # a ray of n samples is still rising when its maximum is one of its last two
 # and its samples from _TAIL_START n on climb by more than _TAIL_RISE of its
@@ -728,17 +720,6 @@ def _ray_lengths(model, r0, directions, s):
         normal = np.asarray(normal, dtype=float)
         n = (~(r0 @ normal + s * (directions @ normal)[:, None] > offset)).sum(axis=1)
     return np.where(n < 8, 0, n)
-
-
-def _fill_potential(model, state, r0, directions, s, u, mask) -> None:
-    """Set u[i, j] for each sample (i, j) in mask to the potential at
-    r0 + s[j] d[i], inf where that point is within the singularity guard of a
-    wire, from one field_and_distance call (none for an empty mask)."""
-    i, j = np.nonzero(mask)
-    if len(i):
-        pts = r0 + s[j, None] * directions[i]
-        b, dist = model.field_and_distance(pts)
-        u[i, j] = np.where(dist >= SINGULARITY_GUARD, _potential(model, state, pts, b), np.inf)
 
 
 def _finite(u) -> np.ndarray:
@@ -771,11 +752,17 @@ def _barriers(u, n, u0):
     return barrier, rising
 
 
-def _weakest(barrier, rising, bound):
-    """Index of the first lowest barrier below bound among the rays not
-    rising, or None."""
-    candidates = np.flatnonzero(~rising & (barrier < bound))
-    return candidates[np.argmin(barrier[candidates])] if len(candidates) else None
+def _settled(u, n, u0):
+    """Whether each ray cannot be still rising (_barriers), from its samples
+    evaluated in u (-inf elsewhere), among them its last two and the one at
+    _TAIL_START n: an earlier sample reaches the larger of its last two, or
+    its tail climbs by no more than _TAIL_RISE of that value above u0."""
+    rows = np.arange(len(n))
+    top = np.maximum(u[rows, n - 2], u[rows, n - 1])
+    earlier = np.where(np.arange(u.shape[1]) < n[:, None] - 2, u, -np.inf).max(axis=1)
+    tail_rise = u[rows, n - 1] - u[rows, (_TAIL_START * n).astype(int)]
+    with np.errstate(invalid="ignore"):  # inf - inf: a ray through a wire, never rising
+        return (earlier >= top) | ~(tail_rise > _TAIL_RISE * np.maximum(top - u0, 1e-300))
 
 
 def _search(model, state, r0, directions, s, u0, batches, bound):
@@ -784,35 +771,60 @@ def _search(model, state, r0, directions, s, u0, batches, bound):
     its barrier, the index of its highest finite sample), or None.  Each ray
     takes the samples s until it first crosses the chip plane (_ray_lengths).
 
-    The sample masks `batches` are evaluated first, in turn, and after each
-    a ray is dropped when its highest sample so far stands bound or more above
-    u0.  Then the surviving ray whose samples so far peak lowest (first index
-    on ties) is filled in, and in one more batch every other survivor whose
-    highest sample lies below the lowest barrier found under bound, or equals
-    it from a lower index.  A ray's highest sample bounds its barrier from
-    below, and a point's potential does not depend on its batch, so a ray
-    left out could not be the first lowest."""
+    The sample index arrays `batches` are evaluated first, in turn, and a
+    running maximum per ray drops a ray once its highest sample so far stands
+    bound or more above u0.  Then the surviving ray that peaks lowest (first
+    index on ties) is filled in.  If it is still rising it bounds nothing:
+    then the others' last two samples and the one at _TAIL_START n are
+    evaluated, and the lowest-peaking ray that cannot be rising (_settled) is
+    filled in.  Last, every other survivor whose highest sample lies below
+    the lowest barrier found under bound, or equals it from a lower index.  A
+    ray's highest sample bounds its barrier from below, and a point's
+    potential does not depend on its batch, so a ray left out could not be
+    the first lowest."""
     n = _ray_lengths(model, r0, directions, s)
     u = np.full((len(directions), len(s)), -np.inf)  # -inf: not evaluated
-    kept = np.arange(len(s)) < n[:, None]
+    high = np.full(len(directions), -np.inf)  # each ray's highest finite sample so far
+    barrier, rising = np.full(len(u), np.inf), np.zeros(len(u), dtype=bool)
+    rows = np.arange(len(u))
+
+    def evaluate(rays, cols):
+        # the samples cols (one row, or a row per ray) of the rays before their
+        # ends not evaluated yet, in one field call; inf within a wire's guard
+        cols = np.broadcast_to(cols, (len(rays), cols.shape[-1]))
+        new = (cols < n[rays, None]) & (u[rays[:, None], cols] == -np.inf)
+        i, j = np.broadcast_to(rays[:, None], cols.shape)[new], cols[new]
+        if len(i):
+            pts = r0 + s[j, None] * directions[i]
+            b, dist = model.field_and_distance(pts)
+            u[i, j] = np.where(dist >= SINGULARITY_GUARD, _potential(model, state, pts, b), np.inf)
+        high[rays] = np.maximum(high[rays], _finite(u[rays[:, None], cols]).max(axis=1))
+
+    def fill_in(fill):
+        # every sample of the rays fill; the first lowest filled ray, or None
+        rays = np.flatnonzero(fill)
+        evaluate(rays, np.arange(len(s)))
+        barrier[rays], rising[rays] = _barriers(u[rays], n[rays], u0)
+        candidates = np.flatnonzero(~rising & (barrier < bound))
+        return candidates[np.argmin(barrier[candidates])] if len(candidates) else None
+
     alive = n > 0
     for batch in batches:
-        _fill_potential(model, state, r0, directions, s, u, kept & alive[:, None] & batch)
-        alive &= ~(_finite(u).max(axis=1) - u0 >= bound)
-    low = _finite(u).max(axis=1) - u0
-    rows = np.arange(len(u))
-    barrier, rising = np.full(len(u), np.inf), np.zeros(len(u), dtype=bool)
-    fill, i = np.zeros(len(u), dtype=bool), None
-    if alive.any():
-        fill[np.flatnonzero(alive)[np.argmin(low[alive])]] = True
-    done = fill.copy()
-    while fill.any():  # twice at most: the bound only falls
-        _fill_potential(model, state, r0, directions, s, u, kept & fill[:, None] & (u == -np.inf))
-        barrier[fill], rising[fill] = _barriers(u[fill], n[fill], u0)
-        i = _weakest(barrier, rising, bound)
-        lowest, first = (bound, -1) if i is None else (barrier[i], i)
-        fill = alive & ~done & ((low < lowest) | ((low == lowest) & (rows < first)))
-        done |= fill
+        evaluate(np.flatnonzero(alive), batch)
+        alive &= ~(high - u0 >= bound)
+    if not alive.any():
+        return None
+    done = rows == np.flatnonzero(alive)[np.argmin(high[alive] - u0)]
+    i = fill_in(done)
+    if rising[done].any():
+        rest = np.flatnonzero(alive & ~done)
+        evaluate(rest, np.stack([(_TAIL_START * n[rest]).astype(int), n[rest] - 2, n[rest] - 1], 1))
+        settled = rest[_settled(u[rest], n[rest], u0) & (high[rest] - u0 < bound)]
+        if len(settled):
+            done[settled[np.argmin(high[settled])]] = True
+            i = fill_in(done)
+    lowest, first = (bound, -1) if i is None else (barrier[i], i)
+    i = fill_in(alive & ~done & ((high - u0 < lowest) | ((high - u0 == lowest) & (rows < first))))
     return None if i is None else (i, float(barrier[i]), _finite(u[i]).argmax())
 
 
@@ -830,36 +842,24 @@ def trap_depth(
     it first crosses the chip plane.  A ray whose potential is still rising
     at its end has no barrier inside the search range and never sets the
     depth.  One staged search (_search) serves the grid and each 49-ray
-    refinement fan, in at most three batches for the grid and four for a fan:
-    the grid first takes every 8th sample of each ray; a fan takes the
-    samples near the crest of the weakest ray so far and then every 8th,
-    each time dropping a ray whose highest sample already stands at least
-    the weakest barrier above U(r0).  Then the surviving ray that peaks
-    lowest is filled in, and unless it is still rising its barrier, if lower,
-    bounds the others; then the rays that could still be the first lowest.  A ray's highest sample
-    bounds its barrier from below, and a point's potential does not depend
-    on its batch, so the depth and escape direction are the ones every
-    sample of every ray would give.
+    refinement fan, and gives the depth and escape direction that every
+    sample of every ray would.  Its first batches are every 8th sample on the
+    grid, and on a fan the crest sample of the weakest ray so far and every
+    64th, then the other 8th samples: at most three field passes for the grid
+    and four for a fan, two more where the ray that peaks lowest is rising.
 
     r0 must be three finite coordinates on the near side of the chip plane
     (ValueError otherwise).
     """
     r0 = _start_point(model, r0, "depth", "start")
     if ray_length is None:
-        if model.segments:
-            far = max(
-                np.linalg.norm(np.asarray(p) - r0)
-                for seg in model.segments
-                for p in (seg.a, seg.b)
-            )
-            ray_length = max(5e-3, 10.0 * far)
-        else:
-            ray_length = 5e-3
+        ends = [p for seg in model.segments for p in (seg.a, seg.b)]
+        far = max((np.linalg.norm(np.asarray(p) - r0) for p in ends), default=0.0)
+        ray_length = max(5e-3, 10.0 * far)
     s = np.geomspace(1e-7, ray_length, _DEPTH_SAMPLES)
     u0 = float(potential(model, state, r0, guard=0.0))
 
-    index = np.arange(_DEPTH_SAMPLES)
-    coarse = index % _COARSE_STRIDE == 0
+    coarse = np.arange(0, _DEPTH_SAMPLES, _COARSE_STRIDE)
     found = _search(model, state, r0, _RAY_DIRECTIONS, s, u0, [coarse], np.inf)
     if found is None:
         return TrapDepthReport(np.inf, np.inf, np.zeros(3))
@@ -874,15 +874,15 @@ def trap_depth(
             t1 = np.cross(d, [0.0, 1.0, 0.0])
         t1 /= np.linalg.norm(t1)
         t2 = np.cross(d, t1)
-        fan = []
-        for a in np.linspace(-width, width, 7):
-            for b in np.linspace(-width, width, 7):
-                dd = d + a * t1 + b * t2
-                dd /= np.linalg.norm(dd)
-                fan.append(dd)
-        fan = np.array(fan)
-        crested = np.abs(index - crest) <= _CREST_HALF_WIDTH
-        found = _search(model, state, r0, fan, s, u0, [crested, ~crested & coarse], best)
+        # 7 x 7 offsets a (outer), b (inner), each normalised as np.linalg.norm does
+        steps = np.linspace(-width, width, 7)
+        fan = d + np.repeat(steps, 7)[:, None] * t1 + np.tile(steps, 7)[:, None] * t2
+        fan /= np.sqrt(fan[:, None, :] @ fan[:, :, None])[:, 0]
+        # the crest and every 64th sample, then the other 8th ones; a sorting
+        # set operation would add its code pages to a fresh process's memory
+        sparse, off_crest = coarse % _FAN_STRIDE == 0, coarse != crest
+        batches = [np.append(coarse[sparse & off_crest], crest), coarse[~sparse & off_crest]]
+        found = _search(model, state, r0, fan, s, u0, batches, best)
         if found is not None:
             i, best, crest = found
             d = fan[i]

@@ -965,11 +965,12 @@ def test_depth_one_field_call_per_round(z_trap, z_minimum, k92, rounds):
     tf.trap_depth(counted, k92, z_minimum.position, refine_rounds=rounds)
     assert counted.evaluations <= 1 + 3 + 4 * rounds
     # U(r0) and about a fifth of the grid's 10,924 points above the chip, then
-    # under a tenth of each fan's 49 x 500 points: every 8th sample, then only
-    # the rays that could still be the first lowest are filled in, and of a
-    # fan's survivors only the one that peaks lowest is filled before the
-    # others are bounded by its barrier
-    assert counted.points <= {0: 2_254, 1: 4_485, 2: 7_021}[rounds]
+    # about a twentieth of each fan's 49 x 500 points: every 8th sample, then
+    # only the rays that could still be the first lowest are filled in; a fan
+    # first takes only the crest sample and every 64th, and of its survivors
+    # only the one that peaks lowest is filled before the others are bounded
+    # by its barrier
+    assert counted.points <= {0: 2_254, 1: 3_516, 2: 4_888}[rounds]
 
 
 @pytest.mark.parametrize("tie", [False, True])
@@ -1027,13 +1028,19 @@ def test_depth_rising_rays_peaking_low_never_win(k92):
         bump = np.where((1e-5 < np.abs(y)) & (np.abs(y) < 2e-5), 0.1, 0.0)
         return np.stack([0.0 * x, b0 * (1.0 + rise + bump), 0.0 * x], axis=-1)
 
-    model = array_field(field)
+    model = counting(type(array_field(field)))()
     expected = reference_depths(model, k92, np.zeros(3), 2, ray_length=5e-3)
     for rounds, (depth, direction) in enumerate(expected):
+        model.points = 0
         report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3, refine_rounds=rounds)
         assert report.escape_direction.tolist() == [0.0, -1.0, 0.0]
         assert np.float64(report.depth).tobytes() == np.float64(depth).tobytes()
         assert report.escape_direction.tobytes() == np.asarray(direction).tobytes()
+        if rounds == 0:
+            # the rays' last samples show which cannot be rising; -y, the
+            # lowest of those, bounds the rest, and only the 8 rising rays
+            # off y (which peak lower) are filled too, not all 26
+            assert model.points <= 5_606
 
 
 def reference_barrier(u, u0):
@@ -1112,17 +1119,11 @@ def reference_depths(model, state, r0, rounds, ray_length=None):
     return results
 
 
-@pytest.mark.parametrize("tie", [False, True])
-def test_depth_fan_bounds_survivors_by_lowest_first(k92, tie):
-    # B along y is b0 (1 + h) with h set by the ray: 1 on every ray but three,
-    # in a bump over samples 290-310, which the fan's first batch (around the
-    # grid crest) sees.  The grid's weakest ray +y has h = 0.3 there, and in
-    # the first fan around it the ray W (a = -0.15, b = 0) has h = 0.2 and the
-    # ray P (a = 0.15, b = 0, higher index) h = 0.1, both over samples
-    # 350-370, where the coarse batch sees them.  P therefore peaks lowest and
-    # is filled first, and a narrow bump over samples 401-403, between coarse
-    # samples, gives it the barrier 0.25 (tie: 0.2).  W must still be filled
-    # and win, as the lower barrier or, tied, as the ray of lower index.
+def fan_field(bumps):
+    """A field with B along y of b0 (1 + h), h set by the ray and the sample
+    index along it (samples s of a 5 mm search): on the ray towards (a, 1, 0)
+    of each a in `bumps`, its value over each of its (first, last sample,
+    value) ranges, 0 elsewhere; on every other ray 1 over samples 290-310."""
     s = np.geomspace(1e-7, 5e-3, 500)
     b0 = 2.0 * C.GAUSS
 
@@ -1134,27 +1135,59 @@ def test_depth_fan_bounds_survivors_by_lowest_first(k92, tie):
         dist = np.sqrt(x * x + y * y + z * z)
         with np.errstate(divide="ignore", invalid="ignore"):
             a, b = x / y, -z / y
-
-        def ray(a0):
-            return (y > 0) & (np.abs(a - a0) < 1e-9) & (np.abs(b) < 1e-9)
-
         h = np.where(over(dist, 290, 310), 1.0, 0.0)
-        h = np.where(ray(0.0), np.where(over(dist, 290, 310), 0.3, 0.0), h)
-        h = np.where(ray(-0.15), np.where(over(dist, 350, 370), 0.2, 0.0), h)
-        hidden = 0.2 if tie else 0.25
-        h = np.where(ray(0.15), np.where(over(dist, 350, 370), 0.1,
-                                         np.where(over(dist, 401, 403), hidden, 0.0)), h)
+        for a0, ranges in bumps.items():
+            on_ray = (y > 0) & (np.abs(a - a0) < 1e-9) & (np.abs(b) < 1e-9)
+            h_ray = 0.0
+            for lo, hi, value in ranges:
+                h_ray = np.where(over(dist, lo, hi), value, h_ray)
+            h = np.where(on_ray, h_ray, h)
         return np.stack([0.0 * x, b0 * (1.0 + h), 0.0 * x], axis=-1)
 
-    model = array_field(field)
+    return array_field(field)
+
+
+def assert_fan_winner(model, k92, h):
+    """The first fan around +y picks W = (-0.15, 1, 0) with the barrier h b0,
+    and every round's depth and direction are the reference's bit for bit."""
     expected = reference_depths(model, k92, np.zeros(3), 2, ray_length=5e-3)
     w = np.array([-0.15, 1.0, 0.0]) / np.linalg.norm([-0.15, 1.0, 0.0])
     assert np.allclose(expected[1][1], w, rtol=0, atol=1e-15)
-    assert expected[1][0] == pytest.approx(0.2 * C.magnetic_moment(k92) * b0, rel=1e-12)
+    assert expected[1][0] == pytest.approx(h * C.magnetic_moment(k92) * 2.0 * C.GAUSS, rel=1e-12)
     for rounds, (depth, direction) in enumerate(expected):
         report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3, refine_rounds=rounds)
         assert np.float64(report.depth).tobytes() == np.float64(depth).tobytes()
         assert report.escape_direction.tobytes() == np.asarray(direction).tobytes()
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_depth_fan_bounds_survivors_by_lowest_first(k92, tie):
+    # B along y is b0 (1 + h) with h set by the ray: 1 on every ray but three,
+    # in a bump over samples 290-310, which the fan's first batch (the grid
+    # crest's sample among them) sees.  The grid's weakest ray +y has h = 0.3
+    # there, and in the first fan around it the ray W (a = -0.15, b = 0) has
+    # h = 0.2 and the ray P (a = 0.15, b = 0, higher index) h = 0.1, both over
+    # samples 350-370, where the coarse batch sees them.  P therefore peaks
+    # lowest and is filled first, and a narrow bump over samples 401-403,
+    # between coarse samples, gives it the barrier 0.25 (tie: 0.2).  W must
+    # still be filled and win, as the lower barrier or, tied, as the ray of
+    # lower index.
+    hidden = 0.2 if tie else 0.25
+    model = fan_field({0.0: [(290, 310, 0.3)], -0.15: [(350, 370, 0.2)],
+                       0.15: [(350, 370, 0.1), (401, 403, hidden)]})
+    assert_fan_winner(model, k92, 0.2)
+
+
+def test_depth_fan_finds_winner_between_sparse_samples(k92):
+    # as above, but W (h = 0.2) and P (h = 0.1) peak over samples 396-404:
+    # away from the grid crest (sample 290) and between the 64th samples 384
+    # and 448, so the fan's first batch sees neither, while it drops every
+    # other ray on its crest sample; every 8th sample (400) sees both.  P is
+    # filled first, a narrow bump over samples 409-411 gives it 0.25, and W
+    # must still be filled and win.
+    model = fan_field({0.0: [(290, 310, 0.3)], -0.15: [(396, 404, 0.2)],
+                       0.15: [(396, 404, 0.1), (409, 411, 0.25)]})
+    assert_fan_winner(model, k92, 0.2)
 
 
 def depth_start(model, seed, where):
