@@ -18,18 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, K_B, AtomSpecies
+from .constants import K_B
 from .polylog import fermi_fn
-from .thermo import HarmonicTrap, TrappedGasState
+from .thermo import TrappedGasState
 
 __all__ = [
     "ThomasFermiExtent",
     "density_finite_T",
     "density_zero_T",
-    "uniform_density_zero_T",
     "cloud_radii",
     "column_density_fermi",
-    "column_density_boltzmann",
     "write_raster",
     "read_raster",
 ]
@@ -97,13 +95,6 @@ def density_zero_T(gas: TrappedGasState, r) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def uniform_density_zero_T(e_fermi: float, species: AtomSpecies) -> float:
-    """Density of a uniform zero-T Fermi gas, (1/6 pi^2) (2 M E_F / hbar^2)^(3/2)."""
-    if not e_fermi > 0:
-        raise ValueError("Fermi energy must be positive")
-    return (2.0 * species.mass * e_fermi / HBAR**2) ** 1.5 / (6.0 * np.pi**2)
-
-
 def cloud_radii(gas: TrappedGasState, t: float) -> np.ndarray:
     """r_i(t) = sqrt((w_i^-2 + t^2) k_B T / M) for i = x, y, z."""
     if t < 0:
@@ -121,29 +112,6 @@ def column_density_fermi(gas: TrappedGasState, t: float, x, y) -> float | np.nda
     with np.errstate(over="ignore"):  # the zero-density limit where x/rx or y/ry overflows
         w = z * np.exp(-0.5 * (x / rx) ** 2 - 0.5 * (y / ry) ** 2)
     out = gas.n_atoms / (2.0 * np.pi * rx * ry * fermi_fn(3.0, z)) * _fermi_safe(2.0, w)
-    return float(out) if out.ndim == 0 else out
-
-
-def column_density_boltzmann(
-    n_atoms: float,
-    temperature: float,
-    trap: HarmonicTrap,
-    species: AtomSpecies,
-    t: float,
-    x,
-    y,
-) -> float | np.ndarray:
-    """Classical (Boltzmann) column density with the same r_i(t) definitions."""
-    om = trap.omegas
-    r = np.sqrt((om**-2.0 + t * t) * K_B * temperature / species.mass)
-    rx, ry = r[0], r[1]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = (
-        n_atoms
-        / (2.0 * np.pi * rx * ry)
-        * np.exp(-0.5 * (x / rx) ** 2 - 0.5 * (y / ry) ** 2)
-    )
     return float(out) if out.ndim == 0 else out
 
 

@@ -26,9 +26,7 @@ __all__ = [
     "max_loadable_atoms",
     "current_scaling_exponent",
     "collision_rate",
-    "relative_velocity",
     "min_start_temperature",
-    "min_start_temperature_scaling",
     "sigma_identical_low_temperature",
     "LOADING_PRESETS",
 ]
@@ -146,11 +144,6 @@ def current_scaling_exponent(family: CurrentScalingFamily) -> float:
     return float(np.polyfit(np.log(currents), np.log(n), 1)[0])
 
 
-def relative_velocity(species: AtomSpecies, temperature: float) -> float:
-    """Mean relative speed sqrt(8 k_B T / pi M) of same-species collision partners."""
-    return math.sqrt(8.0 * K_B * temperature / (math.pi * species.mass))
-
-
 def collision_rate(species: AtomSpecies, rho0: float, temperature: float, sigma: float) -> float:
     """Peak elastic collision rate sigma rho0 M (k_B T)^2 / (pi^2 hbar^3), s^-1.
 
@@ -181,20 +174,6 @@ def min_start_temperature(
                          f"got rho0 = {rho0}")
     kt = math.sqrt(gamma_min * math.pi**2 * HBAR**3 / m_sigma_rho0)
     return kt / K_B
-
-
-def min_start_temperature_scaling(
-    species: AtomSpecies,
-    rho0: float,
-    gamma_min: float,
-    a_s: float | None = None,
-) -> float:
-    """Pivot form T0 = T_ref (1e-6/rho0)^(1/2) (gamma/150 s^-1)^(1/2) (5.3 nm/a_s),
-    anchored at the exact reference evaluation so both paths agree identically."""
-    if a_s is None:
-        a_s = species.s_wave_scattering_length
-    t_ref = min_start_temperature(species, 1e-6, 150.0, 5.3e-9)
-    return t_ref * math.sqrt(1e-6 / rho0) * math.sqrt(gamma_min / 150.0) * (5.3e-9 / a_s)
 
 
 def sigma_identical_low_temperature(a: float) -> float:

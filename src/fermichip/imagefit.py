@@ -8,7 +8,9 @@ center-dip residual while the Fermi-Dirac fit does not.
 Both fits are N s(phi), an atom number times a unit-N shape with closed-form
 derivatives in its nonlinear parameters phi. N is solved in closed form at
 every step (variable projection), so a bounded Levenberg-Marquardt search
-runs over phi alone with the exact Jacobian of the projected residual.
+runs over phi alone with the exact Jacobian of the projected residual, built
+only at the start and at accepted points. Shapes take the pixel grid as a row
+of x times a column of y, so u and v cost one row and one column.
 """
 
 from __future__ import annotations
@@ -60,11 +62,15 @@ class TofImage:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("image contains non-finite values")
 
-    def coordinates(self):
+    def axes(self):
+        """Pixel-centre x as a (1, nx) row and y as an (ny, 1) column, in m."""
         ny, nx = self.values.shape
         x = (np.arange(nx) - 0.5 * (nx - 1)) * self.pitch
         y = (np.arange(ny) - 0.5 * (ny - 1)) * self.pitch
-        return np.meshgrid(x, y)
+        return x[None, :], y[:, None]
+
+    def coordinates(self):
+        return np.meshgrid(*(a.ravel() for a in self.axes()))
 
     def save(self, path):
         write_raster(path, self.values, self.pitch)
@@ -90,8 +96,7 @@ def synthesize_tof_image(
     """
     ny, nx = shape
     img = TofImage(np.zeros((ny, nx)), pitch, 0.0, t)
-    xx, yy = img.coordinates()
-    img.values = column_density_fermi(gas, t, xx, yy)
+    img.values = column_density_fermi(gas, t, *img.axes())
     return add_noise(img, noise_rms, seed)
 
 
@@ -114,46 +119,65 @@ class FitResult:
     reduced_chi2: float
     covariance: np.ndarray | None     # over (N, r_x, r_y, x0, y0[, ln Z]); None if singular
     flags: list[str] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)   # solver nfev and status
+    diagnostics: dict = field(default_factory=dict)   # solver nfev, njev and status
 
     def __post_init__(self):
         if self.params.get("N", 1.0) <= 0:
             raise ValueError("fitted atom number must be positive")
 
 
-def _gauss_shape(phi, xx, yy):
-    """Unit-N Gaussian envelope s and ds/dphi over phi = (r_x, r_y, x0, y0)."""
+def _gauss_shape(phi, x, y):
+    """Unit-N Gaussian envelope s and its ds/dphi writer over phi = (r_x, r_y, x0, y0)."""
     rx, ry, x0, y0 = phi
-    u, v = (xx - x0) / rx, (yy - y0) / ry
+    u, v = (x - x0) / rx, (y - y0) / ry
     s = np.exp(-0.5 * u * u - 0.5 * v * v) / (2.0 * np.pi * rx * ry)
-    return s, s * np.stack([(u * u - 1.0) / rx, (v * v - 1.0) / ry, u / rx, v / ry])
+    def derivatives(ds):
+        for row, d in zip(ds, ((u * u - 1.0) / rx, (v * v - 1.0) / ry, u / rx, v / ry)):
+            np.multiply(s, d, out=row)
+    return s, derivatives
 
 
-def _fd_shape(phi, xx, yy):
+def _fd_shape(phi, x, y):
     """Unit-N Fermi-Dirac envelope f_2(w) / (2 pi r_x r_y f_3(Z)), w = Z e^(-u^2/2 - v^2/2),
-    and ds/dphi over phi = (r_x, r_y, x0, y0, ln Z), from d f_2(w)/d ln w = f_1(w) =
-    ln(1 + w) and d ln f_3(Z)/d ln Z = f_2(Z)/f_3(Z)."""
+    and its ds/dphi writer over phi = (r_x, r_y, x0, y0, ln Z), from d f_2(w)/d ln w =
+    f_1(w) = ln(1 + w) and d ln f_3(Z)/d ln Z = f_2(Z)/f_3(Z)."""
     rx, ry, x0, y0, ln_z = phi
     z = math.exp(ln_z)
-    u, v = (xx - x0) / rx, (yy - y0) / ry
+    u, v = (x - x0) / rx, (y - y0) / ry
     # far wings underflow to w = 0, where fermi_fn is undefined; f_2(w) = w there
     w = np.maximum(z * np.exp(-0.5 * u * u - 0.5 * v * v), np.finfo(float).tiny)
     f3 = fermi_fn(3.0, z)
     c = 1.0 / (2.0 * np.pi * rx * ry * f3)
-    s, f1 = c * fermi_fn(2.0, w), c * np.log1p(w)
-    return s, np.stack([(f1 * u * u - s) / rx, (f1 * v * v - s) / ry, f1 * u / rx,
-                        f1 * v / ry, f1 - s * (fermi_fn(2.0, z) / f3)])
+    s = c * fermi_fn(2.0, w)
+    def derivatives(ds):
+        f1 = c * np.log1p(w)
+        np.divide(f1 * u * u - s, rx, out=ds[0])
+        np.divide(f1 * v * v - s, ry, out=ds[1])
+        np.divide(f1 * u, rx, out=ds[2])
+        np.divide(f1 * v, ry, out=ds[3])
+        np.subtract(f1, s * (fermi_fn(2.0, z) / f3), out=ds[4])
+    return s, derivatives
 
 
-def _projected(shape, phi, xx, yy, data, sigma):
+def _projected(shape, phi, x, y, data, sigma, ds):
     """Residual (N* s - d)/sigma at the closed-form N* = <s,d>/<s,s> (Golub and
-    Pereyra 1973) on flat pixel arrays, its exact Jacobian in phi, N*, s and ds/dphi.
+    Pereyra 1973) on the flattened pixels, a function that builds its exact Jacobian
+    in phi, N* and s. shape(phi, x, y) gives s on the grid of row x and column y and
+    a writer of ds/dphi there, which the Jacobian points at ds, a (k, pixels) block.
     Sums are einsum loops, not BLAS, so the bits do not depend on the thread count."""
-    s, ds = shape(phi, xx, yy)
+    s, derivatives = shape(phi, x, y)
+    grid, s = s.shape, s.ravel()
     ss = np.einsum("p,p", s, s)
     n = np.einsum("p,p", s, data) / ss
-    dn = (np.einsum("kp,p", ds, data) - 2.0 * n * np.einsum("kp,p", ds, s)) / ss
-    return (n * s - data) / sigma, (n * ds + np.outer(dn, s)).T / sigma, n, s, ds
+
+    def jacobian():
+        derivatives(ds.reshape(len(ds), *grid))
+        dn = (np.einsum("kp,p", ds, data) - 2.0 * n * np.einsum("kp,p", ds, s)) / ss
+        jac = dn[:, None] * s
+        jac += n * ds
+        jac /= sigma
+        return jac.T
+    return (n * s - data) / sigma, jacobian, n, s
 
 
 def _covariance(jac, chi2, dof):
@@ -177,21 +201,21 @@ def _start(img: TofImage):
         raise ValueError("empty image")
     if int(np.sum(np.abs(img.values) > 0.02 * peak)) < 100:
         raise ValueError("fewer than 100 informative pixels")
-    xx, yy = img.coordinates()
+    x, y = img.axes()
     v = np.clip(img.values, 0.0, None)
     total = v.sum()
     if total <= 0:
         raise ValueError("image has no positive signal")
-    x0 = float((v * xx).sum() / total)
-    y0 = float((v * yy).sum() / total)
-    rx = math.sqrt(max(float((v * (xx - x0) ** 2).sum() / total), img.pitch**2))
-    ry = math.sqrt(max(float((v * (yy - y0) ** 2).sum() / total), img.pitch**2))
+    x0 = float((v * x).sum() / total)
+    y0 = float((v * y).sum() / total)
+    rx = math.sqrt(max(float((v * (x - x0) ** 2).sum() / total), img.pitch**2))
+    ry = math.sqrt(max(float((v * (y - y0) ** 2).sum() / total), img.pitch**2))
     span = img.pitch * max(img.values.shape)
     lo = [img.pitch * 0.05, img.pitch * 0.05, x0 - span, y0 - span]
     return [rx, ry, x0, y0], lo, [span * 10, span * 10, x0 + span, y0 + span]
 
 
-_MAX_NFEV = 200   # residual-and-Jacobian evaluations a fit may take
+_MAX_NFEV = 200   # residual evaluations a fit may take
 _TOL = 1e-14     # relative gradient, step and reduction at which a fit stops
 # peak / noise rms at which the squared residuals, Jacobian and chi2 of a fit
 # can neither overflow nor vanish in double precision
@@ -199,23 +223,26 @@ _SNR_RANGE = (1e-50, 1e50)
 
 
 def _levenberg_marquardt(evaluate, phi, lo, hi):
-    """Minimise |r|^2 over lo <= phi <= hi, where evaluate(phi) = (r, J, ...).
+    """Minimise |r|^2 over lo <= phi <= hi; evaluate(phi) = (r, jacobian, ...), J = jacobian().
 
     Marquardt's scaling by the running maximum of diag(J^T J) (More, LNM 630,
     1978), Nielsen's damping update (Madsen, Nielsen and Tingleff, IMM DTU 2004)
-    and trial points clipped to the box.  Returns phi, evaluate(phi), |r|^2, the
-    evaluation count and the stop: 1 gradient, 2 reduction, 3 step.
+    and trial points clipped to the box. A trial point costs its residual only:
+    J is built at the start and at each accepted point, so the last J built is
+    the returned point's. Returns phi, evaluate(phi), |r|^2, the evaluation and
+    Jacobian counts and the stop: 1 gradient, 2 reduction, 3 step.
     """
-    out, nfev, accepted = evaluate(phi), 1, True
+    out, nfev, njev, accepted = evaluate(phi), 1, 1, True
+    jac = out[1]()
     chi2, lam, nu, d2 = np.einsum("p,p", out[0], out[0]), 1e-3, 2.0, 0.0
     while True:
         if accepted:
-            a, g = np.einsum("pi,pj", out[1], out[1]), np.einsum("pi,p", out[1], out[0])
-            d2 = np.maximum(d2, np.diag(a))
+            a, g = np.einsum("pi,pj", jac, jac), np.einsum("pi,p", jac, out[0])
+            d2 = np.maximum(d2, a.diagonal())
             # the gradient, zero where a bound blocks descent, against |J_i| |r|
             free = ~((phi <= lo) & (g > 0) | (phi >= hi) & (g < 0))
             if np.all(np.abs(g * free) <= _TOL * np.sqrt(d2 * chi2)):
-                return phi, out, chi2, nfev, 1
+                return phi, out, chi2, nfev, njev, 1
         if nfev == _MAX_NFEV:
             raise FitError(f"fit did not converge in {nfev} evaluations (chi2 {chi2:.6g})")
         step = np.clip(phi - np.linalg.solve(a + lam * np.diag(d2), g), lo, hi) - phi
@@ -227,25 +254,28 @@ def _levenberg_marquardt(evaluate, phi, lo, hi):
         if accepted:
             lam, nu = lam * max(1.0 / 3.0, 1.0 - (2.0 * drop / pred - 1.0) ** 3), 2.0
             phi, out, chi2 = phi + step, trial, chi2_trial
+            jac, njev = out[1](), njev + 1
             if max(drop, pred) <= _TOL * (chi2 + drop):
-                return phi, out, chi2, nfev, 2
+                return phi, out, chi2, nfev, njev, 2
         else:
             lam, nu = lam * nu, 2.0 * nu
         if np.einsum("i,i,i", d2, step, step) <= _TOL**2 * np.einsum("i,i,i", d2, phi, phi):
-            return phi, out, chi2, nfev, 3
+            return phi, out, chi2, nfev, njev, 3
 
 
 def _run_fit(img, model, shape, phi0, bounds) -> FitResult:
     """Fit N shape(phi) with N projected out; covariance over (N, phi)."""
-    xx, yy = (c.ravel() for c in img.coordinates())
+    x, y = img.axes()
     data = img.values.ravel()
     sigma = img.noise_rms if img.noise_rms > 0 else 1.0
     peak = float(np.max(np.abs(data)))
     if not _SNR_RANGE[0] <= peak / sigma <= _SNR_RANGE[1]:
         raise ValueError(f"noise rms (--noise-rms) {sigma:g} is out of scale with the image "
                          f"peak {peak:g}: their ratio must lie within {_SNR_RANGE}")
-    phi, (_, _, n, s, ds), chi2, nfev, status = _levenberg_marquardt(
-        lambda p: _projected(shape, p, xx, yy, data, sigma), np.array(phi0), *map(np.array, bounds))
+    ds = np.empty((len(phi0), data.size))   # ds/dphi of the last Jacobian built
+    phi, (_, _, n, s), chi2, nfev, njev, status = _levenberg_marquardt(
+        lambda p: _projected(shape, p, x, y, data, sigma, ds), np.array(phi0),
+        *map(np.array, bounds))
     if not n > 0:
         raise FitError(f"fitted atom number {n:.3g} is not positive")
     chi2, dof = float(chi2), data.size - len(phi0) - 1
@@ -253,7 +283,7 @@ def _run_fit(img, model, shape, phi0, bounds) -> FitResult:
     params = {"N": n, **dict(zip(("r_x", "r_y", "x0", "y0", "ln_z"), phi))}
     return FitResult(model, params, chi2, chi2 / dof, cov,
                      [] if cov is not None else ["covariance_singular"],
-                     {"nfev": nfev, "status": status})
+                     {"nfev": nfev, "njev": njev, "status": status})
 
 
 def fit_gaussian(img: TofImage) -> FitResult:

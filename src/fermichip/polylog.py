@@ -180,8 +180,8 @@ def _fermi_sommerfeld(n: float, x: float | np.ndarray) -> float | np.ndarray:
     for integer n (the sum terminates), asymptotic for x -> inf otherwise."""
     out = 0.0
     for power, coeff in _sommerfeld_terms(n):
-        # the ufunc, not **, so a float x gets the array loop's bits
-        out = out + coeff * np.power(x, power)
+        # the ufunc, not **, so a float x gets the array loop's bits; x^0 is exactly 1
+        out = out + (coeff * np.power(x, power) if power else coeff)
     return out
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "TrappedGasState",
     "occupation",
     "fermi_energy",
-    "atom_number_from_fermi_energy",
     "fugacity_from_reduced_temperature",
     "reduced_temperature_from_fugacity",
     "chemical_potential_approx",
@@ -116,11 +115,6 @@ def fermi_energy(n_atoms: float, trap: HarmonicTrap) -> float:
     """E_F = hbar wbar (6 N)^(1/3) in J."""
     _check_atom_number(n_atoms)
     return HBAR * trap.omega_bar * (6.0 * n_atoms) ** (1.0 / 3.0)
-
-
-def atom_number_from_fermi_energy(e_fermi: float, trap: HarmonicTrap) -> float:
-    """Inverse of fermi_energy: N = (E_F / hbar wbar)^3 / 6."""
-    return (e_fermi / (HBAR * trap.omega_bar)) ** 3 / 6.0
 
 
 def fugacity_from_reduced_temperature(t) -> float | np.ndarray:

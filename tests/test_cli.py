@@ -280,7 +280,65 @@ def test_tof_raster_and_fit_roundtrip(tmp_path):
     assert doc["fermi-dirac"]["params"]["N"] == pytest.approx(4e4, rel=0.05)
     assert doc["chi2_ratio_gauss_over_fd"] > 1.5
     for model in ("gaussian", "fermi-dirac"):
-        assert set(doc[model]["diagnostics"]) == {"nfev", "status"}
+        assert set(doc[model]["diagnostics"]) == {"nfev", "njev", "status"}
+
+
+# `fit --model both` on 48x40 `tof` images (K40, 4e4 atoms, 823/46/823 Hz, 10 ms,
+# 2% noise, seed 7) at T/T_F 0.1 and 1.2; the digits were recorded at commit
+# 62122f0, before trial points stopped building Jacobians, and may not move
+FIT_REPORTS = {
+    ("0.1", "10"): {
+        "gaussian": {
+            "params": {"N": 42652.38415845051, "r_x": 8.084461018725246e-05,
+                       "r_y": 8.606717882364432e-05, "x0": 3.576123974305119e-07,
+                       "y0": 2.9904635638022667e-07},
+            "chi2": 2.275350869677439e+24, "reduced_chi2": 1.188172777899446e+21,
+            "nfev": 12, "status": 2,
+        },
+        "fermi-dirac": {
+            "params": {"N": 39847.696295801696, "T_over_TF": 0.0937494368135687,
+                       "Z": 31520.56034863645, "r_x": 4.293758697873054e-05,
+                       "r_y": 4.5280624648371345e-05, "x0": 3.331630205209869e-07,
+                       "y0": 3.1553383231049205e-07},
+            "chi2": 5.879832425122754e+23, "reduced_chi2": 3.072012761297155e+20,
+            "nfev": 13, "status": 2,
+        },
+    },
+    ("1.2", "20"): {
+        "gaussian": {
+            "params": {"N": 39914.33999906402, "r_x": 0.00015408282156958663,
+                       "r_y": 0.0001625286016575781, "x0": 7.371679732361124e-07,
+                       "y0": 6.023598608239037e-07},
+            "chi2": 4.730425374776065e+22, "reduced_chi2": 2.470196018159825e+19,
+            "nfev": 10, "status": 2,
+        },
+        "fermi-dirac": {
+            "params": {"N": 39831.7763592348, "T_over_TF": 1.0401577981929666,
+                       "Z": 0.15082250856772778, "r_x": 0.00015286290205742393,
+                       "r_y": 0.0001612115178073823, "x0": 7.340031911304092e-07,
+                       "y0": 6.056074096635375e-07},
+            "chi2": 4.721463388297626e+22, "reduced_chi2": 2.4668042781074326e+19,
+            "nfev": 9, "status": 2,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("t_over_tf,pitch_um", sorted(FIT_REPORTS))
+def test_fit_report_pinned(tmp_path, t_over_tf, pitch_um):
+    img, out = tmp_path / "img.raster", tmp_path / "fit.json"
+    assert run(["tof", "--species", "K40", "--n-atoms", "4e4", "--fx-hz", "823", "--fy-hz", "46",
+                "--fz-hz", "823", "--t-over-tf", t_over_tf, "--time-ms", "10", "--nx", "48",
+                "--ny", "40", "--pitch-um", pitch_um, "--noise-frac", "0.02", "--seed", "7",
+                "--out", img]) == 0
+    assert run(["fit", "--image", img, "--model", "both", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    report = {model: {"params": doc[model]["params"], "chi2": doc[model]["chi2"],
+                      "reduced_chi2": doc[model]["reduced_chi2"],
+                      "nfev": doc[model]["diagnostics"]["nfev"],
+                      "status": doc[model]["diagnostics"]["status"]}
+              for model in ("gaussian", "fermi-dirac")}
+    assert report == FIT_REPORTS[t_over_tf, pitch_um]
 
 
 def test_fit_nonconvergence_is_numerical_error(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,8 @@ from fermichip import constants as C
 from fermichip import density, thermo
 from fermichip.polylog import fermi_fn
 
+import closed_forms
+
 
 @pytest.fixture(scope="module")
 def warm_gas(k92, science_trap):
@@ -128,21 +130,21 @@ def test_finite_t_approaches_zero_t_profile(k92, science_trap):
 def test_uniform_density_lda_consistency(cold_gas):
     # local-density equivalence at the trap center: E_F local = E_F global
     n_center = density.density_zero_T(cold_gas, np.zeros(3))
-    n_uniform = density.uniform_density_zero_T(cold_gas.fermi_energy, cold_gas.state.species)
+    n_uniform = closed_forms.uniform_density_zero_T(cold_gas.fermi_energy, cold_gas.state.species)
     assert n_uniform == pytest.approx(n_center, rel=1e-6)
 
 
 def test_uniform_density_scaling(registry):
     k40 = registry["K40"]
     e_f = C.K_B * 1e-6
-    assert density.uniform_density_zero_T(2 * e_f, k40) == pytest.approx(
-        2.0**1.5 * density.uniform_density_zero_T(e_f, k40), rel=1e-12
+    assert closed_forms.uniform_density_zero_T(2 * e_f, k40) == pytest.approx(
+        2.0**1.5 * closed_forms.uniform_density_zero_T(e_f, k40), rel=1e-12
     )
 
 
 def test_uniform_density_reference_value(registry):
     # K40 at E_F = k_B x 1.1 uK; frozen from direct evaluation of the closed form
-    n = density.uniform_density_zero_T(C.K_B * 1.1e-6, registry["K40"])
+    n = closed_forms.uniform_density_zero_T(C.K_B * 1.1e-6, registry["K40"])
     assert n == pytest.approx(4.1206e19, rel=1e-3)  # m^-3, i.e. 4.12e13 cm^-3
 
 
@@ -194,7 +196,7 @@ def test_column_fermi_reduces_to_boltzmann_at_low_z(k92, science_trap):
     gas = thermo.TrappedGasState.from_reduced_temperature(k92, science_trap, 4e4, 8.0)
     x = np.linspace(-1e-4, 1e-4, 11)
     fermi = density.column_density_fermi(gas, 5e-3, x, 0.0)
-    boltz = density.column_density_boltzmann(
+    boltz = closed_forms.column_density_boltzmann(
         gas.n_atoms, gas.temperature, science_trap, k92.species, 5e-3, x, 0.0
     )
     assert np.allclose(fermi, boltz, rtol=2e-4)
@@ -213,7 +215,7 @@ def test_column_fermi_peak_at_unit_fugacity(k92, science_trap):
 
 def test_column_boltzmann_peak_and_width(rb22, science_trap):
     n, temp = 1e5, 2e-6
-    peak = density.column_density_boltzmann(
+    peak = closed_forms.column_density_boltzmann(
         n, temp, science_trap, rb22.species, 0.0, 0.0, 0.0
     )
     r0 = np.sqrt(C.K_B * temp / rb22.species.mass) / science_trap.omegas
@@ -225,7 +227,7 @@ def test_fermi_boltzmann_agreement_at_tf(k92, science_trap):
     rx, ry, _ = density.cloud_radii(gas, 8e-3)
     x = np.linspace(-3 * rx, 3 * rx, 61)
     fermi = density.column_density_fermi(gas, 8e-3, x, 0.0)
-    boltz = density.column_density_boltzmann(
+    boltz = closed_forms.column_density_boltzmann(
         gas.n_atoms, gas.temperature, science_trap, k92.species, 8e-3, x, 0.0
     )
     rms = math.sqrt(float(np.mean((fermi - boltz) ** 2))) / float(fermi.max())

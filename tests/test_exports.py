@@ -10,15 +10,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fermichip"
 CALLER_DIRS = [PACKAGE, ROOT / "perfbench", ROOT / "scripts"]
 
-# Kept though no program path calls them: the tests check fast paths against them.
-ORACLES = {
-    ("density", "uniform_density_zero_T"),         # uniform-gas density for the LDA check
-    ("density", "column_density_boltzmann"),       # classical limit of the column density
-    ("evaporation", "relative_velocity"),          # n0 sigma v_rel form of the collision rate
-    ("evaporation", "min_start_temperature_scaling"),  # pivot form of the start temperature
-    ("thermo", "atom_number_from_fermi_energy"),   # inverse of fermi_energy
-}
-
 
 def _exports(tree) -> list[str]:
     for node in tree.body:
@@ -50,18 +41,17 @@ def _references(tree) -> list[tuple[str, int]]:
     ]
 
 
-def _uncalled() -> tuple[list[str], set]:
+def _uncalled() -> list[str]:
     trees = {
         path: ast.parse(path.read_text(), str(path))
         for folder in CALLER_DIRS
         for path in sorted(folder.glob("*.py"))
     }
     references = {path: _references(tree) for path, tree in trees.items()}
-    uncalled, exported = [], set()
+    uncalled = []
     for module_path in sorted(PACKAGE.glob("*.py")):
         tree = trees[module_path]
         for name in _exports(tree):
-            exported.add((module_path.stem, name))
             spans = _definitions(tree, name)
             called = any(
                 ref == name
@@ -69,12 +59,10 @@ def _uncalled() -> tuple[list[str], set]:
                 for path, refs in references.items()
                 for ref, line in refs
             )
-            if not called and (module_path.stem, name) not in ORACLES:
+            if not called:
                 uncalled.append(f"{module_path.stem}.{name}")
-    return uncalled, exported
+    return uncalled
 
 
 def test_every_export_has_a_caller():
-    uncalled, exported = _uncalled()
-    assert uncalled == []
-    assert ORACLES <= exported  # an oracle that is no longer exported leaves the list
+    assert _uncalled() == []

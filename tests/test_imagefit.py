@@ -191,16 +191,18 @@ def test_fd_chi2_nests_gaussian_classical(gas_factory, size, pitch, t_red, seed)
 @pytest.mark.parametrize("ln_z", [-25.0, -1.0, 0.0, 3.0, 10.0])
 def test_model_jacobians_match_finite_differences(ln_z):
     img = imf.TofImage(np.zeros((30, 26)), 5e-6)
-    xx, yy = (c.ravel() for c in img.coordinates())
+    x, y = img.axes()
     phi = np.array([30e-6, 22e-6, 7e-6, -4e-6, ln_z])
     scale = np.array([30e-6, 22e-6, 30e-6, 22e-6, 1.0])   # each parameter's natural size
     truth = phi + [3e-6, -2e-6, 2e-6, 1e-6, 0.5]
-    data = 1e4 * imf._fd_shape(truth, xx, yy)[0]
+    data = 1e4 * imf._fd_shape(truth, x, y)[0].ravel()
     data += 0.02 * data.max() * np.random.default_rng(1).normal(size=data.size)
     for shape, k in ((imf._gauss_shape, 4), (imf._fd_shape, 5)):
         def both(p):
-            s, ds = shape(p, xx, yy)
-            r, jac, *_ = imf._projected(shape, p, xx, yy, data, 7.0)
+            # the Jacobian writes ds/dphi into the block it is given
+            ds = np.empty((k, data.size))
+            r, jacobian, _, s = imf._projected(shape, p, x, y, data, 7.0, ds)
+            jac = jacobian()
             return s, ds, r, jac
 
         s, ds, r, jac = both(phi[:k])
@@ -227,15 +229,29 @@ def test_covariance_singular_on_degenerate_image():
     assert "covariance_singular" in fd.flags and "z_poorly_constrained" in fd.flags
 
 
-def test_fit_work_count(gas_factory):
-    # the fixed image of c9-chi2-degenerate; nfev, each one residual and its
-    # Jacobian, measured 11 (Gaussian) and 11 (Fermi-Dirac)
-    gas = gas_factory(0.1)
-    clean = imf.synthesize_tof_image(gas, 10e-3, (64, 64), 8e-6)
-    img = imf.add_noise(clean, 0.02 * float(clean.values.max()), seed=7)
-    for fit, measured in ((imf.fit_gaussian(img), 11), (imf.fit_fermi_dirac(img), 11)):
-        assert set(fit.diagnostics) == {"nfev", "status"} and fit.diagnostics["status"] in (1, 2, 3)
-        assert fit.diagnostics["nfev"] <= 1.5 * measured
+def test_fit_work_count(gas_factory, monkeypatch):
+    # the fixed images of c9-chi2-degenerate and c9-chi2-boltzmann; nfev, each one
+    # residual, measured 11 and 11 (degenerate) and 6 and 27 (Boltzmann) for the
+    # Gaussian and Fermi-Dirac fits; njev counts Jacobians, built only at the start
+    # and at accepted points, so a trial that does not lower chi2 costs none
+    chi2s, projected = [], imf._projected
+
+    def recording(*args):
+        out = projected(*args)
+        chi2s.append(np.einsum("p,p", out[0], out[0]))
+        return out
+
+    monkeypatch.setattr(imf, "_projected", recording)
+    for t_red, pitch, measured in ((0.1, 8e-6, (11, 11)), (2.0, 25e-6, (6, 27))):
+        clean = imf.synthesize_tof_image(gas_factory(t_red), 10e-3, (64, 64), pitch)
+        img = imf.add_noise(clean, 0.02 * float(clean.values.max()), seed=7)
+        for fit, nfev in zip((imf.fit_gaussian, imf.fit_fermi_dirac), measured):
+            chi2s.clear()
+            diag = fit(img).diagnostics
+            assert set(diag) == {"nfev", "njev", "status"} and diag["status"] in (1, 2, 3)
+            assert diag["nfev"] == len(chi2s) and diag["nfev"] <= 1.5 * nfev
+            rejected = sum(c >= min(chi2s[:i]) for i, c in enumerate(chi2s) if i)
+            assert diag["njev"] <= diag["nfev"] and diag["njev"] == diag["nfev"] - rejected
 
 
 def test_fits_match_least_squares(k92, science_trap):
@@ -249,14 +265,15 @@ def test_fits_match_least_squares(k92, science_trap):
             k92, science_trap, 10 ** rng.uniform(4.0, 5.0), t_red)
         clean = imf.synthesize_tof_image(gas, 10e-3, (48, 48), 16e-6)
         img = imf.add_noise(clean, 0.02 * float(clean.values.max()), seed=i)
-        xx, yy = (c.ravel() for c in img.coordinates())
+        x, y = img.axes()
         phi0, lo, hi = imf._start(img)
         for fit, shape, (z0, z_lo, z_hi) in (
             (imf.fit_gaussian, imf._gauss_shape, ([], [], [])),
             (imf.fit_fermi_dirac, imf._fd_shape, ([1.0], [-30.0], [30.0])),
         ):
-            model = lambda p: imf._projected(shape, p, xx, yy, img.values.ravel(), img.noise_rms)
-            ref = least_squares(lambda p: model(p)[0], phi0 + z0, jac=lambda p: model(p)[1],
+            ds = np.empty((len(phi0 + z0), img.values.size))
+            model = lambda p: imf._projected(shape, p, x, y, img.values.ravel(), img.noise_rms, ds)
+            ref = least_squares(lambda p: model(p)[0], phi0 + z0, jac=lambda p: model(p)[1](),
                                 bounds=(lo + z_lo, hi + z_hi), xtol=1e-14, ftol=1e-14,
                                 gtol=1e-14, max_nfev=2000)
             assert fit(img).chi2 <= 2.0 * ref.cost * (1.0 + 1e-14), (t_red, shape.__name__)

@@ -11,6 +11,8 @@ from fermichip import constants as C
 from fermichip import thermo
 from fermichip.polylog import fermi_fn
 
+import closed_forms
+
 
 # -- occupation --------------------------------------------------------------------
 
@@ -62,7 +64,7 @@ def test_fermi_energy_inversion():
     assert thermo.fermi_energy(n, trap) == pytest.approx(
         100.0 * C.HBAR * trap.omega_bar, rel=1e-12
     )
-    assert thermo.atom_number_from_fermi_energy(
+    assert closed_forms.atom_number_from_fermi_energy(
         thermo.fermi_energy(n, trap), trap
     ) == pytest.approx(n, rel=1e-12)
 
