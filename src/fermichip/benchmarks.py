@@ -27,13 +27,12 @@ class CheckRow:
     computed: str
     target: str
     passed: bool
-    note: str = ""
 
 
-def _row(name, description, computed, target, passed, note=""):
+def _row(name, description, computed, target, passed):
     if isinstance(computed, float):
         computed = f"{computed:.6g}"
-    return CheckRow(name, description, str(computed), target, bool(passed), note)
+    return CheckRow(name, description, str(computed), target, bool(passed))
 
 
 def _within(value, center, tol):

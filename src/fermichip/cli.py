@@ -325,7 +325,6 @@ def _dress_scan_report(scan: rfdress.DressedPotentialScan):
     except rfdress.TopologyError as exc:
         report = {"topology": "ambiguous", "detail": str(exc)}
     report["m_f_prime"] = str(scan.m_f_prime)
-    report["adiabatic_connection"] = scan.connected
     return report
 
 
@@ -440,10 +439,7 @@ def cmd_paper_check(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         if not r.passed:
             n_fail += 1
-        line = f"{status}  {r.name:<{width}}  computed {r.computed:>12}  target {r.target}"
-        if r.note:
-            line += f"  [{r.note}]"
-        print(line)
+        print(f"{status}  {r.name:<{width}}  computed {r.computed:>12}  target {r.target}")
     print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
     if args.out:
         write_json(args.out, [vars(r) for r in rows])
@@ -509,8 +505,8 @@ def cmd_run(args) -> int:
 
 # -- parser ---------------------------------------------------------------------------
 
-def _add_species(p, default="K40"):
-    p.add_argument("--species", default=default, choices=["K40", "Rb87"])
+def _add_species(p):
+    p.add_argument("--species", default="K40", choices=["K40", "Rb87"])
     p.add_argument("--f-quantum", dest="f_quantum", default=None,
                    help="hyperfine F as a fraction, e.g. 9/2 (default: stretched)")
     p.add_argument("--mf", default=None, help="m_F as a fraction, e.g. 9/2")

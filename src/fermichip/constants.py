@@ -135,15 +135,14 @@ class SpeciesRegistry:
     def __getitem__(self, name: str) -> AtomSpecies:
         return self.species[name]
 
-    def state(self, name: str, F, m_F, g_F=None) -> SpinState:
+    def state(self, name: str, F, m_F) -> SpinState:
+        """The |F, m_F> state of a species, with the g_F on record for F."""
         F = _as_fraction(F)
-        m_F = _as_fraction(m_F)
-        if g_F is None:
-            try:
-                g_F = self.g_factors[name][F]
-            except KeyError:
-                raise KeyError(f"no g_F on record for {name} F={F}; pass g_F explicitly")
-        return SpinState(self.species[name], F, m_F, _as_fraction(g_F))
+        try:
+            g_F = self.g_factors[name][F]
+        except KeyError:
+            raise KeyError(f"no g_F on record for {name} F={F}")
+        return SpinState(self.species[name], F, m_F, g_F)
 
     def stretched_state(self, name: str) -> SpinState:
         """The |F, m_F=F> state of the largest tabulated manifold."""

@@ -55,16 +55,6 @@ class ThomasFermiExtent:
         return cls(*r)
 
 
-def _fermi_safe(n: float, w: np.ndarray) -> np.ndarray:
-    """f_n(w) with underflowed (w == 0) entries mapped to 0."""
-    w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    if pos.any():
-        out[pos] = fermi_fn(n, w[pos])
-    return out
-
-
 def _harmonic_potential(gas: TrappedGasState, r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     om = gas.trap.omegas
@@ -79,8 +69,7 @@ def density_finite_T(gas: TrappedGasState, r) -> float | np.ndarray:
     # thermo.occupation, without a warning
     with np.errstate(over="ignore"):
         w = gas.fugacity * np.exp(-beta * _harmonic_potential(gas, r))
-    out = gas.thermal_wavelength**-3 * _fermi_safe(1.5, w)
-    return float(out) if out.ndim == 0 else out
+    return gas.thermal_wavelength**-3 * fermi_fn(1.5, w)
 
 
 def density_zero_T(gas: TrappedGasState, r) -> float | np.ndarray:
@@ -111,8 +100,7 @@ def column_density_fermi(gas: TrappedGasState, t: float, x, y) -> float | np.nda
     z = gas.fugacity
     with np.errstate(over="ignore"):  # the zero-density limit where x/rx or y/ry overflows
         w = z * np.exp(-0.5 * (x / rx) ** 2 - 0.5 * (y / ry) ** 2)
-    out = gas.n_atoms / (2.0 * np.pi * rx * ry * fermi_fn(3.0, z)) * _fermi_safe(2.0, w)
-    return float(out) if out.ndim == 0 else out
+    return gas.n_atoms / (2.0 * np.pi * rx * ry * fermi_fn(3.0, z)) * fermi_fn(2.0, w)
 
 
 def write_raster(path, values: np.ndarray, pitch: float) -> None:

@@ -155,17 +155,12 @@ def collision_rate(species: AtomSpecies, rho0: float, temperature: float, sigma:
     return sigma * rho0 * species.mass * (K_B * temperature) ** 2 / (math.pi**2 * HBAR**3)
 
 
-def min_start_temperature(
-    species: AtomSpecies,
-    rho0: float,
-    gamma_min: float,
-    a_s: float | None = None,
-) -> float:
+def min_start_temperature(species: AtomSpecies, rho0: float, gamma_min: float) -> float:
     """Minimum temperature (K) at the start of evaporation for the collision
     rate to reach gamma_min: (k_B T)^2 = gamma_min pi^2 hbar^3 / (M sigma rho0)
-    with sigma = 8 pi a_s^2."""
-    if a_s is None:
-        a_s = species.s_wave_scattering_length
+    with sigma = 8 pi a_s^2 and a_s the species' s-wave scattering length
+    (ValueError if it has none on record)."""
+    a_s = species.s_wave_scattering_length
     if a_s is None:
         raise ValueError(f"no scattering length on record for {species.name}")
     m_sigma_rho0 = species.mass * sigma_identical_low_temperature(a_s) * rho0

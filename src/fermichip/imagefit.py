@@ -144,8 +144,7 @@ def _fd_shape(phi, x, y):
     rx, ry, x0, y0, ln_z = phi
     z = math.exp(ln_z)
     u, v = (x - x0) / rx, (y - y0) / ry
-    # far wings underflow to w = 0, where fermi_fn is undefined; f_2(w) = w there
-    w = np.maximum(z * np.exp(-0.5 * u * u - 0.5 * v * v), np.finfo(float).tiny)
+    w = z * np.exp(-0.5 * u * u - 0.5 * v * v)
     f3 = fermi_fn(3.0, z)
     c = 1.0 / (2.0 * np.pi * rx * ry * f3)
     s = c * fermi_fn(2.0, w)
@@ -318,17 +317,15 @@ def apparent_temperature(
     trap: HarmonicTrap,
     mass: float,
     t: float,
-    axis: str = "x",
 ) -> float:
-    """Temperature a Gaussian fit would report: r_fit^2 = (w^-2 + t^2) k_B T/M.
+    """Temperature a Gaussian fit would report along x: r_x^2 = (w_x^-2 + t^2) k_B T/M.
 
     At low T/T_F this plateaus above the true temperature (the cloud size is
     floored by the filled Fermi sea); in the Boltzmann regime it matches T.
     """
     fit = fit_gaussian(img)
-    omega = trap.omega_x if axis == "x" else trap.omega_y
-    r = fit.params["r_x"] if axis == "x" else fit.params["r_y"]
-    return r * r * mass / ((omega**-2.0 + t * t) * K_B)
+    r = fit.params["r_x"]
+    return r * r * mass / ((trap.omega_x**-2.0 + t * t) * K_B)
 
 
 def apparent_temperature_curve(t_over_tf) -> float | np.ndarray:

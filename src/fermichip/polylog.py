@@ -1,8 +1,10 @@
 """Fermi functions of the orders the program uses, from numpy and `math` alone.
 
-fermi_fn(n, z) = -Li_n(-z) for z > 0, the integral (1/Gamma(n)) * Int_0^inf
+fermi_fn(n, z) = -Li_n(-z) for z >= 0, the integral (1/Gamma(n)) * Int_0^inf
 t^(n-1) dt / (exp(t)/z + 1), for an integer order 1 <= n <= 24 or a
 half-integer order n = 1/2, 3/2 or 5/2; any other order raises ValueError.
+f_n(0) = 0, the series' value there, so a fugacity-like argument that
+underflowed to 0 needs no special case.
 
 fermi_fn is evaluated in these regimes, with x = ln z:
 
@@ -205,18 +207,18 @@ def _piecewise(table, x: float | np.ndarray) -> float | np.ndarray:
 
 def fermi_fn(n: float, z) -> float | np.ndarray:
     """-Li_n(-z) for an integer order 1 <= n <= 24 or n = 1/2, 3/2, 5/2, and
-    finite fugacity-like argument z > 0.
+    finite fugacity-like argument z >= 0; f_n(0) = 0 exactly.
 
     Accepts scalars or arrays; strictly increasing in z.  A scalar or a 0-d
     array gives a float, any other input an array of its shape.  Raises
-    ValueError for any other order or z.
+    ValueError for any other order or z (negative, nan or inf).
     """
     n = _fermi_order(n)
     z = np.asarray(z, dtype=float)
     if z.size == 1:
         w = z.item()
-        if not 0.0 < w < math.inf:
-            raise ValueError("fermi_fn requires a finite z > 0")
+        if not 0.0 <= w < math.inf:
+            raise ValueError("fermi_fn requires a finite z >= 0")
         if w <= SERIES_CUT:
             out = _fermi_series(n, w)
         elif n.is_integer():
@@ -229,8 +231,8 @@ def fermi_fn(n: float, z) -> float | np.ndarray:
                 out = _piecewise(_TABLES[n], x)
         return float(out) if z.ndim == 0 else np.full(z.shape, out)
 
-    if not np.all((z > 0.0) & (z < math.inf)):
-        raise ValueError("fermi_fn requires a finite z > 0")
+    if not np.all((z >= 0.0) & (z < math.inf)):
+        raise ValueError("fermi_fn requires a finite z >= 0")
     if n.is_integer():
         # one series pass over min(z, 1/z); above z = 1 reflect it through P_n
         high = z > SERIES_CUT

@@ -123,7 +123,6 @@ class DressedPotentialScan:
     rabi: np.ndarray           # J
     axis: np.ndarray
     center: np.ndarray
-    connected: bool = True     # m_f_prime came from the adiabatic-connection rule
 
     def __post_init__(self):
         expect = float(self.m_f_prime) * np.hypot(self.delta, self.rabi)
@@ -139,18 +138,18 @@ def dressed_potential(
     axis=(1.0, 0.0, 0.0),
     half_range: float = 10e-6,
     npoints: int = 4096,
-    m_f_prime: Fraction | None = None,
     connect_at_omega: float | None = None,
 ) -> DressedPotentialScan:
     """Sample the RWA dressed potential along `axis` through `center`.
 
-    The populated branch is chosen by adiabatic connection from the bare m_F
-    state unless m_f_prime is given.  When the RF amplitude was ramped on at a
-    different frequency than the one being scanned (amplitude ramp followed by
-    a frequency sweep), pass that ramp frequency as connect_at_omega: the
-    branch label is set by the detuning sign at ramp-on and survives the
-    sweep.  Raises RWAViolationError when B_RF >= B_DC anywhere on the scan
-    and warns above 0.3 B_DC.
+    The populated branch m_F' is the one the bare m_F state joins by
+    adiabatic connection (adiabatic_branch), from the detuning at `center`.
+    When the RF amplitude was ramped on at a different frequency than the one
+    being scanned (amplitude ramp followed by a frequency sweep), pass that
+    ramp frequency as connect_at_omega: the branch label is set by the
+    detuning sign at ramp-on and survives the sweep.  Raises
+    RWAViolationError when B_RF >= B_DC anywhere on the scan and warns above
+    0.3 B_DC.
     """
     if npoints < 3:
         raise ValueError(f"the scan needs at least 3 points (--points), got {npoints}")
@@ -184,13 +183,11 @@ def dressed_potential(
             RWAWarning,
         )
 
-    connected = m_f_prime is None
-    if m_f_prime is None:
-        i0 = int(np.argmin(np.abs(s)))
-        delta0 = float(delta[i0])
-        if connect_at_omega is not None:
-            delta0 = float(delta[i0]) + HBAR * (connect_at_omega - rf.omega)
-        m_f_prime = adiabatic_branch(state, delta0)
+    i0 = int(np.argmin(np.abs(s)))
+    delta0 = float(delta[i0])
+    if connect_at_omega is not None:
+        delta0 += HBAR * (connect_at_omega - rf.omega)
+    m_f_prime = adiabatic_branch(state, delta0)
     u_eff = float(m_f_prime) * np.hypot(delta, rabi)
     return DressedPotentialScan(
         state=state,
@@ -201,7 +198,6 @@ def dressed_potential(
         rabi=rabi,
         axis=axis,
         center=center,
-        connected=connected,
     )
 
 

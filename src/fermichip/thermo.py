@@ -300,15 +300,12 @@ def discrete_sum_oracle(
     mu: float,
     temperature: float,
     cutoff: int,
-    include_zero_point: bool = True,
 ) -> tuple[float, float]:
     """Brute-force (N, E) over discrete 3D oscillator levels.
 
-    With include_zero_point=True the levels sit at hbar(wx(nx+1/2) + ...), and
-    mu is measured from the bottom of the potential, matching the continuum
-    convention U(0) = 0.  With False, energies are measured from the ground
-    state (mu relative to the lowest level).  E is returned in the same
-    reference frame as the levels.
+    The levels sit at hbar(wx(nx+1/2) + ...), zero-point energy included, and
+    mu and E are measured from the bottom of the potential: the continuum
+    convention U(0) = 0.
 
     `cutoff` is the maximum oscillator shell index per axis; it must be large
     enough that the occupancy of the cutoff shell is below 1e-12.
@@ -316,7 +313,7 @@ def discrete_sum_oracle(
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     omegas = trap.omegas
-    zero_point = 0.5 * HBAR * float(omegas.sum()) if include_zero_point else 0.0
+    zero_point = 0.5 * HBAR * float(omegas.sum())
 
     e_top = HBAR * float(omegas.min()) * cutoff + zero_point
     occ_top = float(occupation(e_top, mu, temperature))

@@ -75,7 +75,9 @@ _CLAMP = 0.25 * SINGULARITY_GUARD
 # 5.0 ms in blocks of 1024 and 3.6 ms in blocks of 512 on a 2-vCPU Xeon)
 _BLOCK = 512
 _ZERO_FIELD_TOL = 1e-9  # T, |B| below which a minimum is a field zero
+_GRAD_TOL = 1e-10  # T/m, largest |grad |B|| find_minimum accepts at a minimum
 _DEPTH_SAMPLES = 500  # samples per escape ray of trap_depth
+_REFINE_ROUNDS = 2  # refinement fans of trap_depth around the weakest ray
 _IP_RESIDUAL_THRESHOLD = 0.01  # ip_fit warns above this |B| residual RMS / B0
 
 
@@ -609,7 +611,7 @@ def _start_point(model, r, search, point):
     return r
 
 
-def find_minimum(model, seed, grad_tol: float = 1e-10) -> TrapMinimum:
+def find_minimum(model, seed) -> TrapMinimum:
     """Locate a local minimum of |B| near `seed`.
 
     Deterministic trust-region Newton search (Nocedal and Wright, Numerical
@@ -635,7 +637,7 @@ def find_minimum(model, seed, grad_tol: float = 1e-10) -> TrapMinimum:
     The seed must be three finite coordinates on the near side of the chip
     plane (ValueError otherwise).  Raises SingularityError if the seed lies
     within SINGULARITY_GUARD of a wire axis, ConvergenceError if
-    |grad |B|| > grad_tol at the end (naming the chip surface when steps
+    |grad |B|| > _GRAD_TOL at the end (naming the chip surface when steps
     were cut there, as where |B| falls only through the chip, or the wire
     guard when the last rejected trial lay within it),
     SaddlePointError if the Hessian of |B| is indefinite and NotATrapError if
@@ -648,9 +650,9 @@ def find_minimum(model, seed, grad_tol: float = 1e-10) -> TrapMinimum:
         grad_norm = float("nan")
     else:
         grad_norm = float(np.linalg.norm(jac.T @ b)) / b0
-        if grad_norm > grad_tol:
+        if grad_norm > _GRAD_TOL:
             raise ConvergenceError(
-                f"|grad |B|| = {grad_norm:.3e} T/m exceeds tolerance {grad_tol:.1e}; "
+                f"|grad |B|| = {grad_norm:.3e} T/m exceeds tolerance {_GRAD_TOL:.1e}; "
                 f"{_BLOCKED[blocked]}: position {x}, B0 = {b0:.6e} T"
             )
         eigs = np.linalg.eigvalsh(_norm_hessian(x, b, jac, hess))
@@ -828,20 +830,15 @@ def _search(model, state, r0, directions, s, u0, batches, bound):
     return None if i is None else (i, float(barrier[i]), _finite(u[i]).argmax())
 
 
-def trap_depth(
-    model,
-    state: SpinState,
-    r0,
-    ray_length: float | None = None,
-    refine_rounds: int = 2,
-) -> TrapDepthReport:
+def trap_depth(model, state: SpinState, r0) -> TrapDepthReport:
     """Lowest escape barrier: min over ray directions of (max U along ray - U(r0)).
 
-    26-direction grid plus angular refinement around the weakest ray.  Each
-    ray takes _DEPTH_SAMPLES geometric steps out to ray_length and ends where
-    it first crosses the chip plane.  A ray whose potential is still rising
-    at its end has no barrier inside the search range and never sets the
-    depth.  One staged search (_search) serves the grid and each 49-ray
+    26-direction grid plus _REFINE_ROUNDS fans of angular refinement around
+    the weakest ray.  Each ray takes _DEPTH_SAMPLES geometric steps out to
+    max(5 mm, 10 times the distance from r0 to the farthest wire end) and
+    ends where it first crosses the chip plane.  A ray whose potential is
+    still rising at its end has no barrier inside the search range and never
+    sets the depth.  One staged search (_search) serves the grid and each 49-ray
     refinement fan, and gives the depth and escape direction that every
     sample of every ray would.  Its first batches are every 8th sample on the
     grid, and on a fan the crest sample of the weakest ray so far and every
@@ -852,11 +849,9 @@ def trap_depth(
     (ValueError otherwise).
     """
     r0 = _start_point(model, r0, "depth", "start")
-    if ray_length is None:
-        ends = [p for seg in model.segments for p in (seg.a, seg.b)]
-        far = max((np.linalg.norm(np.asarray(p) - r0) for p in ends), default=0.0)
-        ray_length = max(5e-3, 10.0 * far)
-    s = np.geomspace(1e-7, ray_length, _DEPTH_SAMPLES)
+    ends = [p for seg in model.segments for p in (seg.a, seg.b)]
+    far = max((np.linalg.norm(np.asarray(p) - r0) for p in ends), default=0.0)
+    s = np.geomspace(1e-7, max(5e-3, 10.0 * far), _DEPTH_SAMPLES)
     u0 = float(potential(model, state, r0, guard=0.0))
 
     coarse = np.arange(0, _DEPTH_SAMPLES, _COARSE_STRIDE)
@@ -868,7 +863,7 @@ def trap_depth(
 
     # refine directions around the weakest ray
     width = 0.45
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         t1 = np.cross(d, [0.0, 0.0, 1.0])
         if np.linalg.norm(t1) < 1e-8:
             t1 = np.cross(d, [0.0, 1.0, 0.0])

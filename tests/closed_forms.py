@@ -1,6 +1,7 @@
 """Closed forms that the tests check the library's fast paths against; no
 program path uses them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,12 +37,13 @@ def relative_velocity(species, temperature):
     return math.sqrt(8.0 * K_B * temperature / (math.pi * species.mass))
 
 
-def min_start_temperature_scaling(species, rho0, gamma_min, a_s=None):
+def min_start_temperature_scaling(species, rho0, gamma_min):
     """Pivot form T0 = T_ref (1e-6/rho0)^(1/2) (gamma/150 s^-1)^(1/2) (5.3 nm/a_s),
-    anchored at the exact reference evaluation so both paths agree identically."""
-    if a_s is None:
-        a_s = species.s_wave_scattering_length
-    t_ref = min_start_temperature(species, 1e-6, 150.0, 5.3e-9)
+    anchored at the exact reference evaluation (a_s = 5.3 nm) so both paths
+    agree identically."""
+    pivot = dataclasses.replace(species, s_wave_scattering_length=5.3e-9)
+    t_ref = min_start_temperature(pivot, 1e-6, 150.0)
+    a_s = species.s_wave_scattering_length
     return t_ref * math.sqrt(1e-6 / rho0) * math.sqrt(gamma_min / 150.0) * (5.3e-9 / a_s)
 
 

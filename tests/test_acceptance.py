@@ -29,9 +29,7 @@ def _assert_rows(rows, names):
         if not row.passed:
             failed.append(row)
     assert not failed, "; ".join(
-        f"{r.name}: computed {r.computed} vs target {r.target}"
-        + (f" ({r.note})" if r.note else "")
-        for r in failed
+        f"{r.name}: computed {r.computed} vs target {r.target}" for r in failed
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -198,9 +199,8 @@ def test_min_start_temperature_reference(rb):
 def test_min_start_temperature_scalings(rb):
     base = ev.min_start_temperature(rb, 1e-6, 150.0)
     assert ev.min_start_temperature(rb, 1e-4, 150.0) == pytest.approx(base / 10.0, rel=1e-12)
-    assert ev.min_start_temperature(rb, 1e-6, 150.0, a_s=5.3e-9 / 2) == pytest.approx(
-        2.0 * base, rel=1e-12
-    )
+    half_a_s = dataclasses.replace(rb, s_wave_scattering_length=rb.s_wave_scattering_length / 2)
+    assert ev.min_start_temperature(half_a_s, 1e-6, 150.0) == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_min_start_temperature_both_paths_agree(rb):

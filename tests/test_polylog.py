@@ -167,11 +167,21 @@ def test_domain_errors():
             pl.fermi_fn(n, 2.0)
         with pytest.raises(ValueError, match="not supported"):
             pl.seams(n)
-    # a point or a batch: z must be finite and positive
-    for bad in (0.0, -1.0, -math.inf, math.nan, math.inf):
+    # a point or a batch: z must be finite and not negative
+    for bad in (-1.0, -math.inf, math.nan, math.inf):
         for z in (bad, np.array([2.0, bad])):
-            with pytest.raises(ValueError, match="finite z > 0"):
+            with pytest.raises(ValueError, match="finite z >= 0"):
                 pl.fermi_fn(2.0, z)
+
+
+@pytest.mark.parametrize("n", FERMI_ORDERS)
+def test_zero_fugacity_is_zero(n):
+    # f_n(0) = 0 exactly, for one point and for a point among others, so an
+    # argument that underflowed to 0 needs no special case in the callers
+    assert pl.fermi_fn(n, 0.0) == 0.0
+    out = pl.fermi_fn(n, np.array([0.5, 0.0, 2.0, 1e40]))
+    assert out[1] == 0.0
+    assert np.all(out[[0, 2, 3]] > 0.0)
 
 
 @settings(max_examples=40, deadline=None)

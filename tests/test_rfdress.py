@@ -120,7 +120,8 @@ def test_zero_rabi_limit_kinked_at_resonance(rb22):
     model = benchmark_ip()
     field = rf.RFField(0.0, 2 * math.pi * 860e3, (0, 0, 1))
     scan = rf.dressed_potential(model, field, rb22, np.zeros(3), (1, 0, 0), 5e-6,
-                                m_f_prime=Fraction(2))
+                                connect_at_omega=2 * math.pi * 800e3)
+    assert scan.m_f_prime == Fraction(2)
     assert np.allclose(scan.u_eff, 2.0 * np.abs(scan.delta), rtol=1e-12)
     # |delta| has a genuine kink: the derivative jumps sign across resonance
     assert scan.delta.max() > 0 > scan.delta.min()
@@ -251,29 +252,21 @@ def test_rwa_warning_and_violation(rb22):
 
 
 def test_level_ordering_and_resonant_gap(rb22):
-    model = benchmark_ip()
-    field = rf_field(860.0)
-    scans = {
-        m: rf.dressed_potential(
-            model, field, rb22, np.zeros(3), (1, 0, 0), 5e-6, m_f_prime=Fraction(m)
-        )
-        for m in range(-2, 3)
-    }
-    sample = [scans[m].u_eff[1234] for m in range(-2, 3)]
+    # the dressed levels m_F' sqrt(delta^2 + Omega^2), m_F' = -2..2, of one scan
+    scan = rf.dressed_potential(benchmark_ip(), rf_field(860.0), rb22, np.zeros(3), (1, 0, 0),
+                                5e-6)
+    levels = {m: m * np.hypot(scan.delta, scan.rabi) for m in range(-2, 3)}
+    sample = [levels[m][1234] for m in range(-2, 3)]
     assert all(a < b for a, b in zip(sample, sample[1:]))
     # at the resonance point the adjacent-level gap equals the local Rabi energy
-    scan = scans[1]
     i_res = int(np.argmin(np.abs(scan.delta)))
-    gap = scans[2].u_eff[i_res] - scans[1].u_eff[i_res]
+    gap = levels[2][i_res] - levels[1][i_res]
     assert gap == pytest.approx(float(scan.rabi[i_res]), rel=1e-3)
 
 
 def test_avoided_crossing_floor(rb22):
     model = benchmark_ip()
-    scan = rf.dressed_potential(
-        model, rf_field(860.0), rb22, np.zeros(3), (1, 0, 0), 10e-6,
-        m_f_prime=Fraction(2),
-    )
+    scan = rf.dressed_potential(model, rf_field(860.0), rb22, np.zeros(3), (1, 0, 0), 10e-6)
     gap = np.hypot(scan.delta, scan.rabi)  # adjacent-level spacing
     assert gap.min() >= scan.rabi.min() > 0
 
@@ -366,5 +359,5 @@ def test_k_only_depth(k92, rb22):
 
 
 def test_k_only_depth_no_selectivity_if_equal_g(registry, rb22):
-    fake_k = registry.state("K40", "9/2", "9/2", g_F="1/2")
+    fake_k = C.SpinState(registry["K40"], "9/2", "9/2", "1/2")
     assert rf.k_only_evaporation_depth(fake_k, rb22, 5.7 * C.GAUSS) == 0.0

@@ -295,11 +295,10 @@ def test_discrete_oracle_zero_t_shell_count():
     omega = 1000.0
     trap = thermo.HarmonicTrap.isotropic(omega)
     t = C.HBAR * omega / C.K_B * 1e-3  # k_B T = 1e-3 hbar w: effectively T = 0
-    n, e = thermo.discrete_sum_oracle(trap, 3.5 * C.HBAR * omega, t, cutoff=40,
-                                      include_zero_point=False)
-    # filled shells s = 0..3 hold 1 + 3 + 6 + 10 = 20 fermions
+    n, e = thermo.discrete_sum_oracle(trap, 5.0 * C.HBAR * omega, t, cutoff=40)
+    # filled shells s = 0..3, at (s + 3/2) hbar w, hold 1 + 3 + 6 + 10 = 20 fermions
     assert n == pytest.approx(20.0, abs=1e-9)
-    expected_e = C.HBAR * omega * (0 * 1 + 1 * 3 + 2 * 6 + 3 * 10)
+    expected_e = 75.0 * C.HBAR * omega  # 1.5 * 1 + 2.5 * 3 + 3.5 * 6 + 4.5 * 10
     assert e == pytest.approx(expected_e, rel=1e-9)
 
 

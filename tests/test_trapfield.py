@@ -3,6 +3,7 @@ import math
 import warnings
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -794,7 +795,7 @@ def test_axial_bias_raises_b0(split_trap):
 
 
 def test_find_minimum_perturbed_split_traps(split_trap):
-    # the exact gradient leaves |grad |B|| far below grad_tol at perturbed minima
+    # the exact gradient leaves |grad |B|| far below _GRAD_TOL at perturbed minima
     model, seed = split_trap
     rng = np.random.default_rng(7)
     variants = [
@@ -943,6 +944,18 @@ def test_untrappable_state_not_a_trap(registry):
 
 # -- depth ------------------------------------------------------------------------------
 
+def depth_after(rounds, model, state, r0):
+    """trap_depth with `rounds` refinement fans in place of _REFINE_ROUNDS."""
+    with mock.patch.object(tf, "_REFINE_ROUNDS", rounds):
+        return tf.trap_depth(model, state, r0)
+
+
+def default_ray_length(model, r0):
+    """trap_depth's ray length: 5 mm, or 10 times the farthest wire end from r0."""
+    ends = [p for seg in model.segments for p in (seg.a, seg.b)]
+    return max(5e-3, 10.0 * max((np.linalg.norm(np.asarray(p) - r0) for p in ends), default=0.0))
+
+
 def test_depth_science_trap(z_trap, z_minimum, k92):
     model, _ = z_trap
     report = tf.trap_depth(model, k92, z_minimum.position)
@@ -962,7 +975,7 @@ def test_depth_one_field_call_per_round(z_trap, z_minimum, k92, rounds):
     # 49-ray refinement fan, however many rays they have
     model, _ = z_trap
     counted = counting(tf.FieldModel)(model.segments, model.bias, None, model.chip_plane)
-    tf.trap_depth(counted, k92, z_minimum.position, refine_rounds=rounds)
+    depth_after(rounds, counted, k92, z_minimum.position)
     assert counted.evaluations <= 1 + 3 + 4 * rounds
     # U(r0) and about a fifth of the grid's 10,924 points above the chip, then
     # about a twentieth of each fan's 49 x 500 points: every 8th sample, then
@@ -990,7 +1003,7 @@ def test_depth_grid_refills_rays_that_can_still_win(k92, tie):
         return np.stack([b_prime * x, b0 * (1.0 + bump), -b_prime * z], axis=-1)
 
     model = array_field(field)
-    report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3)
+    report = tf.trap_depth(model, k92, np.zeros(3))
     assert report.escape_direction.tolist() == [0.0, -1.0, 0.0]
     crest = tf.potential(model, k92, np.array([0.0, -s[300], 0.0]))
     assert report.depth == float(crest - tf.potential(model, k92, np.zeros(3)))
@@ -1010,7 +1023,7 @@ def test_depth_excludes_slowly_rising_rays(k92):
         return np.stack([0.0 * x, b0 * (1.0 + rise + bump), 0.0 * x], axis=-1)
 
     model = array_field(field)
-    report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3)
+    report = tf.trap_depth(model, k92, np.zeros(3))
     assert report.escape_direction.tolist() == [0.0, -1.0, 0.0]
     assert report.depth == pytest.approx(0.1 * C.magnetic_moment(k92) * b0, rel=1e-12)
 
@@ -1029,10 +1042,10 @@ def test_depth_rising_rays_peaking_low_never_win(k92):
         return np.stack([0.0 * x, b0 * (1.0 + rise + bump), 0.0 * x], axis=-1)
 
     model = counting(type(array_field(field)))()
-    expected = reference_depths(model, k92, np.zeros(3), 2, ray_length=5e-3)
+    expected = reference_depths(model, k92, np.zeros(3), 2)
     for rounds, (depth, direction) in enumerate(expected):
         model.points = 0
-        report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3, refine_rounds=rounds)
+        report = depth_after(rounds, model, k92, np.zeros(3))
         assert report.escape_direction.tolist() == [0.0, -1.0, 0.0]
         assert np.float64(report.depth).tobytes() == np.float64(depth).tobytes()
         assert report.escape_direction.tobytes() == np.asarray(direction).tobytes()
@@ -1059,16 +1072,11 @@ def reference_barrier(u, u0):
     return barrier, still_rising
 
 
-def reference_depths(model, state, r0, rounds, ray_length=None):
+def reference_depths(model, state, r0, rounds):
     """The depth search as a loop over rays, with every sample of every ray
     evaluated: (depth, escape direction) after each of 0, 1, ..., rounds
-    refinement rounds.  Without a ray length, that of a wire model's default
-    search."""
-    if ray_length is None:
-        far = max(np.linalg.norm(np.asarray(p) - r0) for seg in model.segments
-                  for p in (seg.a, seg.b))
-        ray_length = max(5e-3, 10.0 * far)
-    s = np.geomspace(1e-7, ray_length, 500)
+    refinement rounds."""
+    s = np.geomspace(1e-7, default_ray_length(model, r0), 500)
     u0 = float(tf.potential(model, state, r0, guard=0.0))
 
     def barriers(directions):
@@ -1150,12 +1158,12 @@ def fan_field(bumps):
 def assert_fan_winner(model, k92, h):
     """The first fan around +y picks W = (-0.15, 1, 0) with the barrier h b0,
     and every round's depth and direction are the reference's bit for bit."""
-    expected = reference_depths(model, k92, np.zeros(3), 2, ray_length=5e-3)
+    expected = reference_depths(model, k92, np.zeros(3), 2)
     w = np.array([-0.15, 1.0, 0.0]) / np.linalg.norm([-0.15, 1.0, 0.0])
     assert np.allclose(expected[1][1], w, rtol=0, atol=1e-15)
     assert expected[1][0] == pytest.approx(h * C.magnetic_moment(k92) * 2.0 * C.GAUSS, rel=1e-12)
     for rounds, (depth, direction) in enumerate(expected):
-        report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3, refine_rounds=rounds)
+        report = depth_after(rounds, model, k92, np.zeros(3))
         assert np.float64(report.depth).tobytes() == np.float64(depth).tobytes()
         assert report.escape_direction.tobytes() == np.asarray(direction).tobytes()
 
@@ -1251,7 +1259,7 @@ def test_depth_matches_unpruned_reference(name, where, k92, rb22):
     for state in (k92, rb22):
         expected = reference_depths(model, state, r0, 2)
         for rounds, (depth, direction) in enumerate(expected):
-            report = tf.trap_depth(model, state, r0, refine_rounds=rounds)
+            report = depth_after(rounds, model, state, r0)
             assert np.float64(report.depth).tobytes() == np.float64(depth).tobytes()
             assert report.escape_direction.tobytes() == np.asarray(direction).tobytes()
 
@@ -1261,8 +1269,8 @@ def test_depth_is_barrier_along_escape_direction(name, k92):
     # the batched search reports exactly the barrier of its escape ray alone
     model, seed = tf.load_geometry(geometry_path(name))
     r0 = tf.find_minimum(model, seed).position
-    report = tf.trap_depth(model, k92, r0, ray_length=0.5)
-    s = np.geomspace(1e-7, 0.5, 500)
+    report = tf.trap_depth(model, k92, r0)
+    s = np.geomspace(1e-7, default_ray_length(model, r0), 500)
     pts = r0 + s[:, None] * report.escape_direction
     pts = pts[~model.beyond_chip(pts)]
     assert model.field_and_distance(pts)[1].min() >= tf.SINGULARITY_GUARD
@@ -1279,7 +1287,7 @@ def test_depth_single_wire_with_bias(rb22):
         segments=[tf.WireSegment((-0.004, 0.0, 0.0), (0.004, 0.0, 0.0), current)],
         bias=(0.0, bias, 1.0 * C.GAUSS),
     )
-    m = tf.find_minimum(model, np.array([0.0, 0.0, d]), grad_tol=1e-7)
+    m = tf.find_minimum(model, np.array([0.0, 0.0, d]))
     report = tf.trap_depth(model, rb22, m.position)
     approx_depth = C.magnetic_moment(rb22) * bias
     assert report.depth == pytest.approx(approx_depth, rel=0.15)
@@ -1301,7 +1309,7 @@ def test_depth_excludes_unbounded_rays(k92):
         return np.stack([b_prime * x, by, -b_prime * z], axis=-1)
 
     model = array_field(field)
-    report = tf.trap_depth(model, k92, np.zeros(3), ray_length=5e-3)
+    report = tf.trap_depth(model, k92, np.zeros(3))
     expected = C.magnetic_moment(k92) * b0 * bump * math.exp(-1.0)
     assert report.depth == pytest.approx(expected, rel=0.01)
     # the weakest escape is along the trap axis
