@@ -2,8 +2,8 @@
 
     python scripts/trap_reference.py
 
-For each geometry in `src/fermichip/data/`, read into doubles as
-`fermichip.trapfield.load_geometry` reads it, the field is the closed-form
+For each shipped geometry, read into doubles by name with
+`fermichip.trapfield.load_geometry`, the field is the closed-form
 finite-segment Biot-Savart expression of Hanson and Hirshman (Phys. Plasmas 9,
 4410 (2002)) plus the bias, evaluated in 40-digit mpmath.  The minimum of |B|
 is found by Newton iteration from the shipped seed, with the gradient and the
@@ -39,7 +39,7 @@ from fermichip import constants as C  # noqa: E402
 from fermichip import trapfield  # noqa: E402
 
 DPS = 40
-GEOMETRIES = ("toronto_z_trap", "toronto_split_trap")
+GEOMETRIES = ("toronto-z-trap", "toronto-split-trap")
 SPECIES = ("K40", "Rb87")
 
 
@@ -85,7 +85,7 @@ def gradient_and_hessian(f, x):
 
 
 def reference(name):
-    model, seed = trapfield.load_geometry(ROOT / "src" / "fermichip" / "data" / f"{name}.json")
+    model, seed = trapfield.load_geometry(name)
     f = field_norm(model)
     x = [mpmath.mpf(float(v)) for v in seed]
     for _ in range(30):
@@ -112,7 +112,7 @@ def reference(name):
 
 def program(name):
     """The values `fermichip trap` reports for the geometry, per species."""
-    model, seed = trapfield.load_geometry(ROOT / "src" / "fermichip" / "data" / f"{name}.json")
+    model, seed = trapfield.load_geometry(name)
     minimum = trapfield.find_minimum(model, seed)
     ip = trapfield.ip_fit(model, minimum.position)
     registry = C.builtin_species()

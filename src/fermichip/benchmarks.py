@@ -274,23 +274,16 @@ def fit_rows():
 def scaling_rows():
     reg = C.builtin_species()
     rb = reg["Rb87"]
-    models = {
-        "sho": evaporation.EffectiveVolumeModel("sho", mass=rb.mass, omega_bar=2e3),
-        "quadrupole3d": evaporation.EffectiveVolumeModel(
-            "quadrupole3d", mean_gradient=C.MU_B * 1e3
-        ),
-        "box": evaporation.EffectiveVolumeModel("box", side=1e-4),
-        "quad2d_box": evaporation.EffectiveVolumeModel(
-            "quad2d_box", mean_gradient=C.MU_B * 1e3, side=1e-4
-        ),
-    }
+    shape = evaporation.EffectiveVolumeModel
+    models = (shape.sho(rb.mass, 2e3), shape.quadrupole3d(C.MU_B * 1e3), shape.box(1e-4),
+              shape.quad2d_box(C.MU_B * 1e3, 1e-4))
     temps = np.geomspace(1e-5, 1e-3, 9)
     dev_v = 0.0
     dev_n = 0.0
-    for kind, model in models.items():
+    for model in models:
         v = [evaporation.effective_volume(model, t) for t in temps]
         slope = float(np.polyfit(np.log(temps), np.log(v), 1)[0])
-        dev_v = max(dev_v, abs(slope - evaporation.power_law_exponent(model)))
+        dev_v = max(dev_v, abs(slope - model.exponent))
         depths = np.geomspace(C.K_B * 1e-4, C.K_B * 1e-2, 9)
         n = [
             evaporation.max_loadable_atoms(
@@ -299,7 +292,7 @@ def scaling_rows():
             for u in depths
         ]
         slope_n = float(np.polyfit(np.log(depths), np.log(n), 1)[0])
-        dev_n = max(dev_n, abs(slope_n - (evaporation.power_law_exponent(model) + 1.5)))
+        dev_n = max(dev_n, abs(slope_n - (model.exponent + 1.5)))
     exponent = evaporation.current_scaling_exponent(evaporation.CurrentScalingFamily(rb))
     return [
         _row("c10-volume-exponents", "max |log-slope - delta| over trap kinds", dev_v,
@@ -328,10 +321,7 @@ def numerics_rows():
         gauss_dev = max(gauss_dev, abs(lhs / rhs - 1.0))
 
     # Maxwell checks on the shipped geometry
-    from importlib import resources
-
-    with resources.as_file(resources.files("fermichip").joinpath("data/toronto_z_trap.json")) as p:
-        model, seed = trapfield.load_geometry(p)
+    model, seed = trapfield.load_geometry("toronto-z-trap")
     rng = np.random.default_rng(4)
     maxwell = 0.0
     for _ in range(5):

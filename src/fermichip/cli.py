@@ -100,28 +100,6 @@ def write_json(path, obj) -> None:
         print(_json_fmt(obj))
 
 
-def data_dir() -> Path:
-    override = os.environ.get("FERMICHIP_DATA_DIR")
-    if override:
-        return Path(override)
-    from importlib import resources
-
-    return Path(resources.files("fermichip").joinpath("data"))
-
-
-def _resolve_geometry(name_or_path: str):
-    from . import trapfield
-
-    p = Path(name_or_path)
-    if not p.exists():
-        candidate = data_dir() / f"{name_or_path.replace('-', '_')}.json"
-        if candidate.exists():
-            p = candidate
-        else:
-            raise FileNotFoundError(f"geometry {name_or_path!r} not found (also tried {candidate})")
-    return trapfield.load_geometry(p)
-
-
 def _state_from_args(args) -> C.SpinState:
     reg = C.builtin_species()
     f_quantum = getattr(args, "f_quantum", None)
@@ -179,6 +157,7 @@ def cmd_thermo(args) -> int:
         gas = thermo.TrappedGasState(state, trap, args.n_atoms, args.temperature_uk * 1e-6)
     else:
         raise ValueError("give --t-over-tf or --temperature-uk")
+    energy = thermo.energy_per_particle(gas)
     report = {
         "species": args.species,
         "n_atoms": args.n_atoms,
@@ -190,8 +169,8 @@ def cmd_thermo(args) -> int:
         "t_over_tf": gas.t_reduced,
         "fugacity": gas.fugacity,
         "chemical_potential_over_ef": gas.chemical_potential / gas.fermi_energy,
-        "energy_per_particle_j": thermo.energy_per_particle(gas),
-        "energy_per_particle_over_ef": thermo.energy_per_particle(gas) / gas.fermi_energy,
+        "energy_per_particle_j": energy,
+        "energy_per_particle_over_ef": energy / gas.fermi_energy,
         "degeneracy_parameter": thermo.degeneracy_parameter(gas.fugacity),
         "capacity_1d": None,
     }
@@ -262,7 +241,7 @@ def cmd_trap(args) -> int:
 
     from . import trapfield
 
-    model, seed = _resolve_geometry(args.geometry)
+    model, seed = trapfield.load_geometry(args.geometry)
     if args.seed_um:
         seed = np.asarray([float(v) for v in args.seed_um.split(",")]) * 1e-6
         if seed.shape != (3,) or not np.isfinite(seed).all():
@@ -348,7 +327,7 @@ def cmd_dress(args) -> int:
         rf_khz = args.rf_khz
         ramp_khz = args.rf_khz if args.ramp_khz is None else args.ramp_khz
         amplitude_mg = 200.0 if args.amplitude_mg is None else args.amplitude_mg
-    model, seed = _resolve_geometry(geometry)
+    model, seed = trapfield.load_geometry(geometry)
     minimum = trapfield.find_minimum(model, seed)
     ip = trapfield.ip_fit(model, minimum.position)
     axis = ip.axes[:, 0]

@@ -1,18 +1,20 @@
 """Evaporation and chip-loading design rules.
 
 Effective trap volumes V_eff(T) = Int exp(-U/k_B T) d^3r for the standard trap
-shapes, the resulting bound on the loadable atom number at a given phase-space
-density, the wire-current scaling of that bound, elastic collision rates, the
-minimum useful starting temperature, and the low-temperature s-wave
-cross-section of identical bosons; and the four worked loading examples
-(`LOADING_PRESETS`) that the `evap` command reports and paper-check checks.
+shapes, each the power law C_delta (k_B T)^delta that one constructor of
+`EffectiveVolumeModel` states (harmonic 3/2, linear quadrupole 3, box 0, boxed
+2D quadrupole 2); the resulting bound on the loadable atom number at a given
+phase-space density, the wire-current scaling of that bound, elastic
+collision rates, the minimum useful starting temperature, and the
+low-temperature s-wave cross-section of identical bosons; and the four worked
+loading examples (`LOADING_PRESETS`) that the `evap` command reports and
+paper-check checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 from .constants import (GAUSS_PER_CM, GAUSS_PER_CM2, HBAR, K_B, MU_B, AtomSpecies,
                         builtin_species, thermal_wavelength)
@@ -22,7 +24,6 @@ __all__ = [
     "LoadingBudget",
     "CurrentScalingFamily",
     "effective_volume",
-    "power_law_exponent",
     "max_loadable_atoms",
     "current_scaling_exponent",
     "collision_rate",
@@ -31,50 +32,41 @@ __all__ = [
     "LOADING_PRESETS",
 ]
 
-Kind = Literal["sho", "quadrupole3d", "box", "quad2d_box"]
-
-# V_eff = C_delta T^delta
-_DELTA = {"sho": 1.5, "quadrupole3d": 3.0, "box": 0.0, "quad2d_box": 2.0}
-
 
 @dataclass(frozen=True)
 class EffectiveVolumeModel:
-    """Trap shape for the effective-volume integral (eta >> 1 regime).
+    """A trap shape's effective volume V_eff = coefficient (k_B T)^exponent
+    (eta >> 1 regime), from one of the shape constructors."""
 
-    kind="sho":          needs mass (kg) and omega_bar (rad/s)
-    kind="quadrupole3d": needs mean_gradient (J/m, geometric mean of mu B'_i)
-    kind="box":          needs side (m)
-    kind="quad2d_box":   needs mean_gradient (J/m, 2D quadrupole) and side (m)
-    """
+    coefficient: float  # m^3 J^-exponent
+    exponent: float
 
-    kind: Kind
-    mass: float | None = None
-    omega_bar: float | None = None
-    mean_gradient: float | None = None
-    side: float | None = None
+    @classmethod
+    def sho(cls, mass: float, omega_bar: float) -> EffectiveVolumeModel:
+        """Harmonic trap: mass (kg), geometric-mean frequency omega_bar (rad/s)."""
+        return cls((2.0 * math.pi / (mass * omega_bar**2)) ** 1.5, 1.5)
 
-    def __post_init__(self):
-        if self.kind not in _DELTA:
-            raise ValueError(f"unknown trap kind {self.kind!r}")
+    @classmethod
+    def quadrupole3d(cls, mean_gradient: float) -> EffectiveVolumeModel:
+        """Linear 3D quadrupole: mean_gradient (J/m), the geometric mean of mu B'_i."""
+        return cls(8.0 * math.pi * mean_gradient**-3.0, 3.0)
 
+    @classmethod
+    def box(cls, side: float) -> EffectiveVolumeModel:
+        """Cubic box of the given side (m)."""
+        return cls(side**3, 0.0)
 
-def power_law_exponent(model: EffectiveVolumeModel) -> float:
-    """The delta in V_eff = C_delta T^delta (3/2, 3, 0 or 2)."""
-    return _DELTA[model.kind]
+    @classmethod
+    def quad2d_box(cls, mean_gradient: float, side: float) -> EffectiveVolumeModel:
+        """2D quadrupole of mean_gradient (J/m), boxed along its axis to side (m)."""
+        return cls(2.0 * math.pi * side * mean_gradient**-2.0, 2.0)
 
 
 def effective_volume(model: EffectiveVolumeModel, temperature: float) -> float:
-    """V_eff(T) in m^3 for the given trap shape."""
+    """V_eff(T) = coefficient (k_B T)^exponent in m^3 for the given trap shape."""
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    kt = K_B * temperature
-    if model.kind == "sho":
-        return (2.0 * math.pi / (model.mass * model.omega_bar**2)) ** 1.5 * kt**1.5
-    if model.kind == "quadrupole3d":
-        return 8.0 * math.pi * model.mean_gradient**-3.0 * kt**3
-    if model.kind == "box":
-        return model.side**3
-    return 2.0 * math.pi * model.side * model.mean_gradient**-2.0 * kt**2
+    return model.coefficient * (K_B * temperature) ** model.exponent
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,7 @@ class CurrentScalingFamily:
     def n_max(self, current: float) -> float:
         depth, omega_perp, omega_z = (ref * current**exponent for ref, exponent in _FAMILY_SCALING)
         omega_bar = (omega_perp**2 * omega_z) ** (1.0 / 3.0)
-        model = EffectiveVolumeModel("sho", mass=self.species.mass, omega_bar=omega_bar)
+        model = EffectiveVolumeModel.sho(self.species.mass, omega_bar)
         return max_loadable_atoms(LoadingBudget(1e-6, depth, 4.0, self.species), model)
 
 
@@ -216,7 +208,7 @@ class _LoadingPreset:
 def _science_trap(species: AtomSpecies) -> EffectiveVolumeModel:
     """The Toronto science trap, 3e4 G/cm^2 curvature, for one species."""
     omega_bar = math.sqrt(MU_B * 3e4 * GAUSS_PER_CM2 / species.mass)
-    return EffectiveVolumeModel("sho", mass=species.mass, omega_bar=omega_bar)
+    return EffectiveVolumeModel.sho(species.mass, omega_bar)
 
 
 _RB87, _K40 = (builtin_species()[name] for name in ("Rb87", "K40"))
@@ -225,12 +217,12 @@ _RB87, _K40 = (builtin_species()[name] for name in ("Rb87", "K40"))
 # (5.4e5 G/cm axial gradient, 2:1 anisotropy), the Ioffe-C half-loop trap, the
 # Reichel Z-trap, and the Toronto science trap, whose depth loads it at 300 uK.
 LOADING_PRESETS = {preset.name: preset for preset in (
-    _LoadingPreset("libbrecht-loop", EffectiveVolumeModel(
-        "quadrupole3d", mean_gradient=MU_B * 5.4e5 * GAUSS_PER_CM / 2.0 ** (2.0 / 3.0)),
+    _LoadingPreset("libbrecht-loop", EffectiveVolumeModel.quadrupole3d(
+        MU_B * 5.4e5 * GAUSS_PER_CM / 2.0 ** (2.0 / 3.0)),
         K_B * 21e-3),
-    _LoadingPreset("ioffe-c", EffectiveVolumeModel(
-        "sho", mass=_RB87.mass, omega_bar=2 * math.pi * 94e3), K_B * 1.3e-3),
-    _LoadingPreset("reichel-z", EffectiveVolumeModel(
-        "sho", mass=_RB87.mass, omega_bar=2 * math.pi * 300.0), K_B * 1.3e-3),
+    _LoadingPreset("ioffe-c", EffectiveVolumeModel.sho(
+        _RB87.mass, 2 * math.pi * 94e3), K_B * 1.3e-3),
+    _LoadingPreset("reichel-z", EffectiveVolumeModel.sho(
+        _RB87.mass, 2 * math.pi * 300.0), K_B * 1.3e-3),
     _LoadingPreset("toronto-z", _science_trap(_RB87), 4.0 * K_B * 300e-6, _science_trap(_K40)),
 )}

@@ -14,6 +14,7 @@ local static field direction.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -111,23 +112,24 @@ def adiabatic_branch(state: SpinState, delta0: float) -> Fraction:
     return -state.m_F if delta0 > 0 else state.m_F
 
 
-@dataclass
+@dataclass(frozen=True)
 class DressedPotentialScan:
-    """Adiabatic potential sampled along a line through the trap."""
+    """Adiabatic potential sampled along a line through the trap.  U_eff is
+    derived from the scan's detuning, coupling and branch, so it cannot
+    disagree with them."""
 
     state: SpinState
     m_f_prime: Fraction
     positions: np.ndarray      # signed offsets s along the axis, m
-    u_eff: np.ndarray          # J
     delta: np.ndarray          # J
     rabi: np.ndarray           # J
     axis: np.ndarray
     center: np.ndarray
 
-    def __post_init__(self):
-        expect = float(self.m_f_prime) * np.hypot(self.delta, self.rabi)
-        if not np.allclose(self.u_eff, expect, rtol=1e-10, atol=0.0):
-            raise ValueError("scan inconsistent: U_eff != m_F' sqrt(delta^2 + Omega^2)")
+    @functools.cached_property
+    def u_eff(self) -> np.ndarray:
+        """U_eff = m_F' sqrt(delta^2 + Omega^2) at each position, J."""
+        return float(self.m_f_prime) * np.hypot(self.delta, self.rabi)
 
 
 def dressed_potential(
@@ -187,13 +189,10 @@ def dressed_potential(
     delta0 = float(delta[i0])
     if connect_at_omega is not None:
         delta0 += HBAR * (connect_at_omega - rf.omega)
-    m_f_prime = adiabatic_branch(state, delta0)
-    u_eff = float(m_f_prime) * np.hypot(delta, rabi)
     return DressedPotentialScan(
         state=state,
-        m_f_prime=m_f_prime,
+        m_f_prime=adiabatic_branch(state, delta0),
         positions=s,
-        u_eff=u_eff,
         delta=delta,
         rabi=rabi,
         axis=axis,

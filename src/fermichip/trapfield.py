@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -703,9 +704,8 @@ class TrapDepthReport:
 # every _FAN_STRIDE-th sample; then every _COARSE_STRIDE-th, the grid's one batch
 _FAN_STRIDE = 64
 _COARSE_STRIDE = 8
-# a ray of n samples is still rising when its maximum is one of its last two
-# and its samples from _TAIL_START n on climb by more than _TAIL_RISE of its
-# barrier
+# the tail of the still-rising test (_settled): a ray's samples from
+# _TAIL_START n on, and the share of its top above u0 they must climb
 _TAIL_START = 0.8
 _TAIL_RISE = 0.05
 
@@ -729,36 +729,13 @@ def _finite(u) -> np.ndarray:
     return np.where(np.isfinite(u), u, -np.inf)
 
 
-def _barriers(u, n, u0):
-    """Barrier above u0 and whether the potential is still rising at the
-    ray's end, for each ray from its samples u[:n], with -inf beyond them.
-
-    A ray with no finite sample has barrier inf.  A ray that passes within the
-    singularity guard of a wire (an inf sample) is never rising, and has the
-    barrier of its highest finite sample if that is positive, else inf: the
-    wire is a huge wall.  A ray is still rising when its maximum is one of its
-    last two samples and its last fifth climbs by more than 5% of its barrier."""
-    height = _finite(u).max(axis=1)
-    seen = height > -np.inf
-    barrier = height - u0
-    wired = ((np.arange(u.shape[1]) < n[:, None]) & np.isinf(u)).any(axis=1)
-    rising = np.zeros(len(n), dtype=bool)
-    tested = np.flatnonzero(seen & ~wired)
-    if len(tested):
-        ut, nt, rows = u[tested], n[tested], np.arange(len(tested))
-        tail_rise = ut[rows, nt - 1] - ut[rows, (_TAIL_START * nt).astype(int)]
-        rising[tested] = (ut.argmax(axis=1) >= nt - 2) & (
-            tail_rise > _TAIL_RISE * np.maximum(barrier[tested], 1e-300)
-        )
-    barrier[~seen | (wired & ~(barrier > 0))] = np.inf
-    return barrier, rising
-
-
 def _settled(u, n, u0):
-    """Whether each ray cannot be still rising (_barriers), from its samples
-    evaluated in u (-inf elsewhere), among them its last two and the one at
-    _TAIL_START n: an earlier sample reaches the larger of its last two, or
-    its tail climbs by no more than _TAIL_RISE of that value above u0."""
+    """Whether each ray cannot be still rising, from its samples evaluated in
+    u (-inf elsewhere), among them its last two and the one at _TAIL_START n.
+    A ray is still rising when no earlier sample reaches the larger of its
+    last two and its tail climbs by more than _TAIL_RISE of that value above
+    u0; samples not evaluated only lower the earlier ones' maximum, so a ray
+    settled on some of its samples is settled on all of them."""
     rows = np.arange(len(n))
     top = np.maximum(u[rows, n - 2], u[rows, n - 1])
     earlier = np.where(np.arange(u.shape[1]) < n[:, None] - 2, u, -np.inf).max(axis=1)
@@ -767,9 +744,29 @@ def _settled(u, n, u0):
         return (earlier >= top) | ~(tail_rise > _TAIL_RISE * np.maximum(top - u0, 1e-300))
 
 
+def _barriers(u, n, u0):
+    """Barrier above u0 and whether the potential is still rising at the
+    ray's end (_settled), for each ray from its samples u[:n], with -inf
+    beyond them.
+
+    A ray with no finite sample has barrier inf.  A ray that passes within the
+    singularity guard of a wire (an inf sample) is never rising, and has the
+    barrier of its highest finite sample if that is positive, else inf: the
+    wire is a huge wall."""
+    height = _finite(u).max(axis=1)
+    seen = height > -np.inf
+    barrier = height - u0
+    wired = ((np.arange(u.shape[1]) < n[:, None]) & np.isinf(u)).any(axis=1)
+    rising = np.zeros(len(n), dtype=bool)
+    tested = seen & ~wired
+    rising[tested] = ~_settled(u[tested], n[tested], u0)
+    barrier[~seen | (wired & ~(barrier > 0))] = np.inf
+    return barrier, rising
+
+
 def _search(model, state, r0, directions, s, u0, batches, bound):
     """The first ray of lowest barrier below bound among the rays from r0
-    along `directions` that are not still rising (_barriers), as (its index,
+    along `directions` that are not still rising (_settled), as (its index,
     its barrier, the index of its highest finite sample), or None.  Each ray
     takes the samples s until it first crosses the chip plane (_ray_lengths).
 
@@ -951,9 +948,21 @@ def ip_fit(model, r0) -> IPTrapParams:
     )
 
 
-def load_geometry(path) -> tuple[FieldModel, np.ndarray | None]:
-    """Read a geometry file; returns (model, suggested minimum seed or None)."""
-    doc = json.loads(Path(path).read_text())
+def load_geometry(name_or_path) -> tuple[FieldModel, np.ndarray | None]:
+    """Read a geometry file; returns (model, suggested minimum seed or None).
+
+    name_or_path is a path to an existing file, or else the name of a shipped
+    geometry, such as "toronto-z-trap": the file name with "-" for "_" and no
+    ".json", looked up in the directory FERMICHIP_DATA_DIR names, or else in
+    the package's data.  FileNotFoundError names the file tried last.
+    """
+    name, path = str(name_or_path), Path(name_or_path)
+    if not path.exists():
+        data = os.environ.get("FERMICHIP_DATA_DIR") or Path(__file__).parent / "data"
+        path = Path(data) / f"{name.replace('-', '_')}.json"
+        if not path.exists():
+            raise FileNotFoundError(f"geometry {name!r} not found (also tried {path})")
+    doc = json.loads(path.read_text())
     segments = [
         WireSegment(
             tuple(np.asarray(s["start_um"], dtype=float) * MICROMETER),

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fermichip import benchmarks, cli, evaporation, polylog, thermo
+from fermichip import benchmarks, cli, evaporation, imagefit, polylog, thermo
 from fermichip import constants as C
 from fermichip.constants import NumericalError
 from fermichip.benchmarks import CheckRow
@@ -191,6 +192,20 @@ def test_tof_far_out_is_zero(tmp_path):
     assert run(argv) == 0
     values, _ = read_raster(out)
     assert values[2, 2] > 0.0 and np.count_nonzero(values) == 1
+
+
+def test_tof_csv_lists_every_pixel(tmp_path):
+    # a row per pixel: its centre, as TofImage.axes gives it, and the raster's
+    # value, all read back bit for bit
+    out, csv_out = tmp_path / "img.raster", tmp_path / "img.csv"
+    assert run(["tof", *GAS_ARGS, "--out", out, "--csv", csv_out]) == 0
+    image = imagefit.TofImage.load(out)
+    header, *lines = csv_out.read_text().splitlines()
+    assert header == "x_m,y_m,column_density_m2"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    x, y = np.broadcast_arrays(*image.axes())
+    assert rows.shape == (image.values.size, 3) == (64 * 64, 3)
+    assert np.array_equal(rows, np.stack([x.ravel(), y.ravel(), image.values.ravel()], 1))
 
 
 @pytest.mark.parametrize(
@@ -926,3 +941,34 @@ def test_numeric_flags_exit_cleanly(small_image, command, data):
     assert [str(w.message) for w in caught] == []
     if any(isinstance(v, float) and not math.isfinite(v) for v in flags.values()):
         assert code == cli.EXIT_CONFIG and err.startswith("configuration error: ")
+
+
+# -- every flag has a test --------------------------------------------------------------
+
+def _passed_by_tests() -> set[str]:
+    """The strings and keyword names in the test files: a flag a test passes
+    appears there as "--flag" (or "--flag=value"), or as the `run --config`
+    params key flag_name, written as a string or a keyword argument."""
+    passed = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                passed.add(node.value.split("=", 1)[0])
+            elif isinstance(node, ast.keyword) and node.arg:
+                passed.add(node.arg)
+    return passed
+
+
+def test_every_flag_is_passed_by_a_test():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    passed = _passed_by_tests()
+    untested = sorted(
+        f"{name} {flag}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+        and flag not in passed and flag[2:].replace("-", "_") not in passed
+    )
+    assert untested == []

@@ -42,13 +42,13 @@ def test_mean_gradient_convention_reproduces_loop_volume(rb):
     f_radial = f_axial / 2.0
     direct = 8.0 * math.pi * kt**3 / (f_radial * f_radial * f_axial)
     f_bar = f_axial / 2.0 ** (2.0 / 3.0)
-    model = ev.EffectiveVolumeModel("quadrupole3d", mean_gradient=f_bar)
+    model = ev.EffectiveVolumeModel.quadrupole3d(f_bar)
     assert ev.effective_volume(model, t) == pytest.approx(direct, rel=1e-12)
     assert direct * 1e18 == pytest.approx(310.0, rel=0.2)
 
 
 def test_reichel_volume_and_number(rb):
-    model = ev.EffectiveVolumeModel("sho", mass=rb.mass, omega_bar=2 * math.pi * 300.0)
+    model = ev.EffectiveVolumeModel.sho(rb.mass, 2 * math.pi * 300.0)
     t = 1.3e-3 / 4.0
     assert ev.effective_volume(model, t) * 1e18 == pytest.approx(1.3e7, rel=0.10)
     budget = ev.LoadingBudget(1e-6, C.K_B * 1.3e-3, 4.0, rb)
@@ -56,7 +56,7 @@ def test_reichel_volume_and_number(rb):
 
 
 def test_ioffe_c_volume_and_number(rb):
-    model = ev.EffectiveVolumeModel("sho", mass=rb.mass, omega_bar=2 * math.pi * 94e3)
+    model = ev.EffectiveVolumeModel.sho(rb.mass, 2 * math.pi * 94e3)
     assert ev.effective_volume(model, 1.3e-3 / 4.0) * 1e18 == pytest.approx(0.4, rel=0.25)
     budget = ev.LoadingBudget(1e-6, C.K_B * 1.3e-3, 4.0, rb)
     assert ev.max_loadable_atoms(budget, model) < 1.0
@@ -64,7 +64,7 @@ def test_ioffe_c_volume_and_number(rb):
 
 def test_loop_number(rb):
     f_bar = C.MU_B * 5.4e5 * C.GAUSS_PER_CM / 2.0 ** (2.0 / 3.0)
-    model = ev.EffectiveVolumeModel("quadrupole3d", mean_gradient=f_bar)
+    model = ev.EffectiveVolumeModel.quadrupole3d(f_bar)
     budget = ev.LoadingBudget(1e-6, C.K_B * 21e-3, 4.0, rb)
     assert ev.max_loadable_atoms(budget, model) == pytest.approx(2e4, rel=0.20)
 
@@ -72,22 +72,29 @@ def test_loop_number(rb):
 def test_science_trap_volume_and_numbers(rb, k40):
     omega_bar = math.sqrt(C.MU_B * 3e4 * C.GAUSS_PER_CM2 / rb.mass)
     assert omega_bar / (2 * math.pi) == pytest.approx(221.0, rel=1e-3)
-    model = ev.EffectiveVolumeModel("sho", mass=rb.mass, omega_bar=omega_bar)
+    model = ev.EffectiveVolumeModel.sho(rb.mass, omega_bar)
     v = ev.effective_volume(model, 300e-6)
     assert v * 1e18 == pytest.approx(3e7, rel=0.15)
     lam_rb = thermo.thermal_wavelength(rb.mass, 300e-6)
     n_rb = 1e-6 * v / lam_rb**3
     assert n_rb == pytest.approx(2.26e7, rel=0.01)  # quoted as "3e7" to one digit
     omega_bar_k = math.sqrt(C.MU_B * 3e4 * C.GAUSS_PER_CM2 / k40.mass)
-    model_k = ev.EffectiveVolumeModel("sho", mass=k40.mass, omega_bar=omega_bar_k)
+    model_k = ev.EffectiveVolumeModel.sho(k40.mass, omega_bar_k)
     budget_k = ev.LoadingBudget(4e-8, 4.0 * C.K_B * 300e-6, 4.0, k40)
     assert ev.max_loadable_atoms(budget_k, model_k) == pytest.approx(3e5, rel=0.10)
 
 
 def test_box_volume_is_temperature_free():
-    model = ev.EffectiveVolumeModel("box", side=1e-4)
+    model = ev.EffectiveVolumeModel.box(1e-4)
     assert ev.effective_volume(model, 1e-6) == ev.effective_volume(model, 1e-3)
     assert ev.effective_volume(model, 1e-6) == pytest.approx(1e-12, rel=1e-12)
+
+
+def shape(kind, rb):
+    """The trap shape from its constructor `kind`, with fixed parameters."""
+    g, side = C.MU_B * 500.0, 1e-4
+    args = {"sho": (rb.mass, 2e3), "quadrupole3d": (g,), "box": (side,), "quad2d_box": (g, side)}
+    return getattr(ev.EffectiveVolumeModel, kind)(*args[kind])
 
 
 @pytest.mark.parametrize(
@@ -95,10 +102,8 @@ def test_box_volume_is_temperature_free():
     [("sho", 1.5), ("quadrupole3d", 3.0), ("box", 0.0), ("quad2d_box", 2.0)],
 )
 def test_power_law_exponents(kind, delta, rb):
-    model = ev.EffectiveVolumeModel(
-        kind, mass=rb.mass, omega_bar=2e3, mean_gradient=C.MU_B * 500.0, side=1e-4
-    )
-    assert ev.power_law_exponent(model) == delta
+    model = shape(kind, rb)
+    assert model.exponent == delta
     temps = np.geomspace(1e-5, 1e-3, 7)
     v = [ev.effective_volume(model, t) for t in temps]
     if delta == 0.0:
@@ -112,15 +117,13 @@ def test_power_law_exponents(kind, delta, rb):
     "kind", ["sho", "quadrupole3d", "box", "quad2d_box"]
 )
 def test_number_depth_exponent(kind, rb):
-    model = ev.EffectiveVolumeModel(
-        kind, mass=rb.mass, omega_bar=2e3, mean_gradient=C.MU_B * 500.0, side=1e-4
-    )
+    model = shape(kind, rb)
     depths = np.geomspace(C.K_B * 1e-4, C.K_B * 1e-2, 7)
     n = [
         ev.max_loadable_atoms(ev.LoadingBudget(1e-6, u, 4.0, rb), model) for u in depths
     ]
     slope = np.polyfit(np.log(depths), np.log(n), 1)[0]
-    assert slope == pytest.approx(ev.power_law_exponent(model) + 1.5, abs=1e-3)
+    assert slope == pytest.approx(model.exponent + 1.5, abs=1e-3)
 
 
 def test_microtrap_penalty_monotone(rb):
@@ -128,7 +131,7 @@ def test_microtrap_penalty_monotone(rb):
     budget = ev.LoadingBudget(1e-6, C.K_B * 1.3e-3, 4.0, rb)
     numbers = []
     for omega in (2 * math.pi * 100, 2 * math.pi * 1e3, 2 * math.pi * 1e4):
-        model = ev.EffectiveVolumeModel("sho", mass=rb.mass, omega_bar=omega)
+        model = ev.EffectiveVolumeModel.sho(rb.mass, omega)
         numbers.append(ev.max_loadable_atoms(budget, model))
     assert numbers[0] > numbers[1] > numbers[2]
     assert numbers[0] / numbers[1] == pytest.approx(1e3, rel=1e-9)  # N ~ wbar^-3

@@ -214,19 +214,11 @@ def test_below_resonance_single_well(rb22):
 
 
 def test_scan_invariant_enforced(rb22):
+    # U_eff is derived from the scan's own delta, Omega and m_F', so no scan
+    # can disagree with them
     model = benchmark_ip()
     scan = rf.dressed_potential(model, rf_field(860.0), rb22, np.zeros(3), (1, 0, 0), 5e-6)
-    with pytest.raises(ValueError):
-        rf.DressedPotentialScan(
-            state=scan.state,
-            m_f_prime=scan.m_f_prime,
-            positions=scan.positions,
-            u_eff=scan.u_eff * 1.001,
-            delta=scan.delta,
-            rabi=scan.rabi,
-            axis=scan.axis,
-            center=scan.center,
-        )
+    assert np.array_equal(scan.u_eff, float(scan.m_f_prime) * np.hypot(scan.delta, scan.rabi))
 
 
 def test_rwa_warning_and_violation(rb22):
@@ -279,7 +271,6 @@ def test_ambiguous_topology_raises(rb22):
         state=rb22,
         m_f_prime=Fraction(2),
         positions=s,
-        u_eff=2.0 * np.hypot(delta, rabi),
         delta=delta,
         rabi=rabi,
         axis=np.array([1.0, 0.0, 0.0]),

@@ -29,6 +29,32 @@ def split_trap():
     return model, seed
 
 
+def _same_geometry(a, b):
+    (model_a, seed_a), (model_b, seed_b) = a, b
+    assert (model_a.segments, model_a.bias, model_a.chip_plane) == (
+        model_b.segments, model_b.bias, model_b.chip_plane)
+    assert np.array_equal(seed_a, seed_b)
+    assert np.array_equal(model_a.field(seed_a), model_b.field(seed_b))
+
+
+def test_load_geometry_by_name_is_the_shipped_file(monkeypatch):
+    monkeypatch.delenv("FERMICHIP_DATA_DIR", raising=False)
+    _same_geometry(tf.load_geometry("toronto-z-trap"),
+                   tf.load_geometry(geometry_path("toronto_z_trap")))
+
+
+def test_load_geometry_names_from_data_dir(tmp_path, monkeypatch):
+    # the directory replaces the package data for names; paths stay paths
+    (tmp_path / "copied_trap.json").write_bytes(geometry_path("toronto_split_trap").read_bytes())
+    monkeypatch.setenv("FERMICHIP_DATA_DIR", str(tmp_path))
+    _same_geometry(tf.load_geometry("copied-trap"),
+                   tf.load_geometry(geometry_path("toronto_split_trap")))
+    with pytest.raises(FileNotFoundError) as info:
+        tf.load_geometry("toronto-z-trap")
+    assert str(info.value) == (
+        f"geometry 'toronto-z-trap' not found (also tried {tmp_path / 'toronto_z_trap.json'})")
+
+
 @pytest.fixture(scope="module")
 def z_minimum(z_trap):
     model, seed = z_trap
