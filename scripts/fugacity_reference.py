@@ -12,6 +12,11 @@ difference in units of the last place (ulp) of the program's Z.  Run it from
 two checkouts to see which digits a change to the solve moved, and whether
 they moved towards the reference.  Without arguments it takes the default
 grid of `fermichip thermo --scan-out`: 25 points log-spaced from 0.05 to 5.
+
+The program's Z is the one-point solve at each t.  The script also solves
+all the t in one array call, which for two or more t takes the array path,
+and the last column marks with `DIFFERS` any t where the two paths disagree
+in any bit; it then exits 1.
 """
 
 from __future__ import annotations
@@ -45,14 +50,19 @@ def reference(t: float, start: float) -> mpmath.mpf:
 
 def main(argv: list[str]) -> int:
     ts = [float(a) for a in argv] if argv else SCAN_GRID.tolist()
-    print(f"{'t':>24} {'Z (mpmath, 40 digits)':>28} {'Z (fermichip)':>25} {'ulps':>6}")
-    for t in ts:
+    batch = thermo.fugacity_from_reduced_temperature(np.array(ts)).tolist()
+    print(f"{'t':>24} {'Z (mpmath, 40 digits)':>28} {'Z (fermichip)':>25} {'ulps':>6} array")
+    status = 0
+    for t, z_batch in zip(ts, batch):
         z = thermo.fugacity_from_reduced_temperature(t)
         ref = reference(t, z)
         with mpmath.workdps(DPS):
             ulps = float((mpmath.mpf(z) - ref) / math.ulp(z))
-        print(f"{t!r:>24} {mpmath.nstr(ref, 20):>28} {z!r:>25} {ulps:>6.2f}")
-    return 0
+        same = z_batch == z
+        status = status if same else 1
+        flag = "same" if same else "DIFFERS"
+        print(f"{t!r:>24} {mpmath.nstr(ref, 20):>28} {z!r:>25} {ulps:>6.2f} {flag}")
+    return status
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ import numpy as np
 from .constants import K_B, NumericalError
 from .density import column_density_fermi, read_raster, write_raster
 from .polylog import fermi_fn
-from .thermo import HarmonicTrap, TrappedGasState, reduced_temperature_from_fugacity
+from .thermo import (HarmonicTrap, TrappedGasState, fugacity_from_reduced_temperature,
+                     reduced_temperature_from_fugacity)
 
 __all__ = [
     "TofImage",
@@ -334,7 +335,5 @@ def apparent_temperature_curve(t_over_tf) -> float | np.ndarray:
     Equals f_4(Z)/f_3(Z) at the fugacity of the given reduced temperature (a
     scalar or an array): 1 in the Boltzmann limit, rising to T_F/(4T) as T -> 0.
     """
-    from .thermo import fugacity_from_reduced_temperature
-
     z = fugacity_from_reduced_temperature(t_over_tf)
     return fermi_fn(4.0, z) / fermi_fn(3.0, z)

@@ -111,10 +111,13 @@ def test_fugacity_solves_without_recomputing_f3_at_one(monkeypatch):
 # deepest the solve takes (ln Z ~ 625) to far into the classical regime
 SCAN_GRID = np.geomspace(0.02, 5.0, 24)
 WIDE_GRID = np.geomspace(0.0016, 50.0, 400)
+# t at Z = 1
+SEAM = (6.0 * fermi_fn(3.0, 1.0)) ** (-1.0 / 3.0)
 
 
 def test_fugacity_solve_passes(monkeypatch):
-    # the closed-form starts leave at most 3 passes of f_3 (and f_2) per solve
+    # the closed-form starts leave at most 3 passes of f_3 (and f_2) per solve;
+    # at least one is counted, so each solve takes f_3 from this module's fermi_fn
     passes = []
 
     def counting(n, z):
@@ -126,19 +129,18 @@ def test_fugacity_solve_passes(monkeypatch):
     monkeypatch.setattr(thermo, "fermi_fn", counting)
     passes.append(0)
     thermo.fugacity_from_reduced_temperature(SCAN_GRID)
-    assert passes.pop() <= 3
+    assert 1 <= passes.pop() <= 3
     for t in WIDE_GRID:
         passes.append(0)
         thermo.fugacity_from_reduced_temperature(float(t))
-    assert max(passes) <= 3 and np.mean(passes) <= 1.5
+    assert min(passes) >= 1 and max(passes) <= 3 and np.mean(passes) <= 1.5
 
 
 def test_fugacity_matches_mpmath():
     # Z from 40-digit mpmath: the root in y = ln Z of -Li_3(-e^y) = t^-3/6,
     # on both grids and at the Z = 1 seam.  Z = e^y carries the round-off of
     # y as a relative error, so the bound is 8 eps max(1, |ln Z|)
-    seam = (6.0 * fermi_fn(3.0, 1.0)) ** (-1.0 / 3.0)
-    t = np.concatenate([SCAN_GRID, WIDE_GRID, [seam]])
+    t = np.concatenate([SCAN_GRID, WIDE_GRID, [SEAM]])
     z = thermo.fugacity_from_reduced_temperature(t)
     with mpmath.workdps(40):
         for ti, zi in zip(t, z):
@@ -193,6 +195,72 @@ def test_fugacity_rejects_infinite_temperature(t):
     # outside the domain, a configuration error, not a failed root find
     with pytest.raises(ValueError, match="positive and finite"):
         thermo.fugacity_from_reduced_temperature(t)
+
+
+# the Z = 1 seam and its neighbours, and points just inside both ends of the domain
+EDGES = [np.nextafter(SEAM, 0.0), SEAM, np.nextafter(SEAM, 1.0), 1.0 / 700.0, thermo._T_MAX]
+
+
+def assert_one_point_matches_array(t):
+    # an array of two or more points takes the array path, each element alone
+    # the one-point path; Z > 0, so == compares the bits
+    z = thermo.fugacity_from_reduced_temperature(t)
+    for ti, zi in zip(t, z):
+        assert thermo.fugacity_from_reduced_temperature(float(ti)) == zi, ti
+
+
+@pytest.mark.parametrize("t", [WIDE_GRID, EDGES], ids=["wide-grid", "seam-and-ends"])
+def test_fugacity_one_point_matches_array(t):
+    assert_one_point_matches_array(np.asarray(t))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(math.log(1.0 / 700.0), math.log(thermo._T_MAX)),
+                min_size=2, max_size=6))
+def test_fugacity_one_point_matches_array_drawn(log_t):
+    # log-uniform over the domain; exp may round one ulp past either end
+    assert_one_point_matches_array(np.clip(np.exp(log_t), 1.0 / 700.0, thermo._T_MAX))
+
+
+@pytest.mark.parametrize("t", [0.3, np.array(0.3), np.full(1, 0.3), np.full((1, 1), 0.3)],
+                         ids=["float", "0-d", "(1,)", "(1, 1)"])
+def test_fugacity_one_point_return_types(t):
+    # a scalar or a 0-d array gives a float, a size-1 array an array of its shape
+    z = thermo.fugacity_from_reduced_temperature(t)
+    if np.ndim(t):
+        assert isinstance(z, np.ndarray) and z.shape == t.shape and z.dtype == float
+    else:
+        assert type(z) is float
+    assert np.all(z == thermo.fugacity_from_reduced_temperature(np.array([0.3, 0.3]))[0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e100, 1e-3])
+def test_fugacity_one_point_domain_errors_match_array(bad):
+    messages = []
+    for t in (bad, np.array(bad), np.array([bad]), np.array([bad, bad])):
+        with pytest.raises(ValueError) as error:
+            thermo.fugacity_from_reduced_temperature(t)
+        messages.append(str(error.value))
+    assert len(set(messages)) == 1, messages
+
+
+def test_fugacity_failure_names_t_bracket_and_ln_z(monkeypatch):
+    # a nan f_3 fails both paths at the first step, before the bracket moves,
+    # with the same FugacityError: no ZeroDivisionError, no RuntimeWarning
+    def nan_f3(n, z):
+        value = fermi_fn(n, z)
+        return value * math.nan if float(n) == 3.0 else value
+
+    monkeypatch.setattr(thermo, "fermi_fn", nan_f3)
+    for t in (0.2, 2.0):
+        messages = []
+        for arg in (t, np.array([t, t])):
+            with pytest.raises(thermo.FugacityError) as error:
+                thermo.fugacity_from_reduced_temperature(arg)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"fugacity root find failed for t={t} on ln Z bracket [")
+        assert " at ln Z = " in messages[0]
 
 
 @pytest.mark.parametrize("t", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0])
@@ -370,3 +438,16 @@ def test_scan_csv_columns_and_values(tmp_path, k92, science_trap):
     assert t == 0.2
     assert z == pytest.approx(thermo.fugacity_from_reduced_temperature(0.2), rel=1e-12)
     assert n0l3 == pytest.approx(thermo.degeneracy_parameter(z), rel=1e-12)
+
+
+def test_scan_csv_one_row_matches_its_row_in_a_scan(tmp_path, k92, science_trap):
+    # a one-row scan solves at one point, a longer one on the array path
+    def factory(t):
+        return thermo.TrappedGasState.from_reduced_temperature(k92, science_trap, 4e4, t)
+
+    thermo.write_thermo_scan_csv(tmp_path / "scan.csv", factory, SCAN_GRID)
+    rows = (tmp_path / "scan.csv").read_bytes().splitlines()[1:]
+    assert len(rows) == len(SCAN_GRID)
+    for t, row in zip(SCAN_GRID, rows):
+        thermo.write_thermo_scan_csv(tmp_path / "row.csv", factory, [t])
+        assert (tmp_path / "row.csv").read_bytes().splitlines()[1:] == [row]
