@@ -32,7 +32,7 @@ def main():
         img = imagefit.add_noise(clean, 0.02 * float(clean.values.max()), seed=11)
         gauss = imagefit.fit_gaussian(img)
         fd = imagefit.fit_fermi_dirac(img)
-        t_app = imagefit.apparent_temperature(img, trap, k92.species.mass, t_expand)
+        t_app = imagefit.apparent_temperature(gauss, trap, k92.species.mass, t_expand)
         # every flag of the Fermi-Dirac fit says that Z is not constrained
         fitted = ",".join(fd.flags) or f"{fd.params['T_over_TF']:.3f}"
         print(

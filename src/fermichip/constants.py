@@ -100,6 +100,10 @@ class SpinState:
         object.__setattr__(self, "F", _as_fraction(self.F))
         object.__setattr__(self, "m_F", _as_fraction(self.m_F))
         object.__setattr__(self, "g_F", _as_fraction(self.g_F))
+        if self.F < 0 or (2 * self.F).denominator != 1:
+            raise ValueError(f"F={self.F} is not a non-negative integer or half-integer")
+        if (self.F - self.m_F).denominator != 1:
+            raise ValueError(f"m_F={self.m_F} does not differ from F={self.F} by an integer")
         if abs(self.m_F) > self.F:
             raise ValueError(f"|m_F|={self.m_F} exceeds F={self.F}")
 

@@ -314,18 +314,18 @@ def fit_fermi_dirac(img: TofImage) -> FitResult:
 
 
 def apparent_temperature(
-    img: TofImage,
+    gauss: FitResult,
     trap: HarmonicTrap,
     mass: float,
     t: float,
 ) -> float:
-    """Temperature a Gaussian fit would report along x: r_x^2 = (w_x^-2 + t^2) k_B T/M.
+    """Temperature the Gaussian fit `gauss` of an image after expansion time t
+    reports along x: r_x^2 = (w_x^-2 + t^2) k_B T/M.
 
     At low T/T_F this plateaus above the true temperature (the cloud size is
     floored by the filled Fermi sea); in the Boltzmann regime it matches T.
     """
-    fit = fit_gaussian(img)
-    r = fit.params["r_x"]
+    r = gauss.params["r_x"]
     return r * r * mass / ((trap.omega_x**-2.0 + t * t) * K_B)
 
 

@@ -1,8 +1,9 @@
 """Fermi functions of the orders the program uses, from numpy and `math` alone.
 
 fermi_fn(n, z) = -Li_n(-z) for z >= 0, the integral (1/Gamma(n)) * Int_0^inf
-t^(n-1) dt / (exp(t)/z + 1), for an integer order 1 <= n <= 24 or a
-half-integer order n = 1/2, 3/2 or 5/2; any other order raises ValueError.
+t^(n-1) dt / (exp(t)/z + 1), for an integer order 1 <= n <= 24 or the
+half-integer order n = 3/2, the orders the trapped-gas relations use; any
+other order raises ValueError.
 f_n(0) = 0, the series' value there, so a fugacity-like argument that
 underflowed to 0 needs no special case.
 
@@ -13,11 +14,11 @@ fermi_fn is evaluated in these regimes, with x = ln z:
                            and Zagier (Exp. Math. 9, 3 (2000)): a polynomial in z;
   z > 1, integer n         f_n(e^x) = P_n(x) - (-1)^n f_n(e^-x), exact, with P_n
                            the terminating Sommerfeld polynomial;
-  1 < z < e^36, n = 1/2,   a shipped piecewise Chebyshev table in x per order,
-  3/2, 5/2                 fitted against mpmath by scripts/fit_fermi_table.py
-                           and read from data/fermi_tables.json at import;
-  z >= e^36, n = 1/2,      Sommerfeld asymptotic expansion through the eta(24)
-  3/2, 5/2                 term.
+  1 < z < e^36, n = 3/2    a shipped piecewise Chebyshev table in x, fitted
+                           against mpmath by scripts/fit_fermi_table.py and
+                           read from data/fermi_tables.json at import;
+  z >= e^36, n = 3/2       Sommerfeld asymptotic expansion through the eta(24)
+                           term.
 
 No regime runs quadrature or builds anything at run time.  The test suite
 checks the seams between regimes (`seams`) to 1e-8.  Every regime is
@@ -64,14 +65,17 @@ _SERIES_TERMS = 24
 # trapezoid step of gaussian_reduction_check on the real line
 _GAUSS_STEP = 0.1
 
-# f_n(e^x) for 0 <= x <= SOMMERFELD_CUT_LOG and each half-integer order:
-# (lower end, piece width, one row of Chebyshev coefficients per piece), read
-# from the data file that scripts/fit_fermi_table.py writes
-_TABLES = {
-    float(n): (t["lo"], t["width"], np.array(t["coef"]))
-    for n, t in json.loads(
-        (Path(__file__).parent / "data" / "fermi_tables.json").read_text())["orders"].items()
-}
+
+def _load_table() -> tuple[float, float, np.ndarray]:
+    """f_3/2(e^x) for 0 <= x <= SOMMERFELD_CUT_LOG: (lower end, piece width,
+    one row of Chebyshev coefficients per piece), read from the data file that
+    scripts/fit_fermi_table.py writes."""
+    t = json.loads((Path(__file__).parent / "data" / "fermi_tables.json").read_text())
+    return t["lo"], t["width"], np.array(t["coef"])
+
+
+_TABLE_ORDER = 1.5
+_TABLE = _load_table()
 _MAX_EXACT_ORDER = 24
 
 
@@ -99,11 +103,11 @@ _ETA_EVEN = (1.0 - 2.0 ** (1.0 - _TWO_K)) * _ZETA_EVEN
 
 def _fermi_order(n: float) -> float:
     n = float(n)
-    if n in _TABLES or (n.is_integer() and 1.0 <= n <= _MAX_EXACT_ORDER):
+    if n == _TABLE_ORDER or (n.is_integer() and 1.0 <= n <= _MAX_EXACT_ORDER):
         return n
     raise ValueError(
         f"fermi_fn order n={n} is not supported: need an integer 1 <= n <= "
-        f"{_MAX_EXACT_ORDER} or n = 1/2, 3/2, 5/2"
+        f"{_MAX_EXACT_ORDER} or n = 3/2"
     )
 
 
@@ -196,17 +200,17 @@ def _chebyshev(coef: np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     return t * b1 - b2 + coef[..., 0]
 
 
-def _piecewise(table, x: float | np.ndarray) -> float | np.ndarray:
-    """A piecewise Chebyshev series (lo, width, coef) at x, which lies in
-    [lo, lo + width * len(coef)]."""
-    lo, width, coef = table
+def _piecewise(x: float | np.ndarray) -> float | np.ndarray:
+    """The piecewise Chebyshev series _TABLE = (lo, width, coef) at x, which
+    lies in [lo, lo + width * len(coef)]."""
+    lo, width, coef = _TABLE
     k = np.minimum((x - lo) // width, len(coef) - 1)
     t = 2.0 * (x - lo - k * width) / width - 1.0
     return _chebyshev(coef[k.astype(np.intp)], t)
 
 
 def fermi_fn(n: float, z) -> float | np.ndarray:
-    """-Li_n(-z) for an integer order 1 <= n <= 24 or n = 1/2, 3/2, 5/2, and
+    """-Li_n(-z) for an integer order 1 <= n <= 24 or n = 3/2, and
     finite fugacity-like argument z >= 0; f_n(0) = 0 exactly.
 
     Accepts scalars or arrays; strictly increasing in z.  A scalar or a 0-d
@@ -228,7 +232,7 @@ def fermi_fn(n: float, z) -> float | np.ndarray:
             if x >= SOMMERFELD_CUT_LOG:
                 out = _fermi_sommerfeld(n, x)
             else:
-                out = _piecewise(_TABLES[n], x)
+                out = _piecewise(x)
         return float(out) if z.ndim == 0 else np.full(z.shape, out)
 
     if not np.all((z >= 0.0) & (z < math.inf)):
@@ -252,7 +256,7 @@ def fermi_fn(n: float, z) -> float | np.ndarray:
         mid = ~high
         vals = np.empty_like(x)
         if mid.any():
-            vals[mid] = _piecewise(_TABLES[n], x[mid])
+            vals[mid] = _piecewise(x[mid])
         if high.any():
             vals[high] = _fermi_sommerfeld(n, x[high])
         out[rest] = vals
@@ -263,13 +267,13 @@ def seams(n: float) -> list[tuple[float, float, float]]:
     """(ln z, value from the regime below, value from the regime above) at each
     seam of fermi_fn(n, .); each side is evaluated by its own formula at the
     seam itself, so the pair shows how well the regimes meet.  For integer n
-    the one seam is z = 1; for a tabled order, both ends of the table and every
+    the one seam is z = 1; for n = 3/2, both ends of the table and every
     boundary between its pieces."""
     n = _fermi_order(n)
     below = _fermi_series(n, SERIES_CUT)
     if n.is_integer():
         return [(0.0, below, _fermi_sommerfeld(n, 0.0) - (-1.0) ** n * below)]
-    lo, width, coef = _TABLES[n]
+    lo, width, coef = _TABLE
     ends = _chebyshev(coef, np.full(len(coef), -1.0)), _chebyshev(coef, np.ones(len(coef)))
     above = _fermi_sommerfeld(n, SOMMERFELD_CUT_LOG)
     out = [(lo, below, ends[0][0])]
@@ -282,10 +286,11 @@ def gaussian_reduction_check(n: float, c: float) -> tuple[float, float]:
     """Return (Int f_n(c e^{-x^2}) dx over the real line, sqrt(pi) f_{n+1/2}(c)).
 
     The two sides agree identically; evaluating both is a self-test of the
-    evaluator.  Both orders n and n + 1/2 must be ones fermi_fn supports.  The
-    integral is the trapezoid rule with step 0.1, which converges exponentially
-    for this analytic, fast-decaying integrand (Trefethen and Weideman, SIAM
-    Rev. 56, 385 (2014)), out to where c e^{-x^2} < e^{-40} min(c, 1).
+    evaluator.  Both orders n and n + 1/2 must be ones fermi_fn supports, so n
+    is 1 or 3/2.  The integral is the trapezoid rule with step 0.1, which
+    converges exponentially for this analytic, fast-decaying integrand
+    (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)), out to where
+    c e^{-x^2} < e^{-40} min(c, 1).
     """
     c = float(c)
     if not c > 0.0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -54,18 +54,14 @@ _SOLVE_YTOL = 1e-8
 # at _T_MAX
 _LN_Z_MIN = math.log(1e-300)
 _T_MAX = 6e-300 ** (-1.0 / 3.0)
+# f_3(1): 6 f_3(1) = t^-3 divides the classical side of the fugacity solve
+# (Z < 1) from the degenerate one.  From polylog itself: a caller may replace
+# this module's fermi_fn, and the value is kept.
+_F3_AT_UNIT_FUGACITY = polylog.fermi_fn(3.0, 1.0)
 
 
 class FugacityError(NumericalError):
     """The root find for the fugacity at a reduced temperature failed."""
-
-
-@cache
-def _f3_at_unit_fugacity() -> float:
-    """f_3(1): 6 f_3(1) = t^-3 divides the classical side of the fugacity
-    solve (Z < 1) from the degenerate one.  From polylog itself: a caller
-    may replace this module's fermi_fn, and the value is kept."""
-    return polylog.fermi_fn(3.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -216,7 +212,7 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
     # h's sign at Z = 1 picks the side; f_3(e^y) > y^3/6 keeps ln Z below 1/t,
     # capped for exp()
     cube, ln_target = _target(ts)
-    classical = 6.0 * _f3_at_unit_fugacity() >= cube
+    classical = 6.0 * _F3_AT_UNIT_FUGACITY >= cube
     lo = np.where(classical, _LN_Z_MIN, 0.0)
     hi = np.where(classical, 0.0, np.minimum(3.0 / ts + 1.0, 708.0))
     y = np.empty_like(ts)
@@ -248,7 +244,7 @@ def _solve_one(t: float) -> float:
     _check_domain(t, t)
     # the array path's bracket and start, picked with `if`
     cube, ln_target = _target(t)
-    if 6.0 * _f3_at_unit_fugacity() >= cube:
+    if 6.0 * _F3_AT_UNIT_FUGACITY >= cube:
         lo, hi = _LN_Z_MIN, 0.0
         y = _classical_start(cube, ln_target)
     else:

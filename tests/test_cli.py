@@ -542,11 +542,11 @@ def test_trap_search_into_chip_exits_3(capsys):
     assert "Traceback" not in err
 
 
-MF_NEGATIVE = ["trap", "--geometry", "toronto-z-trap", "--species", "K40", "--f-quantum", "9/2"]
+MF_TRAP = ["trap", "--geometry", "toronto-z-trap", "--species", "K40", "--f-quantum", "9/2"]
 
 
 def _mf_negative_config(tmp_path):
-    params = dict(zip(("geometry", "species", "f_quantum"), MF_NEGATIVE[2::2]), mf="-9/2")
+    params = dict(zip(("geometry", "species", "f_quantum"), MF_TRAP[2::2]), mf="-9/2")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "trap", "params": params}))
     return ["run", "--config", cfg]
@@ -554,17 +554,26 @@ def _mf_negative_config(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [lambda tmp: MF_NEGATIVE + ["--mf", "-9/2"], _mf_negative_config],
+    [lambda tmp: MF_TRAP + ["--mf", "-9/2"], _mf_negative_config],
     ids=["flag", "config"],
 )
 def test_negative_mf_parses_like_attached_value(tmp_path, capsys, argv):
     # -9/2 is a value, not an option, as in --mf=-9/2; that state of K40 is
     # high-field seeking, so the trap is no trap for it
-    assert run(MF_NEGATIVE + ["--mf=-9/2"]) == cli.EXIT_NUMERICAL
+    assert run(MF_TRAP + ["--mf=-9/2"]) == cli.EXIT_NUMERICAL
     attached = capsys.readouterr().err
     assert run(argv(tmp_path)) == cli.EXIT_NUMERICAL
     assert capsys.readouterr().err == attached
     assert attached.startswith("numerical failure: ") and "non-positive" in attached
+
+
+@pytest.mark.parametrize("mf", ["1", "0.3", "1/3"], ids=["integer", "decimal", "third"])
+def test_impossible_mf_is_config_error(capsys, mf):
+    # the F = 9/2 manifold holds only m_F = -9/2, -7/2, ..., 9/2
+    assert run(MF_TRAP + ["--mf", mf]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: m_F=") and "not differ from F=9/2" in err
+    assert "Traceback" not in err
 
 
 def test_trap_unknown_geometry(tmp_path):

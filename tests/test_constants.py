@@ -52,6 +52,13 @@ def test_trappable_flags(registry):
 def test_mf_bound_enforced(registry):
     with pytest.raises(ValueError):
         registry.state("Rb87", 2, 3)
+    # m_F runs from -F to F in steps of 1, and F is a multiple of 1/2
+    for m_f in (1, "0.3", "1/3"):
+        with pytest.raises(ValueError, match="by an integer"):
+            registry.state("K40", "9/2", m_f)
+    for f in ("3/4", "-1/2"):
+        with pytest.raises(ValueError, match="half-integer"):
+            C.SpinState(registry["K40"], f, f, Fraction(2, 9))
 
 
 def test_g_factors_exact_rationals(k92, rb22):

@@ -337,7 +337,8 @@ def test_estimator_consistency(gas_factory):
 def test_apparent_temperature_boltzmann_regime(gas_factory, science_trap, k92):
     gas = gas_factory(2.0)
     img = imf.synthesize_tof_image(gas, 10e-3, (64, 64), 25e-6, 0.0)
-    t_app = imf.apparent_temperature(img, science_trap, k92.species.mass, 10e-3)
+    fit = imf.fit_gaussian(img)
+    t_app = imf.apparent_temperature(fit, science_trap, k92.species.mass, 10e-3)
     assert t_app == pytest.approx(gas.temperature, rel=0.02)
 
 
@@ -346,7 +347,8 @@ def test_apparent_temperature_monotone(gas_factory, science_trap, k92):
     for t_red, pitch in ((0.15, 8e-6), (0.4, 10e-6), (1.0, 15e-6), (2.0, 25e-6)):
         gas = gas_factory(t_red)
         img = imf.synthesize_tof_image(gas, 10e-3, (48, 48), pitch, 0.0)
-        t_apps.append(imf.apparent_temperature(img, science_trap, k92.species.mass, 10e-3))
+        fit = imf.fit_gaussian(img)
+        t_apps.append(imf.apparent_temperature(fit, science_trap, k92.species.mass, 10e-3))
     assert all(a < b for a, b in zip(t_apps, t_apps[1:]))
 
 

@@ -49,7 +49,7 @@ def test_f2_against_dilogarithm():
         assert pl.fermi_fn(2.0, z) == pytest.approx(-spence(1.0 + z), rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [0.5, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0])
 def test_against_high_precision_oracle(n):
     for z in (0.3, 0.7, 200.0, 2e13, 1e20):
         assert pl.fermi_fn(n, z) == pytest.approx(mp_fermi(n, z), rel=3e-9)
@@ -61,7 +61,7 @@ def mp_fermi_exact(n, z):
         return float(mpmath.re(-mpmath.polylog(n, -mpmath.mpf(z))))
 
 
-@pytest.mark.parametrize("n", [0.5, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0])
 def test_regime_seams_agree(n):
     found = pl.seams(n)
     where = [x for x, _, _ in found]
@@ -69,14 +69,14 @@ def test_regime_seams_agree(n):
         assert where == [0.0]  # series below z = 1, its reflection above
     else:
         # both ends of the shipped table and every boundary between its pieces
-        lo, width, coef = pl._TABLES[n]
+        lo, width, coef = pl._TABLE
         assert where == pytest.approx(lo + width * np.arange(len(coef) + 1))
         assert where[0] == 0.0 and where[-1] == pl.SOMMERFELD_CUT_LOG
     for _, below, above in found:
         assert abs(below / above - 1.0) < 1e-8
 
 
-@pytest.mark.parametrize("n", [0.5, 1.5, 2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0])
 def test_paper_orders_match_mpmath(n):
     x = np.random.default_rng(int(2 * n)).uniform(-30.0, 80.0, 150)
     z = np.exp(np.concatenate([x, [-1e-9, 0.0, 1e-9, pl.SOMMERFELD_CUT_LOG]]))
@@ -85,13 +85,13 @@ def test_paper_orders_match_mpmath(n):
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
 
 
-@pytest.mark.parametrize("n", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("n", [1.5])
 def test_shipped_tables_match_mpmath(n):
-    lo, width, coef = pl._TABLES[n]
+    lo, width, coef = pl._TABLE
     x = np.random.default_rng(32).uniform(lo, lo + width * len(coef), 300)
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.re(-mpmath.polylog(n, -mpmath.exp(xi)))) for xi in x])
-    assert np.max(np.abs(pl._piecewise(pl._TABLES[n], x) / ref - 1.0)) <= 5e-16
+    assert np.max(np.abs(pl._piecewise(x) / ref - 1.0)) <= 5e-16
 
 
 def test_paper_orders_run_no_quadrature(monkeypatch):
@@ -101,7 +101,7 @@ def test_paper_orders_run_no_quadrature(monkeypatch):
     monkeypatch.setattr(mpmath, "quad", refuse)
     monkeypatch.setattr(mpmath, "polylog", refuse)
     z = np.exp(np.random.default_rng(7).uniform(-30.0, 700.0, 500))
-    for n in (0.5, 1.5, 2.0, 2.5, 3.0, 4.0):
+    for n in (1.5, 2.0, 3.0, 4.0):
         assert np.all(np.isfinite(pl.fermi_fn(n, z)))
         assert np.isfinite(pl.fermi_fn(n, float(z[0])))
     assert not any(hasattr(pl, name) for name in ("_fermi_quad", "_mid_interpolant"))
@@ -109,22 +109,21 @@ def test_paper_orders_run_no_quadrature(monkeypatch):
 
 def test_vectorized_matches_scalar():
     z = np.array([1e-4, 0.4, 2.0, 1e5, 1e14])
-    vec = pl.fermi_fn(2.5, z)
+    vec = pl.fermi_fn(1.5, z)
     for zi, vi in zip(z, vec):
-        assert vi == pytest.approx(pl.fermi_fn(2.5, float(zi)), rel=1e-12)
+        assert vi == pytest.approx(pl.fermi_fn(1.5, float(zi)), rel=1e-12)
 
 
-FERMI_ORDERS = [0.5, 1.5, 2.5] + [float(k) for k in range(1, pl._MAX_EXACT_ORDER + 1)]
+FERMI_ORDERS = [1.5] + [float(k) for k in range(1, pl._MAX_EXACT_ORDER + 1)]
 
 
 def regime_edges():
-    """z = 1, e^36 and the boundaries of the shipped tables, each with its two
+    """z = 1, e^36 and the boundaries of the shipped table, each with its two
     neighbouring floats, and the extremes 5e-324 and 1e308, where a step
     taken over the whole batch could overflow (RuntimeWarning is an error
     under the test configuration)."""
-    x = [0.0, pl.SOMMERFELD_CUT_LOG]
-    for lo, width, coef in pl._TABLES.values():
-        x.extend(lo + width * np.arange(len(coef) + 1))
+    lo, width, coef = pl._TABLE
+    x = [0.0, pl.SOMMERFELD_CUT_LOG, *(lo + width * np.arange(len(coef) + 1))]
     z = np.exp(np.unique(x))
     return np.concatenate([z, np.nextafter(z, 0.0), np.nextafter(z, np.inf), [5e-324, 1e308]])
 
@@ -161,8 +160,8 @@ def test_array_call_matches_per_element_bits(n):
 def test_domain_errors():
     with pytest.raises(ValueError):
         pl.fermi_fn(0.4, 1.0)
-    # integers 1-24 and the tabled 1/2, 3/2, 5/2 only
-    for n in (3.5, 25.0, 0.0, 1.25, math.nan):
+    # integers 1-24 and the tabled 3/2 only
+    for n in (0.5, 2.5, 3.5, 25.0, 0.0, 1.25, math.nan):
         with pytest.raises(ValueError, match="not supported"):
             pl.fermi_fn(n, 2.0)
         with pytest.raises(ValueError, match="not supported"):
@@ -186,7 +185,7 @@ def test_zero_fugacity_is_zero(n):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    n=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     lo=st.floats(min_value=-13.0, max_value=13.0),
     hi=st.floats(min_value=-13.0, max_value=13.0),
 )
@@ -199,7 +198,7 @@ def test_monotonic_in_z(n, lo, hi):
 
 
 def test_monotonic_on_wide_log_grid():
-    for n in (0.5, 1.5, 3.0):
+    for n in (1.5, 3.0):
         z = np.geomspace(1e-6, 1e6, 200)
         vals = pl.fermi_fn(n, z)
         assert np.all(np.diff(vals) > 0)
@@ -207,16 +206,17 @@ def test_monotonic_on_wide_log_grid():
 
 @pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0])
 def test_derivative_identity(n):
-    # z d/dz f_n(z) = f_(n-1)(z), checked by central differences
+    # z d/dz f_n(z) = f_(n-1)(z), checked by central differences; f_(n-1)
+    # comes from mpmath, as fermi_fn has no order 1/2
     for z in (0.05, 0.7, 3.0, 40.0, 1e4):
         h = 1e-4 * z
         deriv = (pl.fermi_fn(n, z + h) - pl.fermi_fn(n, z - h)) / (2.0 * h)
-        assert z * deriv == pytest.approx(pl.fermi_fn(n - 1.0, z), rel=1e-5)
+        assert z * deriv == pytest.approx(mp_fermi_exact(n - 1.0, z), rel=1e-5)
 
 
 def test_boltzmann_limit():
     z = 1e-8
-    for n in (0.5, 1.5, 3.0):
+    for n in (1.5, 3.0):
         assert pl.fermi_fn(n, z) / z == pytest.approx(1.0, rel=1e-7)
 
 
@@ -228,7 +228,7 @@ def test_sommerfeld_eta_vs_mpmath():
         assert abs(float(eta / ref) - 1.0) <= 2.3e-16
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
 def test_unit_fugacity_gives_zeta(n):
     # f_n(1) = eta(n) = (1 - 2^(1-n)) zeta(n): paper-check's c1-bose-degeneracy
     # row takes the Bose g_3/2(1) = zeta(3/2) this way
@@ -240,7 +240,7 @@ def test_unit_fugacity_gives_zeta(n):
 
 @pytest.mark.parametrize(
     "n,c",
-    [(1.5, 1.0), (1.0, 5.0), (2.0, 0.01), (2.0, 1e4)],
+    [(1.5, 1.0), (1.0, 5.0), (1.0, 0.01), (1.0, 1e4)],
 )
 def test_gaussian_reduction_identity(n, c):
     lhs, rhs = pl.gaussian_reduction_check(n, c)
@@ -255,6 +255,6 @@ def test_gaussian_reduction_closed_form():
 
 def test_gaussian_reduction_small_c_limit():
     c = 1e-7
-    lhs, rhs = pl.gaussian_reduction_check(2.0, c)
+    lhs, rhs = pl.gaussian_reduction_check(1.0, c)
     assert lhs == pytest.approx(c * math.sqrt(math.pi), rel=1e-5)
     assert rhs == pytest.approx(c * math.sqrt(math.pi), rel=1e-5)

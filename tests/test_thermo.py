@@ -91,9 +91,8 @@ def test_unit_fugacity_temperature():
 
 
 def test_fugacity_solves_without_recomputing_f3_at_one(monkeypatch):
-    # f_3(1), which picks the side of Z = 1, is computed once per process
-    # and not by each solve; the Halley steps still take f_3 and f_2
-    thermo.fugacity_from_reduced_temperature(0.3)
+    # f_3(1), which picks the side of Z = 1, is computed once, at import, and
+    # not by each solve; the Halley steps still take f_3 and f_2
     calls = []
 
     def recording(n, z):
@@ -103,7 +102,7 @@ def test_fugacity_solves_without_recomputing_f3_at_one(monkeypatch):
     monkeypatch.setattr(thermo, "fermi_fn", recording)
     z = thermo.fugacity_from_reduced_temperature(0.3)
     assert calls and (3.0, 1.0) not in calls
-    assert thermo._f3_at_unit_fugacity() == fermi_fn(3.0, 1.0)
+    assert thermo._F3_AT_UNIT_FUGACITY == fermi_fn(3.0, 1.0)
     assert 6.0 * fermi_fn(3.0, z) * 0.3**3 == pytest.approx(1.0, rel=1e-14)
 
 
