@@ -14,9 +14,11 @@ they moved towards the reference.  Without arguments it takes the default
 grid of `fermichip thermo --scan-out`: 25 points log-spaced from 0.05 to 5.
 
 The program's Z is the one-point solve at each t.  The script also solves
-all the t in one array call, which for two or more t takes the array path,
-and the last column marks with `DIFFERS` any t where the two paths disagree
-in any bit; it then exits 1.
+all the t in one array call.  An array solve finishes its last few points on
+Python floats, so the t are padded with the 25 points of the scan grid: each
+t then takes at least one masked array pass.  The last column marks with
+`DIFFERS` any t where the two paths disagree in any bit; the script then
+exits 1.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def reference(t: float, start: float) -> mpmath.mpf:
 
 def main(argv: list[str]) -> int:
     ts = [float(a) for a in argv] if argv else SCAN_GRID.tolist()
-    batch = thermo.fugacity_from_reduced_temperature(np.array(ts)).tolist()
+    padded = np.concatenate([ts, SCAN_GRID])
+    batch = thermo.fugacity_from_reduced_temperature(padded)[:len(ts)].tolist()
     print(f"{'t':>24} {'Z (mpmath, 40 digits)':>28} {'Z (fermichip)':>25} {'ulps':>6} array")
     status = 0
     for t, z_batch in zip(ts, batch):

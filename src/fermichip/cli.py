@@ -621,7 +621,7 @@ def main(argv=None) -> int:
     except (C.NumericalError, *_numpy_types("linalg.LinAlgError")) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -145,7 +145,7 @@ class SpeciesRegistry:
         try:
             g_F = self.g_factors[name][F]
         except KeyError:
-            raise KeyError(f"no g_F on record for {name} F={F}")
+            raise ValueError(f"no g_F on record for {name} F={F}") from None
         return SpinState(self.species[name], F, m_F, g_F)
 
     def stretched_state(self, name: str) -> SpinState:

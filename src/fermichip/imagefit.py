@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import K_B, NumericalError
 from .density import column_density_fermi, read_raster, write_raster
-from .polylog import fermi_fn
+from .polylog import fermi_fn, fermi_fns
 from .thermo import (HarmonicTrap, TrappedGasState, fugacity_from_reduced_temperature,
                      reduced_temperature_from_fugacity)
 
@@ -151,10 +151,11 @@ def _fd_shape(phi, x, y):
     s = c * fermi_fn(2.0, w)
     def derivatives(ds):
         f1 = c * np.log1p(w)
-        np.divide(f1 * u * u - s, rx, out=ds[0])
-        np.divide(f1 * v * v - s, ry, out=ds[1])
-        np.divide(f1 * u, rx, out=ds[2])
-        np.divide(f1 * v, ry, out=ds[3])
+        f1u, f1v = f1 * u, f1 * v
+        np.divide(f1u * u - s, rx, out=ds[0])
+        np.divide(f1v * v - s, ry, out=ds[1])
+        np.divide(f1u, rx, out=ds[2])
+        np.divide(f1v, ry, out=ds[3])
         np.subtract(f1, s * (fermi_fn(2.0, z) / f3), out=ds[4])
     return s, derivatives
 
@@ -233,15 +234,18 @@ def _levenberg_marquardt(evaluate, phi, lo, hi):
     Jacobian counts and the stop: 1 gradient, 2 reduction, 3 step.
     """
     out, nfev, njev, accepted = evaluate(phi), 1, 1, True
+    bounds = lo.tolist(), hi.tolist()
     jac = out[1]()
     chi2, lam, nu, d2 = np.einsum("p,p", out[0], out[0]), 1e-3, 2.0, 0.0
     while True:
         if accepted:
             a, g = np.einsum("pi,pj", jac, jac), np.einsum("pi,p", jac, out[0])
             d2 = np.maximum(d2, a.diagonal())
-            # the gradient, zero where a bound blocks descent, against |J_i| |r|
-            free = ~((phi <= lo) & (g > 0) | (phi >= hi) & (g < 0))
-            if np.all(np.abs(g * free) <= _TOL * np.sqrt(d2 * chi2)):
+            # the gradient, zero where a bound blocks descent, against |J_i| |r|;
+            # on the few parameters as Python floats, which round as numpy's loops do
+            if all(abs(gi * (not (p <= l and gi > 0 or p >= h and gi < 0)))
+                   <= _TOL * math.sqrt(di * chi2)
+                   for p, l, h, gi, di in zip(phi.tolist(), *bounds, g.tolist(), d2.tolist())):
                 return phi, out, chi2, nfev, njev, 1
         if nfev == _MAX_NFEV:
             raise FitError(f"fit did not converge in {nfev} evaluations (chi2 {chi2:.6g})")
@@ -335,5 +339,5 @@ def apparent_temperature_curve(t_over_tf) -> float | np.ndarray:
     Equals f_4(Z)/f_3(Z) at the fugacity of the given reduced temperature (a
     scalar or an array): 1 in the Boltzmann limit, rising to T_F/(4T) as T -> 0.
     """
-    z = fugacity_from_reduced_temperature(t_over_tf)
-    return fermi_fn(4.0, z) / fermi_fn(3.0, z)
+    f4, f3 = fermi_fns((4, 3), fugacity_from_reduced_temperature(t_over_tf))
+    return f4 / f3

@@ -36,6 +36,16 @@ numpy's array log on 0.35% of z in (1, 2), and x ** p, on a float or an
 np.float64, from the array power on about 5% of points; the ufuncs called on
 one value matched the array loops on every point.
 
+fermi_fns(orders, z) gives several integer orders at one z, each with the
+bits fermi_fn gives it; fermi_fn's integer orders are its one-order case.  z
+is validated, split at z = 1, inverted and logged once for all orders.  On an
+array the orders' series coefficients lie end to end along each Horner row,
+against min(z, 1/z) repeated once per order, so the sum takes one numpy call
+per coefficient and step however many orders it serves: f_3 and f_2 at the
+24 points of a degeneracy scan take ~50 us in one call against ~80 us in two
+(AVX-512 Xeon, numpy 2.4).  One order keeps float coefficients and repeats
+nothing.
+
 The special functions behind the Sommerfeld expansion need no library either:
 1/Gamma is rounded once from its exact factorial forms at the integers and
 half-integers, and zeta at the even integers is exact, from Bernoulli numbers.
@@ -53,6 +63,7 @@ import numpy as np
 
 __all__ = [
     "fermi_fn",
+    "fermi_fns",
     "gaussian_reduction_check",
     "seams",
     "SERIES_CUT",
@@ -111,6 +122,17 @@ def _fermi_order(n: float) -> float:
     )
 
 
+@lru_cache(maxsize=64)
+def _integer_orders(orders: tuple) -> tuple[float, ...]:
+    out = tuple(float(n) for n in orders)
+    if not out or not all(n.is_integer() and 1.0 <= n <= _MAX_EXACT_ORDER for n in out):
+        raise ValueError(
+            f"fermi_fns orders {orders} are not supported: need one or more "
+            f"integers 1 <= n <= {_MAX_EXACT_ORDER}"
+        )
+    return out
+
+
 def _rgamma(x: float) -> float:
     """1/Gamma(x) at an integer or a half-integer x, which are all the
     Sommerfeld terms use, 0 at the poles x = 0, -1, -2, ...  It is rounded once
@@ -151,13 +173,12 @@ def _power_series(coeff: tuple[float, ...] | np.ndarray,
                   w: float | np.ndarray) -> float | np.ndarray:
     """sum_j coeff[j-1] w^j by Horner's rule, smallest terms first: elementwise,
     so a value does not depend on the batch (a BLAS product's rounding does).
-    On an array the first product allocates the accumulator and every later
+    coeff holds floats, or one array row per term.  On an array the first product allocates the accumulator and every later
     step runs in place, which rounds the same as the float path."""
-    acc = 0.0
-    for c in coeff[::-1]:
-        acc *= w
+    acc = coeff[-1] * w
+    for c in coeff[-2::-1]:
         acc += c
-    acc *= w
+        acc *= w
     return acc
 
 
@@ -171,6 +192,15 @@ def _series_coefficients(n: float) -> tuple[float, ...]:
 def _fermi_series(n: float, w: float | np.ndarray) -> float | np.ndarray:
     # Accelerated alternating series sum_j (-1)^(j+1) w^j / j^n, w <= 1.
     return _power_series(_series_coefficients(n), w)
+
+
+@lru_cache(maxsize=64)
+def _series_rows(orders: tuple[float, ...]) -> np.ndarray:
+    """The series coefficients of several orders, read-only: one row per
+    term, one column per order."""
+    rows = np.array([_series_coefficients(n) for n in orders]).T
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=64)
@@ -209,6 +239,62 @@ def _piecewise(x: float | np.ndarray) -> float | np.ndarray:
     return _chebyshev(coef[k.astype(np.intp)], t)
 
 
+def _checked(z) -> tuple[np.ndarray, float | None]:
+    """z as a float array, and its value as a float if it holds one point;
+    ValueError unless every z is finite and >= 0."""
+    z = np.asarray(z, dtype=float)
+    if z.size == 1:
+        one = z.item()
+        ok = 0.0 <= one < math.inf
+    else:
+        one = None
+        ok = np.all((z >= 0.0) & (z < math.inf))
+    if not ok:
+        raise ValueError("fermi_fn requires a finite z >= 0")
+    return z, one
+
+
+def fermi_fns(orders, z) -> list:
+    """fermi_fn(n, z) for each integer order n in `orders` (1 <= n <= 24), with
+    the same bits, in one pass: `f3, f2 = fermi_fns((3, 2), z)`.
+
+    z is validated, split at z = 1 and inverted once for all orders.  On an
+    array one Horner sum serves every order, one numpy call per coefficient
+    and step, and each order is then reflected through its Sommerfeld
+    polynomial where z > 1.  One point runs in Python floats.
+    A scalar or a 0-d z gives floats, any other input arrays of its shape.
+    Raises ValueError for any other order or z (negative, nan or inf).
+    """
+    orders = _integer_orders(tuple(orders))
+    z, one = _checked(z)
+    if one is not None:
+        if one <= SERIES_CUT:
+            vals = [_fermi_series(n, one) for n in orders]
+        else:
+            x, w = np.log(one), 1.0 / one
+            vals = [float(_fermi_sommerfeld(n, x) - (-1.0) ** n * _fermi_series(n, w))
+                    for n in orders]
+        return vals if z.ndim == 0 else [np.full(z.shape, v) for v in vals]
+
+    # one series pass over min(z, 1/z); above z = 1 reflect it through P_n
+    flat = z.ravel()
+    high = flat > SERIES_CUT
+    w = np.divide(1.0, flat, out=flat.copy(), where=high)
+    if len(orders) == 1:
+        out = _fermi_series(orders[0], w)
+    else:
+        # the orders' coefficients end to end along each row, against w
+        # repeated as often: contiguous rows, one numpy call per step
+        rows = _series_rows(orders).repeat(w.size, axis=1)
+        out = _power_series(rows, np.concatenate([w] * len(orders)))
+    out = out.reshape(len(orders), -1)
+    if high.any():
+        x = np.log(flat[high])
+        for row, n in zip(out, orders):
+            row[high] = _fermi_sommerfeld(n, x) - (-1.0) ** n * row[high]
+    return list(out.reshape(len(orders), *z.shape))
+
+
 def fermi_fn(n: float, z) -> float | np.ndarray:
     """-Li_n(-z) for an integer order 1 <= n <= 24 or n = 3/2, and
     finite fugacity-like argument z >= 0; f_n(0) = 0 exactly.
@@ -218,32 +304,16 @@ def fermi_fn(n: float, z) -> float | np.ndarray:
     ValueError for any other order or z (negative, nan or inf).
     """
     n = _fermi_order(n)
-    z = np.asarray(z, dtype=float)
-    if z.size == 1:
-        w = z.item()
-        if not 0.0 <= w < math.inf:
-            raise ValueError("fermi_fn requires a finite z >= 0")
-        if w <= SERIES_CUT:
-            out = _fermi_series(n, w)
-        elif n.is_integer():
-            out = _fermi_sommerfeld(n, np.log(w)) - (-1.0) ** n * _fermi_series(n, 1.0 / w)
-        else:
-            x = np.log(w)
-            if x >= SOMMERFELD_CUT_LOG:
-                out = _fermi_sommerfeld(n, x)
-            else:
-                out = _piecewise(x)
-        return float(out) if z.ndim == 0 else np.full(z.shape, out)
-
-    if not np.all((z >= 0.0) & (z < math.inf)):
-        raise ValueError("fermi_fn requires a finite z >= 0")
     if n.is_integer():
-        # one series pass over min(z, 1/z); above z = 1 reflect it through P_n
-        high = z > SERIES_CUT
-        out = _fermi_series(n, np.divide(1.0, z, out=z.copy(), where=high))
-        if high.any():
-            out[high] = _fermi_sommerfeld(n, np.log(z[high])) - (-1.0) ** n * out[high]
-        return out
+        return fermi_fns((n,), z)[0]
+    z, one = _checked(z)
+    if one is not None:
+        if one <= SERIES_CUT:
+            out = _fermi_series(n, one)
+        else:
+            x = np.log(one)
+            out = _fermi_sommerfeld(n, x) if x >= SOMMERFELD_CUT_LOG else _piecewise(x)
+        return float(out) if z.ndim == 0 else np.full(z.shape, out)
 
     out = np.empty_like(z)
     low = z <= SERIES_CUT

@@ -12,7 +12,12 @@ f_(n-1), on a scalar or an array.  The start and the Halley step are each
 one function that takes a float or an array; the bracket is kept with masks
 on an array and with `if` at one point (a float, a 0-d array or any size-1
 array), which then runs in Python floats: 10-26 us a solve instead of
-70-170 us of numpy dispatch on one-element arrays.  The bits are the array
+70-170 us of numpy dispatch on one-element arrays.  A Halley pass takes f_3
+and f_2 from one fermi_fns call.  An array solve runs masked passes until at
+most _FLOAT_TAIL = 8 points remain and finishes those on floats, one point at
+a time, as a pass costs 5-12 us on one float and 50-60 us on 2 to 24 points:
+the 24 points of a degeneracy scan take passes over 24 and 13 points, then 2
+points on floats, ~250 us a solve instead of ~350 us.  The bits are the array
 path's.
 Includes a brute-force discrete-sum oracle over oscillator levels for
 finite-size cross-checks.
@@ -28,7 +33,7 @@ import numpy as np
 
 from . import polylog
 from .constants import HBAR, K_B, NumericalError, SpinState, thermal_wavelength, write_csv
-from .polylog import fermi_fn
+from .polylog import fermi_fn, fermi_fns
 
 __all__ = [
     "FugacityError",
@@ -58,6 +63,11 @@ _T_MAX = 6e-300 ** (-1.0 / 3.0)
 # (Z < 1) from the degenerate one.  From polylog itself: a caller may replace
 # this module's fermi_fn, and the value is kept.
 _F3_AT_UNIT_FUGACITY = polylog.fermi_fn(3.0, 1.0)
+# the array solve finishes on Python floats once at most this many points
+# remain: a Halley pass costs 5-12 us on one float against 50-60 us on an
+# array of 2 to 24 points, so up to about 8 points a float pass each costs no
+# more than one array pass (AVX-512 Xeon, numpy 2.4)
+_FLOAT_TAIL = 8
 
 
 class FugacityError(NumericalError):
@@ -158,10 +168,10 @@ def _degenerate_start(cube):
 def _halley_step(y, ln_target):
     """h(y) and Halley's step on it from y = ln Z, from one pass of f_3 and f_2."""
     z = np.exp(y)
-    f3 = fermi_fn(3.0, z)
+    f3, f2 = fermi_fns((3, 2), z)
     h = np.log(f3) - ln_target
     # as d f_n / d ln z = f_(n-1): h' = f_2/f_3, h'' = f_1/f_3 - h'^2
-    slope = fermi_fn(2.0, z) / f3
+    slope = f2 / f3
     curvature = np.log1p(z) / f3 - slope * slope
     return h, -h / slope / (1.0 - 0.5 * h * curvature / (slope * slope))
 
@@ -196,7 +206,8 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
     bisection.  From 0.0016 to 50 in t that takes 1 to 3 passes of f_3 and f_2.
 
     One point (a float, a 0-d array or any size-1 array) takes the same start
-    and steps in Python floats and keeps its bracket with `if`, not masks.  It
+    and steps in Python floats and keeps its bracket with `if`, not masks, as
+    do the last few points of an array, once at most _FLOAT_TAIL remain.  It
     gives the array path's bits: + - * / round alike on floats and in numpy's
     loops, and exp, log, log1p, cbrt, sqrt and the power are numpy ufuncs
     called on floats, as in fermi_fn.  On an AVX-512 Xeon with numpy 2.4 that
@@ -220,9 +231,11 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
     y[~classical] = _degenerate_start(cube[~classical])
     y = np.clip(y, lo, hi)
     todo = np.arange(ts.size)
-    for _ in range(_SOLVE_MAXITER):
+    passes = 0
+    while todo.size > _FLOAT_TAIL and passes < _SOLVE_MAXITER:
         h, step = _halley_step(y[todo], ln_target[todo])
         if not np.all(np.isfinite(step)):
+            # the float loop below takes the same step again and reports it
             todo = todo[~np.isfinite(step)]
             break
         lo[todo] = np.where(h < 0.0, y[todo], lo[todo])
@@ -233,10 +246,11 @@ def fugacity_from_reduced_temperature(t) -> float | np.ndarray:
         new[bisect] = 0.5 * (lo[todo] + hi[todo])[bisect]
         y[todo] = new
         todo = todo[~done]
-        if todo.size == 0:
-            return np.exp(y).reshape(t.shape)
-    k = todo[0]
-    raise _failure(ts[k], lo[k], hi[k], y[k])
+        passes += 1
+    for k in todo.tolist():
+        y[k] = _iterate(ts[k].item(), ln_target[k].item(), lo[k].item(), hi[k].item(),
+                        y[k].item(), _SOLVE_MAXITER - passes)
+    return np.exp(y).reshape(t.shape)
 
 
 def _solve_one(t: float) -> float:
@@ -250,8 +264,13 @@ def _solve_one(t: float) -> float:
     else:
         lo, hi = 0.0, min(3.0 / t + 1.0, 708.0)
         y = _degenerate_start(cube)
-    y = min(max(y, lo), hi)
-    for _ in range(_SOLVE_MAXITER):
+    return np.exp(_iterate(t, ln_target, lo, hi, min(max(y, lo), hi), _SOLVE_MAXITER))
+
+
+def _iterate(t, ln_target, lo, hi, y, passes) -> float:
+    """ln Z at one t after at most `passes` Halley steps from y inside the
+    bracket [lo, hi], on Python floats: the steps of the masked array passes."""
+    for _ in range(passes):
         h, step = _halley_step(y, ln_target)
         if not math.isfinite(step):
             break
@@ -260,7 +279,7 @@ def _solve_one(t: float) -> float:
         elif h > 0.0:
             hi = y
         if _converged(step, y):
-            return np.exp(y + step)
+            return y + step
         y += step
         if not lo <= y <= hi:
             y = 0.5 * (lo + hi)
@@ -340,8 +359,8 @@ class TrappedGasState:
 
 def energy_per_particle(gas: TrappedGasState) -> float:
     """E/N = 3 k_B T f_4(Z) / f_3(Z) in J."""
-    z = gas.fugacity
-    return 3.0 * K_B * gas.temperature * fermi_fn(4.0, z) / fermi_fn(3.0, z)
+    f4, f3 = fermi_fns((4, 3), gas.fugacity)
+    return 3.0 * K_B * gas.temperature * f4 / f3
 
 
 def degeneracy_parameter(z: float) -> float:
@@ -436,7 +455,9 @@ def write_thermo_scan_csv(path, gas_factory, t_values) -> None:
     gases = [gas_factory(t) for t in t_values]
     temp = np.array([gas.temperature for gas in gases])
     e_f = np.array([gas.fermi_energy for gas in gases])
-    z = fugacity_from_reduced_temperature(np.array([gas.t_reduced for gas in gases]))
-    e_per_n = 3.0 * K_B * temp * fermi_fn(4.0, z) / fermi_fn(3.0, z)
+    # temp / (e_f / K_B) has the bits of each gas.t_reduced
+    z = fugacity_from_reduced_temperature(temp / (e_f / K_B))
+    f4, f3 = fermi_fns((4, 3), z)
+    e_per_n = 3.0 * K_B * temp * f4 / f3
     columns = [t_values, z, K_B * temp * np.log(z) / e_f, e_per_n / e_f, degeneracy_parameter(z)]
     write_csv(path, ["T_over_TF", "Z", "mu_over_EF", "E_per_N_over_EF", "n0_lambda3"], columns)

@@ -963,19 +963,22 @@ def load_geometry(name_or_path) -> tuple[FieldModel, np.ndarray | None]:
         if not path.exists():
             raise FileNotFoundError(f"geometry {name!r} not found (also tried {path})")
     doc = json.loads(path.read_text())
-    segments = [
-        WireSegment(
-            tuple(np.asarray(s["start_um"], dtype=float) * MICROMETER),
-            tuple(np.asarray(s["end_um"], dtype=float) * MICROMETER),
-            float(s["current_a"]),
-        )
-        for s in doc.get("segments", [])
-    ]
-    bias = tuple(np.asarray(doc.get("bias_gauss", [0.0, 0.0, 0.0]), dtype=float) * GAUSS)
-    chip_plane = None
-    if "chip_plane" in doc:
-        cp = doc["chip_plane"]
-        chip_plane = (tuple(cp["normal"]), float(cp["offset_um"]) * MICROMETER)
+    try:
+        segments = [
+            WireSegment(
+                tuple(np.asarray(s["start_um"], dtype=float) * MICROMETER),
+                tuple(np.asarray(s["end_um"], dtype=float) * MICROMETER),
+                float(s["current_a"]),
+            )
+            for s in doc.get("segments", [])
+        ]
+        bias = tuple(np.asarray(doc.get("bias_gauss", [0.0, 0.0, 0.0]), dtype=float) * GAUSS)
+        chip_plane = None
+        if "chip_plane" in doc:
+            cp = doc["chip_plane"]
+            chip_plane = (tuple(cp["normal"]), float(cp["offset_um"]) * MICROMETER)
+    except KeyError as exc:
+        raise ValueError(f"geometry file {path} has no key {exc}") from None
     model = FieldModel(segments=segments, bias=bias, chip_plane=chip_plane)
     seed = None
     if "seed_um" in doc:

@@ -79,25 +79,25 @@ THERMO_ARGS = ["thermo", "--species", "K40", "--n-atoms", "4e4", "--fbar-hz", "3
                "--t-over-tf", "0.2"]
 
 
-def _fail_quadrature(n, z):
+def _fail_quadrature(orders, z):
     # a NumericalError from a Fermi function; f_4 is first used after the
     # fugacity solve, so the error reaches main unwrapped
-    if n == 4.0:
-        raise NumericalError(f"fermi_fn failed (n={n})")
-    return polylog.fermi_fn(n, z)
+    if 4.0 in orders:
+        raise NumericalError("fermi_fn failed (n=4.0)")
+    return polylog.fermi_fns(orders, z)
 
 
-def _nan_f3(n, z):
+def _nan_f3(orders, z):
     # a non-finite f_3 fails the fugacity solve
-    value = polylog.fermi_fn(n, z)
-    return value * math.nan if n == 3.0 else value
+    values = polylog.fermi_fns(orders, z)
+    return [f * math.nan if n == 3.0 else f for n, f in zip(orders, values)]
 
 
 @pytest.mark.parametrize(
     "attr,failure,message",
     [
-        ("fermi_fn", _fail_quadrature, "fermi_fn failed (n=4.0)"),
-        ("fermi_fn", _nan_f3, "fugacity root find failed"),
+        ("fermi_fns", _fail_quadrature, "fermi_fn failed (n=4.0)"),
+        ("fermi_fns", _nan_f3, "fugacity root find failed"),
     ],
     ids=["quadrature", "fugacity"],
 )
@@ -576,8 +576,22 @@ def test_impossible_mf_is_config_error(capsys, mf):
     assert "Traceback" not in err
 
 
+def test_unrecorded_f_is_config_error(capsys):
+    # K40's g_F is on record for F = 9/2 only; the message is not quoted
+    assert run(["trap", "--species", "K40", "--f-quantum", "7/2", "--mf", "1/2"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: no g_F on record for K40 F=7/2\n"
+
+
 def test_trap_unknown_geometry(tmp_path):
     assert run(["trap", "--geometry", "no-such-trap"]) == cli.EXIT_CONFIG
+
+
+def test_trap_geometry_missing_key_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"segments": [{"start_um": [0, 0, 0], "end_um": [1, 0, 0]}]}))
+    assert run(["trap", "--geometry", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: geometry file {path} has no key 'current_a'\n")
 
 
 def test_trap_seed_on_wire_axis_exits_3(capsys):

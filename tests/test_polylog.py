@@ -157,6 +157,33 @@ def test_array_call_matches_per_element_bits(n):
         assert [*scalars, *(v.item() for v in arrays)] == [want] * 4
 
 
+# 10^4 log-spaced z over the double range, 0, and 1 with its two neighbours
+FUSED_Z = np.concatenate([np.geomspace(1e-300, 1e300, 10_000),
+                          [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
+
+
+@pytest.mark.parametrize("orders", [(3, 2), (4, 3), tuple(range(1, pl._MAX_EXACT_ORDER + 1))],
+                         ids=["3-2", "4-3", "1-24"])
+def test_fermi_fns_match_fermi_fn_bits(orders):
+    # several orders in one pass give each order's fermi_fn bits, on an array
+    # of any shape and at one point; f_n(0) = 0 and every other value is
+    # positive, so equal values have equal bits
+    fused = pl.fermi_fns(orders, FUSED_Z)
+    assert len(fused) == len(orders)
+    for n, values in zip(orders, fused):
+        assert values.shape == FUSED_Z.shape
+        assert np.array_equal(values, pl.fermi_fn(n, FUSED_Z)), n
+    block = pl.fermi_fns(orders, FUSED_Z.reshape(2, -1))
+    assert all(np.array_equal(b, f.reshape(2, -1)) for b, f in zip(block, fused))
+    points = [pl.fermi_fns(orders, zi) for zi in FUSED_Z.tolist()]
+    assert {type(v) for p in points for v in p} == {float}
+    assert np.array_equal(np.array(points).T, fused)
+    for zi in (0.5, 7.0):
+        ones = pl.fermi_fns(orders, np.array([[zi]]))
+        assert [v.shape for v in ones] == [(1, 1)] * len(orders)
+        assert [v.item() for v in ones] == pl.fermi_fns(orders, zi)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         pl.fermi_fn(0.4, 1.0)
@@ -171,6 +198,12 @@ def test_domain_errors():
         for z in (bad, np.array([2.0, bad])):
             with pytest.raises(ValueError, match="finite z >= 0"):
                 pl.fermi_fn(2.0, z)
+            with pytest.raises(ValueError, match="finite z >= 0"):
+                pl.fermi_fns((3, 2), z)
+    # fermi_fns takes one or more of the integer orders
+    for orders in ((), (1.5,), (3, 2.5), (4, 25), (0, 1)):
+        with pytest.raises(ValueError, match="not supported"):
+            pl.fermi_fns(orders, 2.0)
 
 
 @pytest.mark.parametrize("n", FERMI_ORDERS)

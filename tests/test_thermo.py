@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fermichip import constants as C
 from fermichip import thermo
-from fermichip.polylog import fermi_fn
+from fermichip.polylog import fermi_fn, fermi_fns
 
 import closed_forms
 
@@ -99,7 +99,12 @@ def test_fugacity_solves_without_recomputing_f3_at_one(monkeypatch):
         calls.append((float(n), np.asarray(z).tolist()))
         return fermi_fn(n, z)
 
+    def recording_fused(orders, z):
+        calls.extend((float(n), np.asarray(z).tolist()) for n in orders)
+        return fermi_fns(orders, z)
+
     monkeypatch.setattr(thermo, "fermi_fn", recording)
+    monkeypatch.setattr(thermo, "fermi_fns", recording_fused)
     z = thermo.fugacity_from_reduced_temperature(0.3)
     assert calls and (3.0, 1.0) not in calls
     assert thermo._F3_AT_UNIT_FUGACITY == fermi_fn(3.0, 1.0)
@@ -115,23 +120,52 @@ SEAM = (6.0 * fermi_fn(3.0, 1.0)) ** (-1.0 / 3.0)
 
 
 def test_fugacity_solve_passes(monkeypatch):
-    # the closed-form starts leave at most 3 passes of f_3 (and f_2) per solve;
-    # at least one is counted, so each solve takes f_3 from this module's fermi_fn
-    passes = []
+    # the closed-form starts leave at most 3 passes of f_3 (and f_2) per point;
+    # at least one is counted, so each point takes f_3 from this module's
+    # fermi_fns or fermi_fn.  An array pass counts one for every point still
+    # iterating: `sizes` holds the number of points of each.  A float pass,
+    # of the array solve's tail or of a one-point solve, counts for the point
+    # that _iterate, wrapped below, is iterating
+    sizes, passes = [], []
+
+    def count(z):
+        if np.ndim(z):
+            sizes.append(np.size(z))
+        else:
+            passes[-1] += 1
 
     def counting(n, z):
         if float(n) == 3.0:
-            passes[-1] += 1
+            count(z)
         return fermi_fn(n, z)
 
-    thermo.fugacity_from_reduced_temperature(0.3)
-    monkeypatch.setattr(thermo, "fermi_fn", counting)
-    passes.append(0)
-    thermo.fugacity_from_reduced_temperature(SCAN_GRID)
-    assert 1 <= passes.pop() <= 3
-    for t in WIDE_GRID:
+    def counting_fused(orders, z):
+        if 3.0 in orders:
+            count(z)
+        return fermi_fns(orders, z)
+
+    def iterate(*args):
         passes.append(0)
+        return solve_tail(*args)
+
+    thermo.fugacity_from_reduced_temperature(0.3)
+    solve_tail = thermo._iterate
+    monkeypatch.setattr(thermo, "fermi_fn", counting)
+    monkeypatch.setattr(thermo, "fermi_fns", counting_fused)
+    monkeypatch.setattr(thermo, "_iterate", iterate)
+    thermo.fugacity_from_reduced_temperature(SCAN_GRID)
+    # s_k - s_(k+1) points leave after k array passes; the tail's points
+    # have had every array pass and then their own float passes
+    ends = sizes[1:] + [len(passes)]
+    per_point = [k for k, (s, e) in enumerate(zip(sizes, ends), 1) for _ in range(s - e)]
+    per_point += [len(sizes) + p for p in passes]
+    assert len(per_point) == SCAN_GRID.size
+    assert min(per_point) >= 1 and max(per_point) <= 3
+    sizes.clear()
+    passes.clear()
+    for t in WIDE_GRID:
         thermo.fugacity_from_reduced_temperature(float(t))
+    assert not sizes and len(passes) == WIDE_GRID.size
     assert min(passes) >= 1 and max(passes) <= 3 and np.mean(passes) <= 1.5
 
 
@@ -215,10 +249,19 @@ def test_fugacity_one_point_matches_array(t):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.floats(math.log(1.0 / 700.0), math.log(thermo._T_MAX)),
-                min_size=2, max_size=6))
+                min_size=2, max_size=12))
 def test_fugacity_one_point_matches_array_drawn(log_t):
     # log-uniform over the domain; exp may round one ulp past either end
     assert_one_point_matches_array(np.clip(np.exp(log_t), 1.0 / 700.0, thermo._T_MAX))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(math.log(1.0 / 700.0), math.log(50.0)),
+                min_size=thermo._FLOAT_TAIL + 1, max_size=12))
+def test_fugacity_float_tail_matches_one_point_drawn(log_t):
+    # more points than the float tail takes, most of them degenerate enough to
+    # need a second pass: array passes first, then the tail on Python floats
+    assert_one_point_matches_array(np.clip(np.exp(log_t), 1.0 / 700.0, 50.0))
 
 
 @pytest.mark.parametrize("t", [0.3, np.array(0.3), np.full(1, 0.3), np.full((1, 1), 0.3)],
@@ -236,7 +279,7 @@ def test_fugacity_one_point_return_types(t):
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e100, 1e-3])
 def test_fugacity_one_point_domain_errors_match_array(bad):
     messages = []
-    for t in (bad, np.array(bad), np.array([bad]), np.array([bad, bad])):
+    for t in (bad, np.array(bad), np.array([bad]), np.array([bad, bad]), np.full(12, bad)):
         with pytest.raises(ValueError) as error:
             thermo.fugacity_from_reduced_temperature(t)
         messages.append(str(error.value))
@@ -244,20 +287,20 @@ def test_fugacity_one_point_domain_errors_match_array(bad):
 
 
 def test_fugacity_failure_names_t_bracket_and_ln_z(monkeypatch):
-    # a nan f_3 fails both paths at the first step, before the bracket moves,
-    # with the same FugacityError: no ZeroDivisionError, no RuntimeWarning
-    def nan_f3(n, z):
-        value = fermi_fn(n, z)
-        return value * math.nan if float(n) == 3.0 else value
+    # a nan f_3 fails every path at the first step, before the bracket moves,
+    # with the same FugacityError: no ZeroDivisionError, no RuntimeWarning.
+    # Two points run in the float tail alone, twelve take an array pass first
+    def nan_f3(orders, z):
+        return [f * math.nan if n == 3.0 else f for n, f in zip(orders, fermi_fns(orders, z))]
 
-    monkeypatch.setattr(thermo, "fermi_fn", nan_f3)
+    monkeypatch.setattr(thermo, "fermi_fns", nan_f3)
     for t in (0.2, 2.0):
         messages = []
-        for arg in (t, np.array([t, t])):
+        for arg in (t, np.array([t, t]), np.full(12, t)):
             with pytest.raises(thermo.FugacityError) as error:
                 thermo.fugacity_from_reduced_temperature(arg)
             messages.append(str(error.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1, messages
         assert messages[0].startswith(f"fugacity root find failed for t={t} on ln Z bracket [")
         assert " at ln Z = " in messages[0]
 
