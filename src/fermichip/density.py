@@ -117,6 +117,9 @@ def write_raster(path, values: np.ndarray, pitch: float) -> None:
 
 
 def read_raster(path) -> tuple[np.ndarray, float]:
+    """Pixel values and pitch of a raster that write_raster wrote. The header's
+    dims are checked against the bytes the file holds before any buffer of
+    their size is made, so a crafted header cannot ask for gigabytes."""
     with open(path, "rb") as fh:
         header = fh.read(32)
         if header[:6] != RASTER_MAGIC:
@@ -124,11 +127,13 @@ def read_raster(path) -> tuple[np.ndarray, float]:
         if len(header) != 32:
             raise ValueError(f"truncated raster header: expected 32 bytes, found {len(header)}")
         ny, nx, pitch = struct.unpack(">IId", header[8:24])
-        block = fh.read(ny * nx * 8)
-        if len(block) != ny * nx * 8:
+        if ny * nx == 0:
+            raise ValueError(f"raster has no pixels: {ny}x{nx}")
+        block = fh.read()
+        if len(block) < ny * nx * 8:
             raise ValueError(
                 f"truncated raster data: {ny}x{nx} float64 needs {ny * nx * 8} bytes, "
                 f"found {len(block)}"
             )
-        data = np.frombuffer(block, dtype=">f8").reshape(ny, nx)
+        data = np.frombuffer(block, dtype=">f8", count=ny * nx).reshape(ny, nx)
     return data.astype(float), pitch

@@ -169,7 +169,9 @@ def _projected(shape, phi, x, y, data, sigma, ds):
     s, derivatives = shape(phi, x, y)
     grid, s = s.shape, s.ravel()
     ss = np.einsum("p,p", s, s)
-    n = np.einsum("p,p", s, data) / ss
+    # an envelope that underflows on every pixel, as a trial far off the grid can,
+    # has no N*: a NaN residual, which the search rejects
+    n = np.einsum("p,p", s, data) / ss if ss > 0 else math.nan
 
     def jacobian():
         derivatives(ds.reshape(len(ds), *grid))
@@ -196,19 +198,31 @@ def _covariance(jac, chi2, dof):
 
 def _start(img: TofImage):
     """Moment estimates of (r_x, r_y, x0, y0) and their bounds; ValueError if
-    the image is uninformative, an input error rather than a fit failure."""
+    the image is uninformative, an input error rather than a fit failure.
+
+    The moments are of the signed pixel values, in which the zero-mean noise of
+    the wings cancels; the positive part keeps half of it and overstates the
+    radii. They fall back to the positive part where the signed moments are not
+    defined: a net signal that is not positive, or a centroid off the pixel grid,
+    where the start envelope can vanish on every pixel.
+    """
     peak = float(np.max(np.abs(img.values)))
     if peak <= 0:
         raise ValueError("empty image")
     if int(np.sum(np.abs(img.values) > 0.02 * peak)) < 100:
         raise ValueError("fewer than 100 informative pixels")
     x, y = img.axes()
-    v = np.clip(img.values, 0.0, None)
-    total = v.sum()
-    if total <= 0:
+    positive = np.clip(img.values, 0.0, None)
+    if positive.sum() <= 0:
         raise ValueError("image has no positive signal")
-    x0 = float((v * x).sum() / total)
-    y0 = float((v * y).sum() / total)
+    # the positive part's centroid is on the grid, to rounding; the loop ends on it
+    for v in (img.values, positive):
+        total = v.sum()
+        if total > 0:
+            x0 = float((v * x).sum() / total)
+            y0 = float((v * y).sum() / total)
+            if abs(x0) <= x[0, -1] and abs(y0) <= y[-1, 0]:
+                break
     rx = math.sqrt(max(float((v * (x - x0) ** 2).sum() / total), img.pitch**2))
     ry = math.sqrt(max(float((v * (y - y0) ** 2).sum() / total), img.pitch**2))
     span = img.pitch * max(img.values.shape)
@@ -299,7 +313,8 @@ def fit_gaussian(img: TofImage) -> FitResult:
 def fit_fermi_dirac(img: TofImage) -> FitResult:
     """Least-squares Fermi-Dirac envelope fit over (N, r_x, r_y, x0, y0, ln Z).
 
-    One start, ln Z = 1 at the moment estimates. ln Z is bounded to [-30, 30]:
+    One start, ln Z = 1 at the signed moment estimates of (r_x, r_y, x0, y0)
+    that the Gaussian fit starts from too. ln Z is bounded to [-30, 30]:
     a classical image can run it to -30, where the model is the Gaussian to
     ~1e-13, and is flagged `z_pinned_at_bound`; `z_poorly_constrained` marks a
     standard error of ln Z above ln 10, or no covariance. Z is converted to

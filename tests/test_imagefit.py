@@ -135,6 +135,62 @@ def test_fit_rejects_negative_atom_number():
             fit(img)
 
 
+# -- start -------------------------------------------------------------------------------
+
+def positive_part_start(img):
+    """The moment start taken from the positive part of the pixel values alone."""
+    x, y = img.axes()
+    v = np.clip(img.values, 0.0, None)
+    total = v.sum()
+    x0 = float((v * x).sum() / total)
+    y0 = float((v * y).sum() / total)
+    rx = math.sqrt(max(float((v * (x - x0) ** 2).sum() / total), img.pitch**2))
+    ry = math.sqrt(max(float((v * (y - y0) ** 2).sum() / total), img.pitch**2))
+    span = img.pitch * max(img.values.shape)
+    lo = [img.pitch * 0.05, img.pitch * 0.05, x0 - span, y0 - span]
+    return [rx, ry, x0, y0], lo, [span * 10, span * 10, x0 + span, y0 + span]
+
+
+@pytest.mark.parametrize("t_red", [0.1, 0.3, 1.0])
+def test_start_on_noiseless_image_is_positive_part_start(gas_factory, t_red):
+    # no pixel is negative, so the signed moments are the positive part's, bit for bit
+    img = imf.synthesize_tof_image(gas_factory(t_red), 10e-3, (48, 40), 16e-6)
+    assert np.all(img.values >= 0)
+    assert imf._start(img) == positive_part_start(img)
+
+
+@pytest.mark.parametrize("t_red", [0.1, 0.3, 1.0])
+def test_start_radii_of_noisy_image_near_clean_moments(gas_factory, t_red):
+    # zero-mean noise cancels in the signed moments; the positive part keeps the
+    # half above zero, which inflates the radii
+    clean = imf.synthesize_tof_image(gas_factory(t_red), 10e-3, (48, 48), 16e-6)
+    radii = np.array(imf._start(clean)[0][:2])
+    signed, positive = [], []
+    for seed in range(10):
+        img = imf.add_noise(clean, 0.02 * float(clean.values.max()), seed=seed)
+        signed.append(np.array(imf._start(img)[0][:2]) / radii - 1.0)
+        positive.append(np.array(positive_part_start(img)[0][:2]) / radii - 1.0)
+    signed, positive = np.abs(signed), np.array(positive)
+    assert np.all(positive > 0) and signed.mean() < 0.5 * positive.mean()
+
+
+def test_pure_noise_fits_end_cleanly():
+    # images of noise alone: a net signal <= 0 or a centroid off the grid puts the
+    # start on the positive part; each fit returns or raises FitError, never a
+    # domain error from a start whose envelope vanishes on every pixel
+    for seed in range(40):
+        img = imf.TofImage(np.random.default_rng(seed).normal(0.0, 1.0, (48, 48)), 16e-6,
+                           noise_rms=1.0)
+        x, y = img.axes()
+        _, _, x0, y0 = imf._start(img)[0]
+        assert abs(x0) <= x[0, -1] and abs(y0) <= y[-1, 0], seed
+        for fit in (imf.fit_gaussian, imf.fit_fermi_dirac):
+            try:
+                fit(img)
+            except imf.FitError:
+                pass
+
+
 # -- Fermi-Dirac fit ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("t_red", [0.1, 0.3, 1.0])
@@ -231,7 +287,7 @@ def test_covariance_singular_on_degenerate_image():
 
 def test_fit_work_count(gas_factory, monkeypatch):
     # the fixed images of c9-chi2-degenerate and c9-chi2-boltzmann; nfev, each one
-    # residual, measured 11 and 11 (degenerate) and 6 and 27 (Boltzmann) for the
+    # residual, measured 11 and 10 (degenerate) and 5 and 9 (Boltzmann) for the
     # Gaussian and Fermi-Dirac fits; njev counts Jacobians, built only at the start
     # and at accepted points, so a trial that does not lower chi2 costs none
     chi2s, projected = [], imf._projected
@@ -242,7 +298,7 @@ def test_fit_work_count(gas_factory, monkeypatch):
         return out
 
     monkeypatch.setattr(imf, "_projected", recording)
-    for t_red, pitch, measured in ((0.1, 8e-6, (11, 11)), (2.0, 25e-6, (6, 27))):
+    for t_red, pitch, measured in ((0.1, 8e-6, (11, 10)), (2.0, 25e-6, (5, 9))):
         clean = imf.synthesize_tof_image(gas_factory(t_red), 10e-3, (64, 64), pitch)
         img = imf.add_noise(clean, 0.02 * float(clean.values.max()), seed=7)
         for fit, nfev in zip((imf.fit_gaussian, imf.fit_fermi_dirac), measured):
