@@ -1,8 +1,9 @@
 """Command-line front end: batch computation, scans and benchmark regression.
 
 Exit codes: 0 success, 1 benchmark-table failure (paper-check), 2 bad
-configuration or arguments, 3 numerical failure: any `constants.NumericalError`
-(fugacity, field, dressing and fit failures) or a singular matrix.
+configuration or arguments, or a named file that cannot be read or written
+(any OSError), 3 numerical failure: any `constants.NumericalError` (fugacity,
+field, dressing and fit failures) or a singular matrix.
 JSON artifacts are written deterministically (sorted keys, floats at 17
 significant digits) so identical configurations produce byte-identical output.
 
@@ -599,13 +600,13 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
 def _attach_negative_values(argv) -> list[str]:
     """argv with each `--flag VALUE` whose VALUE starts with a minus and a
-    digit written `--flag=VALUE`: argparse takes only plain numbers such as -9
-    or -4.5 for values, and reads a VALUE such as -9/2 or -5,0,300 as an
-    option."""
+    digit, or a minus, a point and a digit, written `--flag=VALUE`: argparse
+    takes only plain numbers such as -9 or -4.5 for values, and reads a VALUE
+    such as -9/2, -5,0,300 or -.5,0,300 as an option."""
     out = []
     for token in argv:
         if (out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--"
-                and token[:1] == "-" and token[1:2].isdigit()):
+                and token[:1] == "-" and token[1:].removeprefix(".")[:1].isdigit()):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -621,7 +622,8 @@ def main(argv=None) -> int:
     except (C.NumericalError, *_numpy_types("linalg.LinAlgError")) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError) as exc:
+    # an OSError is a file the user named that cannot be read or written
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

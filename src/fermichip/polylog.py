@@ -24,27 +24,26 @@ No regime runs quadrature or builds anything at run time.  The test suite
 checks the seams between regimes (`seams`) to 1e-8.  Every regime is
 elementwise, so an array call gives the same bits as per-element calls.
 
-Each regime is one function that takes a float or an array; fermi_fn picks
-the regimes with masks for an array and with `if` for one point (a float, a
-0-d array or any size-1 array), which then runs in Python floats: 3-25 us a
-call instead of 45-90 us of numpy dispatch on one-element arrays.  The bits
-are the array path's.  + - * / and the floor division that picks a table
-piece round alike on floats and in numpy's loops; the transcendental steps
-need not, so they go through numpy ufuncs on floats too, np.log(w) and
-np.power(x, p).  On an AVX-512 Xeon with numpy 2.4, math.log differed from
-numpy's array log on 0.35% of z in (1, 2), and x ** p, on a float or an
-np.float64, from the array power on about 5% of points; the ufuncs called on
-one value matched the array loops on every point.
-
-fermi_fns(orders, z) gives several integer orders at one z, each with the
-bits fermi_fn gives it; fermi_fn's integer orders are its one-order case.  z
-is validated, split at z = 1, inverted and logged once for all orders.  On an
-array the orders' series coefficients lie end to end along each Horner row,
-against min(z, 1/z) repeated once per order, so the sum takes one numpy call
-per coefficient and step however many orders it serves: f_3 and f_2 at the
-24 points of a degeneracy scan take ~50 us in one call against ~80 us in two
-(AVX-512 Xeon, numpy 2.4).  One order keeps float coefficients and repeats
-nothing.
+fermi_fns(orders, z) gives several orders at one z, each with the bits
+fermi_fn gives it, and fermi_fn(n, z) is its one-order case.  z is validated,
+split at z = 1, inverted and logged once for all orders.  On an array the
+orders' series coefficients lie end to end along each Horner row, against
+min(z, 1/z) repeated once per order, so the sum takes one numpy call per
+coefficient and step however many orders it serves: f_3 and f_2 at the 24
+points of a degeneracy scan take ~50 us in one call against ~80 us in two
+(AVX-512 Xeon, numpy 2.4); one order keeps float coefficients and repeats
+nothing.  Above z = 1 one function gives each order's value from a float or
+an array, choosing between order 3/2's table and its asymptotic series with
+masks for an array and with `if` for one point.  One point (a float, a 0-d
+array or any size-1 array) runs in Python floats: 3-25 us a call instead of
+45-90 us of numpy dispatch on one-element arrays.  The bits are the array
+path's.  + - * / and the floor division that picks a table piece round alike
+on floats and in numpy's loops; the transcendental steps need not, so they go
+through numpy ufuncs on floats too, np.log(w) and np.power(x, p).  On an
+AVX-512 Xeon with numpy 2.4, math.log differed from numpy's array log on
+0.35% of z in (1, 2), and x ** p, on a float or an np.float64, from the array
+power on about 5% of points; the ufuncs called on one value matched the array
+loops on every point.
 
 The special functions behind the Sommerfeld expansion need no library either:
 1/Gamma is rounded once from its exact factorial forms at the integers and
@@ -112,23 +111,16 @@ _ZETA_EVEN = np.array([
 _ETA_EVEN = (1.0 - 2.0 ** (1.0 - _TWO_K)) * _ZETA_EVEN
 
 
-def _fermi_order(n: float) -> float:
-    n = float(n)
-    if n == _TABLE_ORDER or (n.is_integer() and 1.0 <= n <= _MAX_EXACT_ORDER):
-        return n
-    raise ValueError(
-        f"fermi_fn order n={n} is not supported: need an integer 1 <= n <= "
-        f"{_MAX_EXACT_ORDER} or n = 3/2"
-    )
-
-
 @lru_cache(maxsize=64)
-def _integer_orders(orders: tuple) -> tuple[float, ...]:
+def _orders(orders: tuple) -> tuple[float, ...]:
+    """orders as floats; ValueError unless there is at least one and each is an
+    integer 1 <= n <= 24 or n = 3/2."""
     out = tuple(float(n) for n in orders)
-    if not out or not all(n.is_integer() and 1.0 <= n <= _MAX_EXACT_ORDER for n in out):
+    if not out or not all(n == _TABLE_ORDER or (n.is_integer() and 1.0 <= n <= _MAX_EXACT_ORDER)
+                          for n in out):
         raise ValueError(
-            f"fermi_fns orders {orders} are not supported: need one or more "
-            f"integers 1 <= n <= {_MAX_EXACT_ORDER}"
+            f"Fermi function orders {orders} are not supported: need one or more "
+            f"integers 1 <= n <= {_MAX_EXACT_ORDER} or n = 3/2"
         )
     return out
 
@@ -173,8 +165,9 @@ def _power_series(coeff: tuple[float, ...] | np.ndarray,
                   w: float | np.ndarray) -> float | np.ndarray:
     """sum_j coeff[j-1] w^j by Horner's rule, smallest terms first: elementwise,
     so a value does not depend on the batch (a BLAS product's rounding does).
-    coeff holds floats, or one array row per term.  On an array the first product allocates the accumulator and every later
-    step runs in place, which rounds the same as the float path."""
+    coeff holds floats, or one array row per term.  On an array the first
+    product allocates the accumulator and every later step runs in place,
+    which rounds the same as the float path."""
     acc = coeff[-1] * w
     for c in coeff[-2::-1]:
         acc += c
@@ -254,29 +247,47 @@ def _checked(z) -> tuple[np.ndarray, float | None]:
     return z, one
 
 
+def _above_one(n: float, x: float | np.ndarray, series) -> float | np.ndarray:
+    """f_n(e^x) for x > 0, from a float or an array x.  An integer order is
+    reflected through P_n, with series() its accelerated series at e^-x; order
+    3/2 reads the table below SOMMERFELD_CUT_LOG and the asymptotic series from
+    there on, and never calls series()."""
+    if n != _TABLE_ORDER:
+        return _fermi_sommerfeld(n, x) - (-1.0) ** n * series()
+    if x.ndim == 0:
+        return _fermi_sommerfeld(n, x) if x >= SOMMERFELD_CUT_LOG else _piecewise(x)
+    high = x >= SOMMERFELD_CUT_LOG
+    if not high.any():
+        return _piecewise(x)
+    out = np.empty_like(x)
+    out[~high] = _piecewise(x[~high])
+    out[high] = _fermi_sommerfeld(n, x[high])
+    return out
+
+
 def fermi_fns(orders, z) -> list:
-    """fermi_fn(n, z) for each integer order n in `orders` (1 <= n <= 24), with
-    the same bits, in one pass: `f3, f2 = fermi_fns((3, 2), z)`.
+    """fermi_fn(n, z) for each order n in `orders` (an integer 1 <= n <= 24 or
+    3/2), with the same bits, in one pass: `f4, f3, f32 = fermi_fns((4, 3, 1.5), z)`.
 
     z is validated, split at z = 1 and inverted once for all orders.  On an
     array one Horner sum serves every order, one numpy call per coefficient
-    and step, and each order is then reflected through its Sommerfeld
-    polynomial where z > 1.  One point runs in Python floats.
+    and step; where z > 1 each integer order is then reflected through its
+    Sommerfeld polynomial, and order 3/2 reads its table or its asymptotic
+    series.  One point runs in Python floats.
     A scalar or a 0-d z gives floats, any other input arrays of its shape.
     Raises ValueError for any other order or z (negative, nan or inf).
     """
-    orders = _integer_orders(tuple(orders))
+    orders = _orders(tuple(orders))
     z, one = _checked(z)
     if one is not None:
         if one <= SERIES_CUT:
             vals = [_fermi_series(n, one) for n in orders]
         else:
             x, w = np.log(one), 1.0 / one
-            vals = [float(_fermi_sommerfeld(n, x) - (-1.0) ** n * _fermi_series(n, w))
-                    for n in orders]
+            vals = [float(_above_one(n, x, lambda: _fermi_series(n, w))) for n in orders]
         return vals if z.ndim == 0 else [np.full(z.shape, v) for v in vals]
 
-    # one series pass over min(z, 1/z); above z = 1 reflect it through P_n
+    # one series pass over min(z, 1/z); above z = 1 each order takes its own form
     flat = z.ravel()
     high = flat > SERIES_CUT
     w = np.divide(1.0, flat, out=flat.copy(), where=high)
@@ -291,7 +302,7 @@ def fermi_fns(orders, z) -> list:
     if high.any():
         x = np.log(flat[high])
         for row, n in zip(out, orders):
-            row[high] = _fermi_sommerfeld(n, x) - (-1.0) ** n * row[high]
+            row[high] = _above_one(n, x, lambda: row[high])
     return list(out.reshape(len(orders), *z.shape))
 
 
@@ -303,34 +314,7 @@ def fermi_fn(n: float, z) -> float | np.ndarray:
     array gives a float, any other input an array of its shape.  Raises
     ValueError for any other order or z (negative, nan or inf).
     """
-    n = _fermi_order(n)
-    if n.is_integer():
-        return fermi_fns((n,), z)[0]
-    z, one = _checked(z)
-    if one is not None:
-        if one <= SERIES_CUT:
-            out = _fermi_series(n, one)
-        else:
-            x = np.log(one)
-            out = _fermi_sommerfeld(n, x) if x >= SOMMERFELD_CUT_LOG else _piecewise(x)
-        return float(out) if z.ndim == 0 else np.full(z.shape, out)
-
-    out = np.empty_like(z)
-    low = z <= SERIES_CUT
-    if low.any():
-        out[low] = _fermi_series(n, z[low])
-    rest = ~low
-    if rest.any():
-        x = np.log(z[rest])
-        high = x >= SOMMERFELD_CUT_LOG
-        mid = ~high
-        vals = np.empty_like(x)
-        if mid.any():
-            vals[mid] = _piecewise(x[mid])
-        if high.any():
-            vals[high] = _fermi_sommerfeld(n, x[high])
-        out[rest] = vals
-    return out
+    return fermi_fns((n,), z)[0]
 
 
 def seams(n: float) -> list[tuple[float, float, float]]:
@@ -339,7 +323,7 @@ def seams(n: float) -> list[tuple[float, float, float]]:
     seam itself, so the pair shows how well the regimes meet.  For integer n
     the one seam is z = 1; for n = 3/2, both ends of the table and every
     boundary between its pieces."""
-    n = _fermi_order(n)
+    (n,) = _orders((n,))
     below = _fermi_series(n, SERIES_CUT)
     if n.is_integer():
         return [(0.0, below, _fermi_sommerfeld(n, 0.0) - (-1.0) ** n * below)]

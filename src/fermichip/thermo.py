@@ -445,8 +445,8 @@ def discrete_sum_oracle(
 
 
 def write_thermo_scan_csv(path, gas_factory, t_values) -> None:
-    """Emit a degeneracy scan as CSV, from one fugacity solve and one call per
-    Fermi function for all rows.
+    """Emit a degeneracy scan as CSV, from one fugacity solve and one
+    fermi_fns call for f_4, f_3 and f_3/2 of all rows.
 
     gas_factory(t) must return a TrappedGasState at reduced temperature t.
     Columns: T_over_TF, Z, mu_over_EF, E_per_N_over_EF, n0_lambda3.
@@ -457,7 +457,7 @@ def write_thermo_scan_csv(path, gas_factory, t_values) -> None:
     e_f = np.array([gas.fermi_energy for gas in gases])
     # temp / (e_f / K_B) has the bits of each gas.t_reduced
     z = fugacity_from_reduced_temperature(temp / (e_f / K_B))
-    f4, f3 = fermi_fns((4, 3), z)
+    f4, f3, f32 = fermi_fns((4, 3, 1.5), z)
     e_per_n = 3.0 * K_B * temp * f4 / f3
-    columns = [t_values, z, K_B * temp * np.log(z) / e_f, e_per_n / e_f, degeneracy_parameter(z)]
+    columns = [t_values, z, K_B * temp * np.log(z) / e_f, e_per_n / e_f, f32]
     write_csv(path, ["T_over_TF", "Z", "mu_over_EF", "E_per_N_over_EF", "n0_lambda3"], columns)

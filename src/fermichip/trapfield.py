@@ -954,7 +954,11 @@ def load_geometry(name_or_path) -> tuple[FieldModel, np.ndarray | None]:
     name_or_path is a path to an existing file, or else the name of a shipped
     geometry, such as "toronto-z-trap": the file name with "-" for "_" and no
     ".json", looked up in the directory FERMICHIP_DATA_DIR names, or else in
-    the package's data.  FileNotFoundError names the file tried last.
+    the package's data.  FileNotFoundError names the file tried last.  A file
+    that is not a JSON object, whose `segments` is not a list of objects, whose
+    vectors are not three finite numbers, whose `current_a` or `offset_um` is
+    not a finite number, or whose chip-plane normal is not of unit length to
+    1e-9, raises ValueError naming the file and the key.
     """
     name, path = str(name_or_path), Path(name_or_path)
     if not path.exists():
@@ -962,25 +966,57 @@ def load_geometry(name_or_path) -> tuple[FieldModel, np.ndarray | None]:
         path = Path(data) / f"{name.replace('-', '_')}.json"
         if not path.exists():
             raise FileNotFoundError(f"geometry {name!r} not found (also tried {path})")
-    doc = json.loads(path.read_text())
+    try:
+        # integers read as floats, so that one too large for a float is inf
+        doc = json.loads(path.read_text(), parse_int=float)
+    except ValueError as exc:
+        raise ValueError(f"geometry file {path} is not JSON: {exc}") from None
+
+    def bad(key, what):
+        return ValueError(f"geometry file {path} key {key!r} {what}")
+
+    def finite(value) -> bool:
+        return type(value) is float and math.isfinite(value)
+
+    def number(obj, key):
+        if not finite(obj[key]):
+            raise bad(key, f"is {obj[key]!r}, not a finite number")
+        return obj[key]
+
+    def vector(obj, key):
+        v = obj[key]
+        if not (type(v) is list and len(v) == 3 and all(map(finite, v))):
+            raise bad(key, f"is {v!r}, not three finite numbers")
+        return v
+
+    if type(doc) is not dict:
+        raise ValueError(f"geometry file {path} is not a JSON object")
+    listed = doc.get("segments", [])
+    if not (type(listed) is list and all(type(item) is dict for item in listed)):
+        raise bad("segments", "is not a list of objects")
     try:
         segments = [
             WireSegment(
-                tuple(np.asarray(s["start_um"], dtype=float) * MICROMETER),
-                tuple(np.asarray(s["end_um"], dtype=float) * MICROMETER),
-                float(s["current_a"]),
+                tuple(np.asarray(vector(s, "start_um"), dtype=float) * MICROMETER),
+                tuple(np.asarray(vector(s, "end_um"), dtype=float) * MICROMETER),
+                number(s, "current_a"),
             )
-            for s in doc.get("segments", [])
+            for s in listed
         ]
-        bias = tuple(np.asarray(doc.get("bias_gauss", [0.0, 0.0, 0.0]), dtype=float) * GAUSS)
+        bias_gauss = vector(doc, "bias_gauss") if "bias_gauss" in doc else [0.0, 0.0, 0.0]
+        bias = tuple(np.asarray(bias_gauss, dtype=float) * GAUSS)
         chip_plane = None
         if "chip_plane" in doc:
             cp = doc["chip_plane"]
-            chip_plane = (tuple(cp["normal"]), float(cp["offset_um"]) * MICROMETER)
+            if type(cp) is not dict:
+                raise bad("chip_plane", "is not an object")
+            normal = vector(cp, "normal")
+            if abs(math.hypot(*normal) - 1.0) > 1e-9:
+                raise bad("normal", f"is {normal!r}, not a unit vector")
+            chip_plane = (tuple(normal), number(cp, "offset_um") * MICROMETER)
+        seed = None
+        if "seed_um" in doc:
+            seed = np.asarray(vector(doc, "seed_um"), dtype=float) * MICROMETER
     except KeyError as exc:
         raise ValueError(f"geometry file {path} has no key {exc}") from None
-    model = FieldModel(segments=segments, bias=bias, chip_plane=chip_plane)
-    seed = None
-    if "seed_um" in doc:
-        seed = np.asarray(doc["seed_um"], dtype=float) * MICROMETER
-    return model, seed
+    return FieldModel(segments=segments, bias=bias, chip_plane=chip_plane), seed

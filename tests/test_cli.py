@@ -580,6 +580,14 @@ def test_negative_mf_parses_like_attached_value(tmp_path, capsys, argv):
     assert attached.startswith("numerical failure: ") and "non-positive" in attached
 
 
+def test_negative_decimal_seed_parses_like_attached_value(capsys):
+    # -.5,0,300 is a value, not an option, as in --seed-um=-.5,0,300
+    assert run(["trap", "--seed-um=-.5,0,300"]) == cli.EXIT_OK
+    attached = capsys.readouterr()
+    assert run(["trap", "--seed-um", "-.5,0,300"]) == cli.EXIT_OK
+    assert capsys.readouterr() == attached
+
+
 @pytest.mark.parametrize("mf", ["1", "0.3", "1/3"], ids=["integer", "decimal", "third"])
 def test_impossible_mf_is_config_error(capsys, mf):
     # the F = 9/2 manifold holds only m_F = -9/2, -7/2, ..., 9/2
@@ -605,6 +613,48 @@ def test_trap_geometry_missing_key_is_config_error(tmp_path, capsys):
     assert run(["trap", "--geometry", path]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"configuration error: geometry file {path} has no key 'current_a'\n")
+
+
+def _geometry(*, segment=None, **keys):
+    """A one-wire geometry file's text, with the given keys of its segment and
+    of the file replaced."""
+    doc = {"segments": [{"start_um": [-1000, 0, 0], "end_um": [1000, 0, 0], "current_a": 1.0,
+                         **(segment or {})}],
+           "bias_gauss": [0, 1, 0], "chip_plane": {"normal": [0, 0, -1], "offset_um": 0}}
+    return json.dumps({**doc, **keys})
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1, 2]", "is not a JSON object"),
+        ("{segments", "is not JSON: "),
+        (_geometry(segments={"start_um": [0, 0, 0]}), "key 'segments' is not a list of objects"),
+        (_geometry(segments=[[0, 0, 0]]), "key 'segments' is not a list of objects"),
+        (_geometry(segment={"start_um": [math.nan, 0, 0]}),
+         "key 'start_um' is [nan, 0.0, 0.0], not three finite numbers"),
+        (_geometry(segment={"current_a": math.inf}), "key 'current_a' is inf, not a finite number"),
+        (_geometry(segment={"start_um": [0, 0]}),
+         "key 'start_um' is [0.0, 0.0], not three finite numbers"),
+        (_geometry(bias_gauss=[0, 1]), "key 'bias_gauss' is [0.0, 1.0], not three finite numbers"),
+        (_geometry(chip_plane={"normal": [0, -1], "offset_um": 0}),
+         "key 'normal' is [0.0, -1.0], not three finite numbers"),
+        (_geometry(chip_plane={"normal": [0, 0, 0], "offset_um": 0}),
+         "key 'normal' is [0.0, 0.0, 0.0], not a unit vector"),
+        (_geometry(chip_plane={"normal": [0, 0, -1], "offset_um": math.nan}),
+         "key 'offset_um' is nan, not a finite number"),
+    ],
+    ids=["list", "not-json", "segments-object", "segment-list", "nan-start", "inf-current",
+         "start-2", "bias-2", "normal-2", "normal-0", "nan-offset"],
+)
+def test_trap_malformed_geometry_is_config_error(tmp_path, capsys, text, message):
+    # the message names the file and the key; at fault is the file, not the solver
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["trap", "--geometry", path, "--seed-um", "0,0,100"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: geometry file {path} {message}")
+    assert err.count("\n") == 1
 
 
 def test_trap_seed_on_wire_axis_exits_3(capsys):
@@ -1008,3 +1058,40 @@ def test_every_flag_is_passed_by_a_test():
         and flag not in passed and flag[2:].replace("-", "_") not in passed
     )
     assert untested == []
+
+
+# the options that name a file to read or write
+FILE_FLAGS = {"--out", "--scan-out", "--csv", "--out-prefix", "--image", "--geometry", "--config"}
+
+
+def test_every_file_flag_fails_cleanly_on_a_bad_path(tmp_path, capsys, small_image):
+    # each option that names a file, pointed at a directory (or, for a prefix,
+    # at a path under a regular file), is a configuration error on one line;
+    # each command's other arguments are valid, and the bad path comes last
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    others = {
+        "thermo": GAS_ARGS,
+        "density": [*GAS_ARGS, "--points", "5", "--out", tmp_path / "d.csv"],
+        "tof": [*GAS_ARGS, "--nx", "8", "--ny", "8", "--out", tmp_path / "t.raster"],
+        "trap": [],
+        "dress": ["--geometry", "toronto-z-trap", "--rf-khz", "1820", "--points", "64"],
+        "evap": ["--preset", "reichel-z"],
+        "fit": ["--image", small_image, "--model", "gauss"],
+        "paper-check": [],
+        "run": [],
+    }
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    tried, failed = set(), []
+    for name, sub in commands.choices.items():
+        for flag in [f for a in sub._actions for f in a.option_strings if f in FILE_FLAGS]:
+            tried.add(flag)
+            bad = regular / "x" if flag == "--out-prefix" else tmp_path
+            code = run([name, *others[name], flag, bad])
+            err = capsys.readouterr().err
+            if not (code == cli.EXIT_CONFIG and err.startswith("configuration error: ")
+                    and err.count("\n") == 1 and "Traceback" not in err):
+                failed.append((name, flag, code, err))
+    assert tried == FILE_FLAGS
+    assert failed == []

@@ -162,8 +162,9 @@ FUSED_Z = np.concatenate([np.geomspace(1e-300, 1e300, 10_000),
                           [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
 
 
-@pytest.mark.parametrize("orders", [(3, 2), (4, 3), tuple(range(1, pl._MAX_EXACT_ORDER + 1))],
-                         ids=["3-2", "4-3", "1-24"])
+@pytest.mark.parametrize("orders", [(3, 2), (4, 3), (4, 3, 1.5),
+                                    tuple(range(1, pl._MAX_EXACT_ORDER + 1))],
+                         ids=["3-2", "4-3", "4-3-3/2", "1-24"])
 def test_fermi_fns_match_fermi_fn_bits(orders):
     # several orders in one pass give each order's fermi_fn bits, on an array
     # of any shape and at one point; f_n(0) = 0 and every other value is
@@ -200,10 +201,46 @@ def test_domain_errors():
                 pl.fermi_fn(2.0, z)
             with pytest.raises(ValueError, match="finite z >= 0"):
                 pl.fermi_fns((3, 2), z)
-    # fermi_fns takes one or more of the integer orders
-    for orders in ((), (1.5,), (3, 2.5), (4, 25), (0, 1)):
+    # fermi_fns takes one or more of the orders fermi_fn takes
+    for orders in ((), (3, 2.5), (4, 25), (0, 1), (1.5, 2.5)):
         with pytest.raises(ValueError, match="not supported"):
             pl.fermi_fns(orders, 2.0)
+    assert pl.fermi_fns((1.5,), 2.0) == [pl.fermi_fn(1.5, 2.0)]
+
+
+# (z, f_3/2(z)) as float.hex: the series' ends, z = 1 with its neighbours (the
+# table's lower end), the table's piece boundary at ln z = 1/2 and its upper
+# end at ln z = 36 with the floats on either side, e^36 with its neighbours
+# and the asymptotic series far out
+F32_PINS = [
+    ("0x0.0p+0", "0x0.0p+0"),
+    ("0x0.0000000000001p-1022", "0x0.0000000000001p-1022"),
+    ("0x1.0000000000000p-1", "0x1.b83461cc9d4f6p-2"),
+    ("0x1.fffffffffffffp-1", "0x1.87c159cecbb0dp-1"),
+    ("0x1.0000000000000p+0", "0x1.87c159cecbb0ep-1"),
+    ("0x1.0000000000001p+0", "0x1.87c159cecbb0ep-1"),
+    ("0x1.a61298e1e069bp+0", "0x1.1e096fb4ccb34p+0"),
+    ("0x1.a61298e1e069cp+0", "0x1.1e096fb4ccb35p+0"),
+    ("0x1.a61298e1e069dp+0", "0x1.1e096fb4ccb36p+0"),
+    ("0x1.ea215a1d20d57p+51", "0x1.454862e9bbb6bp+7"),
+    ("0x1.ea215a1d20d58p+51", "0x1.454862e9bbb6ep+7"),
+    ("0x1.ea215a1d20d75p+51", "0x1.454862e9bbb6ep+7"),
+    ("0x1.ea215a1d20d76p+51", "0x1.454862e9bbb6ep+7"),
+    ("0x1.ea215a1d20d77p+51", "0x1.454862e9bbb6ep+7"),
+    ("0x1.7e43c8800759cp+996", "0x1.aacbc7e8284b6p+13"),
+]
+
+
+def test_f32_bits_are_pinned():
+    # f_3/2 on both sides of each regime seam and of one table piece boundary,
+    # bit for bit, at one point and in one array, through fermi_fn and as one
+    # of several fermi_fns orders
+    z = [float.fromhex(zh) for zh, _ in F32_PINS]
+    want = [vh for _, vh in F32_PINS]
+    assert [pl.fermi_fn(1.5, zi).hex() for zi in z] == want
+    assert [v.hex() for v in pl.fermi_fn(1.5, np.array(z)).tolist()] == want
+    assert [pl.fermi_fns((4, 1.5), zi)[1].hex() for zi in z] == want
+    assert [v.hex() for v in pl.fermi_fns((4, 1.5), np.array(z))[1].tolist()] == want
 
 
 @pytest.mark.parametrize("n", FERMI_ORDERS)
